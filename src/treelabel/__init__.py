@@ -7,7 +7,7 @@ nodes minimizing the sum of theta(|label difference|) over all edges.
 Three solvers, cross-checkable against each other:
 
   - TreeLabeler / solve_dp: dynamic programming over the leaf-label
-    range, any tree arity, any theta. O(N * m^2).
+    range, any tree arity, any theta. O(N * m^2), a direct scan.
   - solve_interval: interval propagation, linear time, for Manhattan
     cost on binary trees.
   - brute_force_min: exhaustive enumeration, the testing ground truth.
@@ -27,7 +27,6 @@ from .costs import (
 from .dp import CostTable, dp_down, dp_up, min_total, solve_dp
 from .errors import (
     BudgetExceeded,
-    CostOverflowRisk,
     CycleDetected,
     DifferenceOutOfRange,
     EmptyTree,
@@ -79,7 +78,6 @@ __version__ = "0.1.0"
 __all__ = [
     "BudgetExceeded",
     "CostFunction",
-    "CostOverflowRisk",
     "CostTable",
     "CycleDetected",
     "DifferenceOutOfRange",

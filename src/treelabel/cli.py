@@ -25,17 +25,16 @@ import sys
 import time
 from typing import Optional
 
-from .dp import cost_table_csv, dp_up, solve_dp
+from .dp import cost_table_csv, solve_dp
 from .errors import (
     BudgetExceeded,
-    CostOverflowRisk,
     NotBinaryTree,
     TreeLabelError,
     TupleDecompositionNotMonotone,
     UnsupportedAlgorithm,
 )
 from .generate import random_document
-from .intervals import bottom_up_intervals, interval_csv, solve_interval
+from .intervals import interval_csv, solve_interval
 from .newick import (
     document_to_newick,
     parse_newick,
@@ -52,7 +51,6 @@ from .validation import resolve_cost
 _PRECONDITION_ERRORS = (
     NotBinaryTree,
     BudgetExceeded,
-    CostOverflowRisk,
     UnsupportedAlgorithm,
     TupleDecompositionNotMonotone,
 )
@@ -105,18 +103,18 @@ def cmd_solve(args: argparse.Namespace) -> int:
         return 0
 
     doc = parse_newick(text, source_name=args.input)
-    resolved, labeling = solve_scalar(
+    resolved, labeling, up_phase = solve_scalar(
         doc.tree, doc.leaf_labels, cost, algorithm=args.algorithm, tie=args.tie
     )
 
     if args.dump_table:
         if resolved != "dp":
             raise UnsupportedAlgorithm("--dump-table requires the dp algorithm")
-        _write_file(args.dump_table, cost_table_csv(dp_up(doc.tree, doc.leaf_labels, cost)))
+        _write_file(args.dump_table, cost_table_csv(up_phase))
     if args.dump_intervals:
         if resolved != "interval":
             raise UnsupportedAlgorithm("--dump-intervals requires the interval algorithm")
-        _write_file(args.dump_intervals, interval_csv(bottom_up_intervals(doc.tree, doc.leaf_labels)))
+        _write_file(args.dump_intervals, interval_csv(up_phase))
 
     if args.format == "newick":
         print(serialize_labeled(doc, labeling))

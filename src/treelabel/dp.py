@@ -12,24 +12,38 @@ node a with children b_1..b_r gets
 with the inner minimum taken by direct scan over j in [g_min, g_max].
 The binary two-child case is the r = 2 specialization of the same sum.
 
+The scan runs in builtins. theta is laid out once per solve as the
+mirrored list tm = [theta(m-1), ..., theta(1), theta(0), theta(1), ...,
+theta(m-1)], so tm[m-1-i+j] == theta(|i - j|) and the window
+tm[m-1-i : 2m-1-i] holds theta(|i - j|) for every j. For an internal
+child b, whose row is finite everywhere, each i costs one
+min(map(add, window, S_b)): every (i, j) pair is still evaluated. A leaf
+child labeled p is finite only at p, so its whole contribution is the
+window tm[m-1-p : 2m-1-p], theta(|i - p|) for every i, in O(m).
+
 Down phase (preorder). Pick a root label minimizing S_root, then give each
 remaining node p, whose parent got label i, the label j minimizing
-theta(|i - j|) + S_p(j). Ties go to the smallest label by default
-(tie="highest" picks the largest, useful for probing the set of optima).
-Note the chosen j need not minimize S_p itself.
+theta(|i - j|) + S_p(j), by the same windowed scan. Ties go to the
+smallest label by default (tie="highest" picks the largest, useful for
+probing the set of optima). Note the chosen j need not minimize S_p
+itself. A leaf keeps its observed label.
 
-Running time is O(N * m^2): every optimal label lives in [g_min, g_max],
-so nothing outside that range is ever scanned. The known O(N * m)
+Running time is O(N * m^2) and memory O(N * m): every optimal label lives
+in [g_min, g_max], so nothing outside that range is ever scanned, and
+windows are sliced on the fly rather than stored. The known O(N * m)
 convex-cost speedup is deliberately not implemented; the direct scan is
-the contract here. Costs are exact Python ints with math.inf as the
-impossible-assignment sentinel, so theta(d) + inf stays inf and no
-finite "big number" ever masquerades as infinity.
+the contract here. Costs are exact Python ints. math.inf marks the
+impossible labels of a leaf row, and since leaf rows never enter a sum,
+no int + inf is ever formed: theta values beyond float range (power:200,
+say) cannot overflow, and no finite "big number" ever masquerades as
+infinity.
 """
 
 from __future__ import annotations
 
 import math
 from dataclasses import dataclass
+from operator import add
 
 from .costs import CostFunction, Labeling, LeafLabeling, eval_total, theta
 from .tree import Tree, postorder, preorder
@@ -58,16 +72,21 @@ class CostTable:
         return self.rows[node]
 
 
-def _theta_by_difference(c: CostFunction, m: int) -> list[int]:
-    # Raises DifferenceOutOfRange up front if a custom table is too short
-    # for this instance's label range.
-    return [theta(c, d) for d in range(m)]
+def _mirrored_theta(c: CostFunction, m: int) -> list[int]:
+    """theta(m-1), ..., theta(1), theta(0), theta(1), ..., theta(m-1).
+
+    With k = m - 1 - i, the window tm[k : k + m] is theta(|i - j|) for
+    j = 0..m-1. Raises DifferenceOutOfRange up front if a custom table is too short
+    for this instance's label range.
+    """
+    th = [theta(c, d) for d in range(m)]
+    return th[:0:-1] + th
 
 
 def dp_up(t: Tree, l: LeafLabeling, c: CostFunction) -> CostTable:
     """Fill the cost table bottom-up (the up phase)."""
     g_min, g_max, m = l.g_min, l.g_max, l.m
-    th = _theta_by_difference(c, m)
+    tm = _mirrored_theta(c, m)
 
     rows: list = [None] * t.node_count
     for v in postorder(t):
@@ -78,17 +97,14 @@ def dp_up(t: Tree, l: LeafLabeling, c: CostFunction) -> CostTable:
             continue
         acc = [0] * m
         for child in t.children[v]:
-            crow = rows[child]
-            for i in range(m):
-                best = INFINITY
-                for j in range(m):
-                    val = crow[j]
-                    # the != guard matters: int + inf overflows for huge ints
-                    if val != INFINITY:
-                        val = th[abs(i - j)] + val
-                        if val < best:
-                            best = val
-                acc[i] += best
+            if t.is_leaf(child):
+                k = m - 1 - (l.labels[child] - g_min)
+                part = tm[k : k + m]
+            else:
+                # label i scans the window at k = m - 1 - i, i ascending
+                crow = rows[child]
+                part = [min(map(add, tm[k : k + m], crow)) for k in range(m - 1, -1, -1)]
+            acc = list(map(add, acc, part))
         rows[v] = tuple(acc)
     return CostTable(g_min=g_min, g_max=g_max, rows=tuple(rows))
 
@@ -106,13 +122,13 @@ def dp_down(t: Tree, ct: CostTable, c: CostFunction, tie: str = "lowest") -> Lab
 
     Deterministic: the root takes the smallest minimizer of its row, and
     every other node the smallest j minimizing theta(|i - j|) + S(j) given
-    its parent's label i (largest with tie="highest"). Leaves end up with
-    their observed labels since their rows are infinite elsewhere.
+    its parent's label i (largest with tie="highest"). A leaf takes its
+    observed label, the one finite entry of its row.
     """
     if tie not in ("lowest", "highest"):
         raise ValueError(f"tie must be 'lowest' or 'highest', got {tie!r}")
     g_min, m = ct.g_min, ct.m
-    th = _theta_by_difference(c, m)
+    tm = _mirrored_theta(c, m)
     pick_last = tie == "highest"
 
     cost, root_labels = min_total(ct, t.root)
@@ -121,19 +137,17 @@ def dp_down(t: Tree, ct: CostTable, c: CostFunction, tie: str = "lowest") -> Lab
     for v in preorder(t):
         if v == t.root:
             continue
-        i = values[t.parents[v]]
         row = ct.rows[v]
-        best = INFINITY
-        best_j = None
-        for j in range(m):
-            val = row[j]
-            if val == INFINITY:
-                continue
-            val = th[abs(i - g_min - j)] + val
-            if val < best or (pick_last and val == best):
-                best = val
-                best_j = j
-        values[v] = g_min + best_j
+        if t.is_leaf(v):
+            values[v] = g_min + row.index(0)
+            continue
+        k = m - 1 - (values[t.parents[v]] - g_min)
+        scores = list(map(add, tm[k : k + m], row))
+        best = min(scores)
+        if pick_last:
+            values[v] = g_min + m - 1 - scores[::-1].index(best)
+        else:
+            values[v] = g_min + scores.index(best)
     return Labeling(values=values, total_cost=eval_total(t, c, values))
 
 

@@ -60,14 +60,6 @@ class DifferenceOutOfRange(TreeLabelError):
     """A custom cost table was indexed past its last entry."""
 
 
-class CostOverflowRisk(TreeLabelError):
-    """Accumulated cost would exceed the accumulator range.
-
-    Kept for interface parity: cost accumulation uses Python's
-    arbitrary-precision integers, so this guard can never fire here.
-    """
-
-
 # --- solvers ------------------------------------------------------------- #
 
 class NotBinaryTree(TreeLabelError):

@@ -12,8 +12,11 @@ from __future__ import annotations
 
 from typing import Mapping, Optional
 
-from .dp import CostTable, dp_up
-from .intervals import IntervalAssignment, bottom_up_intervals
+# fit reuses the table that solve_scalar built and never calls dp_up; the
+# name stays bound here because perfbench/test_perfbench.py checks that its
+# tracer restores every binding of dp_up, this one included.
+from .dp import CostTable, dp_up  # noqa: F401
+from .intervals import IntervalAssignment
 from .solve import solve_scalar
 from .validation import InstanceLike, as_document, resolve_cost
 
@@ -26,7 +29,10 @@ class TreeLabeler:
     algorithm : {"auto", "dp", "interval", "oracle"}, default "auto"
         "interval" is the linear Manhattan solver (binary trees only),
         "dp" the general dynamic program, "oracle" exhaustive enumeration.
-        "auto" picks interval when it applies, dp otherwise.
+        "auto" picks interval when it applies, dp otherwise. dp scans every
+        (label, child label) pair directly in builtins, a windowed
+        min(map(add, ...)) per label: O(N * m^2) time and O(N * m) memory,
+        with a leaf child contributing in O(m).
     cost : str or CostFunction, default "manhattan"
         Edge-cost spec: "manhattan", "power:<k>" or "table:<c0,c1,...>".
     tie : {"lowest", "highest", "midpoint"}, default "lowest"
@@ -41,6 +47,9 @@ class TreeLabeler:
     g_min_, g_max_, m_  : leaf-label range
     intervals_          : IntervalAssignment or None (interval runs)
     cost_table_         : CostTable or None (dp runs)
+
+    intervals_ and cost_table_ are the up-phase results of the solve
+    itself; fit computes each one once.
 
     >>> TreeLabeler().fit_predict("((1,5),9);")
     [5, 5, 9, 1, 5]
@@ -78,7 +87,7 @@ class TreeLabeler:
         """Solve the instance in X (Newick text, document, or Tree plus y)."""
         doc = as_document(X, y)
         cost_fn = resolve_cost(self.cost)
-        algorithm, labeling = solve_scalar(
+        algorithm, labeling, up_phase = solve_scalar(
             doc.tree, doc.leaf_labels, cost_fn, algorithm=self.algorithm, tie=self.tie
         )
 
@@ -94,13 +103,9 @@ class TreeLabeler:
         self.g_max_ = doc.leaf_labels.g_max
         self.m_ = doc.leaf_labels.m
         self.intervals_: Optional[IntervalAssignment] = (
-            bottom_up_intervals(doc.tree, doc.leaf_labels)
-            if algorithm == "interval"
-            else None
+            up_phase if algorithm == "interval" else None
         )
-        self.cost_table_: Optional[CostTable] = (
-            dp_up(doc.tree, doc.leaf_labels, cost_fn) if algorithm == "dp" else None
-        )
+        self.cost_table_: Optional[CostTable] = up_phase if algorithm == "dp" else None
         return self
 
     def fit_predict(self, X: InstanceLike, y: Optional[Mapping[int, int]] = None) -> list:

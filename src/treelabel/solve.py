@@ -2,10 +2,12 @@
 
 from __future__ import annotations
 
+from typing import Optional, Union
+
 from .costs import CostFunction, Labeling, LeafLabeling
-from .dp import solve_dp
+from .dp import CostTable, dp_down, dp_up
 from .errors import NotBinaryTree, UnsupportedAlgorithm
-from .intervals import solve_interval
+from .intervals import IntervalAssignment, bottom_up_intervals, top_down_labels
 from .oracle import brute_force_min
 from .tree import Tree, is_binary
 
@@ -51,9 +53,12 @@ def solve_scalar(
     algorithm: str = "auto",
     tie: str = "lowest",
     budget: int | None = None,
-) -> tuple[str, Labeling]:
-    """Solve one scalar instance; returns (resolved algorithm, labeling).
+) -> tuple[str, Labeling, Optional[Union[CostTable, IntervalAssignment]]]:
+    """Solve one scalar instance: (resolved algorithm, labeling, up-phase result).
 
+    The up-phase result is the CostTable of a dp solve or the
+    IntervalAssignment of an interval solve, handed back so that callers
+    reuse it instead of computing it again; the oracle has none (None).
     The oracle path returns the first optimal labeling in enumeration
     order and only supports the default tie rule.
     """
@@ -65,8 +70,10 @@ def solve_scalar(
             f"(allowed: {', '.join(allowed_ties)})"
         )
     if resolved == "dp":
-        return resolved, solve_dp(t, l, c, tie=tie)
+        table = dp_up(t, l, c)
+        return resolved, dp_down(t, table, c, tie=tie), table
     if resolved == "interval":
-        return resolved, solve_interval(t, l, tie=tie)
+        intervals = bottom_up_intervals(t, l)
+        return resolved, top_down_labels(t, intervals, tie=tie), intervals
     optimum = brute_force_min(t, l, c, budget=budget, max_labelings=1)
-    return resolved, optimum.labelings[0]
+    return resolved, optimum.labelings[0], None

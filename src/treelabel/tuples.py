@@ -117,7 +117,7 @@ def solve_ktuple(
     coordinate_labels: list[Mapping[int, int]] = []
     total = 0
     for i in range(l.k):
-        _, labeling = solve_scalar(t, l.coordinate(t, i), c, algorithm=algorithm, tie=tie)
+        _, labeling, _ = solve_scalar(t, l.coordinate(t, i), c, algorithm=algorithm, tie=tie)
         coordinate_labels.append(labeling.values)
         total += labeling.total_cost
 

@@ -5,16 +5,20 @@ same answers (different table recurrence shape, different enumeration
 style), so a shared bug would have to be invented twice.
 """
 
+import sys
 from itertools import combinations_with_replacement, product
 
 from treelabel import (
     CostFunction,
+    CostTable,
+    Labeling,
     LeafLabeling,
     Tree,
     build_tree,
     eval_total,
     parse_newick,
     postorder,
+    preorder,
     theta,
 )
 
@@ -90,6 +94,60 @@ def binary_dp_rows(t: Tree, l: LeafLabeling, c: CostFunction):
 
 
 # ------------------------------------------------------------------ #
+# triple-loop DP (reference for the windowed scan in treelabel.dp)    #
+# ------------------------------------------------------------------ #
+
+def scan_dp_up(t: Tree, l: LeafLabeling, c: CostFunction) -> CostTable:
+    """Cost table by an explicit loop over every (i, j) pair, leaf rows included."""
+    g_min, m = l.g_min, l.m
+    th = [theta(c, d) for d in range(m)]
+    rows = [None] * t.node_count
+    for v in postorder(t):
+        if t.is_leaf(v):
+            row = [INF] * m
+            row[l.labels[v] - g_min] = 0
+            rows[v] = tuple(row)
+            continue
+        acc = [0] * m
+        for child in t.children[v]:
+            crow = rows[child]
+            for i in range(m):
+                best = INF
+                for j in range(m):
+                    # skip infinite entries: int + inf overflows for huge ints
+                    if crow[j] != INF:
+                        best = min(best, th[abs(i - j)] + crow[j])
+                acc[i] += best
+        rows[v] = tuple(acc)
+    return CostTable(g_min=l.g_min, g_max=l.g_max, rows=tuple(rows))
+
+
+def scan_dp_down(t: Tree, ct: CostTable, c: CostFunction, tie="lowest") -> Labeling:
+    """Top-down reconstruction by an explicit loop over every candidate j."""
+    g_min, m = ct.g_min, ct.m
+    th = [theta(c, d) for d in range(m)]
+    pick_last = tie == "highest"
+    root_row = ct.rows[t.root]
+    root_min = min(root_row)
+    best_root = [i for i in range(m) if root_row[i] == root_min]
+    values = {t.root: g_min + (best_root[-1] if pick_last else best_root[0])}
+    for v in preorder(t):
+        if v == t.root:
+            continue
+        i = values[t.parents[v]] - g_min
+        row = ct.rows[v]
+        best, best_j = INF, None
+        for j in range(m):
+            if row[j] == INF:
+                continue
+            val = th[abs(i - j)] + row[j]
+            if val < best or (pick_last and val == best):
+                best, best_j = val, j
+        values[v] = g_min + best_j
+    return Labeling(values=values, total_cost=eval_total(t, c, values))
+
+
+# ------------------------------------------------------------------ #
 # recursive mini-oracle (independent of the package's product scan)   #
 # ------------------------------------------------------------------ #
 
@@ -146,6 +204,25 @@ def tuple_brute_force_cost(t: Tree, k, leaf_tuples, c: CostFunction):
 # ------------------------------------------------------------------ #
 # misc                                                                #
 # ------------------------------------------------------------------ #
+
+def count_calls(monkeypatch, function):
+    """Count calls to ``function`` through every treelabel module binding it.
+
+    Modules bind solver phases by from-import, so the function is replaced
+    wherever it is bound. Returns a list that grows by one per call.
+    """
+    calls = []
+
+    def counting(*args, **kwargs):
+        calls.append(args)
+        return function(*args, **kwargs)
+
+    for name, module in list(sys.modules.items()):
+        if name == "treelabel" or name.startswith("treelabel."):
+            if getattr(module, function.__name__, None) is function:
+                monkeypatch.setattr(module, function.__name__, counting)
+    return calls
+
 
 def random_strict_table(rng, length):
     """Strictly increasing cost table starting at 0."""

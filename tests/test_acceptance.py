@@ -344,7 +344,7 @@ def test_criterion_9_ktuple():
             doc.tree, {v: (x,) for v, x in doc.leaf_labels.labels.items()}
         )
         tuple_result = solve_ktuple(doc.tree, as_tuples, cost)
-        _, scalar = solve_scalar(doc.tree, doc.leaf_labels, cost)
+        _, scalar, _ = solve_scalar(doc.tree, doc.leaf_labels, cost)
         assert tuple_result.total_cost == scalar.total_cost
         assert tuple_result.values == {v: (x,) for v, x in scalar.values.items()}
 

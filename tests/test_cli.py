@@ -3,7 +3,10 @@ import json
 import pytest
 
 import treelabel.cli as cli
-from treelabel import Labeling, parse_newick
+from helpers import count_calls
+from treelabel import CostFunction, Labeling, bottom_up_intervals, dp_up, parse_newick
+from treelabel.dp import cost_table_csv
+from treelabel.intervals import interval_csv
 
 
 def run(capsys, *argv):
@@ -104,6 +107,33 @@ class TestSolve:
         code, _, _ = run(capsys, "solve", str(path), "--dump-intervals", str(out_csv))
         assert code == 0
         assert "0,5,9" in out_csv.read_text()
+
+    def test_dump_table_is_the_solve_table(self, capsys, tmp_path, monkeypatch):
+        text = "((1,5,2),(9,(3)));"
+        path = tmp_path / "t.nwk"
+        out_csv = tmp_path / "table.csv"
+        path.write_text(text)
+        calls = count_calls(monkeypatch, dp_up)
+        code, _, _ = run(capsys, "solve", str(path), "--cost", "power:2",
+                         "--dump-table", str(out_csv))
+        assert code == 0
+        assert len(calls) == 1
+        doc = parse_newick(text)
+        expected = cost_table_csv(dp_up(doc.tree, doc.leaf_labels, CostFunction.power(2)))
+        assert out_csv.read_bytes() == expected.encode()
+
+    def test_dump_intervals_is_the_solve_assignment(self, capsys, tmp_path, monkeypatch):
+        text = "((1,5),(9,(3,4)));"
+        path = tmp_path / "t.nwk"
+        out_csv = tmp_path / "iv.csv"
+        path.write_text(text)
+        calls = count_calls(monkeypatch, bottom_up_intervals)
+        code, _, _ = run(capsys, "solve", str(path), "--dump-intervals", str(out_csv))
+        assert code == 0
+        assert len(calls) == 1
+        doc = parse_newick(text)
+        expected = interval_csv(bottom_up_intervals(doc.tree, doc.leaf_labels))
+        assert out_csv.read_bytes() == expected.encode()
 
     def test_dump_table_needs_dp(self, capsys, tmp_path):
         path = tmp_path / "t.nwk"

@@ -3,12 +3,19 @@ import random
 
 import pytest
 
-from helpers import binary_dp_rows, random_strict_table, star_tree
+from helpers import (
+    binary_dp_rows,
+    random_strict_table,
+    scan_dp_down,
+    scan_dp_up,
+    star_tree,
+)
 from treelabel import (
     CostFunction,
     DifferenceOutOfRange,
     LeafLabeling,
     brute_force_min,
+    build_tree,
     dp_down,
     dp_up,
     eval_total,
@@ -258,3 +265,74 @@ def test_cost_table_csv_shape():
     assert lines[1] == "0,5,5,5,5,5,5"
     assert lines[2] == "1,0,inf,inf,inf,inf,inf"
     assert len(lines) == 4
+
+
+def _random_instance(rng, n_nodes, lo, hi):
+    """Random tree of arity 1-4 (unary chains included) with labels in [lo, hi].
+
+    Nodes attach one by one to a random earlier node that has fewer than
+    four children; nodes left childless are the leaves. n_nodes=1 is the
+    single-node tree.
+    """
+    parent_of = [None]
+    child_count = [0]
+    for v in range(1, n_nodes):
+        p = rng.choice([u for u in range(v) if child_count[u] < 4])
+        parent_of.append(p)
+        child_count[p] += 1
+        child_count.append(0)
+    t = build_tree(parent_of, [k == 0 for k in child_count])
+    labels = {v: rng.randint(lo, hi) for v in t.leaves()}
+    return t, LeafLabeling.for_tree(t, labels)
+
+
+def _non_convex_table(m):
+    """Strictly increasing, increments alternating 5, 1: not convex."""
+    values = [0]
+    for d in range(1, m):
+        values.append(values[-1] + (5 if d % 2 else 1))
+    return CostFunction.from_table(values)
+
+
+class TestAgainstTripleLoop:
+    """The windowed scan builds the same table and labeling as the plain loop."""
+
+    def test_tables_and_labelings_identical(self):
+        rng = random.Random(22)
+        shapes = {"single": 0, "unary": 0, "wide": 0}
+        for index in range(150):
+            n_nodes = 1 if index == 0 else rng.randint(2, 14)
+            lo = rng.randint(-5, 5)
+            t, leaves = _random_instance(rng, n_nodes, lo, lo + rng.randint(0, 9))
+            arities = [len(t.children[v]) for v in range(t.node_count) if not t.is_leaf(v)]
+            shapes["single"] += t.node_count == 1
+            shapes["unary"] += 1 in arities
+            shapes["wide"] += any(a >= 3 for a in arities)
+            for cost in (MANHATTAN, SQUARE, CostFunction.power(3), _non_convex_table(leaves.m)):
+                table = dp_up(t, leaves, cost)
+                reference = scan_dp_up(t, leaves, cost)
+                assert table.rows == reference.rows
+                for tie in ("lowest", "highest"):
+                    got = dp_down(t, table, cost, tie=tie)
+                    expected = scan_dp_down(t, reference, cost, tie=tie)
+                    assert got.values == expected.values
+                    assert got.total_cost == expected.total_cost
+        assert all(count > 0 for count in shapes.values()), shapes
+
+
+class TestBeyondFloatRange:
+    """Costs above 1e308 stay exact ints: no int + inf, no OverflowError."""
+
+    @pytest.mark.parametrize(
+        "cost",
+        [
+            CostFunction.power(200),
+            CostFunction.from_table([0] + [10 ** 309 + d for d in range(1, 65)]),
+        ],
+        ids=["power:200", "table-above-1e308"],
+    )
+    def test_matches_oracle(self, cost):
+        doc = parse_newick("(0,(0,64));")
+        assert cost(64) > 1e308
+        labeling = solve_dp(doc.tree, doc.leaf_labels, cost)
+        assert labeling.total_cost == brute_force_min(doc.tree, doc.leaf_labels, cost).cost

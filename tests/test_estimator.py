@@ -1,10 +1,13 @@
 import pytest
 
+from helpers import count_calls
 from treelabel import (
     CostFunction,
     NotBinaryTree,
     TreeLabeler,
     UnsupportedAlgorithm,
+    bottom_up_intervals,
+    dp_up,
     parse_newick,
     solve_dp,
 )
@@ -37,6 +40,22 @@ class TestFit:
         assert est.cost_ == 23
         assert est.cost_table_ is not None
         assert est.intervals_ is None
+
+    def test_dp_fit_runs_the_up_phase_once(self, monkeypatch):
+        calls = count_calls(monkeypatch, dp_up)
+        est = TreeLabeler(cost="power:2").fit("((1,5,2),(9,(3)));")
+        assert est.algorithm_ == "dp"
+        assert len(calls) == 1
+        doc = parse_newick("((1,5,2),(9,(3)));")
+        assert est.cost_table_ == dp_up(doc.tree, doc.leaf_labels, CostFunction.power(2))
+
+    def test_interval_fit_runs_the_up_phase_once(self, monkeypatch):
+        calls = count_calls(monkeypatch, bottom_up_intervals)
+        est = TreeLabeler().fit("((1,5),(9,(3,4)));")
+        assert est.algorithm_ == "interval"
+        assert len(calls) == 1
+        doc = parse_newick("((1,5),(9,(3,4)));")
+        assert est.intervals_ == bottom_up_intervals(doc.tree, doc.leaf_labels)
 
     def test_oracle_algorithm(self):
         est = TreeLabeler(algorithm="oracle").fit("(2,7);")

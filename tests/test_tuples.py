@@ -118,7 +118,7 @@ class TestSolveKtuple:
                 doc.tree, {v: (x,) for v, x in doc.leaf_labels.labels.items()}
             )
             result = solve_ktuple(doc.tree, as_tuples, cost)
-            _, scalar = tuples_module.solve_scalar(doc.tree, doc.leaf_labels, cost)
+            _, scalar, _ = tuples_module.solve_scalar(doc.tree, doc.leaf_labels, cost)
             assert result.total_cost == scalar.total_cost
             assert result.values == {v: (x,) for v, x in scalar.values.items()}
 
@@ -157,7 +157,7 @@ class TestSolveKtuple:
             label = 9 if l.g_min == 1 else 0  # coordinate 0 above coordinate 1
             values = dict(l.labels)
             values[t.root] = label
-            return "dp", Labeling(values=values, total_cost=0)
+            return "dp", Labeling(values=values, total_cost=0), None
 
         monkeypatch.setattr(tuples_module, "solve_scalar", broken_solver)
         with pytest.raises(TupleDecompositionNotMonotone) as info:
