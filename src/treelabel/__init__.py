@@ -21,7 +21,6 @@ from .costs import (
     Labeling,
     LeafLabeling,
     eval_total,
-    label_range,
     theta,
 )
 from .dp import CostTable, dp_down, dp_up, min_total, solve_dp
@@ -116,7 +115,6 @@ __all__ = [
     "enumerate_optimal",
     "eval_total",
     "is_binary",
-    "label_range",
     "merge_intervals",
     "min_total",
     "optimal_label_sets",

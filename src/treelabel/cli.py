@@ -7,6 +7,10 @@ Subcommands:
   gen     emit random instances as Newick lines
   bench   time solvers over an (n, m) grid, CSV out
 
+Which solver applies is decided only in solve.py: solve resolves it once,
+for scalar and tuple input alike, and rejects a mismatched dump flag before
+solving; check runs solve_scalar per solver and skips inapplicable ones.
+
 Exit codes: 0 success; 1 parse or validation failure; 2 solver
 precondition failure (non-binary tree for the interval solver, oracle
 budget, unsupported combinations); 3 check found a disagreement. Every
@@ -44,7 +48,6 @@ from .newick import (
 )
 from .oracle import brute_force_min, resolve_budget
 from .solve import choose_algorithm, solve_scalar
-from .tree import is_binary
 from .tuples import solve_ktuple
 from .validation import resolve_cost
 
@@ -80,52 +83,41 @@ def cmd_solve(args: argparse.Namespace) -> int:
         if args.dump_table or args.dump_intervals:
             raise UnsupportedAlgorithm("dump flags are not available in tuple mode")
         doc = parse_newick_tuples(text, source_name=args.input)
-        resolved = choose_algorithm(args.algorithm, doc.tree, cost)
-        result = solve_ktuple(
-            doc.tree, doc.leaf_labels, cost, algorithm=args.algorithm, tie=args.tie
+        flat = [x for tup in doc.leaf_labels.labels.values() for x in tup]
+        g_min, g_max = min(flat), max(flat)
+        serialize = serialize_tuple_labeled
+    else:
+        doc = parse_newick(text, source_name=args.input)
+        g_min, g_max = doc.leaf_labels.g_min, doc.leaf_labels.g_max
+        serialize = serialize_labeled
+
+    resolved = choose_algorithm(args.algorithm, doc.tree, cost)
+    if args.dump_table and resolved != "dp":
+        raise UnsupportedAlgorithm("--dump-table requires the dp algorithm")
+    if args.dump_intervals and resolved != "interval":
+        raise UnsupportedAlgorithm("--dump-intervals requires the interval algorithm")
+
+    if args.tuple:
+        labeling = solve_ktuple(doc.tree, doc.leaf_labels, cost, algorithm=resolved, tie=args.tie)
+    else:
+        _, labeling, up_phase = solve_scalar(
+            doc.tree, doc.leaf_labels, cost, algorithm=resolved, tie=args.tie
         )
-        if args.format == "newick":
-            print(serialize_tuple_labeled(doc, result))
-        else:
-            flat = [x for tup in doc.leaf_labels.labels.values() for x in tup]
-            g_min, g_max = min(flat), max(flat)
-            payload = {
-                "cost": result.total_cost,
-                "labels": {
-                    str(v): list(result.values[v]) for v in range(doc.tree.node_count)
-                },
-                "algorithm": resolved,
-                "g_min": g_min,
-                "g_max": g_max,
-                "m": g_max - g_min + 1,
-            }
-            print(json.dumps(payload))
-        return 0
-
-    doc = parse_newick(text, source_name=args.input)
-    resolved, labeling, up_phase = solve_scalar(
-        doc.tree, doc.leaf_labels, cost, algorithm=args.algorithm, tie=args.tie
-    )
-
-    if args.dump_table:
-        if resolved != "dp":
-            raise UnsupportedAlgorithm("--dump-table requires the dp algorithm")
-        _write_file(args.dump_table, cost_table_csv(up_phase))
-    if args.dump_intervals:
-        if resolved != "interval":
-            raise UnsupportedAlgorithm("--dump-intervals requires the interval algorithm")
-        _write_file(args.dump_intervals, interval_csv(up_phase))
+        if args.dump_table:
+            _write_file(args.dump_table, cost_table_csv(up_phase))
+        if args.dump_intervals:
+            _write_file(args.dump_intervals, interval_csv(up_phase))
 
     if args.format == "newick":
-        print(serialize_labeled(doc, labeling))
+        print(serialize(doc, labeling))
     else:
         payload = {
             "cost": labeling.total_cost,
             "labels": {str(v): labeling.values[v] for v in range(doc.tree.node_count)},
             "algorithm": resolved,
-            "g_min": doc.leaf_labels.g_min,
-            "g_max": doc.leaf_labels.g_max,
-            "m": doc.leaf_labels.m,
+            "g_min": g_min,
+            "g_max": g_max,
+            "m": g_max - g_min + 1,
         }
         print(json.dumps(payload))
     return 0
@@ -174,16 +166,14 @@ def cmd_check(args: argparse.Namespace) -> int:
 
     for doc in docs:
         costs = {}
-        labeling = solve_dp(doc.tree, doc.leaf_labels, cost)
-        costs["dp"] = labeling.total_cost
-        if cost.kind == "manhattan" and is_binary(doc.tree):
-            costs["interval"] = solve_interval(doc.tree, doc.leaf_labels).total_cost
-        try:
-            costs["oracle"] = brute_force_min(
-                doc.tree, doc.leaf_labels, cost, budget=budget, max_labelings=1
-            ).cost
-        except BudgetExceeded:
-            pass
+        for name in ("dp", "interval", "oracle"):
+            try:
+                _, labeling, _ = solve_scalar(
+                    doc.tree, doc.leaf_labels, cost, algorithm=name, budget=budget
+                )
+            except (NotBinaryTree, UnsupportedAlgorithm, BudgetExceeded):
+                continue  # this solver does not apply to the instance
+            costs[name] = labeling.total_cost
 
         disagreement = False
         for (a, b), stats in pair_stats.items():

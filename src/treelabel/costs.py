@@ -132,26 +132,26 @@ class LeafLabeling:
     @classmethod
     def for_tree(cls, t: Tree, labels: Mapping[int, int]) -> "LeafLabeling":
         """Validate that ``labels`` covers exactly the leaves of ``t``."""
-        leaves = set(t.leaves())
-        given = set(labels)
-        if given != leaves:
-            missing = sorted(leaves - given)
-            extra = sorted(given - leaves)
-            parts = []
-            if missing:
-                parts.append(f"missing labels for leaves {missing}")
-            if extra:
-                parts.append(f"labels for non-leaf nodes {extra}")
-            raise ValueError("; ".join(parts))
+        check_leaf_coverage(t, labels)
         values = {int(k): int(v) for k, v in labels.items()}
         g_min = min(values.values())
         g_max = max(values.values())
         return cls(labels=values, g_min=g_min, g_max=g_max, m=g_max - g_min + 1)
 
 
-def label_range(l: LeafLabeling) -> tuple[int, int, int]:
-    """(g_min, g_max, m) of a leaf labeling."""
-    return l.g_min, l.g_max, l.m
+def check_leaf_coverage(t: Tree, labels: Mapping[int, object]) -> None:
+    """ValueError unless the keys of ``labels`` are exactly the leaves of ``t``."""
+    leaves = set(t.leaves())
+    given = set(labels)
+    if given != leaves:
+        missing = sorted(leaves - given)
+        extra = sorted(given - leaves)
+        parts = []
+        if missing:
+            parts.append(f"missing labels for leaves {missing}")
+        if extra:
+            parts.append(f"labels for non-leaf nodes {extra}")
+        raise ValueError("; ".join(parts))
 
 
 @dataclass(frozen=True)

@@ -68,9 +68,6 @@ class CostTable:
     def m(self) -> int:
         return self.g_max - self.g_min + 1
 
-    def row(self, node: int) -> tuple:
-        return self.rows[node]
-
 
 def _mirrored_theta(c: CostFunction, m: int) -> list[int]:
     """theta(m-1), ..., theta(1), theta(0), theta(1), ..., theta(m-1).

@@ -43,9 +43,6 @@ class IntervalAssignment:
     def __getitem__(self, node: int) -> Interval:
         return self.intervals[node]
 
-    def __len__(self) -> int:
-        return len(self.intervals)
-
 
 def merge_intervals(a: Interval, b: Interval) -> Interval:
     """Parent interval of two child intervals: intersection, else the gap."""

@@ -26,8 +26,6 @@ from .errors import (
     MissingNodeLabel,
     NewickSyntaxError,
     NonIntegerLeafName,
-    TupleLengthMismatch,
-    TupleNotMonotone,
 )
 from .tree import Tree, build_tree
 from .tuples import TupleLabeling, TupleLeafLabeling
@@ -175,13 +173,17 @@ def _leaf_int(name: str, what: str = "leaf name") -> int:
     return int(name)
 
 
-def parse_newick(text: str, source_name: str = "<string>") -> LabeledTreeDocument:
-    """Parse one Newick tree whose leaf names are integer labels."""
+def _parse_tree(text: str) -> tuple[Tree, dict[int, str]]:
+    """The tree of one Newick string and the raw name of every leaf."""
     if not text.strip():
         raise EmptyTree("blank input")
-    structure = _parse_structure(text)
-    parent_of, leaf_flags, leaf_names = _number_nodes(structure)
-    tree = build_tree(parent_of, leaf_flags)
+    parent_of, leaf_flags, leaf_names = _number_nodes(_parse_structure(text))
+    return build_tree(parent_of, leaf_flags), leaf_names
+
+
+def parse_newick(text: str, source_name: str = "<string>") -> LabeledTreeDocument:
+    """Parse one Newick tree whose leaf names are integer labels."""
+    tree, leaf_names = _parse_tree(text)
     labels = {v: _leaf_int(name) for v, name in leaf_names.items()}
     return LabeledTreeDocument(
         tree=tree,
@@ -192,27 +194,11 @@ def parse_newick(text: str, source_name: str = "<string>") -> LabeledTreeDocumen
 
 def parse_newick_tuples(text: str, source_name: str = "<string>") -> TupleTreeDocument:
     """Parse one Newick tree whose leaf names are '|'-separated k-tuples."""
-    if not text.strip():
-        raise EmptyTree("blank input")
-    structure = _parse_structure(text)
-    parent_of, leaf_flags, leaf_names = _number_nodes(structure)
-    tree = build_tree(parent_of, leaf_flags)
-
-    tuples: dict[int, tuple[int, ...]] = {}
-    k = None
-    for v, name in leaf_names.items():
-        parts = name.split("|")
-        value = tuple(_leaf_int(p, f"tuple component of leaf {name!r}") for p in parts)
-        if k is None:
-            k = len(value)
-        elif len(value) != k:
-            raise TupleLengthMismatch(
-                f"leaf {name!r} has {len(value)} components; expected {k}"
-            )
-        for a, b in zip(value, value[1:]):
-            if a > b:
-                raise TupleNotMonotone(f"leaf tuple {name!r} decreases")
-        tuples[v] = value
+    tree, leaf_names = _parse_tree(text)
+    tuples = {
+        v: tuple(_leaf_int(p, f"tuple component of leaf {name!r}") for p in name.split("|"))
+        for v, name in leaf_names.items()
+    }
     return TupleTreeDocument(
         tree=tree,
         leaf_labels=TupleLeafLabeling.for_tree(tree, tuples),

@@ -16,6 +16,9 @@ reproducible.
 Enumeration order is deterministic: lexicographic over the internal nodes
 in postorder, labels ascending, so "the first optimal labeling" is a
 stable notion across runs.
+
+brute_force_min is the one enumeration loop; optimal_label_sets and
+enumerate_optimal read the per-node label sets it records.
 """
 
 from __future__ import annotations
@@ -50,26 +53,17 @@ class OptimumSet:
     """Everything the exhaustive scan learned about the optimum.
 
     labelings holds optimal labelings in enumeration order, truncated at
-    the cap (truncated says whether anything was dropped); root_labels is
-    always complete.
+    the cap (truncated says whether anything was dropped). label_sets[v]
+    lists, ascending, every label node v takes in at least one optimal
+    labeling (a leaf's entry is its observed label); it is always
+    complete, and root_labels is label_sets[root].
     """
 
     cost: int
     labelings: list[Labeling]
     root_labels: list[int]
     truncated: bool
-
-
-def _scan_setup(t: Tree, l: LeafLabeling, budget: int | None):
-    internal = [v for v in postorder(t) if not t.is_leaf(v)]
-    allowed = resolve_budget(budget)
-    count = l.m ** len(internal)
-    if count > allowed:
-        raise BudgetExceeded(
-            f"{l.m}^{len(internal)} = {count} assignments exceed budget {allowed}"
-        )
-    edges = list(t.edges())
-    return internal, edges
+    label_sets: list[list[int]]
 
 
 def brute_force_min(
@@ -80,14 +74,20 @@ def brute_force_min(
     max_labelings: int = DEFAULT_LABELING_CAP,
 ) -> OptimumSet:
     """Exact global optimum over the search box, by full enumeration."""
-    internal, edges = _scan_setup(t, l, budget)
+    internal = [v for v in postorder(t) if not t.is_leaf(v)]
+    allowed = resolve_budget(budget)
+    count = l.m ** len(internal)
+    if count > allowed:
+        raise BudgetExceeded(
+            f"{l.m}^{len(internal)} = {count} assignments exceed budget {allowed}"
+        )
+    edges = list(t.edges())
     th = [theta(c, d) for d in range(l.m)]
 
     best = None
     best_labelings: list[dict[int, int]] = []
-    root_labels: set[int] = set()
+    seen: list[set[int]] = []  # per internal node, labels seen in optima
     truncated = False
-    root = t.root
 
     values = dict(l.labels)
     for assignment in product(range(l.g_min, l.g_max + 1), repeat=len(internal)):
@@ -99,20 +99,25 @@ def brute_force_min(
         if best is None or cost < best:
             best = cost
             best_labelings = []
-            root_labels = set()
+            seen = [set() for _ in internal]
             truncated = False
         if cost == best:
-            root_labels.add(values[root])
+            for labels, label in zip(seen, assignment):
+                labels.add(label)
             if len(best_labelings) < max_labelings:
                 best_labelings.append(dict(values))
             else:
                 truncated = True
 
+    sets = {v: [label] for v, label in l.labels.items()}
+    sets.update((v, sorted(labels)) for v, labels in zip(internal, seen))
+    label_sets = [sets[v] for v in range(t.node_count)]
     return OptimumSet(
         cost=best,
         labelings=[Labeling(values=v, total_cost=best) for v in best_labelings],
-        root_labels=sorted(root_labels),
+        root_labels=label_sets[t.root],
         truncated=truncated,
+        label_sets=label_sets,
     )
 
 
@@ -121,30 +126,9 @@ def optimal_label_sets(
 ) -> list[list[int]]:
     """For every node, all labels it takes in at least one optimal labeling.
 
-    One exhaustive pass; entry [v] is ascending. Leaf entries are their
-    observed labels.
+    Entry [v] is ascending. Leaf entries are their observed labels.
     """
-    internal, edges = _scan_setup(t, l, budget)
-    th = [theta(c, d) for d in range(l.m)]
-
-    best = None
-    seen: list[set[int]] = [set() for _ in range(t.node_count)]
-
-    values = dict(l.labels)
-    for assignment in product(range(l.g_min, l.g_max + 1), repeat=len(internal)):
-        for v, label in zip(internal, assignment):
-            values[v] = label
-        cost = 0
-        for parent, child in edges:
-            cost += th[abs(values[parent] - values[child])]
-        if best is None or cost < best:
-            best = cost
-            seen = [set() for _ in range(t.node_count)]
-        if cost == best:
-            for v in range(t.node_count):
-                seen[v].add(values[v])
-
-    return [sorted(s) for s in seen]
+    return brute_force_min(t, l, c, budget=budget, max_labelings=0).label_sets
 
 
 def enumerate_optimal(

@@ -6,7 +6,7 @@ from typing import Optional, Union
 
 from .costs import CostFunction, Labeling, LeafLabeling
 from .dp import CostTable, dp_down, dp_up
-from .errors import NotBinaryTree, UnsupportedAlgorithm
+from .errors import UnsupportedAlgorithm
 from .intervals import IntervalAssignment, bottom_up_intervals, top_down_labels
 from .oracle import brute_force_min
 from .tree import Tree, is_binary
@@ -26,7 +26,9 @@ def choose_algorithm(algorithm: str, t: Tree, c: CostFunction) -> str:
     auto picks the interval solver exactly when it applies (binary tree,
     Manhattan cost) since it is asymptotically the better one, and the DP
     otherwise. Forcing "interval" on anything else is an error, never a
-    silent fallback.
+    silent fallback: a non-Manhattan cost is rejected here, a non-binary
+    tree by bottom_up_intervals (NotBinaryTree), so an already resolved
+    name passes through without another tree pass.
     """
     if algorithm not in ALGORITHMS:
         raise UnsupportedAlgorithm(
@@ -36,13 +38,10 @@ def choose_algorithm(algorithm: str, t: Tree, c: CostFunction) -> str:
         if c.kind == "manhattan" and is_binary(t):
             return "interval"
         return "dp"
-    if algorithm == "interval":
-        if c.kind != "manhattan":
-            raise UnsupportedAlgorithm(
-                f"interval solver supports manhattan cost only, got {c.spec()!r}"
-            )
-        if not is_binary(t):
-            raise NotBinaryTree("interval solver requires a binary tree")
+    if algorithm == "interval" and c.kind != "manhattan":
+        raise UnsupportedAlgorithm(
+            f"interval solver supports manhattan cost only, got {c.spec()!r}"
+        )
     return algorithm
 
 

@@ -21,14 +21,14 @@ from __future__ import annotations
 from dataclasses import dataclass
 from typing import Mapping
 
-from .costs import CostFunction, LeafLabeling, theta
+from .costs import CostFunction, LeafLabeling, check_leaf_coverage, theta
 from .errors import (
     MissingNodeLabel,
     TupleDecompositionNotMonotone,
     TupleLengthMismatch,
     TupleNotMonotone,
 )
-from .solve import solve_scalar
+from .solve import choose_algorithm, solve_scalar
 from .tree import Tree
 
 
@@ -41,13 +41,8 @@ class TupleLeafLabeling:
 
     @classmethod
     def for_tree(cls, t: Tree, labels: Mapping[int, tuple[int, ...]]) -> "TupleLeafLabeling":
-        leaves = set(t.leaves())
-        given = set(labels)
-        if given != leaves:
-            raise ValueError(
-                f"tuple labels cover nodes {sorted(given)} "
-                f"but the leaves are {sorted(leaves)}"
-            )
+        """Validate leaf coverage, one k for every leaf and nondecreasing tuples."""
+        check_leaf_coverage(t, labels)
         k = None
         clean: dict[int, tuple[int, ...]] = {}
         for v in sorted(labels):
@@ -62,8 +57,6 @@ class TupleLeafLabeling:
                 )
             _check_monotone(value, f"leaf {v}")
             clean[v] = value
-        if k is None:
-            raise ValueError("no leaf tuples given")
         return cls(k=k, labels=clean)
 
     def coordinate(self, t: Tree, i: int) -> LeafLabeling:
@@ -114,6 +107,7 @@ def solve_ktuple(
     tie: str = "lowest",
 ) -> TupleLabeling:
     """Minimize the total stretch by per-coordinate decomposition."""
+    algorithm = choose_algorithm(algorithm, t, c)
     coordinate_labels: list[Mapping[int, int]] = []
     total = 0
     for i in range(l.k):

@@ -4,7 +4,14 @@ import pytest
 
 import treelabel.cli as cli
 from helpers import count_calls
-from treelabel import CostFunction, Labeling, bottom_up_intervals, dp_up, parse_newick
+from treelabel import (
+    CostFunction,
+    Labeling,
+    bottom_up_intervals,
+    choose_algorithm,
+    dp_up,
+    parse_newick,
+)
 from treelabel.dp import cost_table_csv
 from treelabel.intervals import interval_csv
 
@@ -143,6 +150,32 @@ class TestSolve:
         assert code == 2
         assert err.startswith("error:UnsupportedAlgorithm:")
 
+    def test_wrong_dump_flag_rejected_before_the_solve(self, capsys, tmp_path, monkeypatch):
+        path = tmp_path / "t.nwk"
+        out_csv = tmp_path / "x.csv"
+        path.write_text("(2,7);")  # auto resolves to interval
+        calls = count_calls(monkeypatch, bottom_up_intervals)
+        code, _, err = run(capsys, "solve", str(path), "--dump-table", str(out_csv))
+        assert code == 2
+        assert err.startswith("error:UnsupportedAlgorithm:")
+        assert calls == []
+        path.write_text("(1,2,3);")  # auto resolves to dp
+        calls = count_calls(monkeypatch, dp_up)
+        code, _, err = run(capsys, "solve", str(path), "--dump-intervals", str(out_csv))
+        assert code == 2
+        assert err.startswith("error:UnsupportedAlgorithm:")
+        assert calls == []
+        assert not out_csv.exists()
+
+    def test_tuple_mode_resolves_auto_once(self, capsys, tmp_path, monkeypatch):
+        path = tmp_path / "t.nwk"
+        path.write_text("((1|2|3,4|5|6),7|8|9);")
+        calls = count_calls(monkeypatch, choose_algorithm)
+        code, out, _ = run(capsys, "solve", str(path), "--tuple", "--format", "json")
+        assert code == 0
+        assert [args[0] for args in calls].count("auto") == 1
+        assert json.loads(out)["algorithm"] == "interval"
+
     def test_tuple_mode(self, capsys, tmp_path):
         path = tmp_path / "t.nwk"
         path.write_text("(1|4,3|8);")
@@ -253,12 +286,19 @@ class TestCheck:
         path = tmp_path / "batch.nwk"
         path.write_text("((1,5),9);\n(2,7);\n")
 
-        def broken_interval(tree, leaves, tie="lowest"):
+        real_solve_scalar = cli.solve_scalar
+
+        def broken_interval(tree, leaves, cost, algorithm="auto", **kwargs):
+            name, labeling, up_phase = real_solve_scalar(
+                tree, leaves, cost, algorithm=algorithm, **kwargs
+            )
+            if name != "interval":
+                return name, labeling, up_phase
             values = {v: leaves.g_min for v in range(tree.node_count)}
             values.update(leaves.labels)
-            return Labeling(values=values, total_cost=999)
+            return name, Labeling(values=values, total_cost=999), up_phase
 
-        monkeypatch.setattr(cli, "solve_interval", broken_interval)
+        monkeypatch.setattr(cli, "solve_scalar", broken_interval)
         code, out, err = run(capsys, "check", str(path))
         assert code == 3
         assert "result: DISAGREEMENT" in out

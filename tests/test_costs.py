@@ -10,7 +10,6 @@ from treelabel import (
     MissingNodeLabel,
     brute_force_min,
     eval_total,
-    label_range,
     parse_newick,
     random_document,
     theta,
@@ -100,7 +99,8 @@ class TestLabelRange:
     )
     def test_examples(self, newick, expected):
         doc = parse_newick(newick)
-        assert label_range(doc.leaf_labels) == expected
+        l = doc.leaf_labels
+        assert (l.g_min, l.g_max, l.m) == expected
 
     def test_leaf_coverage_enforced(self):
         doc = parse_newick("(2,7);")

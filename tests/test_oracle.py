@@ -66,6 +66,18 @@ class TestBruteForceMin:
         result = brute_force_min(doc.tree, doc.leaf_labels, MANHATTAN)
         assert result.labelings[0].values[0] == 2
 
+    def test_label_sets_collect_every_optimal_labeling(self):
+        rng = random.Random(41)
+        for _ in range(25):
+            doc = random_document(rng.randint(1, 4), 0, 5, rng, arity=rng.randint(2, 3))
+            for cost in (MANHATTAN, SQUARE):
+                result = brute_force_min(doc.tree, doc.leaf_labels, cost)
+                assert not result.truncated
+                for v in range(doc.tree.node_count):
+                    expected = sorted({lab.values[v] for lab in result.labelings})
+                    assert result.label_sets[v] == expected
+                assert result.root_labels == result.label_sets[doc.tree.root]
+
     def test_budget_refused_up_front(self):
         doc = parse_newick("((1,5),9);")  # m=9, 2 internal nodes: 81 assignments
         with pytest.raises(BudgetExceeded):
