@@ -9,7 +9,8 @@ Subcommands:
 
 Which solver applies is decided only in solve.py: solve resolves it once,
 for scalar and tuple input alike, and rejects a mismatched dump flag before
-solving; check runs solve_scalar per solver and skips inapplicable ones.
+solving; check runs solve_scalar per solver and skips inapplicable ones;
+bench times solve_scalar per algorithm, so an inapplicable one fails it.
 
 Exit codes: 0 success; 1 parse or validation failure; 2 solver
 precondition failure (non-binary tree for the interval solver, oracle
@@ -22,14 +23,14 @@ stderr. Identical input, flags and seed reproduce identical stdout bytes
 from __future__ import annotations
 
 import argparse
+import functools
 import json
 import random
 import statistics
 import sys
 import time
-from typing import Optional
 
-from .dp import cost_table_csv, solve_dp
+from .dp import cost_table_csv
 from .errors import (
     BudgetExceeded,
     NotBinaryTree,
@@ -38,7 +39,7 @@ from .errors import (
     UnsupportedAlgorithm,
 )
 from .generate import random_document
-from .intervals import interval_csv, solve_interval
+from .intervals import interval_csv
 from .newick import (
     document_to_newick,
     parse_newick,
@@ -46,7 +47,7 @@ from .newick import (
     serialize_labeled,
     serialize_tuple_labeled,
 )
-from .oracle import brute_force_min, resolve_budget
+from .oracle import resolve_budget
 from .solve import choose_algorithm, solve_scalar
 from .tuples import solve_ktuple
 from .validation import resolve_cost
@@ -225,18 +226,6 @@ def cmd_gen(args: argparse.Namespace) -> int:
 # bench                                                               #
 # ------------------------------------------------------------------ #
 
-def _bench_solver(name: str, doc, cost, budget: Optional[int]):
-    if name == "dp":
-        return lambda: solve_dp(doc.tree, doc.leaf_labels, cost)
-    if name == "interval":
-        return lambda: solve_interval(doc.tree, doc.leaf_labels)
-    if name == "oracle":
-        return lambda: brute_force_min(
-            doc.tree, doc.leaf_labels, cost, budget=budget, max_labelings=1
-        )
-    raise UnsupportedAlgorithm(f"cannot benchmark algorithm {name!r}")
-
-
 def cmd_bench(args: argparse.Namespace) -> int:
     cost = resolve_cost(args.cost)
     algorithms = [a.strip() for a in args.algorithms.split(",") if a.strip()]
@@ -247,23 +236,30 @@ def cmd_bench(args: argparse.Namespace) -> int:
         raise ValueError(f"bench needs at least 5 repetitions, got {reps}")
 
     print("algorithm,N,m,repetitions,median_ns")
+    # Every cell is built and warmed up before any is timed, and the timed
+    # repetitions go round-robin over the cells, so a drift in machine load
+    # during the run spreads over all cells instead of landing between two.
+    cells = []
     for n in n_grid:
         for m in m_grid:
             # one instance per grid point, shared by all algorithms
             rng = random.Random(f"{args.seed}:{n}:{m}")
             doc = random_document(n, 0, m - 1, rng, arity="binary")
             for name in algorithms:
-                run = _bench_solver(name, doc, cost, args.budget)
-                run()  # warmup
-                times = []
-                for _ in range(reps):
-                    start = time.perf_counter_ns()
-                    run()
-                    times.append(time.perf_counter_ns() - start)
-                median_ns = int(statistics.median(times))
-                print(
-                    f"{name},{doc.tree.node_count},{doc.leaf_labels.m},{reps},{median_ns}"
+                run = functools.partial(
+                    solve_scalar, doc.tree, doc.leaf_labels, cost,
+                    algorithm=name, budget=args.budget,
                 )
+                run()  # warmup
+                cells.append((name, doc, run, []))
+    for _ in range(reps):
+        for _, _, run, times in cells:
+            start = time.perf_counter_ns()
+            run()
+            times.append(time.perf_counter_ns() - start)
+    for name, doc, _, times in cells:
+        median_ns = int(statistics.median(times))
+        print(f"{name},{doc.tree.node_count},{doc.leaf_labels.m},{reps},{median_ns}")
     return 0
 
 

@@ -133,6 +133,11 @@ class LeafLabeling:
     def for_tree(cls, t: Tree, labels: Mapping[int, int]) -> "LeafLabeling":
         """Validate that ``labels`` covers exactly the leaves of ``t``."""
         check_leaf_coverage(t, labels)
+        return cls._of_leaves(labels)
+
+    @classmethod
+    def _of_leaves(cls, labels: Mapping[int, int]) -> "LeafLabeling":
+        """The labeling of ``labels``, already known to cover exactly the leaves."""
         values = {int(k): int(v) for k, v in labels.items()}
         g_min = min(values.values())
         g_max = max(values.values())

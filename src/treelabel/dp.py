@@ -2,10 +2,10 @@
 
 Works in two phases over the label range [g_min, g_max] (m values):
 
-Up phase (postorder). For every node k and candidate label i, compute
-S_k(i), the minimal cost of the subtree rooted at k given k is labeled i.
-Leaf rows are 0 at the observed label and infinity elsewhere. An internal
-node a with children b_1..b_r gets
+Up phase (Tree.order reversed, children first). For every node k and
+candidate label i, compute S_k(i), the minimal cost of the subtree rooted
+at k given k is labeled i. Leaf rows are 0 at the observed label and
+infinity elsewhere. An internal node a with children b_1..b_r gets
 
     S_a(i) = sum over children b of  min_j [ theta(|i - j|) + S_b(j) ]
 
@@ -21,12 +21,12 @@ min(map(add, window, S_b)): every (i, j) pair is still evaluated. A leaf
 child labeled p is finite only at p, so its whole contribution is the
 window tm[m-1-p : 2m-1-p], theta(|i - p|) for every i, in O(m).
 
-Down phase (preorder). Pick a root label minimizing S_root, then give each
-remaining node p, whose parent got label i, the label j minimizing
-theta(|i - j|) + S_p(j), by the same windowed scan. Ties go to the
-smallest label by default (tie="highest" picks the largest, useful for
-probing the set of optima). Note the chosen j need not minimize S_p
-itself. A leaf keeps its observed label.
+Down phase (Tree.order, parents first). Pick a root label minimizing
+S_root, then give each remaining node p, whose parent got label i, the
+label j minimizing theta(|i - j|) + S_p(j), by the same windowed scan.
+Ties go to the smallest label by default (tie="highest" picks the
+largest, useful for probing the set of optima). Note the chosen j need
+not minimize S_p itself. A leaf keeps its observed label.
 
 Running time is O(N * m^2) and memory O(N * m): every optimal label lives
 in [g_min, g_max], so nothing outside that range is ever scanned, and
@@ -46,7 +46,7 @@ from dataclasses import dataclass
 from operator import add
 
 from .costs import CostFunction, Labeling, LeafLabeling, eval_total, theta
-from .tree import Tree, postorder, preorder
+from .tree import Tree
 
 INFINITY = math.inf
 
@@ -86,7 +86,7 @@ def dp_up(t: Tree, l: LeafLabeling, c: CostFunction) -> CostTable:
     tm = _mirrored_theta(c, m)
 
     rows: list = [None] * t.node_count
-    for v in postorder(t):
+    for v in reversed(t.order):
         if t.is_leaf(v):
             row = [INFINITY] * m
             row[l.labels[v] - g_min] = 0
@@ -131,9 +131,7 @@ def dp_down(t: Tree, ct: CostTable, c: CostFunction, tie: str = "lowest") -> Lab
     cost, root_labels = min_total(ct, t.root)
     values: dict[int, int] = {t.root: root_labels[-1] if pick_last else root_labels[0]}
 
-    for v in preorder(t):
-        if v == t.root:
-            continue
+    for v in t.order[1:]:
         row = ct.rows[v]
         if t.is_leaf(v):
             values[v] = g_min + row.index(0)

@@ -1,7 +1,8 @@
 """Linear-time Manhattan solver for binary trees via interval propagation.
 
-Bottom-up stage (postorder): each leaf gets the degenerate interval
-[p, p]; each internal node gets the merge of its two children's intervals:
+Bottom-up stage (Tree.order reversed, children first): each leaf gets
+the degenerate interval [p, p]; each internal node gets the merge of its
+two children's intervals:
 
     overlap                -> the intersection
     a entirely below b     -> the gap [a.hi, b.lo]
@@ -10,10 +11,10 @@ Bottom-up stage (postorder): each leaf gets the degenerate interval
 Touching intervals (a.hi == b.lo) fall into the intersection case and
 both rules agree on the single shared point.
 
-Top-down stage (preorder): pick any root label from the root interval
-(the lowest by default; all choices are equally optimal), then give every
-other node the point of its interval nearest to its parent's label, i.e.
-the parent label clamped into the interval. The result attains the
+Top-down stage (Tree.order, parents first): pick any root label from the
+root interval (the lowest by default; all choices are equally optimal),
+then give every other node the point of its interval nearest to its
+parent's label, i.e. the parent label clamped into the interval. The result attains the
 Manhattan optimum, and the whole thing is O(N) independent of the label
 range.
 
@@ -27,7 +28,7 @@ from dataclasses import dataclass
 
 from .costs import CostFunction, Labeling, LeafLabeling, eval_total
 from .errors import NotBinaryTree
-from .tree import Tree, is_binary, postorder, preorder
+from .tree import Tree, is_binary
 
 Interval = tuple[int, int]
 
@@ -56,13 +57,13 @@ def merge_intervals(a: Interval, b: Interval) -> Interval:
 
 
 def bottom_up_intervals(t: Tree, l: LeafLabeling) -> IntervalAssignment:
-    """Assign every node its optimal interval, in postorder."""
+    """Assign every node its optimal interval, children before parents."""
     if not is_binary(t):
         raise NotBinaryTree(
             "interval solver needs every internal node to have exactly 2 children"
         )
     intervals: list = [None] * t.node_count
-    for v in postorder(t):
+    for v in reversed(t.order):
         if t.is_leaf(v):
             p = l.labels[v]
             intervals[v] = (p, p)
@@ -95,9 +96,7 @@ def top_down_labels(
         root_label = (lo + hi) // 2
 
     values: dict[int, int] = {t.root: root_label}
-    for v in preorder(t):
-        if v == t.root:
-            continue
+    for v in t.order[1:]:
         q = values[t.parents[v]]
         values[v] = _clamp(q, *iv[v])
     manhattan = CostFunction.manhattan()

@@ -7,7 +7,11 @@ discarded, so files exported from phylogeny tools parse without cleanup.
 Exactly one tree per string, terminated by ';'.
 
 Node ids are assigned breadth-first from the root, so siblings keep their
-written left-to-right order (ids ascend left to right).
+written left-to-right order (ids ascend left to right). The parser makes
+one pass over the delimiters '(' ')' ',' ';', checks the text between
+two of them against a pattern, and records every node's parent and depth
+in text order; a stable sort of the nodes by depth then gives exactly the
+breadth-first ids.
 
 For k-tuple inputs, a leaf name is a '|'-separated run of integers,
 e.g. "3|7|9"; see parse_newick_tuples.
@@ -16,7 +20,6 @@ e.g. "3|7|9"; see parse_newick_tuples.
 from __future__ import annotations
 
 import re
-from collections import deque
 from dataclasses import dataclass
 from typing import Mapping, Optional, Union
 
@@ -31,7 +34,14 @@ from .tree import Tree, build_tree
 from .tuples import TupleLabeling, TupleLeafLabeling
 
 _INT_NAME = re.compile(r"[+-]?[0-9]+", re.ASCII)
-_NAME_END = set("():,;")
+_DELIMITER = re.compile(r"[(),;]")
+# The text between two delimiters. A leaf is an optional name and an
+# optional ":<length>", blanks allowed around both; after ')' the same
+# shape holds, but the internal node's name must follow the ')' directly.
+# A name or length is any run without blanks or ':'.
+_LENGTH_TAIL = r"(?:\s*:\s*[^\s:]+)?\s*"
+_LEAF = re.compile(r"\s*([^\s:]*)" + _LENGTH_TAIL)
+_AFTER_CLOSE = re.compile(r"[^\s:]*" + _LENGTH_TAIL)
 
 
 @dataclass(frozen=True)
@@ -56,115 +66,10 @@ class TupleTreeDocument:
 # parsing                                                                #
 # --------------------------------------------------------------------- #
 
-def _parse_structure(text: str):
-    """Parse Newick text into nested ("leaf", name) / ("internal", children).
-
-    Iterative (explicit stack), so nesting depth is unbounded. Branch
-    lengths and internal names are consumed and dropped here.
-    """
-    s = text
-    n = len(s)
-    i = 0
-
-    def skip_ws(j: int) -> int:
-        while j < n and s[j].isspace():
-            j += 1
-        return j
-
-    def read_name(j: int) -> tuple[str, int]:
-        k = j
-        while k < n and s[k] not in _NAME_END and not s[k].isspace():
-            k += 1
-        return s[j:k], k
-
-    def skip_length(j: int) -> int:
-        # after ':', a number token; content is discarded
-        j = skip_ws(j)
-        token, k = read_name(j)
-        if not token:
-            raise NewickSyntaxError(f"missing branch length after ':' at position {j}")
-        return k
-
-    stack: list[list] = []
-    current = None  # most recently completed element, awaiting ',' ')' or ';'
-
-    while True:
-        i = skip_ws(i)
-        if i >= n:
-            raise NewickSyntaxError("missing ';' terminator")
-        c = s[i]
-
-        if c == "(":
-            if current is not None:
-                raise NewickSyntaxError(f"unexpected '(' at position {i}")
-            stack.append([])
-            i += 1
-
-        elif c == ",":
-            if not stack:
-                raise NewickSyntaxError(f"',' outside parentheses at position {i}")
-            stack[-1].append(current if current is not None else ("leaf", ""))
-            current = None
-            i += 1
-
-        elif c == ")":
-            if not stack:
-                raise NewickSyntaxError(f"unbalanced ')' at position {i}")
-            children = stack.pop()
-            children.append(current if current is not None else ("leaf", ""))
-            i += 1
-            _, i = read_name(i)  # internal node name: ignored
-            i = skip_ws(i)
-            if i < n and s[i] == ":":
-                i = skip_length(i + 1)
-            current = ("internal", children)
-
-        elif c == ";":
-            if stack:
-                raise NewickSyntaxError("unbalanced '(': missing ')'")
-            if current is None:
-                raise EmptyTree("no tree before ';'")
-            i = skip_ws(i + 1)
-            if i < n:
-                raise NewickSyntaxError(f"unexpected text after ';' at position {i}")
-            return current
-
-        elif c == ":":
-            # branch length on an unnamed leaf; keep the empty name so the
-            # integer check reports it instead of a bare syntax error
-            if current is not None:
-                raise NewickSyntaxError(f"unexpected ':' at position {i}")
-            current = ("leaf", "")
-            i = skip_length(i + 1)
-
-        else:
-            if current is not None:
-                raise NewickSyntaxError(f"unexpected token at position {i}")
-            name, i = read_name(i)
-            i = skip_ws(i)
-            if i < n and s[i] == ":":
-                i = skip_length(i + 1)
-            current = ("leaf", name)
-
-
-def _number_nodes(root_elem):
-    """Breadth-first node numbering; returns (parent_of, leaf_flags, leaf_names)."""
-    parent_of: list[Optional[int]] = []
-    leaf_flags: list[bool] = []
-    leaf_names: dict[int, str] = {}
-    queue = deque([(root_elem, None)])
-    while queue:
-        elem, parent = queue.popleft()
-        idx = len(parent_of)
-        parent_of.append(parent)
-        if elem[0] == "leaf":
-            leaf_flags.append(True)
-            leaf_names[idx] = elem[1]
-        else:
-            leaf_flags.append(False)
-            for child in elem[1]:
-                queue.append((child, idx))
-    return parent_of, leaf_flags, leaf_names
+def _malformed(segment: str, end: int) -> NewickSyntaxError:
+    return NewickSyntaxError(
+        f"malformed node text {segment!r} at position {end - len(segment)}"
+    )
 
 
 def _leaf_int(name: str, what: str = "leaf name") -> int:
@@ -173,11 +78,85 @@ def _leaf_int(name: str, what: str = "leaf name") -> int:
     return int(name)
 
 
-def _parse_tree(text: str) -> tuple[Tree, dict[int, str]]:
-    """The tree of one Newick string and the raw name of every leaf."""
+def _scan_nodes(text: str) -> tuple[list[Optional[int]], list[bool], dict[int, str]]:
+    """Parent ids, leaf flags and leaf names of the nodes of one Newick string.
+
+    All three are indexed by breadth-first id. One pass over the delimiters
+    records each node's parent and depth in text order, which is preorder.
+    Within one depth, breadth-first order is text order, so a stable sort by
+    depth gives the breadth-first ids. Iterative, so nesting depth is
+    unbounded.
+    """
     if not text.strip():
         raise EmptyTree("blank input")
-    parent_of, leaf_flags, leaf_names = _number_nodes(_parse_structure(text))
+    # per node, in text order: parent, depth and leaf name (None if internal)
+    parent: list[Optional[int]] = []
+    depth: list[int] = []
+    names: list[Optional[str]] = []
+    open_nodes: list[int] = []  # internal nodes whose ')' is still ahead
+    closed = False  # the previous delimiter was ')'
+    start = 0
+    for match in _DELIMITER.finditer(text):
+        at = match.start()
+        d = text[at]
+        segment = text[start:at]
+        start = at + 1
+        if closed:
+            if segment and _AFTER_CLOSE.fullmatch(segment) is None:
+                raise _malformed(segment, at)
+        elif d != ";" or segment.strip():
+            # a node starts here: an internal one at a '(' with nothing
+            # before it, otherwise a leaf that this delimiter ends
+            parent.append(open_nodes[-1] if open_nodes else None)
+            depth.append(len(open_nodes))
+            if d == "(" and not segment.strip():
+                open_nodes.append(len(names))
+                names.append(None)
+                continue
+            leaf = _LEAF.fullmatch(segment)
+            if leaf is None:
+                raise _malformed(segment, at)
+            names.append(leaf[1])
+        elif not open_nodes:
+            raise EmptyTree("no tree before ';'")
+
+        if d == ",":
+            if not open_nodes:
+                raise NewickSyntaxError(f"',' outside parentheses at position {at}")
+            closed = False
+        elif d == ")":
+            if not open_nodes:
+                raise NewickSyntaxError(f"unbalanced ')' at position {at}")
+            open_nodes.pop()
+            closed = True
+        elif d == "(":
+            raise NewickSyntaxError(f"unexpected '(' at position {at}")
+        elif open_nodes:
+            raise NewickSyntaxError("unbalanced '(': missing ')'")
+        else:
+            rest = text[start:]
+            if rest.strip():
+                at = start + len(rest) - len(rest.lstrip())
+                raise NewickSyntaxError(f"unexpected text after ';' at position {at}")
+            break
+    else:
+        raise NewickSyntaxError("missing ';' terminator")
+
+    order = sorted(range(len(depth)), key=depth.__getitem__)
+    new_id = [0] * len(order)
+    for i, v in enumerate(order):
+        new_id[v] = i
+    parent_of = [None] + [new_id[parent[v]] for v in order[1:]]
+    leaf_flags = [names[v] is not None for v in order]
+    leaf_names = {i: names[v] for i, v in enumerate(order) if names[v] is not None}
+    return parent_of, leaf_flags, leaf_names
+
+
+def _parse_tree(text: str) -> tuple[Tree, dict[int, str]]:
+    """The tree of one Newick string and the raw name of every leaf."""
+    # the scan's text-order lists die with its frame, before build_tree
+    # allocates, so they do not add to the parse's peak memory
+    parent_of, leaf_flags, leaf_names = _scan_nodes(text)
     return build_tree(parent_of, leaf_flags), leaf_names
 
 

@@ -2,7 +2,10 @@
 
 A tree is stored as parallel tuples indexed by node id (dense ints in
 [0, N)). Children are kept in ascending id order so that every traversal,
-and therefore every solver output, is deterministic. Trees of arbitrary
+and therefore every solver output, is deterministic. ``Tree.order`` is the
+breadth-first walk from the root, computed once when the tree is built:
+every parent comes before its children, so the solvers' up phases walk it
+reversed and their down phases walk it forwards. Trees of arbitrary
 arity are accepted, including internal nodes with a single child; the
 binary-only restriction belongs to the interval solver, not to the data
 model. A single node that is both root and leaf is a valid tree.
@@ -33,12 +36,15 @@ class Tree:
     children    : per-node tuple of child ids, ascending.
     leaf_flags  : True for leaves (no children), False for internal nodes.
     root        : id of the unique parentless node.
+    order       : every node id, breadth-first from the root, children in
+                  stored order; parents precede their children.
     """
 
     parents: tuple[Optional[int], ...]
     children: tuple[tuple[int, ...], ...]
     leaf_flags: tuple[bool, ...]
     root: int
+    order: tuple[int, ...]
 
     @property
     def node_count(self) -> int:
@@ -65,7 +71,8 @@ def build_tree(parent_of: Sequence[Optional[int]], leaf_flags: Sequence[bool]) -
     """Construct and validate a Tree from parent pointers and leaf flags.
 
     ``parent_of[v]`` is the parent id of node v, or None for the root.
-    Children end up sorted by ascending id regardless of input order.
+    Children end up sorted by ascending id regardless of input order, since
+    they are collected by scanning the nodes in id order.
 
     Raises NoRoot, MultipleRoots, UnreachableNode, CycleDetected,
     LeafWithChildren or InternalNodeWithoutChildren on malformed input.
@@ -83,34 +90,23 @@ def build_tree(parent_of: Sequence[Optional[int]], leaf_flags: Sequence[bool]) -
         raise MultipleRoots(f"nodes {roots} all lack a parent")
     root = roots[0]
 
-    for v in range(n):
-        p = parent_of[v]
-        if p is not None and not 0 <= p < n:
-            raise UnreachableNode(f"node {v} has parent {p} outside [0, {n})")
-
-    # Walk every parent chain once; a chain that revisits an in-progress
-    # node is a cycle, anything else terminates at the root.
-    state = [0] * n  # 0 unvisited, 1 on current chain, 2 done
-    for start in range(n):
-        v = start
-        chain = []
-        while state[v] == 0:
-            state[v] = 1
-            chain.append(v)
-            p = parent_of[v]
-            if p is None:
-                break
-            v = p
-        if state[v] == 1 and parent_of[v] is not None:
-            raise CycleDetected(f"parent chain through node {v} loops")
-        for u in chain:
-            state[u] = 2
-
     kids: list[list[int]] = [[] for _ in range(n)]
     for v in range(n):
         p = parent_of[v]
         if p is not None:
+            if not 0 <= p < n:
+                raise UnreachableNode(f"node {v} has parent {p} outside [0, {n})")
             kids[p].append(v)
+
+    # With one root and every parent in range, a node the walk from the
+    # root misses lies on a cycle or below one.
+    order = [root]
+    for v in order:
+        order.extend(kids[v])
+    if len(order) < n:
+        raise CycleDetected(
+            f"{n - len(order)} of {n} nodes lie on or below a parent cycle"
+        )
 
     for v in range(n):
         if leaf_flags[v] and kids[v]:
@@ -120,9 +116,10 @@ def build_tree(parent_of: Sequence[Optional[int]], leaf_flags: Sequence[bool]) -
 
     return Tree(
         parents=tuple(parent_of),
-        children=tuple(tuple(sorted(c)) for c in kids),
+        children=tuple(map(tuple, kids)),
         leaf_flags=tuple(bool(f) for f in leaf_flags),
         root=root,
+        order=tuple(order),
     )
 
 

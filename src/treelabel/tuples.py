@@ -60,8 +60,11 @@ class TupleLeafLabeling:
         return cls(k=k, labels=clean)
 
     def coordinate(self, t: Tree, i: int) -> LeafLabeling:
-        """Scalar leaf labeling made of component i of every tuple."""
-        return LeafLabeling.for_tree(t, {v: tup[i] for v, tup in self.labels.items()})
+        """Scalar leaf labeling made of component i of every tuple.
+
+        for_tree already checked that the tuples cover exactly the leaves.
+        """
+        return LeafLabeling._of_leaves({v: tup[i] for v, tup in self.labels.items()})
 
 
 @dataclass(frozen=True)

@@ -6,14 +6,18 @@ style), so a shared bug would have to be invented twice.
 """
 
 import sys
+from collections import deque
 from itertools import combinations_with_replacement, product
 
 from treelabel import (
     CostFunction,
     CostTable,
+    EmptyTree,
     Labeling,
     LeafLabeling,
+    NewickSyntaxError,
     Tree,
+    TupleLeafLabeling,
     build_tree,
     eval_total,
     parse_newick,
@@ -21,6 +25,7 @@ from treelabel import (
     preorder,
     theta,
 )
+from treelabel.newick import _leaf_int
 
 INF = float("inf")
 
@@ -199,6 +204,144 @@ def tuple_brute_force_cost(t: Tree, k, leaf_tuples, c: CostFunction):
         if cost < best:
             best = cost
     return best
+
+
+# ------------------------------------------------------------------ #
+# character-level Newick reader (reference for newick._parse_tree)    #
+# ------------------------------------------------------------------ #
+
+_NAME_END = set("():,;")
+
+
+def _parse_structure(text: str):
+    """Parse Newick text into nested ("leaf", name) / ("internal", children).
+
+    Iterative (explicit stack), so nesting depth is unbounded. Branch
+    lengths and internal names are consumed and dropped here.
+    """
+    s = text
+    n = len(s)
+    i = 0
+
+    def skip_ws(j: int) -> int:
+        while j < n and s[j].isspace():
+            j += 1
+        return j
+
+    def read_name(j: int):
+        k = j
+        while k < n and s[k] not in _NAME_END and not s[k].isspace():
+            k += 1
+        return s[j:k], k
+
+    def skip_length(j: int) -> int:
+        # after ':', a number token; content is discarded
+        j = skip_ws(j)
+        token, k = read_name(j)
+        if not token:
+            raise NewickSyntaxError(f"missing branch length after ':' at position {j}")
+        return k
+
+    stack = []
+    current = None  # most recently completed element, awaiting ',' ')' or ';'
+
+    while True:
+        i = skip_ws(i)
+        if i >= n:
+            raise NewickSyntaxError("missing ';' terminator")
+        c = s[i]
+
+        if c == "(":
+            if current is not None:
+                raise NewickSyntaxError(f"unexpected '(' at position {i}")
+            stack.append([])
+            i += 1
+
+        elif c == ",":
+            if not stack:
+                raise NewickSyntaxError(f"',' outside parentheses at position {i}")
+            stack[-1].append(current if current is not None else ("leaf", ""))
+            current = None
+            i += 1
+
+        elif c == ")":
+            if not stack:
+                raise NewickSyntaxError(f"unbalanced ')' at position {i}")
+            children = stack.pop()
+            children.append(current if current is not None else ("leaf", ""))
+            i += 1
+            _, i = read_name(i)  # internal node name: ignored
+            i = skip_ws(i)
+            if i < n and s[i] == ":":
+                i = skip_length(i + 1)
+            current = ("internal", children)
+
+        elif c == ";":
+            if stack:
+                raise NewickSyntaxError("unbalanced '(': missing ')'")
+            if current is None:
+                raise EmptyTree("no tree before ';'")
+            i = skip_ws(i + 1)
+            if i < n:
+                raise NewickSyntaxError(f"unexpected text after ';' at position {i}")
+            return current
+
+        elif c == ":":
+            # branch length on an unnamed leaf; keep the empty name so the
+            # integer check reports it instead of a bare syntax error
+            if current is not None:
+                raise NewickSyntaxError(f"unexpected ':' at position {i}")
+            current = ("leaf", "")
+            i = skip_length(i + 1)
+
+        else:
+            if current is not None:
+                raise NewickSyntaxError(f"unexpected token at position {i}")
+            name, i = read_name(i)
+            i = skip_ws(i)
+            if i < n and s[i] == ":":
+                i = skip_length(i + 1)
+            current = ("leaf", name)
+
+
+def _number_nodes(root_elem):
+    """Breadth-first node numbering; returns (parent_of, leaf_flags, leaf_names)."""
+    parent_of = []
+    leaf_flags = []
+    leaf_names = {}
+    queue = deque([(root_elem, None)])
+    while queue:
+        elem, parent = queue.popleft()
+        idx = len(parent_of)
+        parent_of.append(parent)
+        if elem[0] == "leaf":
+            leaf_flags.append(True)
+            leaf_names[idx] = elem[1]
+        else:
+            leaf_flags.append(False)
+            for child in elem[1]:
+                queue.append((child, idx))
+    return parent_of, leaf_flags, leaf_names
+
+
+def reference_parse(text: str, tuples: bool = False):
+    """(tree, leaf labeling) of one Newick string, by the character-level reader.
+
+    Same contract as parse_newick (tuples=False) and parse_newick_tuples
+    (tuples=True): equal results, or an exception of the same class.
+    """
+    if not text.strip():
+        raise EmptyTree("blank input")
+    parent_of, leaf_flags, leaf_names = _number_nodes(_parse_structure(text))
+    tree = build_tree(parent_of, leaf_flags)
+    if not tuples:
+        labels = {v: _leaf_int(name) for v, name in leaf_names.items()}
+        return tree, LeafLabeling.for_tree(tree, labels)
+    labels = {
+        v: tuple(_leaf_int(p, f"tuple component of leaf {name!r}") for p in name.split("|"))
+        for v, name in leaf_names.items()
+    }
+    return tree, TupleLeafLabeling.for_tree(tree, labels)
 
 
 # ------------------------------------------------------------------ #

@@ -334,6 +334,13 @@ class TestBench:
         assert len(rows) == 1
         assert rows[0].startswith("oracle,")
 
+    def test_inapplicable_algorithm_rejected(self, capsys):
+        # bench times solve_scalar, so it applies the same rules as solve
+        code, _, err = run(capsys, "bench", "--algorithms", "interval", "--cost", "power:2",
+                           "--n-grid", "4", "--m-grid", "4", "--seed", "1")
+        assert code == 2
+        assert err.startswith("error:UnsupportedAlgorithm:")
+
     def test_too_few_reps_rejected(self, capsys):
         code, _, err = run(capsys, "bench", "--n-grid", "4", "--m-grid", "4",
                            "--reps", "2", "--seed", "1")

@@ -9,8 +9,11 @@ from treelabel import (
     bottom_up_intervals,
     dp_up,
     parse_newick,
+    postorder,
+    preorder,
     solve_dp,
 )
+from treelabel.solve import solve_scalar
 
 
 class TestFit:
@@ -56,6 +59,19 @@ class TestFit:
         assert len(calls) == 1
         doc = parse_newick("((1,5),(9,(3,4)));")
         assert est.intervals_ == bottom_up_intervals(doc.tree, doc.leaf_labels)
+
+    @pytest.mark.parametrize("algorithm,cost", [("dp", "power:2"), ("interval", "manhattan")])
+    def test_solvers_walk_tree_order_only(self, monkeypatch, algorithm, cost):
+        # both phases iterate Tree.order; no traversal is rebuilt per call
+        post = count_calls(monkeypatch, postorder)
+        pre = count_calls(monkeypatch, preorder)
+        doc = parse_newick("((1,5),(9,(3,4)));")
+        resolved, labeling, _ = solve_scalar(
+            doc.tree, doc.leaf_labels, CostFunction.from_spec(cost), algorithm=algorithm
+        )
+        assert resolved == algorithm
+        assert labeling.total_cost > 0
+        assert (post, pre) == ([], [])
 
     def test_oracle_algorithm(self):
         est = TreeLabeler(algorithm="oracle").fit("(2,7);")

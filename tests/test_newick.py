@@ -1,13 +1,16 @@
 import random
+import re
 
 import pytest
 
+from helpers import reference_parse
 from treelabel import (
     CostFunction,
     EmptyTree,
     MissingNodeLabel,
     NewickSyntaxError,
     NonIntegerLeafName,
+    TreeLabelError,
     TupleLengthMismatch,
     TupleNotMonotone,
     brute_force_min,
@@ -175,3 +178,82 @@ class TestTupleParse:
     def test_non_integer_component(self):
         with pytest.raises(NonIntegerLeafName):
             parse_newick_tuples("(1|x,2|9);")
+
+
+# single characters and short runs the differential cases are built from;
+# "\x1c" and "\xa0" are whitespace to str.isspace and to regex \s alike
+_PIECES = ["(", ")", ",", ";", ":", "|", "-", "+", "0", "7", "12", "x", ".5",
+           " ", "\t", "\n", "\x1c", "\xa0", ":1", " : 2 ", ")n", "3|4", "5|1"]
+
+
+def _decorated_document(rng):
+    """A generated tree's Newick text, with tuples, names, lengths and blanks."""
+    doc = random_document(rng.randint(1, 6), -3, 9, rng, arity=rng.choice(["binary", 3]))
+    text = document_to_newick(doc)
+    if rng.random() < 0.4:
+        k = rng.randint(1, 3)
+        text = re.sub(
+            r"-?[0-9]+",
+            lambda m: "|".join(str(x) for x in sorted(rng.randint(-3, 9) for _ in range(k))),
+            text,
+        )
+    pieces = []
+    for ch in text:
+        if ch in "),;" and rng.random() < 0.2:
+            pieces.append(rng.choice([":0.5", " :3", ": 1e-3 "]))
+        pieces.append(ch)
+        if ch == ")" and rng.random() < 0.3:
+            pieces.append(rng.choice(["anc", "7", "n1"]))
+        if rng.random() < 0.1:
+            pieces.append(rng.choice([" ", "\n", "\t"]))
+    chars = list("".join(pieces))
+    for _ in range(rng.randint(0, 3)):
+        at = rng.randint(0, len(chars))
+        roll = rng.random()
+        if roll < 0.4:
+            chars.insert(at, rng.choice(_PIECES))
+        elif chars and roll < 0.7:
+            del chars[min(at, len(chars) - 1)]
+        elif chars:
+            chars[min(at, len(chars) - 1)] = rng.choice(_PIECES)
+    return "".join(chars)
+
+
+def _token_string(rng):
+    return "".join(rng.choice(_PIECES) for _ in range(rng.randint(0, 12)))
+
+
+def _outcome(parse, text):
+    try:
+        return parse(text)
+    except (TreeLabelError, ValueError) as exc:
+        return type(exc)
+
+
+class TestParserDifferential:
+    """The delimiter-level parser against the character-level reference."""
+
+    def test_same_tree_labels_or_exception_class(self):
+        rng = random.Random(5150)
+        seen = set()
+        for index in range(3000):
+            text = _decorated_document(rng) if index % 2 else _token_string(rng)
+            for tuples, parse in ((False, parse_newick), (True, parse_newick_tuples)):
+                expected = _outcome(lambda s: reference_parse(s, tuples=tuples), text)
+                got = _outcome(parse, text)
+                if isinstance(expected, tuple):
+                    assert not isinstance(got, type), (text, got)
+                    tree, labels = expected
+                    assert got.tree == tree, text
+                    assert got.leaf_labels == labels, text
+                    assert list(got.leaf_labels.labels) == list(labels.labels), text
+                    seen.add((tuples, "parsed"))
+                else:
+                    assert got is expected, (text, got)
+                    seen.add((tuples, expected.__name__))
+        # every outcome class turns up, so the comparison is not vacuous
+        for tuples in (False, True):
+            for outcome in ("parsed", "NewickSyntaxError", "EmptyTree", "NonIntegerLeafName"):
+                assert (tuples, outcome) in seen
+        assert (True, "TupleLengthMismatch") in seen
+        assert (True, "TupleNotMonotone") in seen

@@ -1,4 +1,5 @@
 import random
+from collections import deque
 
 import pytest
 
@@ -63,6 +64,13 @@ class TestBuildTree:
     def test_two_cycle_off_root(self):
         with pytest.raises(CycleDetected):
             build_tree([N, 2, 1], [True, False, False])
+
+    def test_cycle_with_subtree_beside_valid_root_subtree(self):
+        # root 0 has leaf 1; nodes 2 and 3 are each other's parent and 4
+        # hangs below them. Node 2 is also flagged a leaf with a child, so
+        # this pins that the cycle is reported first.
+        with pytest.raises(CycleDetected):
+            build_tree([N, 0, 3, 2, 2], [False, True, True, False, True])
 
     def test_no_root(self):
         with pytest.raises(NoRoot):
@@ -156,6 +164,47 @@ class TestTraversals:
         assert is_binary(t)
         assert len(postorder(t)) == total
         assert len(preorder(t)) == total
+
+
+def _breadth_first(t):
+    order, queue = [], deque([t.root])
+    while queue:
+        v = queue.popleft()
+        order.append(v)
+        queue.extend(t.children[v])
+    return order
+
+
+class TestOrder:
+    def test_small_trees(self):
+        assert single_node().order == (0,)
+        assert cherry().order == (0, 1, 2)
+        assert five_node().order == (0, 1, 2, 3, 4)
+
+    def test_parent_ids_above_child_ids(self):
+        t = build_tree([2, 2, N], [True, True, False])
+        assert t.order == (2, 0, 1)
+        t = build_tree([3, 3, 4, 4, N], [True, True, True, False, False])
+        assert t.order == (4, 2, 3, 0, 1)
+
+    def test_breadth_first_and_parents_first_under_relabeling(self):
+        rng = random.Random(4711)
+        for _ in range(60):
+            base = random_topology(rng.randint(1, 30), rng, arity=rng.choice(["binary", 4]))
+            ids = list(range(base.node_count))
+            rng.shuffle(ids)  # node v becomes ids[v]
+            parent_of = [None] * base.node_count
+            flags = [False] * base.node_count
+            for v in range(base.node_count):
+                p = base.parents[v]
+                parent_of[ids[v]] = None if p is None else ids[p]
+                flags[ids[v]] = base.leaf_flags[v]
+            t = build_tree(parent_of, flags)
+            assert list(t.order) == _breadth_first(t)
+            position = {v: i for i, v in enumerate(t.order)}
+            for v in range(t.node_count):
+                if t.parents[v] is not None:
+                    assert position[t.parents[v]] < position[v]
 
 
 class TestIsBinary:

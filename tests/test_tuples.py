@@ -3,7 +3,7 @@ import random
 import pytest
 
 import treelabel.tuples as tuples_module
-from helpers import tuple_brute_force_cost
+from helpers import count_calls, tuple_brute_force_cost
 from treelabel import (
     CostFunction,
     Labeling,
@@ -21,6 +21,7 @@ from treelabel import (
     solve_ktuple,
     tuple_cost,
 )
+from treelabel.costs import check_leaf_coverage
 
 MANHATTAN = CostFunction.manhattan()
 SQUARE = CostFunction.power(2)
@@ -51,6 +52,14 @@ class TestTupleLeafLabeling:
         coord = doc.leaf_labels.coordinate(doc.tree, 1)
         assert coord.labels == {1: 3, 2: 9}
         assert (coord.g_min, coord.g_max) == (3, 9)
+
+    def test_leaf_coverage_checked_once_per_parse_and_solve(self, monkeypatch):
+        calls = count_calls(monkeypatch, check_leaf_coverage)
+        doc = parse_newick_tuples("((1|2|3,4|5|6),7|8|9);")
+        result = solve_ktuple(doc.tree, doc.leaf_labels, CostFunction.manhattan())
+        assert doc.leaf_labels.k == 3
+        assert result.total_cost == 18
+        assert len(calls) == 1
 
 
 class TestTupleCost:
