@@ -48,7 +48,7 @@ from .newick import (
     serialize_tuple_labeled,
 )
 from .oracle import resolve_budget
-from .solve import choose_algorithm, solve_scalar
+from .solve import ALGORITHMS, choose_algorithm, solve_scalar
 from .tuples import solve_ktuple
 from .validation import resolve_cost
 
@@ -83,12 +83,12 @@ def cmd_solve(args: argparse.Namespace) -> int:
     if args.tuple:
         if args.dump_table or args.dump_intervals:
             raise UnsupportedAlgorithm("dump flags are not available in tuple mode")
-        doc = parse_newick_tuples(text, source_name=args.input)
+        doc = parse_newick_tuples(text)
         flat = [x for tup in doc.leaf_labels.labels.values() for x in tup]
         g_min, g_max = min(flat), max(flat)
         serialize = serialize_tuple_labeled
     else:
-        doc = parse_newick(text, source_name=args.input)
+        doc = parse_newick(text)
         g_min, g_max = doc.leaf_labels.g_min, doc.leaf_labels.g_max
         serialize = serialize_labeled
 
@@ -131,23 +131,18 @@ def cmd_solve(args: argparse.Namespace) -> int:
 def _check_instances(args: argparse.Namespace):
     if args.input:
         text = _read_input(args.input)
-        docs = []
-        for idx, line in enumerate(text.splitlines()):
-            line = line.strip()
-            if line:
-                docs.append(parse_newick(line, source_name=f"{args.input}:{idx + 1}"))
-        return docs
+        lines = (line.strip() for line in text.splitlines())
+        return [parse_newick(line) for line in lines if line]
     if args.seed is None:
         raise ValueError("check without an input file needs --seed for generation")
     rng = random.Random(args.seed)
     docs = []
-    for idx in range(args.gen_count):
+    for _ in range(args.gen_count):
         n = rng.randint(2, max(2, args.gen_n))
         docs.append(
             random_document(
                 n, 0, args.gen_m - 1, rng,
                 arity=args.gen_arity if args.gen_arity == "binary" else int(args.gen_arity),
-                source_name=f"gen:{idx}",
             )
         )
     return docs
@@ -214,10 +209,8 @@ def cmd_gen(args: argparse.Namespace) -> int:
         raise ValueError(f"empty label range [{args.lo}, {args.hi}]")
     rng = random.Random(args.seed)
     arity = args.arity if args.arity == "binary" else int(args.arity)
-    for idx in range(args.count):
-        doc = random_document(
-            args.n, args.lo, args.hi, rng, arity=arity, source_name=f"gen:{idx}"
-        )
+    for _ in range(args.count):
+        doc = random_document(args.n, args.lo, args.hi, rng, arity=arity)
         print(document_to_newick(doc))
     return 0
 
@@ -283,9 +276,7 @@ def build_parser() -> argparse.ArgumentParser:
 
     p_solve = sub.add_parser("solve", help="label one tree")
     p_solve.add_argument("input", nargs="?", default="-", help="Newick file or '-' for stdin")
-    p_solve.add_argument(
-        "--algorithm", default="auto", choices=["auto", "dp", "interval", "oracle"]
-    )
+    p_solve.add_argument("--algorithm", default="auto", choices=ALGORITHMS)
     add_cost(p_solve)
     p_solve.add_argument("--tie", default="lowest", choices=["lowest", "highest", "midpoint"])
     p_solve.add_argument("--format", default="newick", choices=["newick", "json"])

@@ -60,8 +60,6 @@ class CostFunction:
                     f"cost table must be strictly increasing, "
                     f"but table[{d}] = {table[d]} <= table[{d - 1}] = {table[d - 1]}"
                 )
-            if table[d] < 0:
-                raise ValueError("cost table entries must be nonnegative")
         return CostFunction(kind="table", table=table)
 
     @staticmethod
@@ -131,17 +129,23 @@ class LeafLabeling:
 
     @classmethod
     def for_tree(cls, t: Tree, labels: Mapping[int, int]) -> "LeafLabeling":
-        """Validate that ``labels`` covers exactly the leaves of ``t``."""
+        """Validate that ``labels`` covers exactly the leaves of ``t``.
+
+        The entry point for mappings from outside: keys and labels are
+        converted to int here.
+        """
         check_leaf_coverage(t, labels)
-        return cls._of_leaves(labels)
+        return cls._of_leaves({int(k): int(v) for k, v in labels.items()})
 
     @classmethod
-    def _of_leaves(cls, labels: Mapping[int, int]) -> "LeafLabeling":
-        """The labeling of ``labels``, already known to cover exactly the leaves."""
-        values = {int(k): int(v) for k, v in labels.items()}
-        g_min = min(values.values())
-        g_max = max(values.values())
-        return cls(labels=values, g_min=g_min, g_max=g_max, m=g_max - g_min + 1)
+    def _of_leaves(cls, labels: dict[int, int]) -> "LeafLabeling":
+        """The labeling of int ``labels`` known to cover exactly the leaves.
+
+        ``labels`` is kept as it is, not copied.
+        """
+        g_min = min(labels.values())
+        g_max = max(labels.values())
+        return cls(labels=labels, g_min=g_min, g_max=g_max, m=g_max - g_min + 1)
 
 
 def check_leaf_coverage(t: Tree, labels: Mapping[int, object]) -> None:

@@ -20,10 +20,8 @@ Arity = Union[str, int]  # "binary" or a maximum arity >= 2
 def _pick_arity(arity: Arity, count: int, rng: random.Random) -> int:
     if arity == "binary":
         return 2
-    limit = min(int(arity), count)
-    if limit < 2:
-        raise ValueError(f"arity must allow at least 2 children, got {arity!r}")
-    return rng.randint(2, limit)
+    # random_topology checks arity >= 2 and asks only for count >= 2
+    return rng.randint(2, min(int(arity), count))
 
 
 def random_topology(n_leaves: int, rng: random.Random, arity: Arity = "binary") -> Tree:
@@ -67,15 +65,10 @@ def random_document(
     hi: int,
     rng: random.Random,
     arity: Arity = "binary",
-    source_name: str = "<generated>",
 ) -> LabeledTreeDocument:
     """Random topology plus uniform leaf labels in [lo, hi]."""
     if lo > hi:
         raise ValueError(f"empty label range [{lo}, {hi}]")
     tree = random_topology(n_leaves, rng, arity=arity)
     labels = {v: rng.randint(lo, hi) for v in tree.leaves()}
-    return LabeledTreeDocument(
-        tree=tree,
-        leaf_labels=LeafLabeling.for_tree(tree, labels),
-        source_name=source_name,
-    )
+    return LabeledTreeDocument(tree=tree, leaf_labels=LeafLabeling.for_tree(tree, labels))

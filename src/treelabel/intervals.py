@@ -28,7 +28,7 @@ from dataclasses import dataclass
 
 from .costs import CostFunction, Labeling, LeafLabeling, eval_total
 from .errors import NotBinaryTree
-from .tree import Tree, is_binary
+from .tree import Tree
 
 Interval = tuple[int, int]
 
@@ -57,19 +57,24 @@ def merge_intervals(a: Interval, b: Interval) -> Interval:
 
 
 def bottom_up_intervals(t: Tree, l: LeafLabeling) -> IntervalAssignment:
-    """Assign every node its optimal interval, children before parents."""
-    if not is_binary(t):
-        raise NotBinaryTree(
-            "interval solver needs every internal node to have exactly 2 children"
-        )
+    """Assign every node its optimal interval, children before parents.
+
+    Raises NotBinaryTree at the first internal node (in that order) whose
+    child count is not 2.
+    """
     intervals: list = [None] * t.node_count
     for v in reversed(t.order):
         if t.is_leaf(v):
             p = l.labels[v]
             intervals[v] = (p, p)
-        else:
+            continue
+        try:
             left, right = t.children[v]
-            intervals[v] = merge_intervals(intervals[left], intervals[right])
+        except ValueError:
+            raise NotBinaryTree(
+                "interval solver needs every internal node to have exactly 2 children"
+            ) from None
+        intervals[v] = merge_intervals(intervals[left], intervals[right])
     return IntervalAssignment(intervals=tuple(intervals))
 
 

@@ -50,7 +50,6 @@ class LabeledTreeDocument:
 
     tree: Tree
     leaf_labels: LeafLabeling
-    source_name: str = "<string>"
 
 
 @dataclass(frozen=True)
@@ -59,7 +58,6 @@ class TupleTreeDocument:
 
     tree: Tree
     leaf_labels: TupleLeafLabeling
-    source_name: str = "<string>"
 
 
 # --------------------------------------------------------------------- #
@@ -160,65 +158,66 @@ def _parse_tree(text: str) -> tuple[Tree, dict[int, str]]:
     return build_tree(parent_of, leaf_flags), leaf_names
 
 
-def parse_newick(text: str, source_name: str = "<string>") -> LabeledTreeDocument:
+def parse_newick(text: str) -> LabeledTreeDocument:
     """Parse one Newick tree whose leaf names are integer labels."""
     tree, leaf_names = _parse_tree(text)
+    # the labels are keyed by the tree's own leaves, so coverage holds
     labels = {v: _leaf_int(name) for v, name in leaf_names.items()}
-    return LabeledTreeDocument(
-        tree=tree,
-        leaf_labels=LeafLabeling.for_tree(tree, labels),
-        source_name=source_name,
-    )
+    return LabeledTreeDocument(tree=tree, leaf_labels=LeafLabeling._of_leaves(labels))
 
 
-def parse_newick_tuples(text: str, source_name: str = "<string>") -> TupleTreeDocument:
+def parse_newick_tuples(text: str) -> TupleTreeDocument:
     """Parse one Newick tree whose leaf names are '|'-separated k-tuples."""
     tree, leaf_names = _parse_tree(text)
     tuples = {
         v: tuple(_leaf_int(p, f"tuple component of leaf {name!r}") for p in name.split("|"))
         for v, name in leaf_names.items()
     }
-    return TupleTreeDocument(
-        tree=tree,
-        leaf_labels=TupleLeafLabeling.for_tree(tree, tuples),
-        source_name=source_name,
-    )
+    return TupleTreeDocument(tree=tree, leaf_labels=TupleLeafLabeling.for_tree(tree, tuples))
 
 
 # --------------------------------------------------------------------- #
 # serialization                                                          #
 # --------------------------------------------------------------------- #
 
-def _render(tree: Tree, name_of) -> str:
-    """Iterative Newick printer; ``name_of(v)`` yields the node text."""
+def _render(tree: Tree, names: list[str]) -> str:
+    """Newick text of ``tree`` with ``names[v]`` as the text of node v.
+
+    Iterative: a stack of child iterators, one per open internal node, so
+    nesting depth is unbounded. A child is preceded by ',' unless it is the
+    first one after its parent's '('.
+    """
+    children = tree.children
     pieces: list[str] = []
-    stack = [("node", tree.root)]
+    stack = [(None, iter((tree.root,)))]
     while stack:
-        op, arg = stack.pop()
-        if op == "text":
-            pieces.append(arg)
-            continue
-        v = arg
-        if tree.is_leaf(v):
-            pieces.append(name_of(v))
-            continue
-        pieces.append("(")
-        stack.append(("text", name_of(v)))
-        stack.append(("text", ")"))
-        kids = tree.children[v]
-        for idx in range(len(kids) - 1, -1, -1):
-            stack.append(("node", kids[idx]))
-            if idx > 0:
-                stack.append(("text", ","))
+        parent, kids = stack[-1]
+        for v in kids:
+            if pieces and pieces[-1] != "(":
+                pieces.append(",")
+            if children[v]:
+                pieces.append("(")
+                stack.append((v, iter(children[v])))
+                break
+            pieces.append(names[v])
+        else:
+            stack.pop()
+            if parent is not None:
+                pieces += (")", names[parent])
     pieces.append(";")
     return "".join(pieces)
 
 
-def _lookup(values: Mapping[int, object], v: int):
+def _tuple_text(value: tuple[int, ...]) -> str:
+    return "|".join(map(str, value))
+
+
+def _node_names(tree: Tree, values: Mapping[int, object], text) -> list[str]:
+    """``text(values[v])`` for every node v in id order."""
     try:
-        return values[v]
-    except KeyError:
-        raise MissingNodeLabel(f"no label for node {v}") from None
+        return [text(values[v]) for v in range(tree.node_count)]
+    except KeyError as exc:
+        raise MissingNodeLabel(f"no label for node {exc.args[0]}") from None
 
 
 def serialize_labeled(doc: LabeledTreeDocument, full: FullLabeling) -> str:
@@ -229,29 +228,18 @@ def serialize_labeled(doc: LabeledTreeDocument, full: FullLabeling) -> str:
     topology and leaf labels.
     """
     values = full.values if isinstance(full, Labeling) else full
-    return _render(doc.tree, lambda v: str(_lookup(values, v)))
+    return _render(doc.tree, _node_names(doc.tree, values, str))
 
 
 def serialize_tuple_labeled(doc: TupleTreeDocument, full: TupleLabeling) -> str:
     """Newick text with every node named by its '|'-joined tuple."""
     values = full.values if isinstance(full, TupleLabeling) else full
-
-    def name_of(v: int) -> str:
-        return "|".join(str(x) for x in _lookup(values, v))
-
-    return _render(doc.tree, name_of)
+    return _render(doc.tree, _node_names(doc.tree, values, _tuple_text))
 
 
 def document_to_newick(doc: Union[LabeledTreeDocument, TupleTreeDocument]) -> str:
     """Newick text of a document: labeled leaves, unnamed internal nodes."""
     labels = doc.leaf_labels.labels
-
-    def node_text(v: int) -> str:
-        if not doc.tree.is_leaf(v):
-            return ""
-        value = labels[v]
-        if isinstance(value, tuple):
-            return "|".join(str(x) for x in value)
-        return str(value)
-
-    return _render(doc.tree, node_text)
+    text = _tuple_text if isinstance(doc, TupleTreeDocument) else str
+    names = [text(labels[v]) if leaf else "" for v, leaf in enumerate(doc.tree.leaf_flags)]
+    return _render(doc.tree, names)

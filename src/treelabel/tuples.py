@@ -59,7 +59,7 @@ class TupleLeafLabeling:
             clean[v] = value
         return cls(k=k, labels=clean)
 
-    def coordinate(self, t: Tree, i: int) -> LeafLabeling:
+    def coordinate(self, i: int) -> LeafLabeling:
         """Scalar leaf labeling made of component i of every tuple.
 
         for_tree already checked that the tuples cover exactly the leaves.
@@ -114,7 +114,7 @@ def solve_ktuple(
     coordinate_labels: list[Mapping[int, int]] = []
     total = 0
     for i in range(l.k):
-        _, labeling, _ = solve_scalar(t, l.coordinate(t, i), c, algorithm=algorithm, tie=tie)
+        _, labeling, _ = solve_scalar(t, l.coordinate(i), c, algorithm=algorithm, tie=tie)
         coordinate_labels.append(labeling.values)
         total += labeling.total_cost
 

@@ -23,7 +23,6 @@ def resolve_cost(cost: Union[str, CostFunction]) -> CostFunction:
 def as_document(
     X: InstanceLike,
     y: Optional[Mapping[int, int]] = None,
-    source_name: str = "<data>",
 ) -> LabeledTreeDocument:
     """Normalize the ways an instance can be handed in.
 
@@ -33,7 +32,7 @@ def as_document(
     if isinstance(X, str):
         if y is not None:
             raise ValueError("y must be None when X is Newick text (labels are leaf names)")
-        return parse_newick(X, source_name=source_name)
+        return parse_newick(X)
     if isinstance(X, LabeledTreeDocument):
         if y is not None:
             raise ValueError("y must be None when X is already a labeled document")
@@ -41,11 +40,7 @@ def as_document(
     if isinstance(X, Tree):
         if y is None:
             raise ValueError("passing a bare Tree requires leaf labels in y")
-        return LabeledTreeDocument(
-            tree=X,
-            leaf_labels=LeafLabeling.for_tree(X, y),
-            source_name=source_name,
-        )
+        return LabeledTreeDocument(tree=X, leaf_labels=LeafLabeling.for_tree(X, y))
     raise TypeError(
         f"X must be Newick text, a LabeledTreeDocument or a Tree, got {type(X).__name__}"
     )

@@ -345,6 +345,40 @@ def reference_parse(text: str, tuples: bool = False):
 
 
 # ------------------------------------------------------------------ #
+# op-stack Newick printer (reference for newick._render)              #
+# ------------------------------------------------------------------ #
+
+def reference_render(tree: Tree, name_of) -> str:
+    """Newick text of ``tree``, ``name_of(v)`` giving the text of node v.
+
+    A stack of tagged ("node" | "text") operations: a node op expands into
+    its own '(' and, pushed in reverse, its children, the ',' between them
+    and its closing ')' plus name. Iterative, so depth is unbounded.
+    """
+    pieces = []
+    stack = [("node", tree.root)]
+    while stack:
+        op, arg = stack.pop()
+        if op == "text":
+            pieces.append(arg)
+            continue
+        v = arg
+        if tree.is_leaf(v):
+            pieces.append(name_of(v))
+            continue
+        pieces.append("(")
+        stack.append(("text", name_of(v)))
+        stack.append(("text", ")"))
+        kids = tree.children[v]
+        for idx in range(len(kids) - 1, -1, -1):
+            stack.append(("node", kids[idx]))
+            if idx > 0:
+                stack.append(("text", ","))
+    pieces.append(";")
+    return "".join(pieces)
+
+
+# ------------------------------------------------------------------ #
 # misc                                                                #
 # ------------------------------------------------------------------ #
 

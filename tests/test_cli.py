@@ -167,6 +167,16 @@ class TestSolve:
         assert calls == []
         assert not out_csv.exists()
 
+    def test_tuple_mode_rejects_dump_flags(self, capsys, tmp_path):
+        path = tmp_path / "t.nwk"
+        path.write_text("(1|4,3|8);")
+        code, out, err = run(capsys, "solve", str(path), "--tuple", "--dump-table",
+                             str(tmp_path / "x.csv"))
+        assert code == 2
+        assert out == ""
+        assert err == "error:UnsupportedAlgorithm:dump flags are not available in tuple mode\n"
+        assert not (tmp_path / "x.csv").exists()
+
     def test_tuple_mode_resolves_auto_once(self, capsys, tmp_path, monkeypatch):
         path = tmp_path / "t.nwk"
         path.write_text("((1|2|3,4|5|6),7|8|9);")

@@ -8,12 +8,14 @@ from treelabel import (
     UnsupportedAlgorithm,
     bottom_up_intervals,
     dp_up,
+    is_binary,
     parse_newick,
     postorder,
     preorder,
     solve_dp,
 )
 from treelabel.solve import solve_scalar
+from treelabel.validation import as_document
 
 
 class TestFit:
@@ -59,6 +61,17 @@ class TestFit:
         assert len(calls) == 1
         doc = parse_newick("((1,5),(9,(3,4)));")
         assert est.intervals_ == bottom_up_intervals(doc.tree, doc.leaf_labels)
+
+    def test_auto_interval_fit_checks_binarity_once(self, monkeypatch):
+        calls = count_calls(monkeypatch, is_binary)
+        est = TreeLabeler().fit("((1,5),(9,(3,4)));")
+        assert est.algorithm_ == "interval"
+        assert len(calls) == 1
+
+    def test_document_with_y_rejected(self):
+        doc = parse_newick("(2,7);")
+        with pytest.raises(ValueError, match="already a labeled document"):
+            as_document(doc, doc.leaf_labels.labels)
 
     @pytest.mark.parametrize("algorithm,cost", [("dp", "power:2"), ("interval", "manhattan")])
     def test_solvers_walk_tree_order_only(self, monkeypatch, algorithm, cost):

@@ -3,26 +3,34 @@ import re
 
 import pytest
 
-from helpers import reference_parse
+from helpers import count_calls, reference_parse, reference_render
 from treelabel import (
     CostFunction,
     EmptyTree,
+    LabeledTreeDocument,
+    LeafLabeling,
     MissingNodeLabel,
     NewickSyntaxError,
     NonIntegerLeafName,
     TreeLabelError,
+    TupleLeafLabeling,
     TupleLengthMismatch,
     TupleNotMonotone,
+    TupleTreeDocument,
     brute_force_min,
+    build_tree,
     document_to_newick,
     is_binary,
     parse_newick,
     parse_newick_tuples,
     postorder,
     random_document,
+    random_topology,
     serialize_labeled,
+    serialize_tuple_labeled,
     solve_interval,
 )
+from treelabel.costs import check_leaf_coverage
 
 
 class TestParse:
@@ -115,6 +123,13 @@ class TestParse:
         with pytest.raises(EmptyTree):
             parse_newick(text)
 
+    def test_parse_skips_the_leaf_coverage_check(self, monkeypatch):
+        # the labels come from the tree's own leaves, so coverage holds
+        calls = count_calls(monkeypatch, check_leaf_coverage)
+        doc = parse_newick("((1,5),(9,(3,4)));")
+        assert calls == []
+        assert doc.leaf_labels == LeafLabeling.for_tree(doc.tree, doc.leaf_labels.labels)
+
 
 class TestSerialize:
     def test_cherry(self):
@@ -155,6 +170,22 @@ class TestSerialize:
             assert second.tree == first.tree
             assert second.leaf_labels == first.leaf_labels
             assert document_to_newick(second) == document_to_newick(first)
+
+    def test_tuple_document_round_trip(self):
+        rng = random.Random(78)
+        for _ in range(40):
+            tree = random_topology(rng.randint(1, 12), rng, arity=rng.choice(["binary", 4]))
+            k = rng.randint(1, 3)
+            tuples = {
+                v: tuple(sorted(rng.randint(-5, 20) for _ in range(k))) for v in tree.leaves()
+            }
+            doc = TupleTreeDocument(tree, TupleLeafLabeling.for_tree(tree, tuples))
+            text = document_to_newick(doc)
+            first = parse_newick_tuples(text)
+            assert document_to_newick(first) == text
+            assert first.leaf_labels.k == k
+            assert sorted(first.leaf_labels.labels.values()) == sorted(tuples.values())
+            assert parse_newick_tuples(document_to_newick(first)) == first
 
 
 class TestTupleParse:
@@ -257,3 +288,96 @@ class TestParserDifferential:
                 assert (tuples, outcome) in seen
         assert (True, "TupleLengthMismatch") in seen
         assert (True, "TupleNotMonotone") in seen
+
+
+def _random_tree(rng, n):
+    """A tree on n nodes whose internal nodes have 1 to 4 children."""
+    parent_of = [None]
+    child_count = [0]
+    for v in range(1, n):
+        p = rng.choice([u for u in range(v) if child_count[u] < 4])
+        parent_of.append(p)
+        child_count[p] += 1
+        child_count.append(0)
+    return build_tree(parent_of, [count == 0 for count in child_count])
+
+
+def _unary_chain(length):
+    """length internal nodes in a line above one leaf."""
+    return build_tree([None] + list(range(length)), [False] * length + [True])
+
+
+def _caterpillar(depth):
+    """depth internal nodes, each with a leaf child and the next one below."""
+    parent_of = [None]
+    flags = [False]
+    spine = 0
+    for level in range(depth):
+        parent_of += [spine, spine]
+        last = level == depth - 1
+        flags += [True, last]
+        spine = len(parent_of) - 1
+    return build_tree(parent_of, flags)
+
+
+def _random_labels(rng, tree):
+    """Random scalar labels and random k-tuples for every node of ``tree``."""
+    k = rng.randint(1, 3)
+    scalar = {v: rng.randint(-30, 30) for v in range(tree.node_count)}
+    tuples = {
+        v: tuple(sorted(rng.randint(-30, 30) for _ in range(k)))
+        for v in range(tree.node_count)
+    }
+    return scalar, tuples
+
+
+class TestPrinterDifferential:
+    """The name-list printer against the op-stack reference, byte for byte."""
+
+    @staticmethod
+    def _check_all_serializers(tree, scalar, tuples):
+        leaves = tree.leaves()
+        doc = LabeledTreeDocument(
+            tree, LeafLabeling.for_tree(tree, {v: scalar[v] for v in leaves})
+        )
+        tuple_doc = TupleTreeDocument(
+            tree, TupleLeafLabeling.for_tree(tree, {v: tuples[v] for v in leaves})
+        )
+
+        def tuple_text(v):
+            return "|".join(str(x) for x in tuples[v])
+
+        assert serialize_labeled(doc, scalar) == reference_render(tree, lambda v: str(scalar[v]))
+        assert serialize_tuple_labeled(tuple_doc, tuples) == reference_render(tree, tuple_text)
+        assert document_to_newick(doc) == reference_render(
+            tree, lambda v: str(scalar[v]) if tree.is_leaf(v) else ""
+        )
+        assert document_to_newick(tuple_doc) == reference_render(
+            tree, lambda v: tuple_text(v) if tree.is_leaf(v) else ""
+        )
+
+    def test_random_trees_of_arity_1_to_4(self):
+        rng = random.Random(6061)
+        for _ in range(400):
+            tree = _random_tree(rng, rng.randint(1, 40))
+            self._check_all_serializers(tree, *_random_labels(rng, tree))
+
+    def test_single_node_and_unary_chains(self):
+        rng = random.Random(6062)
+        for tree in [build_tree([None], [True])] + [_unary_chain(n) for n in (1, 2, 5)]:
+            self._check_all_serializers(tree, *_random_labels(rng, tree))
+
+    def test_deep_caterpillar_stays_iterative(self):
+        tree = _caterpillar(100_000)
+        scalar = {v: v % 61 - 30 for v in range(tree.node_count)}
+        tuples = {v: (v % 7, v % 7 + v % 3) for v in range(tree.node_count)}
+        self._check_all_serializers(tree, scalar, tuples)
+
+    def test_missing_label_names_the_lowest_missing_node(self):
+        # print order reaches node 3 before node 2; the error names node 2
+        doc = parse_newick("((1,5),9);")
+        with pytest.raises(MissingNodeLabel, match="no label for node 2$"):
+            serialize_labeled(doc, {0: 5, 1: 5, 4: 5})
+        tuple_doc = parse_newick_tuples("(1|4,3|8);")
+        with pytest.raises(MissingNodeLabel, match="no label for node 0$"):
+            serialize_tuple_labeled(tuple_doc, {1: (1, 4), 2: (3, 8)})

@@ -14,6 +14,7 @@ from treelabel import (
     TupleLengthMismatch,
     TupleNotMonotone,
     eval_total,
+    is_binary,
     parse_newick,
     parse_newick_tuples,
     random_document,
@@ -42,6 +43,11 @@ class TestTupleLeafLabeling:
         with pytest.raises(TupleLengthMismatch):
             TupleLeafLabeling.for_tree(doc.tree, {1: (1, 2), 2: (1,)})
 
+    def test_empty_tuples_rejected(self):
+        doc = parse_newick("(2,7);")
+        with pytest.raises(ValueError, match="at least one component"):
+            TupleLeafLabeling.for_tree(doc.tree, {1: (), 2: ()})
+
     def test_monotone_enforced(self):
         doc = parse_newick("(2,7);")
         with pytest.raises(TupleNotMonotone):
@@ -49,7 +55,7 @@ class TestTupleLeafLabeling:
 
     def test_coordinate_projection(self):
         doc = tuple_doc("(1|3,2|9);")
-        coord = doc.leaf_labels.coordinate(doc.tree, 1)
+        coord = doc.leaf_labels.coordinate(1)
         assert coord.labels == {1: 3, 2: 9}
         assert (coord.g_min, coord.g_max) == (3, 9)
 
@@ -83,6 +89,11 @@ class TestTupleCost:
         full = {v: (2, 5) for v in range(3)}
         assert tuple_cost(doc.tree, SQUARE, full) == 0
 
+    def test_edge_joining_tuples_of_different_lengths(self):
+        doc = tuple_doc("(1|4,3|8);")
+        with pytest.raises(TupleLengthMismatch, match="joins a 1-tuple to a 2-tuple"):
+            tuple_cost(doc.tree, MANHATTAN, {0: (1,), 1: (1, 4), 2: (3, 8)})
+
     def test_missing_node(self):
         doc = tuple_doc("(1|4,3|8);")
         with pytest.raises(MissingNodeLabel):
@@ -95,6 +106,14 @@ class TestTupleCost:
 
 
 class TestSolveKtuple:
+    def test_binarity_checked_once_per_solve(self, monkeypatch):
+        calls = count_calls(monkeypatch, is_binary)
+        doc = parse_newick_tuples("((1|2|3,4|5|6),7|8|9);")
+        result = solve_ktuple(doc.tree, doc.leaf_labels, MANHATTAN)
+        assert doc.leaf_labels.k == 3
+        assert result.total_cost == 18
+        assert len(calls) == 1
+
     def test_k1_bit_identical_to_scalar_interval(self):
         doc = parse_newick("((1,5),9);")
         scalar = solve_interval(doc.tree, doc.leaf_labels)
