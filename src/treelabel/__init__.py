@@ -29,8 +29,6 @@ from .errors import (
     CycleDetected,
     DifferenceOutOfRange,
     EmptyTree,
-    InternalNodeWithoutChildren,
-    LeafWithChildren,
     MissingNodeLabel,
     MultipleRoots,
     NewickSyntaxError,
@@ -81,12 +79,10 @@ __all__ = [
     "CycleDetected",
     "DifferenceOutOfRange",
     "EmptyTree",
-    "InternalNodeWithoutChildren",
     "IntervalAssignment",
     "LabeledTreeDocument",
     "Labeling",
     "LeafLabeling",
-    "LeafWithChildren",
     "MissingNodeLabel",
     "MultipleRoots",
     "NewickSyntaxError",

@@ -39,6 +39,7 @@ from .errors import (
     UnsupportedAlgorithm,
 )
 from .generate import random_document
+from .intervals import TIES as INTERVAL_TIES
 from .intervals import interval_csv
 from .newick import (
     document_to_newick,
@@ -278,7 +279,8 @@ def build_parser() -> argparse.ArgumentParser:
     p_solve.add_argument("input", nargs="?", default="-", help="Newick file or '-' for stdin")
     p_solve.add_argument("--algorithm", default="auto", choices=ALGORITHMS)
     add_cost(p_solve)
-    p_solve.add_argument("--tie", default="lowest", choices=["lowest", "highest", "midpoint"])
+    # the interval solver's tie rules include every other solver's
+    p_solve.add_argument("--tie", default="lowest", choices=INTERVAL_TIES)
     p_solve.add_argument("--format", default="newick", choices=["newick", "json"])
     p_solve.add_argument("--tuple", action="store_true", help="leaf names are a|b|c tuples")
     p_solve.add_argument("--dump-table", metavar="PATH", help="write the dp cost table as CSV")

@@ -125,7 +125,10 @@ class LeafLabeling:
     labels: Mapping[int, int]
     g_min: int
     g_max: int
-    m: int
+
+    @property
+    def m(self) -> int:
+        return self.g_max - self.g_min + 1
 
     @classmethod
     def for_tree(cls, t: Tree, labels: Mapping[int, int]) -> "LeafLabeling":
@@ -143,9 +146,7 @@ class LeafLabeling:
 
         ``labels`` is kept as it is, not copied.
         """
-        g_min = min(labels.values())
-        g_max = max(labels.values())
-        return cls(labels=labels, g_min=g_min, g_max=g_max, m=g_max - g_min + 1)
+        return cls(labels=labels, g_min=min(labels.values()), g_max=max(labels.values()))
 
 
 def check_leaf_coverage(t: Tree, labels: Mapping[int, object]) -> None:

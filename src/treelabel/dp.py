@@ -50,6 +50,9 @@ from .tree import Tree
 
 INFINITY = math.inf
 
+# the tie rules dp_down accepts
+TIES = ("lowest", "highest")
+
 
 @dataclass(frozen=True)
 class CostTable:
@@ -122,7 +125,7 @@ def dp_down(t: Tree, ct: CostTable, c: CostFunction, tie: str = "lowest") -> Lab
     its parent's label i (largest with tie="highest"). A leaf takes its
     observed label, the one finite entry of its row.
     """
-    if tie not in ("lowest", "highest"):
+    if tie not in TIES:
         raise ValueError(f"tie must be 'lowest' or 'highest', got {tie!r}")
     g_min, m = ct.g_min, ct.m
     tm = _mirrored_theta(c, m)

@@ -28,14 +28,6 @@ class UnreachableNode(TreeLabelError):
     """A node cannot reach the root (e.g. its parent index is out of range)."""
 
 
-class LeafWithChildren(TreeLabelError):
-    """A node flagged as a leaf has children."""
-
-
-class InternalNodeWithoutChildren(TreeLabelError):
-    """A node flagged as internal has no children."""
-
-
 # --- Newick I/O ---------------------------------------------------------- #
 
 class NewickSyntaxError(TreeLabelError):

@@ -37,12 +37,10 @@ def random_topology(n_leaves: int, rng: random.Random, arity: Arity = "binary") 
         raise ValueError(f"maximum arity must be >= 2, got {arity!r}")
 
     parent_of: list[Optional[int]] = [None]
-    leaf_flags: list[bool] = [False]
     stack: list[tuple[int, int]] = [(0, n_leaves)]  # (node id, leaf budget)
     while stack:
         node, count = stack.pop()
         if count == 1:
-            leaf_flags[node] = True
             continue
         k = _pick_arity(arity, count, rng)
         cuts = sorted(rng.sample(range(1, count), k - 1))
@@ -52,11 +50,10 @@ def random_topology(n_leaves: int, rng: random.Random, arity: Arity = "binary") 
         for part in parts:
             child = len(parent_of)
             parent_of.append(node)
-            leaf_flags.append(False)
             children.append((child, part))
         # push reversed so the leftmost child is expanded first
         stack.extend(reversed(children))
-    return build_tree(parent_of, leaf_flags)
+    return build_tree(parent_of)
 
 
 def random_document(

@@ -32,7 +32,8 @@ from .tree import Tree
 
 Interval = tuple[int, int]
 
-_TIES = ("lowest", "highest", "midpoint")
+# the root-label rules top_down_labels accepts
+TIES = ("lowest", "highest", "midpoint")
 
 
 @dataclass(frozen=True)
@@ -90,8 +91,8 @@ def top_down_labels(
     t: Tree, iv: IntervalAssignment, tie: str = "lowest"
 ) -> Labeling:
     """Pick concrete labels: root by tie rule, others clamped to the parent."""
-    if tie not in _TIES:
-        raise ValueError(f"tie must be one of {_TIES}, got {tie!r}")
+    if tie not in TIES:
+        raise ValueError(f"tie must be one of {TIES}, got {tie!r}")
     lo, hi = iv[t.root]
     if tie == "lowest":
         root_label = lo

@@ -76,10 +76,10 @@ def _leaf_int(name: str, what: str = "leaf name") -> int:
     return int(name)
 
 
-def _scan_nodes(text: str) -> tuple[list[Optional[int]], list[bool], dict[int, str]]:
-    """Parent ids, leaf flags and leaf names of the nodes of one Newick string.
+def _scan_nodes(text: str) -> tuple[list[Optional[int]], dict[int, str]]:
+    """Parent ids and leaf names of the nodes of one Newick string.
 
-    All three are indexed by breadth-first id. One pass over the delimiters
+    Both are indexed by breadth-first id. One pass over the delimiters
     records each node's parent and depth in text order, which is preorder.
     Within one depth, breadth-first order is text order, so a stable sort by
     depth gives the breadth-first ids. Iterative, so nesting depth is
@@ -145,17 +145,16 @@ def _scan_nodes(text: str) -> tuple[list[Optional[int]], list[bool], dict[int, s
     for i, v in enumerate(order):
         new_id[v] = i
     parent_of = [None] + [new_id[parent[v]] for v in order[1:]]
-    leaf_flags = [names[v] is not None for v in order]
     leaf_names = {i: names[v] for i, v in enumerate(order) if names[v] is not None}
-    return parent_of, leaf_flags, leaf_names
+    return parent_of, leaf_names
 
 
 def _parse_tree(text: str) -> tuple[Tree, dict[int, str]]:
     """The tree of one Newick string and the raw name of every leaf."""
     # the scan's text-order lists die with its frame, before build_tree
     # allocates, so they do not add to the parse's peak memory
-    parent_of, leaf_flags, leaf_names = _scan_nodes(text)
-    return build_tree(parent_of, leaf_flags), leaf_names
+    parent_of, leaf_names = _scan_nodes(text)
+    return build_tree(parent_of), leaf_names
 
 
 def parse_newick(text: str) -> LabeledTreeDocument:
@@ -173,7 +172,8 @@ def parse_newick_tuples(text: str) -> TupleTreeDocument:
         v: tuple(_leaf_int(p, f"tuple component of leaf {name!r}") for p in name.split("|"))
         for v, name in leaf_names.items()
     }
-    return TupleTreeDocument(tree=tree, leaf_labels=TupleLeafLabeling.for_tree(tree, tuples))
+    # the tuples are keyed by the tree's own leaves, so coverage holds
+    return TupleTreeDocument(tree=tree, leaf_labels=TupleLeafLabeling._of_leaves(tuples))
 
 
 # --------------------------------------------------------------------- #
@@ -241,5 +241,5 @@ def document_to_newick(doc: Union[LabeledTreeDocument, TupleTreeDocument]) -> st
     """Newick text of a document: labeled leaves, unnamed internal nodes."""
     labels = doc.leaf_labels.labels
     text = _tuple_text if isinstance(doc, TupleTreeDocument) else str
-    names = [text(labels[v]) if leaf else "" for v, leaf in enumerate(doc.tree.leaf_flags)]
+    names = ["" if kids else text(labels[v]) for v, kids in enumerate(doc.tree.children)]
     return _render(doc.tree, names)

@@ -5,8 +5,10 @@ from __future__ import annotations
 from typing import Optional, Union
 
 from .costs import CostFunction, Labeling, LeafLabeling
+from .dp import TIES as DP_TIES
 from .dp import CostTable, dp_down, dp_up
 from .errors import UnsupportedAlgorithm
+from .intervals import TIES as INTERVAL_TIES
 from .intervals import IntervalAssignment, bottom_up_intervals, top_down_labels
 from .oracle import brute_force_min
 from .tree import Tree, is_binary
@@ -14,8 +16,8 @@ from .tree import Tree, is_binary
 ALGORITHMS = ("auto", "dp", "interval", "oracle")
 
 _TIES_BY_ALGORITHM = {
-    "dp": ("lowest", "highest"),
-    "interval": ("lowest", "highest", "midpoint"),
+    "dp": DP_TIES,
+    "interval": INTERVAL_TIES,
     "oracle": ("lowest",),
 }
 

@@ -1,8 +1,12 @@
 """Immutable rooted trees with deterministic traversals.
 
-A tree is stored as parallel tuples indexed by node id (dense ints in
-[0, N)). Children are kept in ascending id order so that every traversal,
-and therefore every solver output, is deterministic. ``Tree.order`` is the
+A tree is its parent array: ``build_tree(parent_of)`` takes one parent id
+per node (None for the root) and derives everything else. A leaf is a node
+that no node names as its parent. The parents, the children lists and the
+traversal are stored as tuples indexed by node id (dense ints in [0, N));
+leaves and the root are read off them, never stored a second time.
+Children are kept in ascending id order so that every traversal, and
+therefore every solver output, is deterministic. ``Tree.order`` is the
 breadth-first walk from the root, computed once when the tree is built:
 every parent comes before its children, so the solvers' up phases walk it
 reversed and their down phases walk it forwards. Trees of arbitrary
@@ -16,14 +20,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 from typing import Iterator, Optional, Sequence
 
-from .errors import (
-    CycleDetected,
-    InternalNodeWithoutChildren,
-    LeafWithChildren,
-    MultipleRoots,
-    NoRoot,
-    UnreachableNode,
-)
+from .errors import CycleDetected, MultipleRoots, NoRoot, UnreachableNode
 
 
 @dataclass(frozen=True)
@@ -33,18 +30,19 @@ class Tree:
     Attributes
     ----------
     parents     : parent id per node; None exactly for the root.
-    children    : per-node tuple of child ids, ascending.
-    leaf_flags  : True for leaves (no children), False for internal nodes.
-    root        : id of the unique parentless node.
+    children    : per-node tuple of child ids, ascending; empty for a leaf.
     order       : every node id, breadth-first from the root, children in
                   stored order; parents precede their children.
     """
 
     parents: tuple[Optional[int], ...]
     children: tuple[tuple[int, ...], ...]
-    leaf_flags: tuple[bool, ...]
-    root: int
     order: tuple[int, ...]
+
+    @property
+    def root(self) -> int:
+        """Id of the unique parentless node, where the walk starts."""
+        return self.order[0]
 
     @property
     def node_count(self) -> int:
@@ -52,13 +50,13 @@ class Tree:
 
     @property
     def leaf_count(self) -> int:
-        return sum(self.leaf_flags)
+        return sum(not kids for kids in self.children)
 
     def is_leaf(self, v: int) -> bool:
-        return self.leaf_flags[v]
+        return not self.children[v]
 
     def leaves(self) -> tuple[int, ...]:
-        return tuple(v for v in range(self.node_count) if self.leaf_flags[v])
+        return tuple(v for v, kids in enumerate(self.children) if not kids)
 
     def edges(self) -> Iterator[tuple[int, int]]:
         """Yield (parent, child) pairs, parents in ascending id order."""
@@ -67,22 +65,18 @@ class Tree:
                 yield v, c
 
 
-def build_tree(parent_of: Sequence[Optional[int]], leaf_flags: Sequence[bool]) -> Tree:
-    """Construct and validate a Tree from parent pointers and leaf flags.
+def build_tree(parent_of: Sequence[Optional[int]]) -> Tree:
+    """Construct and validate a Tree from parent pointers.
 
-    ``parent_of[v]`` is the parent id of node v, or None for the root.
-    Children end up sorted by ascending id regardless of input order, since
-    they are collected by scanning the nodes in id order.
+    ``parent_of[v]`` is the parent id of node v, or None for the root; the
+    nodes no entry names are the leaves. Children end up sorted by
+    ascending id regardless of input order, since they are collected by
+    scanning the nodes in id order.
 
-    Raises NoRoot, MultipleRoots, UnreachableNode, CycleDetected,
-    LeafWithChildren or InternalNodeWithoutChildren on malformed input.
+    Raises NoRoot, MultipleRoots, UnreachableNode or CycleDetected on
+    malformed input.
     """
     n = len(parent_of)
-    if n != len(leaf_flags):
-        raise ValueError(
-            f"parent_of has {n} entries but leaf_flags has {len(leaf_flags)}"
-        )
-
     roots = [v for v in range(n) if parent_of[v] is None]
     if not roots:
         raise NoRoot("no node without a parent" if n else "empty node list")
@@ -108,17 +102,9 @@ def build_tree(parent_of: Sequence[Optional[int]], leaf_flags: Sequence[bool]) -
             f"{n - len(order)} of {n} nodes lie on or below a parent cycle"
         )
 
-    for v in range(n):
-        if leaf_flags[v] and kids[v]:
-            raise LeafWithChildren(f"leaf {v} has children {kids[v]}")
-        if not leaf_flags[v] and not kids[v]:
-            raise InternalNodeWithoutChildren(f"internal node {v} has no children")
-
     return Tree(
         parents=tuple(parent_of),
         children=tuple(map(tuple, kids)),
-        leaf_flags=tuple(bool(f) for f in leaf_flags),
-        root=root,
         order=tuple(order),
     )
 
@@ -158,8 +144,4 @@ def is_binary(t: Tree) -> bool:
 
     Vacuously true for a single-node tree.
     """
-    return all(
-        len(t.children[v]) == 2
-        for v in range(t.node_count)
-        if not t.leaf_flags[v]
-    )
+    return all(len(kids) == 2 for kids in t.children if kids)

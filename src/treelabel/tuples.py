@@ -41,12 +41,25 @@ class TupleLeafLabeling:
 
     @classmethod
     def for_tree(cls, t: Tree, labels: Mapping[int, tuple[int, ...]]) -> "TupleLeafLabeling":
-        """Validate leaf coverage, one k for every leaf and nondecreasing tuples."""
+        """Validate that ``labels`` covers exactly the leaves of ``t``.
+
+        The entry point for mappings from outside: keys and tuple
+        components are converted to int here.
+        """
         check_leaf_coverage(t, labels)
+        return cls._of_leaves({int(v): tuple(int(x) for x in tup) for v, tup in labels.items()})
+
+    @classmethod
+    def _of_leaves(cls, labels: dict[int, tuple[int, ...]]) -> "TupleLeafLabeling":
+        """The labeling of int tuples ``labels`` known to cover exactly the leaves.
+
+        Checks, in ascending leaf order, that every tuple has the same k >= 1
+        components and is nondecreasing. ``labels`` is kept as it is, not
+        copied.
+        """
         k = None
-        clean: dict[int, tuple[int, ...]] = {}
         for v in sorted(labels):
-            value = tuple(int(x) for x in labels[v])
+            value = labels[v]
             if k is None:
                 k = len(value)
                 if k == 0:
@@ -56,13 +69,12 @@ class TupleLeafLabeling:
                     f"leaf {v} has a {len(value)}-tuple; expected k={k}"
                 )
             _check_monotone(value, f"leaf {v}")
-            clean[v] = value
-        return cls(k=k, labels=clean)
+        return cls(k=k, labels=labels)
 
     def coordinate(self, i: int) -> LeafLabeling:
         """Scalar leaf labeling made of component i of every tuple.
 
-        for_tree already checked that the tuples cover exactly the leaves.
+        The tuples cover exactly the leaves, so no coverage check is needed.
         """
         return LeafLabeling._of_leaves({v: tup[i] for v, tup in self.labels.items()})
 

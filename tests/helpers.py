@@ -333,7 +333,12 @@ def reference_parse(text: str, tuples: bool = False):
     if not text.strip():
         raise EmptyTree("blank input")
     parent_of, leaf_flags, leaf_names = _number_nodes(_parse_structure(text))
-    tree = build_tree(parent_of, leaf_flags)
+    tree = build_tree(parent_of)
+    # the reader knows its leaves from the text; the tree derives them from
+    # the parent array, and the two must agree
+    flagged = tuple(v for v, leaf in enumerate(leaf_flags) if leaf)
+    if flagged != tree.leaves():
+        raise AssertionError(f"reader leaves {flagged} != tree leaves {tree.leaves()}")
     if not tuples:
         labels = {v: _leaf_int(name) for v, name in leaf_names.items()}
         return tree, LeafLabeling.for_tree(tree, labels)
@@ -411,7 +416,7 @@ def random_strict_table(rng, length):
 
 def star_tree(n_leaves):
     """Root with n leaf children."""
-    return build_tree([None] + [0] * n_leaves, [False] + [True] * n_leaves)
+    return build_tree([None] + [0] * n_leaves)
 
 
 def extract_subtree(t: Tree, l: LeafLabeling, v):
@@ -423,7 +428,6 @@ def extract_subtree(t: Tree, l: LeafLabeling, v):
         i += 1
     new_id = {old: new for new, old in enumerate(old_ids)}
     parent_of = [None] + [new_id[t.parents[old]] for old in old_ids[1:]]
-    flags = [t.is_leaf(old) for old in old_ids]
-    sub = build_tree(parent_of, flags)
+    sub = build_tree(parent_of)
     labels = {new_id[old]: l.labels[old] for old in old_ids if t.is_leaf(old)}
     return sub, LeafLabeling.for_tree(sub, labels), new_id[v]

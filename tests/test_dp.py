@@ -281,7 +281,7 @@ def _random_instance(rng, n_nodes, lo, hi):
         parent_of.append(p)
         child_count[p] += 1
         child_count.append(0)
-    t = build_tree(parent_of, [k == 0 for k in child_count])
+    t = build_tree(parent_of)
     labels = {v: rng.randint(lo, hi) for v in t.leaves()}
     return t, LeafLabeling.for_tree(t, labels)
 

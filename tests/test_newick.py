@@ -299,25 +299,22 @@ def _random_tree(rng, n):
         parent_of.append(p)
         child_count[p] += 1
         child_count.append(0)
-    return build_tree(parent_of, [count == 0 for count in child_count])
+    return build_tree(parent_of)
 
 
 def _unary_chain(length):
     """length internal nodes in a line above one leaf."""
-    return build_tree([None] + list(range(length)), [False] * length + [True])
+    return build_tree([None] + list(range(length)))
 
 
 def _caterpillar(depth):
     """depth internal nodes, each with a leaf child and the next one below."""
     parent_of = [None]
-    flags = [False]
     spine = 0
-    for level in range(depth):
+    for _ in range(depth):
         parent_of += [spine, spine]
-        last = level == depth - 1
-        flags += [True, last]
         spine = len(parent_of) - 1
-    return build_tree(parent_of, flags)
+    return build_tree(parent_of)
 
 
 def _random_labels(rng, tree):
@@ -364,7 +361,7 @@ class TestPrinterDifferential:
 
     def test_single_node_and_unary_chains(self):
         rng = random.Random(6062)
-        for tree in [build_tree([None], [True])] + [_unary_chain(n) for n in (1, 2, 5)]:
+        for tree in [build_tree([None])] + [_unary_chain(n) for n in (1, 2, 5)]:
             self._check_all_serializers(tree, *_random_labels(rng, tree))
 
     def test_deep_caterpillar_stays_iterative(self):

@@ -1,10 +1,13 @@
+import ast
 import importlib
 import importlib.util
 from pathlib import Path
 
 import treelabel
 
-_TRACING = Path(__file__).resolve().parent.parent / "perfbench" / "tracing.py"
+_ROOT = Path(__file__).resolve().parent.parent
+_TRACING = _ROOT / "perfbench" / "tracing.py"
+_PACKAGE = _ROOT / "src" / "treelabel"
 
 
 def test_public_names_resolve_once():
@@ -27,3 +30,33 @@ def test_benchmark_tracer_targets_exist():
         for attr in path[:-1]:
             owner = getattr(owner, attr)
         assert path[-1] in vars(owner), dotted
+
+
+def _raised_names(path):
+    """Names of the exceptions raised by ``raise X`` or ``raise X(...)`` in a file."""
+    names = set()
+    for node in ast.walk(ast.parse(path.read_text(encoding="utf-8"))):
+        if isinstance(node, ast.Raise) and node.exc is not None:
+            exc = node.exc.func if isinstance(node.exc, ast.Call) else node.exc
+            if isinstance(exc, ast.Name):
+                names.add(exc.id)
+            elif isinstance(exc, ast.Attribute):
+                names.add(exc.attr)
+    return names
+
+
+def test_every_public_error_class_is_raised():
+    # a public error class that no code raises is dead API
+    raised = set()
+    for path in _PACKAGE.glob("*.py"):
+        if path.name != "errors.py":
+            raised |= _raised_names(path)
+    errors = [
+        name
+        for name in treelabel.__all__
+        if isinstance(getattr(treelabel, name), type)
+        and issubclass(getattr(treelabel, name), treelabel.TreeLabelError)
+        and name != "TreeLabelError"
+    ]
+    assert errors
+    assert sorted(set(errors) - raised) == []

@@ -5,8 +5,6 @@ import pytest
 
 from treelabel import (
     CycleDetected,
-    InternalNodeWithoutChildren,
-    LeafWithChildren,
     MultipleRoots,
     NoRoot,
     UnreachableNode,
@@ -21,16 +19,16 @@ N = None  # absent parent marker, for readability
 
 
 def single_node():
-    return build_tree([N], [True])
+    return build_tree([N])
 
 
 def cherry():
-    return build_tree([N, 0, 0], [False, True, True])
+    return build_tree([N, 0, 0])
 
 
 def five_node():
     # root 0, internal 1 with leaves 3 and 4, leaf 2
-    return build_tree([N, 0, 0, 1, 1], [False, False, True, True, True])
+    return build_tree([N, 0, 0, 1, 1])
 
 
 class TestBuildTree:
@@ -38,6 +36,7 @@ class TestBuildTree:
         t = single_node()
         assert t.node_count == 1
         assert t.leaf_count == 1
+        assert t.leaves() == (0,)
         assert t.root == 0
         assert t.is_leaf(0)
 
@@ -54,56 +53,51 @@ class TestBuildTree:
         assert t.parents[3] == 1
 
     def test_children_sorted_ascending(self):
-        t = build_tree([2, 2, N], [True, True, False])
+        # the highest id can be internal: leaves are the nodes nobody names
+        t = build_tree([2, 2, N])
         assert t.children[2] == (0, 1)
+        assert t.leaves() == (0, 1)
+        assert t.root == 2
+        assert not t.is_leaf(2)
 
     def test_self_loop_is_cycle(self):
         with pytest.raises(CycleDetected):
-            build_tree([0, N], [True, False])
+            build_tree([0, N])
 
     def test_two_cycle_off_root(self):
         with pytest.raises(CycleDetected):
-            build_tree([N, 2, 1], [True, False, False])
+            build_tree([N, 2, 1])
 
     def test_cycle_with_subtree_beside_valid_root_subtree(self):
         # root 0 has leaf 1; nodes 2 and 3 are each other's parent and 4
-        # hangs below them. Node 2 is also flagged a leaf with a child, so
-        # this pins that the cycle is reported first.
+        # hangs below them, so the walk from the root misses three nodes
         with pytest.raises(CycleDetected):
-            build_tree([N, 0, 3, 2, 2], [False, True, True, False, True])
+            build_tree([N, 0, 3, 2, 2])
 
     def test_no_root(self):
         with pytest.raises(NoRoot):
-            build_tree([1, 0], [True, True])
+            build_tree([1, 0])
 
     def test_empty_input(self):
         with pytest.raises(NoRoot):
-            build_tree([], [])
+            build_tree([])
 
     def test_multiple_roots(self):
         with pytest.raises(MultipleRoots):
-            build_tree([N, N, 0], [False, True, True])
+            build_tree([N, N, 0])
 
     def test_parent_out_of_range(self):
         with pytest.raises(UnreachableNode):
-            build_tree([N, 5], [False, True])
-
-    def test_leaf_with_children(self):
-        with pytest.raises(LeafWithChildren):
-            build_tree([N, 0, 1], [False, True, True])
-
-    def test_internal_without_children(self):
-        with pytest.raises(InternalNodeWithoutChildren):
-            build_tree([N, 0], [False, False])
+            build_tree([N, 5])
 
     def test_single_child_chain_is_legal(self):
-        t = build_tree([N, 0, 1], [False, False, True])
+        # in a unary chain only the bottom node is a leaf
+        t = build_tree([N, 0, 1])
+        assert t.leaves() == (2,)
+        assert t.leaf_count == 1
+        assert [t.is_leaf(v) for v in range(3)] == [False, False, True]
         assert not is_binary(t)
         assert postorder(t) == [2, 1, 0]
-
-    def test_mismatched_lengths(self):
-        with pytest.raises(ValueError):
-            build_tree([N, 0], [False])
 
 
 class TestTraversals:
@@ -153,14 +147,11 @@ class TestTraversals:
         depth = 5000
         total = 2 * depth + 1
         parent_of = [N] * total
-        flags = [False] * total
         for level in range(depth):
             internal = 2 * level
             parent_of[internal + 1] = internal
             parent_of[internal + 2] = internal
-            flags[internal + 1] = True
-        flags[2 * depth] = True
-        t = build_tree(parent_of, flags)
+        t = build_tree(parent_of)
         assert is_binary(t)
         assert len(postorder(t)) == total
         assert len(preorder(t)) == total
@@ -182,9 +173,9 @@ class TestOrder:
         assert five_node().order == (0, 1, 2, 3, 4)
 
     def test_parent_ids_above_child_ids(self):
-        t = build_tree([2, 2, N], [True, True, False])
+        t = build_tree([2, 2, N])
         assert t.order == (2, 0, 1)
-        t = build_tree([3, 3, 4, 4, N], [True, True, True, False, False])
+        t = build_tree([3, 3, 4, 4, N])
         assert t.order == (4, 2, 3, 0, 1)
 
     def test_breadth_first_and_parents_first_under_relabeling(self):
@@ -194,12 +185,13 @@ class TestOrder:
             ids = list(range(base.node_count))
             rng.shuffle(ids)  # node v becomes ids[v]
             parent_of = [None] * base.node_count
-            flags = [False] * base.node_count
             for v in range(base.node_count):
                 p = base.parents[v]
                 parent_of[ids[v]] = None if p is None else ids[p]
-                flags[ids[v]] = base.leaf_flags[v]
-            t = build_tree(parent_of, flags)
+            t = build_tree(parent_of)
+            named = set(parent_of)
+            assert t.leaves() == tuple(v for v in range(t.node_count) if v not in named)
+            assert t.root == t.order[0] == parent_of.index(None)
             assert list(t.order) == _breadth_first(t)
             position = {v: i for i, v in enumerate(t.order)}
             for v in range(t.node_count):
@@ -212,7 +204,7 @@ class TestIsBinary:
         assert is_binary(cherry())
 
     def test_three_leaf_star_false(self):
-        t = build_tree([N, 0, 0, 0], [False, True, True, True])
+        t = build_tree([N, 0, 0, 0])
         assert not is_binary(t)
 
     def test_single_node_vacuously_true(self):

@@ -65,7 +65,9 @@ class TestTupleLeafLabeling:
         result = solve_ktuple(doc.tree, doc.leaf_labels, CostFunction.manhattan())
         assert doc.leaf_labels.k == 3
         assert result.total_cost == 18
-        assert len(calls) == 1
+        # the parse keys the tuples by the tree's own leaves, so it has no
+        # coverage to check, and the solve trusts the labeling it is given
+        assert len(calls) == 0
 
 
 class TestTupleCost:
