@@ -4,10 +4,12 @@ Given a rooted tree whose leaves carry integer labels and a strictly
 increasing edge-cost function theta, assign integers to the internal
 nodes minimizing the sum of theta(|label difference|) over all edges.
 
-Three solvers, cross-checkable against each other:
+Four solvers, cross-checkable against each other:
 
   - TreeLabeler / solve_dp: dynamic programming over the leaf-label
     range, any tree arity, any theta. O(N * m^2), a direct scan.
+  - convex_up: the same cost table in O(N * m) by slope merge, for a
+    convex theta (increments that never decrease).
   - solve_interval: interval propagation, linear time, for Manhattan
     cost on binary trees.
   - brute_force_min: exhaustive enumeration, the testing ground truth.
@@ -23,7 +25,7 @@ from .costs import (
     eval_total,
     theta,
 )
-from .dp import CostTable, dp_down, dp_up, min_total, solve_dp
+from .dp import CostTable, convex_up, dp_down, dp_up, min_total, solve_dp
 from .errors import (
     BudgetExceeded,
     CycleDetected,
@@ -105,6 +107,7 @@ __all__ = [
     "brute_force_min",
     "build_tree",
     "choose_algorithm",
+    "convex_up",
     "document_to_newick",
     "dp_down",
     "dp_up",

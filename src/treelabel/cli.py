@@ -3,7 +3,7 @@
 Subcommands:
 
   solve   label one tree (Newick in, annotated Newick or JSON out)
-  check   cross-check dp / interval / oracle agreement over many instances
+  check   cross-check dp / interval / oracle / convex agreement over many instances
   gen     emit random instances as Newick lines
   bench   time solvers over an (n, m) grid, CSV out
 
@@ -49,7 +49,7 @@ from .newick import (
     serialize_tuple_labeled,
 )
 from .oracle import resolve_budget
-from .solve import ALGORITHMS, choose_algorithm, solve_scalar
+from .solve import ALGORITHMS, TABLE_ALGORITHMS, choose_algorithm, solve_scalar
 from .tuples import solve_ktuple
 from .validation import resolve_cost
 
@@ -94,8 +94,11 @@ def cmd_solve(args: argparse.Namespace) -> int:
         serialize = serialize_labeled
 
     resolved = choose_algorithm(args.algorithm, doc.tree, cost)
-    if args.dump_table and resolved != "dp":
-        raise UnsupportedAlgorithm("--dump-table requires the dp algorithm")
+    if args.dump_table and resolved not in TABLE_ALGORITHMS:
+        raise UnsupportedAlgorithm(
+            f"--dump-table requires an algorithm with a cost table "
+            f"({', '.join(TABLE_ALGORITHMS)}), got {resolved}"
+        )
     if args.dump_intervals and resolved != "interval":
         raise UnsupportedAlgorithm("--dump-intervals requires the interval algorithm")
 
@@ -149,6 +152,10 @@ def _check_instances(args: argparse.Namespace):
     return docs
 
 
+# the solvers check runs, in the order of its verbose report
+_CHECKED = ("dp", "interval", "oracle", "convex")
+
+
 def cmd_check(args: argparse.Namespace) -> int:
     cost = resolve_cost(args.cost)
     docs = _check_instances(args)
@@ -158,12 +165,14 @@ def cmd_check(args: argparse.Namespace) -> int:
         ("dp", "interval"): [0, 0],  # [compared, agreed]
         ("dp", "oracle"): [0, 0],
         ("interval", "oracle"): [0, 0],
+        ("dp", "convex"): [0, 0],
+        ("convex", "oracle"): [0, 0],
     }
     failures = []
 
     for doc in docs:
         costs = {}
-        for name in ("dp", "interval", "oracle"):
+        for name in _CHECKED:
             try:
                 _, labeling, _ = solve_scalar(
                     doc.tree, doc.leaf_labels, cost, algorithm=name, budget=budget
@@ -184,7 +193,7 @@ def cmd_check(args: argparse.Namespace) -> int:
         if disagreement:
             failures.append((doc.tree.node_count, len(newick), newick, costs))
         if args.verbose:
-            report = " ".join(f"{name}={costs[name]}" for name in ("dp", "interval", "oracle") if name in costs)
+            report = " ".join(f"{name}={costs[name]}" for name in _CHECKED if name in costs)
             print(f"{newick}\t{report}")
 
     print(f"instances: {len(docs)}")
@@ -283,7 +292,9 @@ def build_parser() -> argparse.ArgumentParser:
     p_solve.add_argument("--tie", default="lowest", choices=INTERVAL_TIES)
     p_solve.add_argument("--format", default="newick", choices=["newick", "json"])
     p_solve.add_argument("--tuple", action="store_true", help="leaf names are a|b|c tuples")
-    p_solve.add_argument("--dump-table", metavar="PATH", help="write the dp cost table as CSV")
+    p_solve.add_argument(
+        "--dump-table", metavar="PATH", help="write the dp or convex cost table as CSV"
+    )
     p_solve.add_argument(
         "--dump-intervals", metavar="PATH", help="write the interval assignment as CSV"
     )
@@ -313,7 +324,9 @@ def build_parser() -> argparse.ArgumentParser:
     p_gen.set_defaults(func=cmd_gen)
 
     p_bench = sub.add_parser("bench", help="time solvers over an (n, m) grid")
-    p_bench.add_argument("--algorithms", default="dp,interval", help="comma list: dp,interval,oracle")
+    p_bench.add_argument(
+        "--algorithms", default="dp,interval", help="comma list: dp,convex,interval,oracle"
+    )
     p_bench.add_argument("--n-grid", required=True, help="comma list of leaf counts")
     p_bench.add_argument("--m-grid", required=True, help="comma list of label range sizes")
     p_bench.add_argument("--reps", type=int, default=5, help="timed repetitions (>= 5)")

@@ -10,6 +10,9 @@ supported:
 
 Strictness matters: with a merely non-decreasing theta the optimum can
 escape the leaf-label range and the solvers' search-box guarantee breaks.
+Convexity (increments theta(d+1) - theta(d) that never decrease) is what
+the convex solver needs; CostFunction.is_convex is the one place it is
+decided.
 Labels may be any integers, negative included; costs depend only on
 differences. All arithmetic is exact (Python ints), so there is no
 overflow to guard against.
@@ -93,6 +96,19 @@ class CostFunction:
         if self.kind == "power":
             return f"power:{self.exponent}"
         return "table:" + ",".join(str(v) for v in self.table)
+
+    @property
+    def is_convex(self) -> bool:
+        """Whether the increments theta(d+1) - theta(d) never decrease.
+
+        True for manhattan and every power; a table is judged on all of its
+        entries, so the answer does not depend on the instance's label range.
+        """
+        if self.kind != "table":
+            return True
+        t = self.table
+        steps = [b - a for a, b in zip(t, t[1:])]
+        return all(a <= b for a, b in zip(steps, steps[1:]))
 
     def __call__(self, d: int) -> int:
         return theta(self, d)

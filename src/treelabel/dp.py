@@ -1,4 +1,4 @@
-"""Dynamic-programming solver for arbitrary trees and cost functions.
+"""Dynamic-programming solvers for arbitrary trees and cost functions.
 
 Works in two phases over the label range [g_min, g_max] (m values):
 
@@ -9,17 +9,29 @@ infinity elsewhere. An internal node a with children b_1..b_r gets
 
     S_a(i) = sum over children b of  min_j [ theta(|i - j|) + S_b(j) ]
 
-with the inner minimum taken by direct scan over j in [g_min, g_max].
 The binary two-child case is the r = 2 specialization of the same sum.
+Two up phases fill the same table and differ only in how they take the
+inner minimum of an internal child; the leaf rows and the leaf-child
+contribution are one shared loop.
 
-The scan runs in builtins. theta is laid out once per solve as the
-mirrored list tm = [theta(m-1), ..., theta(1), theta(0), theta(1), ...,
-theta(m-1)], so tm[m-1-i+j] == theta(|i - j|) and the window
-tm[m-1-i : 2m-1-i] holds theta(|i - j|) for every j. For an internal
-child b, whose row is finite everywhere, each i costs one
-min(map(add, window, S_b)): every (i, j) pair is still evaluated. A leaf
-child labeled p is finite only at p, so its whole contribution is the
-window tm[m-1-p : 2m-1-p], theta(|i - p|) for every i, in O(m).
+theta is laid out once per solve as the mirrored list tm = [theta(m-1),
+..., theta(1), theta(0), theta(1), ..., theta(m-1)], so tm[m-1-i+j] ==
+theta(|i - j|) and the window tm[m-1-i : 2m-1-i] holds theta(|i - j|) for
+every j. A leaf child labeled p is finite only at p, so its whole
+contribution is the window tm[m-1-p : 2m-1-p], theta(|i - p|) for every
+i, in O(m).
+
+dp_up, any theta: for an internal child b, whose row is finite
+everywhere, each i costs one min(map(add, window, S_b)), a direct scan in
+builtins that evaluates every (i, j) pair. O(N * m^2) time; this direct
+scan is the contract of the "dp" algorithm.
+
+convex_up, convex theta (increments that never decrease): every internal
+row is then discrete convex, and so is tm. The contribution of an
+internal child is the infimal convolution of tm and S_b, whose slope
+sequence is the sorted merge of theirs (Murota, Discrete Convex Analysis,
+2003), so prefix sums of the merged slopes give every value in O(m).
+O(N * m) time, and a table identical to dp_up's.
 
 Down phase (Tree.order, parents first). Pick a root label minimizing
 S_root, then give each remaining node p, whose parent got label i, the
@@ -28,24 +40,24 @@ Ties go to the smallest label by default (tie="highest" picks the
 largest, useful for probing the set of optima). Note the chosen j need
 not minimize S_p itself. A leaf keeps its observed label.
 
-Running time is O(N * m^2) and memory O(N * m): every optimal label lives
-in [g_min, g_max], so nothing outside that range is ever scanned, and
-windows are sliced on the fly rather than stored. The known O(N * m)
-convex-cost speedup is deliberately not implemented; the direct scan is
-the contract here. Costs are exact Python ints. math.inf marks the
-impossible labels of a leaf row, and since leaf rows never enter a sum,
-no int + inf is ever formed: theta values beyond float range (power:200,
-say) cannot overflow, and no finite "big number" ever masquerades as
-infinity.
+Memory is O(N * m): every optimal label lives in [g_min, g_max], so
+nothing outside that range is ever scanned, and windows are sliced on
+the fly rather than stored. Costs are exact Python ints. math.inf marks
+the impossible labels of a leaf row, and since leaf rows never enter a
+sum or a slope, no int + inf is ever formed: theta values beyond float
+range (power:200, say) cannot overflow, and no finite "big number" ever
+masquerades as infinity.
 """
 
 from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from operator import add
+from itertools import accumulate, islice
+from operator import add, sub
 
 from .costs import CostFunction, Labeling, LeafLabeling, eval_total, theta
+from .errors import UnsupportedAlgorithm
 from .tree import Tree
 
 INFINITY = math.inf
@@ -83,10 +95,15 @@ def _mirrored_theta(c: CostFunction, m: int) -> list[int]:
     return th[:0:-1] + th
 
 
-def dp_up(t: Tree, l: LeafLabeling, c: CostFunction) -> CostTable:
-    """Fill the cost table bottom-up (the up phase)."""
+def _up_phase(t: Tree, l: LeafLabeling, c: CostFunction, contribution) -> CostTable:
+    """Fill the cost table bottom-up, the loop both up phases share.
+
+    ``contribution(tm, m)`` returns the function that maps the row of an
+    internal child to min_j theta(|i - j|) + S_b(j) for every i.
+    """
     g_min, g_max, m = l.g_min, l.g_max, l.m
     tm = _mirrored_theta(c, m)
+    internal_part = contribution(tm, m)
 
     rows: list = [None] * t.node_count
     for v in reversed(t.order):
@@ -101,12 +118,51 @@ def dp_up(t: Tree, l: LeafLabeling, c: CostFunction) -> CostTable:
                 k = m - 1 - (l.labels[child] - g_min)
                 part = tm[k : k + m]
             else:
-                # label i scans the window at k = m - 1 - i, i ascending
-                crow = rows[child]
-                part = [min(map(add, tm[k : k + m], crow)) for k in range(m - 1, -1, -1)]
+                part = internal_part(rows[child])
             acc = list(map(add, acc, part))
         rows[v] = tuple(acc)
     return CostTable(g_min=g_min, g_max=g_max, rows=tuple(rows))
+
+
+def _scan(tm: list[int], m: int):
+    def part(crow: tuple) -> list[int]:
+        # label i scans the window at k = m - 1 - i, i ascending
+        return [min(map(add, tm[k : k + m], crow)) for k in range(m - 1, -1, -1)]
+
+    return part
+
+
+def _slope_merge(tm: list[int], m: int):
+    # tm read as a function of d = i - j in [-(m-1), m-1]; convolved with a
+    # row over j in [0, m-1] it covers i in [-(m-1), 2m-2], starting from
+    # tm[0] + row[0], and labels 0..m-1 are its entries m-1..2m-2
+    theta_slopes = list(map(sub, tm[1:], tm))
+
+    def part(crow: tuple) -> list[int]:
+        merged = sorted(theta_slopes + list(map(sub, crow[1:], crow)))
+        sums = accumulate(merged, initial=tm[0] + crow[0])
+        return list(islice(sums, m - 1, 2 * m - 1))
+
+    return part
+
+
+def dp_up(t: Tree, l: LeafLabeling, c: CostFunction) -> CostTable:
+    """Fill the cost table bottom-up by direct scan (the dp up phase)."""
+    return _up_phase(t, l, c, _scan)
+
+
+def require_convex(c: CostFunction) -> None:
+    """UnsupportedAlgorithm unless convex_up applies to ``c``."""
+    if not c.is_convex:
+        raise UnsupportedAlgorithm(
+            f"convex solver needs a cost whose increments never decrease, got {c.spec()!r}"
+        )
+
+
+def convex_up(t: Tree, l: LeafLabeling, c: CostFunction) -> CostTable:
+    """The table of dp_up, in O(N * m) by slope merge; convex costs only."""
+    require_convex(c)
+    return _up_phase(t, l, c, _slope_merge)
 
 
 def min_total(ct: CostTable, root: int) -> tuple[int, list[int]]:

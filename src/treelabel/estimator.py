@@ -26,13 +26,16 @@ class TreeLabeler:
 
     Parameters
     ----------
-    algorithm : {"auto", "dp", "interval", "oracle"}, default "auto"
+    algorithm : {"auto", "dp", "convex", "interval", "oracle"}, default "auto"
         "interval" is the linear Manhattan solver (binary trees only),
-        "dp" the general dynamic program, "oracle" exhaustive enumeration.
-        "auto" picks interval when it applies, dp otherwise. dp scans every
-        (label, child label) pair directly in builtins, a windowed
-        min(map(add, ...)) per label: O(N * m^2) time and O(N * m) memory,
-        with a leaf child contributing in O(m).
+        "convex" the dynamic program for a convex cost (manhattan, power:k,
+        a table whose increments never decrease), "dp" the dynamic program
+        for any cost, "oracle" exhaustive enumeration. "auto" picks
+        interval when it applies, else convex when it applies, else dp.
+        dp scans every (label, child label) pair directly in builtins, a
+        windowed min(map(add, ...)) per label: O(N * m^2) time. convex
+        builds the same cost table by slope merge in O(N * m). Both use
+        O(N * m) memory, with a leaf child contributing in O(m).
     cost : str or CostFunction, default "manhattan"
         Edge-cost spec: "manhattan", "power:<k>" or "table:<c0,c1,...>".
     tie : {"lowest", "highest", "midpoint"}, default "lowest"
@@ -46,7 +49,7 @@ class TreeLabeler:
     algorithm_          : the solver actually used
     g_min_, g_max_, m_  : leaf-label range
     intervals_          : IntervalAssignment or None (interval runs)
-    cost_table_         : CostTable or None (dp runs)
+    cost_table_         : CostTable or None (dp and convex runs)
 
     intervals_ and cost_table_ are the up-phase results of the solve
     itself; fit computes each one once.
@@ -103,9 +106,11 @@ class TreeLabeler:
         self.g_max_ = doc.leaf_labels.g_max
         self.m_ = doc.leaf_labels.m
         self.intervals_: Optional[IntervalAssignment] = (
-            up_phase if algorithm == "interval" else None
+            up_phase if isinstance(up_phase, IntervalAssignment) else None
         )
-        self.cost_table_: Optional[CostTable] = up_phase if algorithm == "dp" else None
+        self.cost_table_: Optional[CostTable] = (
+            up_phase if isinstance(up_phase, CostTable) else None
+        )
         return self
 
     def fit_predict(self, X: InstanceLike, y: Optional[Mapping[int, int]] = None) -> list:

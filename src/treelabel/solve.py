@@ -6,17 +6,21 @@ from typing import Optional, Union
 
 from .costs import CostFunction, Labeling, LeafLabeling
 from .dp import TIES as DP_TIES
-from .dp import CostTable, dp_down, dp_up
+from .dp import CostTable, convex_up, dp_down, dp_up, require_convex
 from .errors import UnsupportedAlgorithm
 from .intervals import TIES as INTERVAL_TIES
 from .intervals import IntervalAssignment, bottom_up_intervals, top_down_labels
 from .oracle import brute_force_min
 from .tree import Tree, is_binary
 
-ALGORITHMS = ("auto", "dp", "interval", "oracle")
+ALGORITHMS = ("auto", "dp", "convex", "interval", "oracle")
+
+# the algorithms whose up phase is a CostTable
+TABLE_ALGORITHMS = ("dp", "convex")
 
 _TIES_BY_ALGORITHM = {
     "dp": DP_TIES,
+    "convex": DP_TIES,
     "interval": INTERVAL_TIES,
     "oracle": ("lowest",),
 }
@@ -25,12 +29,13 @@ _TIES_BY_ALGORITHM = {
 def choose_algorithm(algorithm: str, t: Tree, c: CostFunction) -> str:
     """Resolve "auto" and reject impossible requests.
 
-    auto picks the interval solver exactly when it applies (binary tree,
-    Manhattan cost) since it is asymptotically the better one, and the DP
-    otherwise. Forcing "interval" on anything else is an error, never a
-    silent fallback: a non-Manhattan cost is rejected here, a non-binary
-    tree by bottom_up_intervals (NotBinaryTree), so an already resolved
-    name passes through without another tree pass.
+    auto picks the first solver that applies, fastest first: interval
+    (binary tree, Manhattan cost, O(N)), then convex (convex cost,
+    O(N * m)), then dp (O(N * m^2)). Forcing a solver that does not apply
+    is an error, never a silent fallback: a non-Manhattan cost for
+    interval and a non-convex cost for convex are rejected here, a
+    non-binary tree by bottom_up_intervals (NotBinaryTree), so an already
+    resolved name passes through without another tree pass.
     """
     if algorithm not in ALGORITHMS:
         raise UnsupportedAlgorithm(
@@ -39,11 +44,13 @@ def choose_algorithm(algorithm: str, t: Tree, c: CostFunction) -> str:
     if algorithm == "auto":
         if c.kind == "manhattan" and is_binary(t):
             return "interval"
-        return "dp"
+        return "convex" if c.is_convex else "dp"
     if algorithm == "interval" and c.kind != "manhattan":
         raise UnsupportedAlgorithm(
             f"interval solver supports manhattan cost only, got {c.spec()!r}"
         )
+    if algorithm == "convex":
+        require_convex(c)
     return algorithm
 
 
@@ -57,9 +64,10 @@ def solve_scalar(
 ) -> tuple[str, Labeling, Optional[Union[CostTable, IntervalAssignment]]]:
     """Solve one scalar instance: (resolved algorithm, labeling, up-phase result).
 
-    The up-phase result is the CostTable of a dp solve or the
-    IntervalAssignment of an interval solve, handed back so that callers
-    reuse it instead of computing it again; the oracle has none (None).
+    The up-phase result is the CostTable of a dp or convex solve (the
+    same table either way) or the IntervalAssignment of an interval solve,
+    handed back so that callers reuse it instead of computing it again;
+    the oracle has none (None).
     The oracle path returns the first optimal labeling in enumeration
     order and only supports the default tie rule.
     """
@@ -70,8 +78,8 @@ def solve_scalar(
             f"tie {tie!r} is not available for the {resolved} solver "
             f"(allowed: {', '.join(allowed_ties)})"
         )
-    if resolved == "dp":
-        table = dp_up(t, l, c)
+    if resolved in TABLE_ALGORITHMS:
+        table = (convex_up if resolved == "convex" else dp_up)(t, l, c)
         return resolved, dp_down(t, table, c, tie=tie), table
     if resolved == "interval":
         intervals = bottom_up_intervals(t, l)

@@ -9,6 +9,7 @@ from treelabel import (
     Labeling,
     bottom_up_intervals,
     choose_algorithm,
+    convex_up,
     dp_up,
     parse_newick,
 )
@@ -55,8 +56,13 @@ class TestSolve:
 
     def test_auto_dispatch_reported(self, capsys, tmp_path):
         path = tmp_path / "t.nwk"
-        path.write_text("(1,2,3);")  # non-binary: auto must pick dp
+        path.write_text("(1,2,3);")  # non-binary, convex cost: auto must pick convex
         code, out, _ = run(capsys, "solve", str(path), "--format", "json")
+        assert code == 0
+        assert json.loads(out)["algorithm"] == "convex"
+        # increments 5, 1, 5: not convex, so auto falls back to dp
+        code, out, _ = run(capsys, "solve", str(path), "--format", "json",
+                           "--cost", "table:0,5,6,11")
         assert code == 0
         assert json.loads(out)["algorithm"] == "dp"
 
@@ -120,11 +126,13 @@ class TestSolve:
         path = tmp_path / "t.nwk"
         out_csv = tmp_path / "table.csv"
         path.write_text(text)
-        calls = count_calls(monkeypatch, dp_up)
+        dp_calls = count_calls(monkeypatch, dp_up)
+        convex_calls = count_calls(monkeypatch, convex_up)
         code, _, _ = run(capsys, "solve", str(path), "--cost", "power:2",
                          "--dump-table", str(out_csv))
         assert code == 0
-        assert len(calls) == 1
+        # auto resolves to convex, whose table is dp_up's
+        assert (len(convex_calls), len(dp_calls)) == (1, 0)
         doc = parse_newick(text)
         expected = cost_table_csv(dp_up(doc.tree, doc.leaf_labels, CostFunction.power(2)))
         assert out_csv.read_bytes() == expected.encode()
@@ -159,8 +167,8 @@ class TestSolve:
         assert code == 2
         assert err.startswith("error:UnsupportedAlgorithm:")
         assert calls == []
-        path.write_text("(1,2,3);")  # auto resolves to dp
-        calls = count_calls(monkeypatch, dp_up)
+        path.write_text("(1,2,3);")  # auto resolves to convex
+        calls = count_calls(monkeypatch, convex_up)
         code, _, err = run(capsys, "solve", str(path), "--dump-intervals", str(out_csv))
         assert code == 2
         assert err.startswith("error:UnsupportedAlgorithm:")
@@ -314,6 +322,42 @@ class TestCheck:
         assert "result: DISAGREEMENT" in out
         assert err.startswith("error:CheckDisagreement:(2,7);")
 
+    def test_convex_cross_checked(self, capsys, tmp_path):
+        path = tmp_path / "batch.nwk"
+        path.write_text("(2,7);\n((1,5,2),(9,(3)));\n")
+        code, out, _ = run(capsys, "check", str(path), "--cost", "power:2", "--verbose")
+        assert code == 0
+        assert "dp vs convex: 2/2 agree" in out
+        assert "convex vs oracle: 2/2 agree" in out
+        assert "dp=13 oracle=13 convex=13" in out
+        # a non-convex table skips the convex solver
+        code, out, _ = run(capsys, "check", str(path), "--cost", "table:0,5,6,11,12,13,14,15,16")
+        assert code == 0
+        assert "dp vs convex: 0/0 agree" in out
+        assert "convex vs oracle: 0/0 agree" in out
+        assert "dp vs oracle: 2/2 agree" in out
+
+    def test_corrupted_convex_detected(self, capsys, tmp_path, monkeypatch):
+        path = tmp_path / "batch.nwk"
+        path.write_text("((1,5,2),(9,(3)));\n(2,7);\n")
+
+        real_solve_scalar = cli.solve_scalar
+
+        def broken_convex(tree, leaves, cost, algorithm="auto", **kwargs):
+            name, labeling, up_phase = real_solve_scalar(
+                tree, leaves, cost, algorithm=algorithm, **kwargs
+            )
+            if name != "convex":
+                return name, labeling, up_phase
+            return name, Labeling(labeling.values, labeling.total_cost + 1), up_phase
+
+        monkeypatch.setattr(cli, "solve_scalar", broken_convex)
+        code, out, err = run(capsys, "check", str(path), "--cost", "power:2")
+        assert code == 3
+        assert "result: DISAGREEMENT" in out
+        assert "dp vs convex: 0/2 agree" in out
+        assert err.startswith("error:CheckDisagreement:(2,7);")
+
     def test_seed_required_when_generating(self, capsys):
         code, _, err = run(capsys, "check", "--gen-count", "5")
         assert code == 1
@@ -350,6 +394,26 @@ class TestBench:
                            "--n-grid", "4", "--m-grid", "4", "--seed", "1")
         assert code == 2
         assert err.startswith("error:UnsupportedAlgorithm:")
+
+    def test_dp_rows_time_the_direct_scan_only(self, capsys, monkeypatch):
+        # criterion 7 times "dp" and relies on its O(N * m^2) scan
+        dp_calls = count_calls(monkeypatch, dp_up)
+        convex_calls = count_calls(monkeypatch, convex_up)
+        code, out, _ = run(capsys, "bench", "--algorithms", "dp", "--cost", "manhattan",
+                           "--n-grid", "6", "--m-grid", "4,8", "--reps", "5", "--seed", "7")
+        assert code == 0
+        assert [row.split(",")[0] for row in out.strip().split("\n")[1:]] == ["dp", "dp"]
+        assert len(dp_calls) == 2 * (5 + 1)  # warmup plus repetitions, per cell
+        assert convex_calls == []
+
+    def test_convex_rows(self, capsys, monkeypatch):
+        convex_calls = count_calls(monkeypatch, convex_up)
+        code, out, _ = run(capsys, "bench", "--algorithms", "convex", "--cost", "power:2",
+                           "--n-grid", "6", "--m-grid", "8", "--reps", "5", "--seed", "7")
+        assert code == 0
+        rows = out.strip().split("\n")[1:]
+        assert len(rows) == 1 and rows[0].startswith("convex,")
+        assert len(convex_calls) == 5 + 1
 
     def test_too_few_reps_rejected(self, capsys):
         code, _, err = run(capsys, "bench", "--n-grid", "4", "--m-grid", "4",

@@ -14,8 +14,11 @@ from treelabel import (
     CostFunction,
     DifferenceOutOfRange,
     LeafLabeling,
+    UnsupportedAlgorithm,
     brute_force_min,
     build_tree,
+    choose_algorithm,
+    convex_up,
     dp_down,
     dp_up,
     eval_total,
@@ -23,6 +26,7 @@ from treelabel import (
     parse_newick,
     random_document,
     solve_dp,
+    solve_scalar,
 )
 from treelabel.dp import cost_table_csv
 
@@ -69,8 +73,9 @@ class TestDpUp:
 
     def test_custom_table_too_short_rejected_up_front(self):
         doc = parse_newick("(0,9);")  # needs differences up to 9
-        with pytest.raises(DifferenceOutOfRange):
-            dp_up(doc.tree, doc.leaf_labels, CostFunction.from_table([0, 1, 2]))
+        for up_phase in (dp_up, convex_up):
+            with pytest.raises(DifferenceOutOfRange):
+                up_phase(doc.tree, doc.leaf_labels, CostFunction.from_table([0, 1, 2]))
 
     def test_matches_two_term_binary_recurrence(self):
         # the general child-sum recurrence must equal the explicit
@@ -336,3 +341,78 @@ class TestBeyondFloatRange:
         assert cost(64) > 1e308
         labeling = solve_dp(doc.tree, doc.leaf_labels, cost)
         assert labeling.total_cost == brute_force_min(doc.tree, doc.leaf_labels, cost).cost
+
+    def test_convex_up_matches_dp(self):
+        doc = parse_newick("((0,(0,64)),(64,(3,(7,40))));")
+        cost = CostFunction.power(200)
+        table = convex_up(doc.tree, doc.leaf_labels, cost)
+        assert table == dp_up(doc.tree, doc.leaf_labels, cost)
+        finite = [x for row in table.rows for x in row if x != INF]
+        assert all(type(x) is int for x in finite)
+        assert max(finite) > 1e308
+
+
+# increments 1, 1, 2, 2, 2, 3, ...: nondecreasing with equal steps, so
+# convex without being strictly convex; long enough for spans up to 12
+CONVEX_TABLE = CostFunction.from_spec("table:0,1,2,4,6,8,11,14,17,21,25,29,34")
+
+
+@pytest.mark.parametrize(
+    "spec,convex",
+    [
+        ("manhattan", True),
+        ("power:1", True),
+        ("power:7", True),
+        ("table:0", True),
+        ("table:0,3", True),
+        ("table:0,1,2,3", True),
+        ("table:0,1,2,4,6,8", True),
+        ("table:0,2,3", False),
+        ("table:0,5,6,11", False),
+        # judged on the whole table: only the last increment decreases
+        ("table:0,1,2,4,6,8,9", False),
+    ],
+)
+def test_is_convex(spec, convex):
+    assert CostFunction.from_spec(spec).is_convex is convex
+
+
+class TestConvexUp:
+    """The slope merge builds dp_up's table, so every labeling is dp's too."""
+
+    COSTS = (MANHATTAN, SQUARE, CostFunction.power(3), CostFunction.power(200), CONVEX_TABLE)
+
+    def test_tables_and_labelings_identical_to_dp(self):
+        rng = random.Random(23)
+        shapes = {"single": 0, "unary": 0, "wide": 0, "m=1": 0}
+        for index in range(120):
+            n_nodes = 1 if index == 0 else rng.randint(2, 14)
+            lo = rng.randint(-5, 5)
+            span = 0 if index % 10 == 1 else rng.randint(0, 12)
+            t, leaves = _random_instance(rng, n_nodes, lo, lo + span)
+            arities = [len(t.children[v]) for v in range(t.node_count) if not t.is_leaf(v)]
+            shapes["single"] += t.node_count == 1
+            shapes["unary"] += 1 in arities
+            shapes["wide"] += any(a >= 3 for a in arities)
+            shapes["m=1"] += leaves.m == 1
+            for cost in self.COSTS:
+                table = convex_up(t, leaves, cost)
+                assert table == dp_up(t, leaves, cost)
+                assert table.rows == scan_dp_up(t, leaves, cost).rows
+                for tie in ("lowest", "highest"):
+                    name, got, up_phase = solve_scalar(t, leaves, cost, "convex", tie)
+                    _, expected, _ = solve_scalar(t, leaves, cost, "dp", tie)
+                    assert (name, up_phase) == ("convex", table)
+                    assert got.values == expected.values
+                    assert got.total_cost == expected.total_cost
+        assert all(count > 0 for count in shapes.values()), shapes
+
+    def test_non_convex_cost_rejected(self):
+        doc = parse_newick("((0,3),(1,2,2));")
+        cost = CostFunction.from_spec("table:0,5,6,11")
+        with pytest.raises(UnsupportedAlgorithm):
+            convex_up(doc.tree, doc.leaf_labels, cost)
+        with pytest.raises(UnsupportedAlgorithm):
+            choose_algorithm("convex", doc.tree, cost)
+        assert choose_algorithm("auto", doc.tree, cost) == "dp"
+        assert choose_algorithm("auto", doc.tree, SQUARE) == "convex"

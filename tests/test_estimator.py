@@ -7,6 +7,7 @@ from treelabel import (
     TreeLabeler,
     UnsupportedAlgorithm,
     bottom_up_intervals,
+    convex_up,
     dp_up,
     is_binary,
     parse_newick,
@@ -40,17 +41,23 @@ class TestFit:
         assert est.cost_ == 5
 
     def test_dp_path_exposes_cost_table(self):
+        # auto takes convex for a convex cost; forced dp builds the same table
         est = TreeLabeler(cost="power:2").fit("((1,5),9);")
-        assert est.algorithm_ == "dp"
+        assert est.algorithm_ == "convex"
         assert est.cost_ == 23
         assert est.cost_table_ is not None
         assert est.intervals_ is None
+        forced = TreeLabeler(algorithm="dp", cost="power:2").fit("((1,5),9);")
+        assert forced.algorithm_ == "dp"
+        assert forced.cost_table_ == est.cost_table_
+        assert forced.intervals_ is None
 
     def test_dp_fit_runs_the_up_phase_once(self, monkeypatch):
-        calls = count_calls(monkeypatch, dp_up)
+        dp_calls = count_calls(monkeypatch, dp_up)
+        convex_calls = count_calls(monkeypatch, convex_up)
         est = TreeLabeler(cost="power:2").fit("((1,5,2),(9,(3)));")
-        assert est.algorithm_ == "dp"
-        assert len(calls) == 1
+        assert est.algorithm_ == "convex"
+        assert (len(convex_calls), len(dp_calls)) == (1, 0)
         doc = parse_newick("((1,5,2),(9,(3)));")
         assert est.cost_table_ == dp_up(doc.tree, doc.leaf_labels, CostFunction.power(2))
 

@@ -174,7 +174,7 @@ class TestSolveKtuple:
         doc = tuple_doc("(1|2,2|3,3|4);")
         with pytest.raises(NotBinaryTree):
             solve_ktuple(doc.tree, doc.leaf_labels, MANHATTAN, algorithm="interval")
-        # auto quietly falls back to dp for the non-binary tree
+        # auto quietly falls back to convex for the non-binary tree
         assert solve_ktuple(doc.tree, doc.leaf_labels, MANHATTAN).total_cost == \
             tuple_brute_force_cost(doc.tree, 2, doc.leaf_labels.labels, MANHATTAN)
 
