@@ -10,8 +10,8 @@ Four solvers, cross-checkable against each other:
     range, any tree arity, any theta. O(N * m^2), a direct scan.
   - convex_up: the same cost table in O(N * m) by slope merge, for a
     convex theta (increments that never decrease).
-  - solve_interval: interval propagation, linear time, for Manhattan
-    cost on binary trees.
+  - solve_interval: interval propagation by the median rule, O(N log d)
+    for maximum arity d, for Manhattan cost on any tree.
   - brute_force_min: exhaustive enumeration, the testing ground truth.
 
 k-tuple labelings (nondecreasing integer tuples per node) are handled by
@@ -36,7 +36,6 @@ from .errors import (
     NewickSyntaxError,
     NonIntegerLeafName,
     NoRoot,
-    NotBinaryTree,
     TreeLabelError,
     TupleDecompositionNotMonotone,
     TupleLengthMismatch,
@@ -49,7 +48,6 @@ from .generate import random_document, random_topology
 from .intervals import (
     IntervalAssignment,
     bottom_up_intervals,
-    merge_intervals,
     solve_interval,
     top_down_labels,
 )
@@ -90,7 +88,6 @@ __all__ = [
     "NewickSyntaxError",
     "NoRoot",
     "NonIntegerLeafName",
-    "NotBinaryTree",
     "OptimumSet",
     "Tree",
     "TreeLabelError",
@@ -114,7 +111,6 @@ __all__ = [
     "enumerate_optimal",
     "eval_total",
     "is_binary",
-    "merge_intervals",
     "min_total",
     "optimal_label_sets",
     "parse_newick",

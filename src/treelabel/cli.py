@@ -13,11 +13,11 @@ solving; check runs solve_scalar per solver and skips inapplicable ones;
 bench times solve_scalar per algorithm, so an inapplicable one fails it.
 
 Exit codes: 0 success; 1 parse or validation failure; 2 solver
-precondition failure (non-binary tree for the interval solver, oracle
-budget, unsupported combinations); 3 check found a disagreement. Every
-failure prints a single diagnostic line "error:<code>:<message>" to
-stderr. Identical input, flags and seed reproduce identical stdout bytes
-(timings in bench output excepted).
+precondition failure (oracle budget, unsupported combinations such as a
+non-Manhattan cost for the interval solver); 3 check found a
+disagreement. Every failure prints a single diagnostic line
+"error:<code>:<message>" to stderr. Identical input, flags and seed
+reproduce identical stdout bytes (timings in bench output excepted).
 """
 
 from __future__ import annotations
@@ -33,7 +33,6 @@ import time
 from .dp import cost_table_csv
 from .errors import (
     BudgetExceeded,
-    NotBinaryTree,
     TreeLabelError,
     TupleDecompositionNotMonotone,
     UnsupportedAlgorithm,
@@ -54,7 +53,6 @@ from .tuples import solve_ktuple
 from .validation import resolve_cost
 
 _PRECONDITION_ERRORS = (
-    NotBinaryTree,
     BudgetExceeded,
     UnsupportedAlgorithm,
     TupleDecompositionNotMonotone,
@@ -177,7 +175,7 @@ def cmd_check(args: argparse.Namespace) -> int:
                 _, labeling, _ = solve_scalar(
                     doc.tree, doc.leaf_labels, cost, algorithm=name, budget=budget
                 )
-            except (NotBinaryTree, UnsupportedAlgorithm, BudgetExceeded):
+            except (UnsupportedAlgorithm, BudgetExceeded):
                 continue  # this solver does not apply to the instance
             costs[name] = labeling.total_cost
 

@@ -184,8 +184,9 @@ def check_leaf_coverage(t: Tree, labels: Mapping[int, object]) -> None:
 class Labeling:
     """A full labeling of every node, with its total cost cached.
 
-    The cached cost is always recomputed via eval_total at construction
-    time by the solvers; tests recompute it again rather than trusting it.
+    The solvers fill in the cost they already know: dp_down the minimum
+    of the root row, the oracle its best sum, top_down_labels an
+    eval_total pass. Tests recompute it rather than trusting it.
     """
 
     values: Mapping[int, int]

@@ -56,7 +56,7 @@ from dataclasses import dataclass
 from itertools import accumulate, islice
 from operator import add, sub
 
-from .costs import CostFunction, Labeling, LeafLabeling, eval_total, theta
+from .costs import CostFunction, Labeling, LeafLabeling, theta
 from .errors import UnsupportedAlgorithm
 from .tree import Tree
 
@@ -202,7 +202,7 @@ def dp_down(t: Tree, ct: CostTable, c: CostFunction, tie: str = "lowest") -> Lab
             values[v] = g_min + m - 1 - scores[::-1].index(best)
         else:
             values[v] = g_min + scores.index(best)
-    return Labeling(values=values, total_cost=eval_total(t, c, values))
+    return Labeling(values=values, total_cost=cost)
 
 
 def solve_dp(

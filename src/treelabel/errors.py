@@ -54,10 +54,6 @@ class DifferenceOutOfRange(TreeLabelError):
 
 # --- solvers ------------------------------------------------------------- #
 
-class NotBinaryTree(TreeLabelError):
-    """The interval solver was given a tree with a non-binary internal node."""
-
-
 class UnsupportedAlgorithm(TreeLabelError):
     """The requested algorithm/cost/tie combination is not available."""
 

@@ -27,11 +27,12 @@ class TreeLabeler:
     Parameters
     ----------
     algorithm : {"auto", "dp", "convex", "interval", "oracle"}, default "auto"
-        "interval" is the linear Manhattan solver (binary trees only),
-        "convex" the dynamic program for a convex cost (manhattan, power:k,
-        a table whose increments never decrease), "dp" the dynamic program
-        for any cost, "oracle" exhaustive enumeration. "auto" picks
-        interval when it applies, else convex when it applies, else dp.
+        "interval" is the Manhattan solver by interval propagation (any
+        arity, O(N log d) for maximum arity d), "convex" the dynamic
+        program for a convex cost (manhattan, power:k, a table whose
+        increments never decrease), "dp" the dynamic program for any cost,
+        "oracle" exhaustive enumeration. "auto" picks interval for a binary
+        tree and Manhattan cost, else convex when it applies, else dp.
         dp scans every (label, child label) pair directly in builtins, a
         windowed min(map(add, ...)) per label: O(N * m^2) time. convex
         builds the same cost table by slope merge in O(N * m). Both use

@@ -1,25 +1,30 @@
-"""Linear-time Manhattan solver for binary trees via interval propagation.
+"""Manhattan solver for trees of any arity via interval propagation.
 
 Bottom-up stage (Tree.order reversed, children first): each leaf gets
-the degenerate interval [p, p]; each internal node gets the merge of its
-two children's intervals:
+the degenerate interval [p, p]. An internal node with r children gets
+the interval between the r-th and the (r+1)-th smallest of its
+children's 2r interval ends. This is the median rule of ordered-character
+(Wagner) parsimony (Farris 1970; Swofford & Maddison 1987). For r = 1 it
+copies the child's interval; for r = 2 it is the intersection of the two
+intervals when they overlap and the gap between them when they do not.
 
-    overlap                -> the intersection
-    a entirely below b     -> the gap [a.hi, b.lo]
-    b entirely below a     -> the gap [b.hi, a.lo]
-
-Touching intervals (a.hi == b.lo) fall into the intersection case and
-both rules agree on the single shared point.
+Why the rule is optimal: under Manhattan cost the subtree cost S_b of a
+child b is convex with integer slopes and flat exactly on b's interval
+I_b = [lo, hi] at its minimum M_b, so the child contributes
+M_b + dist(i, I_b) to its parent labeled i. Since
+dist(i, [lo, hi]) = (|i - lo| + |i - hi| - (hi - lo)) / 2, the sum over
+the children is, up to a constant, half the sum of |i - e| over the 2r
+ends e, which is minimal exactly between its two middle ends.
 
 Top-down stage (Tree.order, parents first): pick any root label from the
 root interval (the lowest by default; all choices are equally optimal),
 then give every other node the point of its interval nearest to its
-parent's label, i.e. the parent label clamped into the interval. The result attains the
-Manhattan optimum, and the whole thing is O(N) independent of the label
-range.
+parent's label, i.e. the parent label clamped into the interval. A
+child's contribution grows with its distance from its interval, so the
+clamp is optimal at every arity. The up stage is O(N log d) for maximum
+arity d, independent of the label range; the down stage is O(N).
 
-This construction is Manhattan-and-binary specific; other cost functions
-or arities go through the DP solver.
+Other cost functions go through the DP solvers.
 """
 
 from __future__ import annotations
@@ -27,7 +32,6 @@ from __future__ import annotations
 from dataclasses import dataclass
 
 from .costs import CostFunction, Labeling, LeafLabeling, eval_total
-from .errors import NotBinaryTree
 from .tree import Tree
 
 Interval = tuple[int, int]
@@ -46,36 +50,27 @@ class IntervalAssignment:
         return self.intervals[node]
 
 
-def merge_intervals(a: Interval, b: Interval) -> Interval:
-    """Parent interval of two child intervals: intersection, else the gap."""
-    lo = max(a[0], b[0])
-    hi = min(a[1], b[1])
-    if lo <= hi:
-        return lo, hi
-    if a[1] < b[0]:
-        return a[1], b[0]
-    return b[1], a[0]
-
-
 def bottom_up_intervals(t: Tree, l: LeafLabeling) -> IntervalAssignment:
     """Assign every node its optimal interval, children before parents.
 
-    Raises NotBinaryTree at the first internal node (in that order) whose
-    child count is not 2.
+    >>> from treelabel import parse_newick
+    >>> doc = parse_newick("(1,2,3);")
+    >>> bottom_up_intervals(doc.tree, doc.leaf_labels)[doc.tree.root]
+    (2, 2)
     """
+    children, labels = t.children, l.labels
     intervals: list = [None] * t.node_count
+    interval_of = intervals.__getitem__
     for v in reversed(t.order):
-        if t.is_leaf(v):
-            p = l.labels[v]
+        kids = children[v]
+        if not kids:
+            p = labels[v]
             intervals[v] = (p, p)
             continue
-        try:
-            left, right = t.children[v]
-        except ValueError:
-            raise NotBinaryTree(
-                "interval solver needs every internal node to have exactly 2 children"
-            ) from None
-        intervals[v] = merge_intervals(intervals[left], intervals[right])
+        # the r-th and (r+1)-th smallest of the children's 2r interval ends
+        ends = sorted(sum(map(interval_of, kids), ()))
+        r = len(kids)
+        intervals[v] = ends[r - 1], ends[r]
     return IntervalAssignment(intervals=tuple(intervals))
 
 
@@ -110,7 +105,7 @@ def top_down_labels(
 
 
 def solve_interval(t: Tree, l: LeafLabeling, tie: str = "lowest") -> Labeling:
-    """Both stages in one call. Manhattan cost, binary trees only."""
+    """Both stages in one call. Manhattan cost, any arity."""
     return top_down_labels(t, bottom_up_intervals(t, l), tie=tie)
 
 

@@ -31,11 +31,13 @@ def choose_algorithm(algorithm: str, t: Tree, c: CostFunction) -> str:
 
     auto picks the first solver that applies, fastest first: interval
     (binary tree, Manhattan cost, O(N)), then convex (convex cost,
-    O(N * m)), then dp (O(N * m^2)). Forcing a solver that does not apply
-    is an error, never a silent fallback: a non-Manhattan cost for
-    interval and a non-convex cost for convex are rejected here, a
-    non-binary tree by bottom_up_intervals (NotBinaryTree), so an already
-    resolved name passes through without another tree pass.
+    O(N * m)), then dp (O(N * m^2)). The interval solver handles any
+    arity, but auto takes it only for a binary tree: on other trees its
+    clamp labeling can differ from convex's at equal cost, and auto's
+    output there is convex's. Forcing a solver that does not apply is an
+    error, never a silent fallback: a non-Manhattan cost for interval and
+    a non-convex cost for convex are rejected here, and an already
+    resolved name passes through without a tree pass.
     """
     if algorithm not in ALGORITHMS:
         raise UnsupportedAlgorithm(

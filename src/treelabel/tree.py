@@ -10,9 +10,9 @@ therefore every solver output, is deterministic. ``Tree.order`` is the
 breadth-first walk from the root, computed once when the tree is built:
 every parent comes before its children, so the solvers' up phases walk it
 reversed and their down phases walk it forwards. Trees of arbitrary
-arity are accepted, including internal nodes with a single child; the
-binary-only restriction belongs to the interval solver, not to the data
-model. A single node that is both root and leaf is a valid tree.
+arity are accepted, including internal nodes with a single child; every
+solver handles them, and binarity matters only to auto's choice of
+solver. A single node that is both root and leaf is a valid tree.
 """
 
 from __future__ import annotations

@@ -99,6 +99,33 @@ def binary_dp_rows(t: Tree, l: LeafLabeling, c: CostFunction):
 
 
 # ------------------------------------------------------------------ #
+# pairwise interval merge (reference for the median rule, binary)     #
+# ------------------------------------------------------------------ #
+
+def reference_merge_intervals(a, b):
+    """Parent interval of two child intervals: intersection, else the gap."""
+    lo = max(a[0], b[0])
+    hi = min(a[1], b[1])
+    if lo <= hi:
+        return lo, hi
+    if a[1] < b[0]:
+        return a[1], b[0]
+    return b[1], a[0]
+
+
+def reference_binary_intervals(t: Tree, l: LeafLabeling):
+    """Per-node intervals of a binary tree by the pairwise merge."""
+    intervals = {}
+    for v in postorder(t):
+        if t.is_leaf(v):
+            intervals[v] = (l.labels[v], l.labels[v])
+            continue
+        left, right = t.children[v]
+        intervals[v] = reference_merge_intervals(intervals[left], intervals[right])
+    return [intervals[v] for v in range(t.node_count)]
+
+
+# ------------------------------------------------------------------ #
 # triple-loop DP (reference for the windowed scan in treelabel.dp)    #
 # ------------------------------------------------------------------ #
 
@@ -412,6 +439,26 @@ def random_strict_table(rng, length):
     for _ in range(length - 1):
         values.append(values[-1] + rng.randint(1, 5))
     return CostFunction.from_table(values)
+
+
+def random_instance(rng, n_nodes, lo, hi, max_arity=4):
+    """Random tree of arity 1..max_arity (unary chains included) with
+    leaf labels in [lo, hi].
+
+    Nodes attach one by one to a random earlier node that has fewer than
+    max_arity children; nodes left childless are the leaves. n_nodes=1 is
+    the single-node tree.
+    """
+    parent_of = [None]
+    child_count = [0]
+    for v in range(1, n_nodes):
+        p = rng.choice([u for u in range(v) if child_count[u] < max_arity])
+        parent_of.append(p)
+        child_count[p] += 1
+        child_count.append(0)
+    t = build_tree(parent_of)
+    labels = {v: rng.randint(lo, hi) for v in t.leaves()}
+    return t, LeafLabeling.for_tree(t, labels)
 
 
 def star_tree(n_leaves):

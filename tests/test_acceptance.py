@@ -41,7 +41,6 @@ from treelabel import (
     brute_force_min,
     document_to_newick,
     enumerate_optimal,
-    is_binary,
     optimal_label_sets,
     parse_newick,
     parse_newick_tuples,
@@ -127,7 +126,7 @@ def randomized_tier():
             oracle_cost = brute_force_min(tree, doc_labels, cost, max_labelings=1).cost
             interval_cost = None
             interval_labeling = None
-            if kind == "manhattan" and is_binary(tree):
+            if kind == "manhattan":
                 interval_labeling = solve_interval(tree, doc_labels)
                 interval_cost = interval_labeling.total_cost
             results.append(

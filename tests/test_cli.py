@@ -79,12 +79,13 @@ class TestSolve:
         assert code == 1
         assert err.startswith("error:IO:")
 
-    def test_interval_on_non_binary_exit_2(self, capsys, tmp_path):
+    def test_interval_on_non_binary_solves(self, capsys, tmp_path):
         path = tmp_path / "t.nwk"
         path.write_text("(1,2,3);")
-        code, _, err = run(capsys, "solve", str(path), "--algorithm", "interval")
-        assert code == 2
-        assert err.startswith("error:NotBinaryTree:")
+        code, out, err = run(capsys, "solve", str(path), "--algorithm", "interval")
+        assert code == 0
+        assert out == "(1,2,3)2;\n"
+        assert err == ""
 
     def test_oracle_budget_exit_2(self, capsys, tmp_path, monkeypatch):
         monkeypatch.setenv("TREELABEL_BUDGET", "10")
@@ -295,8 +296,13 @@ class TestCheck:
                            "--gen-m", "7", "--seed", "12", "--gen-arity", "4",
                            "--cost", "power:2")
         assert code == 0
-        # non-binary instances exist, so the interval solver never ran
+        # the interval solver needs Manhattan cost, so it never ran
         assert "dp vs interval: 0/0 agree" in out
+        code, out, _ = run(capsys, "check", "--gen-count", "15", "--gen-n", "6",
+                           "--gen-m", "7", "--seed", "12", "--gen-arity", "4")
+        assert code == 0
+        assert "dp vs interval: 15/15 agree" in out
+        assert "interval vs oracle: 15/15 agree" in out
 
     def test_corrupted_solver_detected(self, capsys, tmp_path, monkeypatch):
         # harness self-test: break one solver and expect exit 3 plus a

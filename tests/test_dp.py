@@ -5,6 +5,7 @@ import pytest
 
 from helpers import (
     binary_dp_rows,
+    random_instance,
     random_strict_table,
     scan_dp_down,
     scan_dp_up,
@@ -16,7 +17,6 @@ from treelabel import (
     LeafLabeling,
     UnsupportedAlgorithm,
     brute_force_min,
-    build_tree,
     choose_algorithm,
     convex_up,
     dp_down,
@@ -272,25 +272,6 @@ def test_cost_table_csv_shape():
     assert len(lines) == 4
 
 
-def _random_instance(rng, n_nodes, lo, hi):
-    """Random tree of arity 1-4 (unary chains included) with labels in [lo, hi].
-
-    Nodes attach one by one to a random earlier node that has fewer than
-    four children; nodes left childless are the leaves. n_nodes=1 is the
-    single-node tree.
-    """
-    parent_of = [None]
-    child_count = [0]
-    for v in range(1, n_nodes):
-        p = rng.choice([u for u in range(v) if child_count[u] < 4])
-        parent_of.append(p)
-        child_count[p] += 1
-        child_count.append(0)
-    t = build_tree(parent_of)
-    labels = {v: rng.randint(lo, hi) for v in t.leaves()}
-    return t, LeafLabeling.for_tree(t, labels)
-
-
 def _non_convex_table(m):
     """Strictly increasing, increments alternating 5, 1: not convex."""
     values = [0]
@@ -308,7 +289,7 @@ class TestAgainstTripleLoop:
         for index in range(150):
             n_nodes = 1 if index == 0 else rng.randint(2, 14)
             lo = rng.randint(-5, 5)
-            t, leaves = _random_instance(rng, n_nodes, lo, lo + rng.randint(0, 9))
+            t, leaves = random_instance(rng, n_nodes, lo, lo + rng.randint(0, 9))
             arities = [len(t.children[v]) for v in range(t.node_count) if not t.is_leaf(v)]
             shapes["single"] += t.node_count == 1
             shapes["unary"] += 1 in arities
@@ -389,7 +370,7 @@ class TestConvexUp:
             n_nodes = 1 if index == 0 else rng.randint(2, 14)
             lo = rng.randint(-5, 5)
             span = 0 if index % 10 == 1 else rng.randint(0, 12)
-            t, leaves = _random_instance(rng, n_nodes, lo, lo + span)
+            t, leaves = random_instance(rng, n_nodes, lo, lo + span)
             arities = [len(t.children[v]) for v in range(t.node_count) if not t.is_leaf(v)]
             shapes["single"] += t.node_count == 1
             shapes["unary"] += 1 in arities

@@ -3,7 +3,6 @@ import pytest
 from helpers import count_calls
 from treelabel import (
     CostFunction,
-    NotBinaryTree,
     TreeLabeler,
     UnsupportedAlgorithm,
     bottom_up_intervals,
@@ -118,9 +117,10 @@ class TestFit:
         est = TreeLabeler().fit("((1,5),9);")
         assert est.to_newick() == "((1,5)5,9)5;"
 
-    def test_interval_on_non_binary_raises(self):
-        with pytest.raises(NotBinaryTree):
-            TreeLabeler(algorithm="interval").fit("(1,2,3);")
+    def test_interval_on_non_binary_fits(self):
+        est = TreeLabeler(algorithm="interval").fit("(1,(2,4,6),3);")
+        assert est.algorithm_ == "interval"
+        assert est.cost_ == TreeLabeler(algorithm="dp").fit("(1,(2,4,6),3);").cost_
 
     def test_interval_on_non_manhattan_raises(self):
         with pytest.raises(UnsupportedAlgorithm):

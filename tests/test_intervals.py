@@ -2,16 +2,22 @@ import random
 
 import pytest
 
-from helpers import extract_subtree
+from helpers import (
+    extract_subtree,
+    random_instance,
+    reference_binary_intervals,
+    reference_merge_intervals,
+)
 from treelabel import (
     CostFunction,
     LeafLabeling,
-    NotBinaryTree,
+    build_tree,
     bottom_up_intervals,
     brute_force_min,
+    dp_up,
     enumerate_optimal,
     eval_total,
-    merge_intervals,
+    min_total,
     optimal_label_sets,
     parse_newick,
     random_document,
@@ -22,9 +28,22 @@ from treelabel import (
 from treelabel.intervals import interval_csv
 
 MANHATTAN = CostFunction.manhattan()
+TIES = ("lowest", "highest", "midpoint")
+
+
+def any_arity_instances(seed, count, max_nodes, lo=-3, hi=9):
+    """Seeded trees of arity 1-6, unary chains included; the first is the
+    single node."""
+    rng = random.Random(seed)
+    for index in range(count):
+        n_nodes = 1 if index == 0 else rng.randint(2, max_nodes)
+        yield random_instance(rng, n_nodes, lo, hi, max_arity=6)
 
 
 class TestMergeIntervals:
+    # two child intervals (a, b), each the interval of a cherry, merged at
+    # the root of ((a0,a1),(b0,b1)); for two children the median rule is
+    # the pairwise intersection-or-gap rule
     @pytest.mark.parametrize(
         "a,b,expected",
         [
@@ -36,16 +55,73 @@ class TestMergeIntervals:
         ],
     )
     def test_rule(self, a, b, expected):
-        assert merge_intervals(a, b) == expected
+        doc = parse_newick(f"(({a[0]},{a[1]}),({b[0]},{b[1]}));")
+        iv = bottom_up_intervals(doc.tree, doc.leaf_labels)
+        left, right = doc.tree.children[doc.tree.root]
+        assert (iv[left], iv[right]) == (a, b)
+        assert iv[doc.tree.root] == expected
+        assert reference_merge_intervals(a, b) == expected
 
-    def test_symmetric(self):
-        rng = random.Random(30)
-        for _ in range(200):
-            a = tuple(sorted(rng.sample(range(12), 2)))
-            b = tuple(sorted(rng.sample(range(12), 2)))
-            assert merge_intervals(a, b) == merge_intervals(b, a)
-            lo, hi = merge_intervals(a, b)
-            assert lo <= hi
+    def test_child_permutation_invariant_at_every_arity(self):
+        # children are stored in id order, so renumbering the nodes at
+        # random reorders every node's children
+        rng = random.Random(31)
+        for tree, leaves in any_arity_instances(30, 200, 14):
+            iv = bottom_up_intervals(tree, leaves)
+            new_id = list(range(tree.node_count))
+            rng.shuffle(new_id)
+            parent_of = [None] * tree.node_count
+            for v, p in enumerate(tree.parents):
+                parent_of[new_id[v]] = None if p is None else new_id[p]
+            moved = build_tree(parent_of)
+            moved_leaves = LeafLabeling.for_tree(
+                moved, {new_id[v]: x for v, x in leaves.labels.items()}
+            )
+            moved_iv = bottom_up_intervals(moved, moved_leaves)
+            assert all(moved_iv[new_id[v]] == iv[v] for v in range(tree.node_count))
+
+    def test_binary_trees_match_the_pairwise_rule(self):
+        rng = random.Random(39)
+        for _ in range(300):
+            doc = random_document(rng.randint(1, 30), -8, 20, rng, arity="binary")
+            iv = bottom_up_intervals(doc.tree, doc.leaf_labels)
+            assert list(iv.intervals) == reference_binary_intervals(
+                doc.tree, doc.leaf_labels
+            )
+
+
+class TestAnyArity:
+    def test_interval_is_the_minimizer_span_of_the_dp_row(self):
+        # every node's interval is the set of minimizers of its own
+        # subtree cost row, and top_down_labels reaches the dp optimum
+        arities = set()
+        for tree, leaves in any_arity_instances(40, 400, 12):
+            arities.update(len(kids) for kids in tree.children)
+            iv = bottom_up_intervals(tree, leaves)
+            table = dp_up(tree, leaves, MANHATTAN)
+            for v in range(tree.node_count):
+                _, minimizers = min_total(table, v)
+                assert minimizers == list(range(iv[v][0], iv[v][1] + 1))
+            optimum, _ = min_total(table, tree.root)
+            for tie in TIES:
+                labeling = top_down_labels(tree, iv, tie=tie)
+                assert labeling.total_cost == optimum
+                assert eval_total(tree, MANHATTAN, labeling) == optimum
+        assert arities == set(range(7))
+
+    def test_agrees_with_the_oracle(self):
+        for tree, leaves in any_arity_instances(41, 60, 7, lo=0, hi=5):
+            iv = bottom_up_intervals(tree, leaves)
+            optimum = brute_force_min(tree, leaves, MANHATTAN, max_labelings=1).cost
+            lo, hi = iv[tree.root]
+            assert enumerate_optimal(tree, leaves, MANHATTAN, tree.root) == list(
+                range(lo, hi + 1)
+            )
+            sets = optimal_label_sets(tree, leaves, MANHATTAN)
+            for tie in TIES:
+                labeling = top_down_labels(tree, iv, tie=tie)
+                assert labeling.total_cost == optimum
+                assert all(labeling.values[v] in sets[v] for v in range(tree.node_count))
 
 
 class TestBottomUp:
@@ -77,13 +153,12 @@ class TestBottomUp:
         iv = bottom_up_intervals(doc.tree, doc.leaf_labels)
         assert iv[0] == (6, 6)
 
-    def test_not_binary_rejected(self):
+    def test_star_and_unary_chain(self):
         star = parse_newick("(1,2,3);")
-        with pytest.raises(NotBinaryTree):
-            bottom_up_intervals(star.tree, star.leaf_labels)
+        assert bottom_up_intervals(star.tree, star.leaf_labels)[star.tree.root] == (2, 2)
         chain = parse_newick("((5));")
-        with pytest.raises(NotBinaryTree):
-            bottom_up_intervals(chain.tree, chain.leaf_labels)
+        iv = bottom_up_intervals(chain.tree, chain.leaf_labels)
+        assert iv.intervals == ((5, 5),) * 3
 
     def test_intervals_inside_leaf_range(self):
         rng = random.Random(31)

@@ -1,4 +1,5 @@
 import ast
+import doctest
 import importlib
 import importlib.util
 from pathlib import Path
@@ -60,3 +61,14 @@ def test_every_public_error_class_is_raised():
     ]
     assert errors
     assert sorted(set(errors) - raised) == []
+
+
+def test_docstring_examples_pass():
+    attempted = 0
+    for path in sorted(_PACKAGE.glob("*.py")):
+        name = "treelabel" if path.stem == "__init__" else f"treelabel.{path.stem}"
+        result = doctest.testmod(importlib.import_module(name))
+        assert result.failed == 0, name
+        attempted += result.attempted
+    # at least TreeLabeler's and bottom_up_intervals' examples ran
+    assert attempted >= 2

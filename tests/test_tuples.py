@@ -8,11 +8,11 @@ from treelabel import (
     CostFunction,
     Labeling,
     MissingNodeLabel,
-    NotBinaryTree,
     TupleDecompositionNotMonotone,
     TupleLeafLabeling,
     TupleLengthMismatch,
     TupleNotMonotone,
+    choose_algorithm,
     eval_total,
     is_binary,
     parse_newick,
@@ -170,13 +170,14 @@ class TestSolveKtuple:
             checked += 1
         assert checked == 30
 
-    def test_forced_interval_on_non_binary_rejected(self):
+    def test_forced_interval_on_non_binary_solves(self):
         doc = tuple_doc("(1|2,2|3,3|4);")
-        with pytest.raises(NotBinaryTree):
-            solve_ktuple(doc.tree, doc.leaf_labels, MANHATTAN, algorithm="interval")
-        # auto quietly falls back to convex for the non-binary tree
-        assert solve_ktuple(doc.tree, doc.leaf_labels, MANHATTAN).total_cost == \
-            tuple_brute_force_cost(doc.tree, 2, doc.leaf_labels.labels, MANHATTAN)
+        expected = tuple_brute_force_cost(doc.tree, 2, doc.leaf_labels.labels, MANHATTAN)
+        forced = solve_ktuple(doc.tree, doc.leaf_labels, MANHATTAN, algorithm="interval")
+        assert forced.total_cost == expected
+        # auto still takes convex for the non-binary tree
+        assert choose_algorithm("auto", doc.tree, MANHATTAN) == "convex"
+        assert solve_ktuple(doc.tree, doc.leaf_labels, MANHATTAN).total_cost == expected
 
     def test_decomposition_audit_failure_is_reported(self, monkeypatch):
         # force the per-coordinate solver to hand back crossing labels so
