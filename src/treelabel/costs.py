@@ -185,8 +185,8 @@ class Labeling:
     """A full labeling of every node, with its total cost cached.
 
     The solvers fill in the cost they already know: dp_down the minimum
-    of the root row, the oracle its best sum, top_down_labels an
-    eval_total pass. Tests recompute it rather than trusting it.
+    of the root row, the oracle its best sum, top_down_labels the sum of
+    its clamp distances. Tests recompute it rather than trusting it.
     """
 
     values: Mapping[int, int]

@@ -21,8 +21,10 @@ root interval (the lowest by default; all choices are equally optimal),
 then give every other node the point of its interval nearest to its
 parent's label, i.e. the parent label clamped into the interval. A
 child's contribution grows with its distance from its interval, so the
-clamp is optimal at every arity. The up stage is O(N log d) for maximum
-arity d, independent of the label range; the down stage is O(N).
+clamp is optimal at every arity. The distance a clamp moves the label is
+the Manhattan cost of that edge, so the same loop sums the total cost;
+no second pass over the edges is needed. The up stage is O(N log d) for
+maximum arity d, independent of the label range; the down stage is O(N).
 
 Other cost functions go through the DP solvers.
 """
@@ -31,7 +33,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 
-from .costs import CostFunction, Labeling, LeafLabeling, eval_total
+from .costs import Labeling, LeafLabeling
 from .tree import Tree
 
 Interval = tuple[int, int]
@@ -74,14 +76,6 @@ def bottom_up_intervals(t: Tree, l: LeafLabeling) -> IntervalAssignment:
     return IntervalAssignment(intervals=tuple(intervals))
 
 
-def _clamp(x: int, lo: int, hi: int) -> int:
-    if x < lo:
-        return lo
-    if x > hi:
-        return hi
-    return x
-
-
 def top_down_labels(
     t: Tree, iv: IntervalAssignment, tie: str = "lowest"
 ) -> Labeling:
@@ -96,12 +90,22 @@ def top_down_labels(
     else:
         root_label = (lo + hi) // 2
 
+    # the distance a clamp moves the label is that edge's Manhattan cost
+    parents, intervals = t.parents, iv.intervals
     values: dict[int, int] = {t.root: root_label}
+    total = 0
     for v in t.order[1:]:
-        q = values[t.parents[v]]
-        values[v] = _clamp(q, *iv[v])
-    manhattan = CostFunction.manhattan()
-    return Labeling(values=values, total_cost=eval_total(t, manhattan, values))
+        q = values[parents[v]]
+        lo, hi = intervals[v]
+        if q < lo:
+            values[v] = lo
+            total += lo - q
+        elif q > hi:
+            values[v] = hi
+            total += q - hi
+        else:
+            values[v] = q
+    return Labeling(values=values, total_cost=total)
 
 
 def solve_interval(t: Tree, l: LeafLabeling, tie: str = "lowest") -> Labeling:

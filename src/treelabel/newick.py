@@ -7,11 +7,13 @@ discarded, so files exported from phylogeny tools parse without cleanup.
 Exactly one tree per string, terminated by ';'.
 
 Node ids are assigned breadth-first from the root, so siblings keep their
-written left-to-right order (ids ascend left to right). The parser makes
-one pass over the delimiters '(' ')' ',' ';', checks the text between
-two of them against a pattern, and records every node's parent and depth
-in text order; a stable sort of the nodes by depth then gives exactly the
-breadth-first ids.
+written left-to-right order (ids ascend left to right). The parser splits
+the text at the delimiters '(' ')' ',' ';' and makes one pass over the
+pieces and the delimiters together. It checks each piece against a
+pattern, except a leaf name of plain digits, which needs none, and
+records every node's parent and depth in text order; a stable sort of the
+nodes by depth then gives exactly the breadth-first ids. Error positions
+are summed from the piece lengths, on the error path only.
 
 For k-tuple inputs, a leaf name is a '|'-separated run of integers,
 e.g. "3|7|9"; see parse_newick_tuples.
@@ -71,7 +73,8 @@ def _malformed(segment: str, end: int) -> NewickSyntaxError:
 
 
 def _leaf_int(name: str, what: str = "leaf name") -> int:
-    if not _INT_NAME.fullmatch(name):
+    # plain ASCII digits, the usual name, need no pattern to pass
+    if not (name.isdigit() and name.isascii()) and not _INT_NAME.fullmatch(name):
         raise NonIntegerLeafName(f"{what} {name!r} is not a decimal integer")
     return int(name)
 
@@ -79,59 +82,71 @@ def _leaf_int(name: str, what: str = "leaf name") -> int:
 def _scan_nodes(text: str) -> tuple[list[Optional[int]], dict[int, str]]:
     """Parent ids and leaf names of the nodes of one Newick string.
 
-    Both are indexed by breadth-first id. One pass over the delimiters
-    records each node's parent and depth in text order, which is preorder.
-    Within one depth, breadth-first order is text order, so a stable sort by
-    depth gives the breadth-first ids. Iterative, so nesting depth is
-    unbounded.
+    Both are indexed by breadth-first id. One pass over the delimiters and
+    the text pieces between them records each node's parent and depth in
+    text order, which is preorder. Within one depth, breadth-first order is
+    text order, so a stable sort by depth gives the breadth-first ids.
+    Iterative, so nesting depth is unbounded.
     """
     if not text.strip():
         raise EmptyTree("blank input")
+    # segments[i] is the text before delimiters[i]; a position is worked
+    # out from the piece lengths, on the error path only
+    segments = _DELIMITER.split(text)
+    delimiters = _DELIMITER.findall(text)
+
+    def position(i: int) -> int:
+        return sum(map(len, segments[: i + 1])) + i
+
     # per node, in text order: parent, depth and leaf name (None if internal)
     parent: list[Optional[int]] = []
     depth: list[int] = []
     names: list[Optional[str]] = []
-    open_nodes: list[int] = []  # internal nodes whose ')' is still ahead
+    # the internal nodes whose ')' is still ahead, on top of the root's
+    # parent None; the stack's length is the next node's depth
+    open_nodes: list[Optional[int]] = [None]
     closed = False  # the previous delimiter was ')'
-    start = 0
-    for match in _DELIMITER.finditer(text):
-        at = match.start()
-        d = text[at]
-        segment = text[start:at]
-        start = at + 1
+    for i, (segment, d) in enumerate(zip(segments, delimiters)):
         if closed:
             if segment and _AFTER_CLOSE.fullmatch(segment) is None:
-                raise _malformed(segment, at)
-        elif d != ";" or segment.strip():
-            # a node starts here: an internal one at a '(' with nothing
-            # before it, otherwise a leaf that this delimiter ends
-            parent.append(open_nodes[-1] if open_nodes else None)
+                raise _malformed(segment, position(i))
+        elif d == "(" and (not segment or segment.isspace()):
+            # an internal node starts at a '(' with nothing before it
+            parent.append(open_nodes[-1])
             depth.append(len(open_nodes))
-            if d == "(" and not segment.strip():
-                open_nodes.append(len(names))
-                names.append(None)
-                continue
-            leaf = _LEAF.fullmatch(segment)
-            if leaf is None:
-                raise _malformed(segment, at)
-            names.append(leaf[1])
-        elif not open_nodes:
+            open_nodes.append(len(names))
+            names.append(None)
+            continue
+        elif d != ";" or (segment and not segment.isspace()):
+            # a leaf ends at this delimiter
+            parent.append(open_nodes[-1])
+            depth.append(len(open_nodes))
+            # digits hold no blank or ':', so such a name is its own leaf
+            # text; _leaf_int judges it like any other name
+            if not segment.isdigit():
+                leaf = _LEAF.fullmatch(segment)
+                if leaf is None:
+                    raise _malformed(segment, position(i))
+                segment = leaf[1]
+            names.append(segment)
+        elif open_nodes[-1] is None:
             raise EmptyTree("no tree before ';'")
 
         if d == ",":
-            if not open_nodes:
-                raise NewickSyntaxError(f"',' outside parentheses at position {at}")
+            if open_nodes[-1] is None:
+                raise NewickSyntaxError(f"',' outside parentheses at position {position(i)}")
             closed = False
         elif d == ")":
-            if not open_nodes:
-                raise NewickSyntaxError(f"unbalanced ')' at position {at}")
+            if open_nodes[-1] is None:
+                raise NewickSyntaxError(f"unbalanced ')' at position {position(i)}")
             open_nodes.pop()
             closed = True
         elif d == "(":
-            raise NewickSyntaxError(f"unexpected '(' at position {at}")
-        elif open_nodes:
+            raise NewickSyntaxError(f"unexpected '(' at position {position(i)}")
+        elif open_nodes[-1] is not None:
             raise NewickSyntaxError("unbalanced '(': missing ')'")
         else:
+            start = position(i) + 1
             rest = text[start:]
             if rest.strip():
                 at = start + len(rest) - len(rest.lstrip())

@@ -3,6 +3,7 @@ import random
 import pytest
 
 from helpers import (
+    count_calls,
     extract_subtree,
     random_instance,
     reference_binary_intervals,
@@ -11,6 +12,7 @@ from helpers import (
 from treelabel import (
     CostFunction,
     LeafLabeling,
+    TreeLabeler,
     build_tree,
     bottom_up_intervals,
     brute_force_min,
@@ -219,6 +221,22 @@ class TestTopDown:
                 for v in range(doc.tree.node_count):
                     lo, hi = iv[v]
                     assert lo <= labeling.values[v] <= hi
+
+    def test_total_cost_is_the_manhattan_sum_at_every_arity(self):
+        # the clamp distances summed in the down phase are the edge costs;
+        # the first instance is the single node, unary chains turn up too
+        for t, l in any_arity_instances(36, 150, 24, lo=-7, hi=12):
+            iv = bottom_up_intervals(t, l)
+            for tie in TIES:
+                labeling = top_down_labels(t, iv, tie=tie)
+                assert labeling.total_cost == eval_total(t, MANHATTAN, labeling)
+
+    def test_auto_interval_fit_never_calls_eval_total(self, monkeypatch):
+        calls = count_calls(monkeypatch, eval_total)
+        est = TreeLabeler().fit("((1,5),(9,(3,4)));")
+        assert est.algorithm_ == "interval"
+        assert calls == []
+        assert est.cost_ == 10
 
 
 class TestSolveInterval:
