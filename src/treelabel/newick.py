@@ -9,11 +9,11 @@ Exactly one tree per string, terminated by ';'.
 Node ids are assigned breadth-first from the root, so siblings keep their
 written left-to-right order (ids ascend left to right). The parser splits
 the text at the delimiters '(' ')' ',' ';' and makes one pass over the
-pieces and the delimiters together. It checks each piece against a
-pattern, except a leaf name of plain digits, which needs none, and
-records every node's parent and depth in text order; a stable sort of the
-nodes by depth then gives exactly the breadth-first ids. Error positions
-are summed from the piece lengths, on the error path only.
+pieces and the delimiters together, checks each piece against a
+pattern, and records every node's parent and depth in text order; a
+stable sort of the nodes by depth then gives exactly the breadth-first
+ids. Error positions are summed from the piece lengths, on the error path
+only.
 
 For k-tuple inputs, a leaf name is a '|'-separated run of integers,
 e.g. "3|7|9"; see parse_newick_tuples.
@@ -73,8 +73,7 @@ def _malformed(segment: str, end: int) -> NewickSyntaxError:
 
 
 def _leaf_int(name: str, what: str = "leaf name") -> int:
-    # plain ASCII digits, the usual name, need no pattern to pass
-    if not (name.isdigit() and name.isascii()) and not _INT_NAME.fullmatch(name):
+    if not _INT_NAME.fullmatch(name):
         raise NonIntegerLeafName(f"{what} {name!r} is not a decimal integer")
     return int(name)
 
@@ -121,14 +120,10 @@ def _scan_nodes(text: str) -> tuple[list[Optional[int]], dict[int, str]]:
             # a leaf ends at this delimiter
             parent.append(open_nodes[-1])
             depth.append(len(open_nodes))
-            # digits hold no blank or ':', so such a name is its own leaf
-            # text; _leaf_int judges it like any other name
-            if not segment.isdigit():
-                leaf = _LEAF.fullmatch(segment)
-                if leaf is None:
-                    raise _malformed(segment, position(i))
-                segment = leaf[1]
-            names.append(segment)
+            leaf = _LEAF.fullmatch(segment)
+            if leaf is None:
+                raise _malformed(segment, position(i))
+            names.append(leaf[1])
         elif open_nodes[-1] is None:
             raise EmptyTree("no tree before ';'")
 
@@ -146,7 +141,8 @@ def _scan_nodes(text: str) -> tuple[list[Optional[int]], dict[int, str]]:
         elif open_nodes[-1] is not None:
             raise NewickSyntaxError("unbalanced '(': missing ')'")
         else:
-            start = position(i) + 1
+            # every earlier ';' ended the loop, so this is the text's first
+            start = text.index(";") + 1
             rest = text[start:]
             if rest.strip():
                 at = start + len(rest) - len(rest.lstrip())
