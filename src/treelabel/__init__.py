@@ -4,7 +4,7 @@ Given a rooted tree whose leaves carry integer labels and a strictly
 increasing edge-cost function theta, assign integers to the internal
 nodes minimizing the sum of theta(|label difference|) over all edges.
 
-Four solvers, cross-checkable against each other:
+Five solvers, cross-checkable against each other:
 
   - TreeLabeler / solve_dp: dynamic programming over the leaf-label
     range, any tree arity, any theta. O(N * m^2), a direct scan.
@@ -12,6 +12,8 @@ Four solvers, cross-checkable against each other:
     convex theta (increments that never decrease).
   - solve_interval: interval propagation by the median rule, O(N log d)
     for maximum arity d, for Manhattan cost on any tree.
+  - median_up / median_down: the same up phase, then dp's labels under
+    dp's tie rules, for Manhattan cost on any tree.
   - brute_force_min: exhaustive enumeration, the testing ground truth.
 
 k-tuple labelings (nondecreasing integer tuples per node) are handled by
@@ -48,6 +50,8 @@ from .generate import random_document, random_topology
 from .intervals import (
     IntervalAssignment,
     bottom_up_intervals,
+    median_down,
+    median_up,
     solve_interval,
     top_down_labels,
 )
@@ -111,6 +115,8 @@ __all__ = [
     "enumerate_optimal",
     "eval_total",
     "is_binary",
+    "median_down",
+    "median_up",
     "min_total",
     "optimal_label_sets",
     "parse_newick",

@@ -3,7 +3,7 @@
 Subcommands:
 
   solve   label one tree (Newick in, annotated Newick or JSON out)
-  check   cross-check dp / interval / oracle / convex agreement over many instances
+  check   cross-check dp / interval / oracle / convex / median agreement over many instances
   gen     emit random instances as Newick lines
   bench   time solvers over an (n, m) grid, CSV out
 
@@ -14,7 +14,7 @@ bench times solve_scalar per algorithm, so an inapplicable one fails it.
 
 Exit codes: 0 success; 1 parse or validation failure; 2 solver
 precondition failure (oracle budget, unsupported combinations such as a
-non-Manhattan cost for the interval solver); 3 check found a
+non-Manhattan cost for the interval or median solver); 3 check found a
 disagreement. Every failure prints a single diagnostic line
 "error:<code>:<message>" to stderr. Identical input, flags and seed
 reproduce identical stdout bytes (timings in bench output excepted).
@@ -48,7 +48,13 @@ from .newick import (
     serialize_tuple_labeled,
 )
 from .oracle import resolve_budget
-from .solve import ALGORITHMS, TABLE_ALGORITHMS, choose_algorithm, solve_scalar
+from .solve import (
+    ALGORITHMS,
+    INTERVAL_ALGORITHMS,
+    TABLE_ALGORITHMS,
+    choose_algorithm,
+    solve_scalar,
+)
 from .tuples import solve_ktuple
 from .validation import resolve_cost
 
@@ -97,8 +103,11 @@ def cmd_solve(args: argparse.Namespace) -> int:
             f"--dump-table requires an algorithm with a cost table "
             f"({', '.join(TABLE_ALGORITHMS)}), got {resolved}"
         )
-    if args.dump_intervals and resolved != "interval":
-        raise UnsupportedAlgorithm("--dump-intervals requires the interval algorithm")
+    if args.dump_intervals and resolved not in INTERVAL_ALGORITHMS:
+        raise UnsupportedAlgorithm(
+            f"--dump-intervals requires an algorithm with intervals "
+            f"({', '.join(INTERVAL_ALGORITHMS)}), got {resolved}"
+        )
 
     if args.tuple:
         labeling = solve_ktuple(doc.tree, doc.leaf_labels, cost, algorithm=resolved, tie=args.tie)
@@ -151,7 +160,10 @@ def _check_instances(args: argparse.Namespace):
 
 
 # the solvers check runs, in the order of its verbose report
-_CHECKED = ("dp", "interval", "oracle", "convex")
+_CHECKED = ("dp", "interval", "oracle", "convex", "median")
+# median reproduces convex's tie rule, so check compares their labelings
+# too; every other pair may break ties differently and compares costs only
+_SAME_LABELS = ("median", "convex")
 
 
 def cmd_check(args: argparse.Namespace) -> int:
@@ -165,11 +177,12 @@ def cmd_check(args: argparse.Namespace) -> int:
         ("interval", "oracle"): [0, 0],
         ("dp", "convex"): [0, 0],
         ("convex", "oracle"): [0, 0],
+        _SAME_LABELS: [0, 0],
     }
     failures = []
 
     for doc in docs:
-        costs = {}
+        labelings = {}
         for name in _CHECKED:
             try:
                 _, labeling, _ = solve_scalar(
@@ -177,19 +190,21 @@ def cmd_check(args: argparse.Namespace) -> int:
                 )
             except (UnsupportedAlgorithm, BudgetExceeded):
                 continue  # this solver does not apply to the instance
-            costs[name] = labeling.total_cost
+            labelings[name] = labeling
+        costs = {name: labeling.total_cost for name, labeling in labelings.items()}
 
-        disagreement = False
+        disagreed = []
         for (a, b), stats in pair_stats.items():
             if a in costs and b in costs:
                 stats[0] += 1
-                if costs[a] == costs[b]:
+                same_labels = (a, b) != _SAME_LABELS or labelings[a] == labelings[b]
+                if costs[a] == costs[b] and same_labels:
                     stats[1] += 1
                 else:
-                    disagreement = True
+                    disagreed.append(f"{a} vs {b}")
         newick = document_to_newick(doc)
-        if disagreement:
-            failures.append((doc.tree.node_count, len(newick), newick, costs))
+        if disagreed:
+            failures.append((doc.tree.node_count, len(newick), newick, costs, disagreed))
         if args.verbose:
             report = " ".join(f"{name}={costs[name]}" for name in _CHECKED if name in costs)
             print(f"{newick}\t{report}")
@@ -199,10 +214,13 @@ def cmd_check(args: argparse.Namespace) -> int:
         print(f"{a} vs {b}: {agreed}/{compared} agree")
     if failures:
         failures.sort()
-        _, _, newick, costs = failures[0]
+        _, _, newick, costs, disagreed = failures[0]
         report = " ".join(f"{name}={value}" for name, value in sorted(costs.items()))
         print("result: DISAGREEMENT")
-        print(f"error:CheckDisagreement:{newick} ({report})", file=sys.stderr)
+        print(
+            f"error:CheckDisagreement:{newick} ({report}; {', '.join(disagreed)} disagree)",
+            file=sys.stderr,
+        )
         return 3
     print("result: all solvers agree")
     return 0
@@ -323,7 +341,8 @@ def build_parser() -> argparse.ArgumentParser:
 
     p_bench = sub.add_parser("bench", help="time solvers over an (n, m) grid")
     p_bench.add_argument(
-        "--algorithms", default="dp,interval", help="comma list: dp,convex,interval,oracle"
+        "--algorithms", default="dp,interval",
+        help="comma list: dp,convex,interval,median,oracle",
     )
     p_bench.add_argument("--n-grid", required=True, help="comma list of leaf counts")
     p_bench.add_argument("--m-grid", required=True, help="comma list of label range sizes")

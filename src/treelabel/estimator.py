@@ -26,13 +26,15 @@ class TreeLabeler:
 
     Parameters
     ----------
-    algorithm : {"auto", "dp", "convex", "interval", "oracle"}, default "auto"
+    algorithm : {"auto", "dp", "convex", "interval", "median", "oracle"}, default "auto"
         "interval" is the Manhattan solver by interval propagation (any
-        arity, O(N log d) for maximum arity d), "convex" the dynamic
+        arity, O(N log d) for maximum arity d), "median" the same up phase
+        with a down phase that gives dp's labels, "convex" the dynamic
         program for a convex cost (manhattan, power:k, a table whose
         increments never decrease), "dp" the dynamic program for any cost,
         "oracle" exhaustive enumeration. "auto" picks interval for a binary
-        tree and Manhattan cost, else convex when it applies, else dp.
+        tree and Manhattan cost, median for any other tree and Manhattan
+        cost, else convex when it applies, else dp.
         dp scans every (label, child label) pair directly in builtins, a
         windowed min(map(add, ...)) per label: O(N * m^2) time. convex
         builds the same cost table by slope merge in O(N * m). Both use
@@ -49,7 +51,8 @@ class TreeLabeler:
     cost_               : int, the optimal total cost
     algorithm_          : the solver actually used
     g_min_, g_max_, m_  : leaf-label range
-    intervals_          : IntervalAssignment or None (interval runs)
+    intervals_          : IntervalAssignment or None (interval and median
+                          runs; median's also holds the stretch ends)
     cost_table_         : CostTable or None (dp and convex runs)
 
     intervals_ and cost_table_ are the up-phase results of the solve

@@ -1,11 +1,11 @@
-"""Manhattan solver for trees of any arity via interval propagation.
+"""Manhattan solvers for trees of any arity: one up phase, two down phases.
 
-Bottom-up stage (Tree.order reversed, children first): each leaf gets
-the degenerate interval [p, p]. An internal node with r children gets
-the interval between the r-th and the (r+1)-th smallest of its
-children's 2r interval ends. This is the median rule of ordered-character
-(Wagner) parsimony (Farris 1970; Swofford & Maddison 1987). For r = 1 it
-copies the child's interval; for r = 2 it is the intersection of the two
+Up phase (Tree.order reversed, children first): each leaf gets the
+degenerate interval [p, p]. An internal node with r children gets the
+interval between the r-th and the (r+1)-th smallest of its children's 2r
+interval ends. This is the median rule of ordered-character (Wagner)
+parsimony (Farris 1970; Swofford & Maddison 1987). For r = 1 it copies
+the child's interval; for r = 2 it is the intersection of the two
 intervals when they overlap and the gap between them when they do not.
 
 Why the rule is optimal: under Manhattan cost the subtree cost S_b of a
@@ -14,17 +14,34 @@ I_b = [lo, hi] at its minimum M_b, so the child contributes
 M_b + dist(i, I_b) to its parent labeled i. Since
 dist(i, [lo, hi]) = (|i - lo| + |i - hi| - (hi - lo)) / 2, the sum over
 the children is, up to a constant, half the sum of |i - e| over the 2r
-ends e, which is minimal exactly between its two middle ends.
+ends e, which is minimal exactly between its two middle ends. Its slope
+between the k-th and the (k+1)-th smallest end is k - r, so S_v falls
+with slope -1 on [below, lo] and rises with slope +1 on [hi, above],
+below and above being the (r-1)-th and the (r+2)-th smallest ends.
+median_up keeps those stretch ends too; a unary node, whose cost falls
+and rises with slope 1 over the whole label range, takes g_min and g_max.
 
-Top-down stage (Tree.order, parents first): pick any root label from the
-root interval (the lowest by default; all choices are equally optimal),
-then give every other node the point of its interval nearest to its
-parent's label, i.e. the parent label clamped into the interval. A
-child's contribution grows with its distance from its interval, so the
-clamp is optimal at every arity. The distance a clamp moves the label is
-the Manhattan cost of that edge, so the same loop sums the total cost;
-no second pass over the edges is needed. The up stage is O(N log d) for
-maximum arity d, independent of the label range; the down stage is O(N).
+The down phases (Tree.order, parents first) both clamp: every non-root
+node takes its parent's label q moved to the nearest point of a window.
+The distance a clamp moves the label is the Manhattan cost of that edge,
+so the same loop sums the total cost; no second pass over the edges is
+needed.
+
+  interval (top_down_labels): the root takes any label of its interval
+  (the lowest by default; all choices are equally optimal) and the
+  window is the node's interval. A child's contribution grows with its
+  distance from its interval, so the clamp is optimal at every arity.
+
+  median (median_down): dp's tie rule. dp gives a node the smallest (or
+  the largest) j minimizing |q - j| + S_v(j), whose slope is that of S_v
+  plus or minus 1. The smallest such j is q clamped into [below, hi],
+  the largest q clamped into [lo, above], and the root takes lo (or hi),
+  the ends of its flat stretch. So median reproduces dp_down's labels
+  and cost on any Manhattan tree without building a table. A leaf's
+  stretch ends are its label, so its clamp keeps it.
+
+The up phase is O(N log d) for maximum arity d, independent of the label
+range; a down phase is O(N).
 
 Other cost functions go through the DP solvers.
 """
@@ -32,8 +49,10 @@ Other cost functions go through the DP solvers.
 from __future__ import annotations
 
 from dataclasses import dataclass
+from typing import Optional
 
 from .costs import Labeling, LeafLabeling
+from .dp import TIES as DP_TIES
 from .tree import Tree
 
 Interval = tuple[int, int]
@@ -44,9 +63,15 @@ TIES = ("lowest", "highest", "midpoint")
 
 @dataclass(frozen=True)
 class IntervalAssignment:
-    """Closed integer interval (lo, hi) per node, lo <= hi."""
+    """Closed integer interval (lo, hi) per node, lo <= hi.
+
+    stretches, set by median_up only, holds (below, above) per node: the
+    ends of the stretches where the node's subtree cost falls with slope
+    -1 up to lo and rises with slope +1 from hi.
+    """
 
     intervals: tuple[Interval, ...]
+    stretches: Optional[tuple[Interval, ...]] = None
 
     def __getitem__(self, node: int) -> Interval:
         return self.intervals[node]
@@ -76,6 +101,55 @@ def bottom_up_intervals(t: Tree, l: LeafLabeling) -> IntervalAssignment:
     return IntervalAssignment(intervals=tuple(intervals))
 
 
+def median_up(t: Tree, l: LeafLabeling) -> IntervalAssignment:
+    """bottom_up_intervals' intervals, plus the stretch ends median_down needs.
+
+    >>> from treelabel import parse_newick
+    >>> doc = parse_newick("(1,2,3);")
+    >>> iv = median_up(doc.tree, doc.leaf_labels)
+    >>> iv[doc.tree.root], iv.stretches[doc.tree.root]
+    ((2, 2), (1, 3))
+    """
+    children, labels = t.children, l.labels
+    # g_min and g_max bound every end, so sorting them in shifts each index
+    # by one and gives a unary node the whole label range as its stretches
+    range_ends = (l.g_min, l.g_max)
+    intervals: list = [None] * t.node_count
+    stretches: list = [None] * t.node_count
+    interval_of = intervals.__getitem__
+    for v in reversed(t.order):
+        kids = children[v]
+        if not kids:
+            p = labels[v]
+            intervals[v] = stretches[v] = (p, p)
+            continue
+        r = len(kids)
+        below, lo, hi, above = sorted(sum(map(interval_of, kids), range_ends))[r - 1 : r + 3]
+        intervals[v] = lo, hi
+        stretches[v] = below, above
+    return IntervalAssignment(intervals=tuple(intervals), stretches=tuple(stretches))
+
+
+def _clamp_down(t: Tree, root_label: int, windows) -> Labeling:
+    """Give every non-root node its parent's label clamped into its window."""
+    # the distance a clamp moves the label is that edge's Manhattan cost
+    parents = t.parents
+    values: dict[int, int] = {t.root: root_label}
+    total = 0
+    for v in t.order[1:]:
+        q = values[parents[v]]
+        lo, hi = windows[v]
+        if q < lo:
+            values[v] = lo
+            total += lo - q
+        elif q > hi:
+            values[v] = hi
+            total += q - hi
+        else:
+            values[v] = q
+    return Labeling(values=values, total_cost=total)
+
+
 def top_down_labels(
     t: Tree, iv: IntervalAssignment, tie: str = "lowest"
 ) -> Labeling:
@@ -89,23 +163,29 @@ def top_down_labels(
         root_label = hi
     else:
         root_label = (lo + hi) // 2
+    return _clamp_down(t, root_label, iv.intervals)
 
-    # the distance a clamp moves the label is that edge's Manhattan cost
-    parents, intervals = t.parents, iv.intervals
-    values: dict[int, int] = {t.root: root_label}
-    total = 0
-    for v in t.order[1:]:
-        q = values[parents[v]]
-        lo, hi = intervals[v]
-        if q < lo:
-            values[v] = lo
-            total += lo - q
-        elif q > hi:
-            values[v] = hi
-            total += q - hi
-        else:
-            values[v] = q
-    return Labeling(values=values, total_cost=total)
+
+def median_down(
+    t: Tree, iv: IntervalAssignment, tie: str = "lowest"
+) -> Labeling:
+    """dp_down's labels and cost from median_up's intervals and stretch ends.
+
+    >>> from treelabel import parse_newick
+    >>> doc = parse_newick("((0,4),(1,5,9));")
+    >>> iv = median_up(doc.tree, doc.leaf_labels)
+    >>> median_down(doc.tree, iv).values[2], median_down(doc.tree, iv, "highest").values[2]
+    (4, 5)
+    """
+    if tie not in DP_TIES:
+        raise ValueError(f"tie must be one of {DP_TIES}, got {tie!r}")
+    if iv.stretches is None:
+        raise ValueError("median_down needs the stretch ends of median_up")
+    pairs = zip(iv.stretches, iv.intervals)
+    root_lo, root_hi = iv[t.root]
+    if tie == "lowest":
+        return _clamp_down(t, root_lo, [(below, hi) for (below, _), (_, hi) in pairs])
+    return _clamp_down(t, root_hi, [(lo, above) for (_, above), (lo, _) in pairs])
 
 
 def solve_interval(t: Tree, l: LeafLabeling, tie: str = "lowest") -> Labeling:

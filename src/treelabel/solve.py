@@ -9,19 +9,28 @@ from .dp import TIES as DP_TIES
 from .dp import CostTable, convex_up, dp_down, dp_up, require_convex
 from .errors import UnsupportedAlgorithm
 from .intervals import TIES as INTERVAL_TIES
-from .intervals import IntervalAssignment, bottom_up_intervals, top_down_labels
+from .intervals import (
+    IntervalAssignment,
+    bottom_up_intervals,
+    median_down,
+    median_up,
+    top_down_labels,
+)
 from .oracle import brute_force_min
 from .tree import Tree, is_binary
 
-ALGORITHMS = ("auto", "dp", "convex", "interval", "oracle")
+ALGORITHMS = ("auto", "dp", "convex", "interval", "median", "oracle")
 
 # the algorithms whose up phase is a CostTable
 TABLE_ALGORITHMS = ("dp", "convex")
+# the algorithms whose up phase is an IntervalAssignment, Manhattan cost only
+INTERVAL_ALGORITHMS = ("interval", "median")
 
 _TIES_BY_ALGORITHM = {
     "dp": DP_TIES,
     "convex": DP_TIES,
     "interval": INTERVAL_TIES,
+    "median": DP_TIES,
     "oracle": ("lowest",),
 }
 
@@ -30,26 +39,27 @@ def choose_algorithm(algorithm: str, t: Tree, c: CostFunction) -> str:
     """Resolve "auto" and reject impossible requests.
 
     auto picks the first solver that applies, fastest first: interval
-    (binary tree, Manhattan cost, O(N)), then convex (convex cost,
-    O(N * m)), then dp (O(N * m^2)). The interval solver handles any
-    arity, but auto takes it only for a binary tree: on other trees its
-    clamp labeling can differ from convex's at equal cost, and auto's
-    output there is convex's. Forcing a solver that does not apply is an
-    error, never a silent fallback: a non-Manhattan cost for interval and
-    a non-convex cost for convex are rejected here, and an already
-    resolved name passes through without a tree pass.
+    (binary tree, Manhattan cost, O(N)), then median (any other tree,
+    Manhattan cost, O(N log d) for maximum arity d), then convex (convex
+    cost, O(N * m)), then dp (O(N * m^2)). interval and median share an up
+    phase and handle any arity; median's down phase gives dp's labels, so
+    auto's output on a non-binary tree is convex's, while interval's clamp
+    labeling there can differ at equal cost. Forcing a solver that does
+    not apply is an error, never a silent fallback: a non-Manhattan cost
+    for interval or median and a non-convex cost for convex are rejected
+    here, and an already resolved name passes through without a tree pass.
     """
     if algorithm not in ALGORITHMS:
         raise UnsupportedAlgorithm(
             f"unknown algorithm {algorithm!r}; expected one of {ALGORITHMS}"
         )
     if algorithm == "auto":
-        if c.kind == "manhattan" and is_binary(t):
-            return "interval"
+        if c.kind == "manhattan":
+            return "interval" if is_binary(t) else "median"
         return "convex" if c.is_convex else "dp"
-    if algorithm == "interval" and c.kind != "manhattan":
+    if algorithm in INTERVAL_ALGORITHMS and c.kind != "manhattan":
         raise UnsupportedAlgorithm(
-            f"interval solver supports manhattan cost only, got {c.spec()!r}"
+            f"{algorithm} solver supports manhattan cost only, got {c.spec()!r}"
         )
     if algorithm == "convex":
         require_convex(c)
@@ -67,7 +77,8 @@ def solve_scalar(
     """Solve one scalar instance: (resolved algorithm, labeling, up-phase result).
 
     The up-phase result is the CostTable of a dp or convex solve (the
-    same table either way) or the IntervalAssignment of an interval solve,
+    same table either way) or the IntervalAssignment of an interval or
+    median solve (median's also holds the stretch ends),
     handed back so that callers reuse it instead of computing it again;
     the oracle has none (None).
     The oracle path returns the first optimal labeling in enumeration
@@ -86,5 +97,8 @@ def solve_scalar(
     if resolved == "interval":
         intervals = bottom_up_intervals(t, l)
         return resolved, top_down_labels(t, intervals, tie=tie), intervals
+    if resolved == "median":
+        intervals = median_up(t, l)
+        return resolved, median_down(t, intervals, tie=tie), intervals
     optimum = brute_force_min(t, l, c, budget=budget, max_labelings=1)
     return resolved, optimum.labelings[0], None

@@ -414,16 +414,20 @@ def reference_render(tree: Tree, name_of) -> str:
 # misc                                                                #
 # ------------------------------------------------------------------ #
 
-def count_calls(monkeypatch, function):
+def count_calls(monkeypatch, function, refuse=False):
     """Count calls to ``function`` through every treelabel module binding it.
 
     Modules bind solver phases by from-import, so the function is replaced
-    wherever it is bound. Returns a list that grows by one per call.
+    wherever it is bound. Returns a list that grows by one per call. With
+    ``refuse`` a call is counted and then fails with AssertionError instead
+    of running, for a call that must not happen and might not finish.
     """
     calls = []
 
     def counting(*args, **kwargs):
         calls.append(args)
+        if refuse:
+            raise AssertionError(f"unexpected call to {function.__name__}")
         return function(*args, **kwargs)
 
     for name, module in list(sys.modules.items()):

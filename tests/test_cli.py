@@ -1,4 +1,5 @@
 import json
+import random
 
 import pytest
 
@@ -7,11 +8,17 @@ from helpers import count_calls
 from treelabel import (
     CostFunction,
     Labeling,
+    TupleLeafLabeling,
+    TupleTreeDocument,
     bottom_up_intervals,
     choose_algorithm,
     convex_up,
+    document_to_newick,
     dp_up,
+    median_up,
     parse_newick,
+    random_document,
+    random_topology,
 )
 from treelabel.dp import cost_table_csv
 from treelabel.intervals import interval_csv
@@ -56,8 +63,13 @@ class TestSolve:
 
     def test_auto_dispatch_reported(self, capsys, tmp_path):
         path = tmp_path / "t.nwk"
-        path.write_text("(1,2,3);")  # non-binary, convex cost: auto must pick convex
+        path.write_text("(1,2,3);")  # non-binary, Manhattan cost: auto must pick median
         code, out, _ = run(capsys, "solve", str(path), "--format", "json")
+        assert code == 0
+        assert json.loads(out)["algorithm"] == "median"
+        # non-binary, convex cost other than Manhattan: auto must pick convex
+        code, out, _ = run(capsys, "solve", str(path), "--format", "json",
+                           "--cost", "power:2")
         assert code == 0
         assert json.loads(out)["algorithm"] == "convex"
         # increments 5, 1, 5: not convex, so auto falls back to dp
@@ -168,13 +180,82 @@ class TestSolve:
         assert code == 2
         assert err.startswith("error:UnsupportedAlgorithm:")
         assert calls == []
-        path.write_text("(1,2,3);")  # auto resolves to convex
+        path.write_text("(1,2,3);")  # auto resolves to convex under power:2
         calls = count_calls(monkeypatch, convex_up)
-        code, _, err = run(capsys, "solve", str(path), "--dump-intervals", str(out_csv))
+        code, _, err = run(capsys, "solve", str(path), "--dump-intervals", str(out_csv),
+                           "--cost", "power:2")
         assert code == 2
         assert err.startswith("error:UnsupportedAlgorithm:")
         assert calls == []
         assert not out_csv.exists()
+
+    def test_dump_intervals_on_auto_median(self, capsys, tmp_path, monkeypatch):
+        path = tmp_path / "t.nwk"
+        path.write_text("(1,(2,4,6),3);")  # auto resolves to median
+        calls = count_calls(monkeypatch, median_up)
+        code, out, _ = run(capsys, "solve", str(path), "--format", "json",
+                           "--dump-intervals", str(tmp_path / "auto.csv"))
+        assert code == 0
+        assert json.loads(out)["algorithm"] == "median"
+        assert len(calls) == 1
+        code, _, _ = run(capsys, "solve", str(path), "--algorithm", "interval",
+                         "--dump-intervals", str(tmp_path / "interval.csv"))
+        assert code == 0
+        assert (tmp_path / "auto.csv").read_bytes() == (tmp_path / "interval.csv").read_bytes()
+        assert (tmp_path / "auto.csv").read_text().startswith("node,lo,hi\n0,3,3\n")
+
+    def test_dump_table_on_auto_median_exit_2(self, capsys, tmp_path):
+        path = tmp_path / "t.nwk"
+        path.write_text("(1,(2,4,6),3);")
+        code, out, err = run(capsys, "solve", str(path), "--dump-table", str(tmp_path / "x.csv"))
+        assert code == 2
+        assert out == ""
+        assert err.startswith("error:UnsupportedAlgorithm:--dump-table")
+        assert not (tmp_path / "x.csv").exists()
+
+    @pytest.mark.parametrize(
+        "flags,message",
+        [
+            (["--tie", "midpoint"], "tie 'midpoint' is not available for the median solver"),
+            (["--cost", "power:2"], "median solver supports manhattan cost only"),
+        ],
+    )
+    def test_median_preconditions_exit_2(self, capsys, tmp_path, flags, message):
+        path = tmp_path / "t.nwk"
+        path.write_text("(1,2,3);")
+        code, _, err = run(capsys, "solve", str(path), "--algorithm", "median", *flags)
+        assert code == 2
+        assert err.startswith(f"error:UnsupportedAlgorithm:{message}")
+
+    @pytest.mark.parametrize("tie", ["lowest", "highest"])
+    def test_auto_stdout_matches_convex_on_non_binary_trees(
+        self, capsys, tmp_path, monkeypatch, tie
+    ):
+        medians = count_calls(monkeypatch, median_up)
+        rng = random.Random(f"median-vs-convex:{tie}")
+        for index in range(12):
+            if index % 2:
+                tree = random_topology(rng.randint(2, 30), rng, arity=rng.randint(3, 6))
+                labels = {
+                    v: tuple(sorted(rng.randint(-9, 20) for _ in range(3)))
+                    for v in tree.leaves()
+                }
+                leaves = TupleLeafLabeling.for_tree(tree, labels)
+                doc = TupleTreeDocument(tree=tree, leaf_labels=leaves)
+                mode = ["--tuple"]
+            else:
+                doc = random_document(rng.randint(2, 30), -9, 20, rng, arity=rng.randint(3, 6))
+                mode = []
+            path = tmp_path / "t.nwk"
+            path.write_text(document_to_newick(doc))
+            outputs = {}
+            for algorithm in ("auto", "convex"):
+                code, out, _ = run(capsys, "solve", str(path), "--tie", tie,
+                                   "--algorithm", algorithm, *mode)
+                assert code == 0
+                outputs[algorithm] = out
+            assert outputs["auto"] == outputs["convex"], document_to_newick(doc)
+        assert medians  # auto took median on some of the trees
 
     def test_tuple_mode_rejects_dump_flags(self, capsys, tmp_path):
         path = tmp_path / "t.nwk"
@@ -364,6 +445,37 @@ class TestCheck:
         assert "dp vs convex: 0/2 agree" in out
         assert err.startswith("error:CheckDisagreement:(2,7);")
 
+    def test_median_labelings_cross_checked(self, capsys):
+        code, out, _ = run(capsys, "check", "--gen-count", "15", "--gen-n", "6",
+                           "--gen-m", "7", "--seed", "12", "--gen-arity", "4")
+        assert code == 0
+        assert "median vs convex: 15/15 agree" in out
+        code, out, _ = run(capsys, "check", "--gen-count", "5", "--seed", "12",
+                           "--cost", "power:2")
+        assert code == 0
+        assert "median vs convex: 0/0 agree" in out
+
+    def test_median_labeling_mismatch_detected(self, capsys, tmp_path, monkeypatch):
+        # median solved under the other tie rule: same cost, other labels
+        path = tmp_path / "batch.nwk"
+        path.write_text("(2,7);\n")
+
+        real_solve_scalar = cli.solve_scalar
+
+        def highest_median(tree, leaves, cost, algorithm="auto", **kwargs):
+            if algorithm == "median":
+                kwargs["tie"] = "highest"
+            return real_solve_scalar(tree, leaves, cost, algorithm=algorithm, **kwargs)
+
+        monkeypatch.setattr(cli, "solve_scalar", highest_median)
+        code, out, err = run(capsys, "check", str(path))
+        assert code == 3
+        assert "dp vs convex: 1/1 agree" in out
+        assert "median vs convex: 0/1 agree" in out
+        assert "result: DISAGREEMENT" in out
+        assert err.startswith("error:CheckDisagreement:(2,7);")
+        assert "; median vs convex disagree)" in err
+
     def test_seed_required_when_generating(self, capsys):
         code, _, err = run(capsys, "check", "--gen-count", "5")
         assert code == 1
@@ -420,6 +532,15 @@ class TestBench:
         rows = out.strip().split("\n")[1:]
         assert len(rows) == 1 and rows[0].startswith("convex,")
         assert len(convex_calls) == 5 + 1
+
+    def test_median_rows(self, capsys, monkeypatch):
+        calls = count_calls(monkeypatch, median_up)
+        code, out, _ = run(capsys, "bench", "--algorithms", "median",
+                           "--n-grid", "6", "--m-grid", "8", "--reps", "5", "--seed", "7")
+        assert code == 0
+        rows = out.strip().split("\n")[1:]
+        assert len(rows) == 1 and rows[0].startswith("median,")
+        assert len(calls) == 5 + 1
 
     def test_too_few_reps_rejected(self, capsys):
         code, _, err = run(capsys, "bench", "--n-grid", "4", "--m-grid", "4",

@@ -9,6 +9,7 @@ from treelabel import (
     convex_up,
     dp_up,
     is_binary,
+    median_up,
     parse_newick,
     postorder,
     preorder,
@@ -67,6 +68,16 @@ class TestFit:
         assert len(calls) == 1
         doc = parse_newick("((1,5),(9,(3,4)));")
         assert est.intervals_ == bottom_up_intervals(doc.tree, doc.leaf_labels)
+
+    def test_auto_median_fit(self, monkeypatch):
+        calls = count_calls(monkeypatch, median_up)
+        est = TreeLabeler().fit("(1,2,3);")
+        assert est.algorithm_ == "median"
+        assert len(calls) == 1
+        doc = parse_newick("(1,2,3);")
+        assert est.intervals_ == median_up(doc.tree, doc.leaf_labels)
+        assert est.cost_table_ is None
+        assert (est.labels_, est.cost_) == ([2, 1, 2, 3], 2)
 
     def test_auto_interval_fit_checks_binarity_once(self, monkeypatch):
         calls = count_calls(monkeypatch, is_binary)

@@ -16,15 +16,19 @@ from treelabel import (
     build_tree,
     bottom_up_intervals,
     brute_force_min,
+    convex_up,
     dp_up,
     enumerate_optimal,
     eval_total,
+    median_down,
+    median_up,
     min_total,
     optimal_label_sets,
     parse_newick,
     random_document,
     solve_dp,
     solve_interval,
+    solve_scalar,
     top_down_labels,
 )
 from treelabel.intervals import interval_csv
@@ -354,6 +358,58 @@ class TestSolveInterval:
         assert brute_force_min(doc.tree, doc.leaf_labels, MANHATTAN).cost == 3
         sets = optimal_label_sets(doc.tree, doc.leaf_labels, MANHATTAN)
         assert sets[1] == [4, 5]
+
+
+class TestMedian:
+    def test_stretch_ends(self):
+        # the root of (1,(2,4,6),3) sorts the ends 1,1,3,3,4,4 (plus the
+        # range ends 1 and 6); the unary node over 7 spans the label range
+        doc = parse_newick("(1,(2,4,6),3,((7)));")
+        iv = median_up(doc.tree, doc.leaf_labels)
+        root = doc.tree.root
+        assert (iv[root], iv.stretches[root]) == ((3, 4), (3, 4))
+        inner, unary = doc.tree.children[root][1], doc.tree.children[root][3]
+        assert (iv[inner], iv.stretches[inner]) == ((4, 4), (2, 6))
+        assert (iv[unary], iv.stretches[unary]) == ((7, 7), (1, 7))
+        assert iv.intervals == bottom_up_intervals(doc.tree, doc.leaf_labels).intervals
+
+    # the unary chain above leaf 7 may take any label in [3, 7]: dp's
+    # lowest rule stays at the root's 3, its highest rule goes to 7
+    @pytest.mark.parametrize("tie,root,unary", [("lowest", 3, 3), ("highest", 4, 7)])
+    def test_tie_rules_follow_dp(self, tie, root, unary):
+        doc = parse_newick("(1,(2,4,6),3,((7)));")
+        labeling = median_down(doc.tree, median_up(doc.tree, doc.leaf_labels), tie=tie)
+        expected = solve_dp(doc.tree, doc.leaf_labels, MANHATTAN, tie=tie)
+        assert labeling.values == expected.values
+        assert labeling.values[doc.tree.root] == root
+        assert labeling.values[doc.tree.children[doc.tree.root][3]] == unary
+        assert labeling.total_cost == expected.total_cost == 11
+
+    def test_midpoint_tie_and_missing_stretches_rejected(self):
+        doc = parse_newick("(1,2,3);")
+        with pytest.raises(ValueError, match="tie"):
+            median_down(doc.tree, median_up(doc.tree, doc.leaf_labels), tie="midpoint")
+        with pytest.raises(ValueError, match="stretch ends"):
+            median_down(doc.tree, bottom_up_intervals(doc.tree, doc.leaf_labels))
+
+    @pytest.mark.parametrize(
+        "newick,cost",
+        [
+            ("(0,1000000,5);", 1_000_000),
+            ("(0,10000000000000000000000000000000,5);", 10**31),
+        ],
+    )
+    def test_huge_span_star_builds_no_table(self, monkeypatch, newick, cost):
+        # a cost table would hold m entries per node, so a call to either
+        # table builder is refused rather than left to run out of memory
+        convex_calls = count_calls(monkeypatch, convex_up, refuse=True)
+        dp_calls = count_calls(monkeypatch, dp_up, refuse=True)
+        doc = parse_newick(newick)
+        resolved, labeling, _ = solve_scalar(doc.tree, doc.leaf_labels, MANHATTAN)
+        assert resolved == "median"
+        assert labeling.total_cost == cost
+        assert labeling.values[doc.tree.root] == 5
+        assert (convex_calls, dp_calls) == ([], [])
 
 
 def test_interval_csv_shape():

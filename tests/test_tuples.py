@@ -175,8 +175,8 @@ class TestSolveKtuple:
         expected = tuple_brute_force_cost(doc.tree, 2, doc.leaf_labels.labels, MANHATTAN)
         forced = solve_ktuple(doc.tree, doc.leaf_labels, MANHATTAN, algorithm="interval")
         assert forced.total_cost == expected
-        # auto still takes convex for the non-binary tree
-        assert choose_algorithm("auto", doc.tree, MANHATTAN) == "convex"
+        # auto takes median for the non-binary tree
+        assert choose_algorithm("auto", doc.tree, MANHATTAN) == "median"
         assert solve_ktuple(doc.tree, doc.leaf_labels, MANHATTAN).total_cost == expected
 
     def test_decomposition_audit_failure_is_reported(self, monkeypatch):
