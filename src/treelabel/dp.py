@@ -5,11 +5,13 @@ Works in two phases over the label range [g_min, g_max] (m values):
 Up phase (Tree.order reversed, children first). For every node k and
 candidate label i, compute S_k(i), the minimal cost of the subtree rooted
 at k given k is labeled i. Leaf rows are 0 at the observed label and
-infinity elsewhere. An internal node a with children b_1..b_r gets
+infinity elsewhere; leaves with the same label share one row. An
+internal node a with children b_1..b_r gets
 
     S_a(i) = sum over children b of  min_j [ theta(|i - j|) + S_b(j) ]
 
-The binary two-child case is the r = 2 specialization of the same sum.
+The binary two-child case is the r = 2 specialization of the same sum,
+which starts from the first child's part.
 Two up phases fill the same table and differ only in how they take the
 inner minimum of an internal child; the leaf rows and the leaf-child
 contribution are one shared loop.
@@ -40,9 +42,10 @@ Ties go to the smallest label by default (tie="highest" picks the
 largest, useful for probing the set of optima). Note the chosen j need
 not minimize S_p itself. A leaf keeps its observed label.
 
-Memory is O(N * m): every optimal label lives in [g_min, g_max], so
-nothing outside that range is ever scanned, and windows are sliced on
-the fly rather than stored. Costs are exact Python ints. math.inf marks
+Memory is O(N_internal * m + L * m) for L distinct leaf labels (L <= m):
+every optimal label lives in [g_min, g_max], so nothing outside that
+range is ever scanned, windows are sliced on the fly rather than stored,
+and the leaf rows are shared per distinct label. Costs are exact Python ints. math.inf marks
 the impossible labels of a leaf row, and since leaf rows never enter a
 sum or a slope, no int + inf is ever formed: theta values beyond float
 range (power:200, say) cannot overflow, and no finite "big number" ever
@@ -71,8 +74,10 @@ class CostTable:
     """Per-node subtree costs over the label range.
 
     rows[k][i - g_min] is S_k(i). Leaf rows contain the infinity sentinel
-    everywhere except the observed label; internal rows are finite
-    everywhere. The minimum of the root row is the optimal total cost.
+    everywhere except the observed label, and leaves with the same label
+    share one row object, so a table holds O(N_internal * m + distinct leaf
+    labels * m) values; internal rows are finite everywhere. The minimum
+    of the root row is the optimal total cost.
     """
 
     g_min: int
@@ -105,21 +110,29 @@ def _up_phase(t: Tree, l: LeafLabeling, c: CostFunction, contribution) -> CostTa
     tm = _mirrored_theta(c, m)
     internal_part = contribution(tm, m)
 
+    children, labels = t.children, l.labels
+    # one row per distinct leaf label, shared by every leaf carrying it
+    leaf_rows: dict[int, tuple] = {}
     rows: list = [None] * t.node_count
     for v in reversed(t.order):
-        if t.is_leaf(v):
-            row = [INFINITY] * m
-            row[l.labels[v] - g_min] = 0
-            rows[v] = tuple(row)
+        kids = children[v]
+        if not kids:
+            label = labels[v]
+            row = leaf_rows.get(label)
+            if row is None:
+                row = [INFINITY] * m
+                row[label - g_min] = 0
+                row = leaf_rows[label] = tuple(row)
+            rows[v] = row
             continue
-        acc = [0] * m
-        for child in t.children[v]:
-            if t.is_leaf(child):
-                k = m - 1 - (l.labels[child] - g_min)
-                part = tm[k : k + m]
-            else:
+        acc = None
+        for child in kids:
+            if children[child]:
                 part = internal_part(rows[child])
-            acc = list(map(add, acc, part))
+            else:
+                k = m - 1 - (labels[child] - g_min)
+                part = tm[k : k + m]
+            acc = part if acc is None else list(map(add, acc, part))
         rows[v] = tuple(acc)
     return CostTable(g_min=g_min, g_max=g_max, rows=tuple(rows))
 
@@ -190,12 +203,13 @@ def dp_down(t: Tree, ct: CostTable, c: CostFunction, tie: str = "lowest") -> Lab
     cost, root_labels = min_total(ct, t.root)
     values: dict[int, int] = {t.root: root_labels[-1] if pick_last else root_labels[0]}
 
+    children, parents, rows = t.children, t.parents, ct.rows
     for v in t.order[1:]:
-        row = ct.rows[v]
-        if t.is_leaf(v):
+        row = rows[v]
+        if not children[v]:
             values[v] = g_min + row.index(0)
             continue
-        k = m - 1 - (values[t.parents[v]] - g_min)
+        k = m - 1 - (values[parents[v]] - g_min)
         scores = list(map(add, tm[k : k + m], row))
         best = min(scores)
         if pick_last:

@@ -38,7 +38,9 @@ class TreeLabeler:
         dp scans every (label, child label) pair directly in builtins, a
         windowed min(map(add, ...)) per label: O(N * m^2) time. convex
         builds the same cost table by slope merge in O(N * m). Both use
-        O(N * m) memory, with a leaf child contributing in O(m).
+        O(N_internal * m + distinct leaf labels * m) memory, since leaves
+        with the same label share one table row, with a leaf child
+        contributing in O(m).
     cost : str or CostFunction, default "manhattan"
         Edge-cost spec: "manhattan", "power:<k>" or "table:<c0,c1,...>".
     tie : {"lowest", "highest", "midpoint"}, default "lowest"

@@ -179,10 +179,15 @@ def parse_newick(text: str) -> LabeledTreeDocument:
 def parse_newick_tuples(text: str) -> TupleTreeDocument:
     """Parse one Newick tree whose leaf names are '|'-separated k-tuples."""
     tree, leaf_names = _parse_tree(text)
-    tuples = {
-        v: tuple(_leaf_int(p, f"tuple component of leaf {name!r}") for p in name.split("|"))
-        for v, name in leaf_names.items()
-    }
+    is_int = _INT_NAME.fullmatch
+    tuples = {}
+    for v, name in leaf_names.items():
+        parts = name.split("|")
+        if not all(map(is_int, parts)):
+            # raises at the first bad component
+            for p in parts:
+                _leaf_int(p, f"tuple component of leaf {name!r}")
+        tuples[v] = tuple(map(int, parts))
     # the tuples are keyed by the tree's own leaves, so coverage holds
     return TupleTreeDocument(tree=tree, leaf_labels=TupleLeafLabeling._of_leaves(tuples))
 

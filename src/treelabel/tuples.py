@@ -5,7 +5,9 @@ per-coordinate theta costs, so the total objective splits into k
 independent scalar problems when the within-tuple monotonicity constraint
 is ignored. The solver exploits exactly that: solve coordinate i on the
 leaf labels made of every tuple's i-th component, then zip the scalar
-answers back into tuples.
+answers back into tuples. The leaf columns come from one zip over the
+leaf tuples, each answer is read into a column indexed by node id, and
+the result is the zip of those columns.
 
 The sum of the k scalar optima is always a lower bound on the constrained
 tuple optimum. Whenever the zipped tuples come out nondecreasing at every
@@ -13,12 +15,16 @@ node the result is feasible, hence optimal, and the bound is tight. That
 monotonicity is expected for sorted leaf tuples under the deterministic
 smallest-label tie rules but is not taken on faith: every solve audits it
 and raises TupleDecompositionNotMonotone with a reproducer when it fails,
-rather than repairing the tuples silently.
+rather than repairing the tuples silently. The audit compares adjacent
+columns in builtins; only when some pair crosses does a node by node scan
+find what is reported: the smallest node id that decreases, and there the
+smallest coordinate i above coordinate i + 1.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
+from operator import gt, le
 from typing import Mapping
 
 from .costs import CostFunction, LeafLabeling, check_leaf_coverage, theta
@@ -88,6 +94,8 @@ class TupleLabeling:
 
 
 def _check_monotone(value: tuple[int, ...], where: str) -> None:
+    if all(map(le, value, value[1:])):
+        return
     for a, b in zip(value, value[1:]):
         if a > b:
             raise TupleNotMonotone(f"tuple {value} at {where} decreases")
@@ -123,29 +131,37 @@ def solve_ktuple(
 ) -> TupleLabeling:
     """Minimize the total stretch by per-coordinate decomposition."""
     algorithm = choose_algorithm(algorithm, t, c)
-    coordinate_labels: list[Mapping[int, int]] = []
+    answers: list[Mapping[int, int]] = []
     total = 0
-    for i in range(l.k):
-        _, labeling, _ = solve_scalar(t, l.coordinate(i), c, algorithm=algorithm, tie=tie)
-        coordinate_labels.append(labeling.values)
+    for leaf_column in zip(*l.labels.values()):
+        coordinate = LeafLabeling._of_leaves(dict(zip(l.labels, leaf_column)))
+        _, labeling, _ = solve_scalar(t, coordinate, c, algorithm=algorithm, tie=tie)
+        answers.append(labeling.values)
         total += labeling.total_cost
 
-    values: dict[int, tuple[int, ...]] = {}
-    for v in range(t.node_count):
-        tup = tuple(coordinate_labels[i][v] for i in range(l.k))
-        for i in range(l.k - 1):
-            if tup[i] > tup[i + 1]:
-                raise TupleDecompositionNotMonotone(
-                    f"coordinates {i} and {i + 1} solve to {tup[i]} > {tup[i + 1]} "
-                    f"at node {v}; instance: parents={list(t.parents)}, "
-                    f"leaf_tuples={dict(sorted(l.labels.items()))}, cost={c.spec()}",
-                    node=v,
-                    coordinate=i,
-                    reproducer={
-                        "parents": list(t.parents),
-                        "leaf_tuples": dict(sorted(l.labels.items())),
-                        "cost": c.spec(),
-                    },
-                )
-        values[v] = tup
-    return TupleLabeling(values=values, total_cost=total)
+    # one column of answers per coordinate, indexed by node id
+    nodes = range(t.node_count)
+    columns = [list(map(values.__getitem__, nodes)) for values in answers]
+    if any(any(map(gt, a, b)) for a, b in zip(columns, columns[1:])):
+        # report the first crossing in node order: the smallest node id,
+        # and there the smallest coordinate i above coordinate i + 1
+        v, i = next(
+            (v, i)
+            for v in nodes
+            for i in range(len(columns) - 1)
+            if columns[i][v] > columns[i + 1][v]
+        )
+        reproducer = {
+            "parents": list(t.parents),
+            "leaf_tuples": dict(sorted(l.labels.items())),
+            "cost": c.spec(),
+        }
+        raise TupleDecompositionNotMonotone(
+            f"coordinates {i} and {i + 1} solve to {columns[i][v]} > {columns[i + 1][v]} "
+            f"at node {v}; instance: parents={reproducer['parents']}, "
+            f"leaf_tuples={reproducer['leaf_tuples']}, cost={reproducer['cost']}",
+            node=v,
+            coordinate=i,
+            reproducer=reproducer,
+        )
+    return TupleLabeling(values=dict(zip(nodes, zip(*columns))), total_cost=total)

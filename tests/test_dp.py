@@ -71,6 +71,16 @@ class TestDpUp:
                 if not doc.tree.is_leaf(v):
                     assert all(x != INF for x in ct.rows[v])
 
+    def test_leaves_with_one_label_share_their_row(self):
+        doc = parse_newick("((4,2),(4,(2,4)));")
+        for up_phase in (dp_up, convex_up):
+            ct = up_phase(doc.tree, doc.leaf_labels, SQUARE)
+            row_of_label = {}
+            for v, label in doc.leaf_labels.labels.items():
+                assert ct.rows[v] is row_of_label.setdefault(label, ct.rows[v])
+            assert sorted(row_of_label) == [2, 4]
+            assert row_of_label[2] == (0, INF, INF)
+
     def test_custom_table_too_short_rejected_up_front(self):
         doc = parse_newick("(0,9);")  # needs differences up to 9
         for up_phase in (dp_up, convex_up):

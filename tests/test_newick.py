@@ -163,6 +163,27 @@ class TestParse:
              "leaf name '١' is not a decimal integer"),
             (parse_newick_tuples, "( 1|3, 2|x);", NonIntegerLeafName,
              "tuple component of leaf '2|x' 'x' is not a decimal integer"),
+            # the first bad component of a leaf is the one reported
+            (parse_newick_tuples, "(1|x|y|2,3);", NonIntegerLeafName,
+             "tuple component of leaf '1|x|y|2' 'x' is not a decimal integer"),
+            # a bad leaf after good ones, deeper in the tree
+            (parse_newick_tuples, "(1|2,3|4,(5|6,7|+));", NonIntegerLeafName,
+             "tuple component of leaf '7|+' '+' is not a decimal integer"),
+            (parse_newick_tuples, "(1||2,3|4|5);", NonIntegerLeafName,
+             "tuple component of leaf '1||2' '' is not a decimal integer"),
+            (parse_newick_tuples, "(1|2|,3|4|5);", NonIntegerLeafName,
+             "tuple component of leaf '1|2|' '' is not a decimal integer"),
+            (parse_newick_tuples, "(1|٣,2|3);", NonIntegerLeafName,
+             "tuple component of leaf '1|٣' '٣' is not a decimal integer"),
+            # the k and monotonicity checks run in ascending leaf order
+            (parse_newick_tuples, "(1|2,(3|1,5|6));", TupleNotMonotone,
+             "tuple (3, 1) at leaf 3 decreases"),
+            (parse_newick_tuples, "(-3|+2|-1,4|+5|06);", TupleNotMonotone,
+             "tuple (-3, 2, -1) at leaf 1 decreases"),
+            (parse_newick_tuples, "(1|2,3);", TupleLengthMismatch,
+             "leaf 2 has a 1-tuple; expected k=2"),
+            (parse_newick_tuples, "((1|2|3,4|5),6|7|8);", TupleLengthMismatch,
+             "leaf 4 has a 2-tuple; expected k=3"),
         ],
     )
     def test_error_messages(self, parse, text, error, message):
@@ -170,6 +191,16 @@ class TestParse:
             parse(text)
         assert type(info.value) is error
         assert str(info.value) == message
+
+    @pytest.mark.parametrize(
+        "text, labels",
+        [
+            ("(-3|-2,+4|+5);", {1: (-3, -2), 2: (4, 5)}),
+            ("( -7|+0|007 ,-0|1|+1);", {1: (-7, 0, 7), 2: (0, 1, 1)}),
+        ],
+    )
+    def test_signed_tuple_components_parse(self, text, labels):
+        assert parse_newick_tuples(text).leaf_labels.labels == labels
 
     def test_parse_skips_the_leaf_coverage_check(self, monkeypatch):
         # the labels come from the tree's own leaves, so coverage holds

@@ -199,6 +199,36 @@ class TestSolveKtuple:
         assert err.reproducer["cost"] == "manhattan"
         assert err.reproducer["leaf_tuples"] == {1: (1, 4), 2: (3, 8)}
 
+    def test_decomposition_audit_reports_the_node_major_first_crossing(self, monkeypatch):
+        # internal labels per coordinate: node 1 crosses only in the last
+        # pair (2, 3), node 2 in pairs (0, 1) and (1, 2); the smallest node
+        # comes first, whatever coordinate pair it crosses in
+        doc = tuple_doc("((1|2|3|4,2|3|4|5),(3|4|5|6,4|5|6|7));")
+        internal = {0: (0, 1, 2, 3), 1: (0, 1, 5, 4), 2: (9, 8, 7, 7)}
+        coordinates = iter(range(4))
+
+        def crossing_solver(t, l, c, algorithm="auto", tie="lowest"):
+            i = next(coordinates)
+            values = dict(l.labels)
+            values.update((v, labels[i]) for v, labels in internal.items())
+            return "median", Labeling(values=values, total_cost=0), None
+
+        monkeypatch.setattr(tuples_module, "solve_scalar", crossing_solver)
+        with pytest.raises(TupleDecompositionNotMonotone) as info:
+            solve_ktuple(doc.tree, doc.leaf_labels, MANHATTAN)
+        err = info.value
+        assert (err.node, err.coordinate) == (1, 2)
+        leaf_tuples = {3: (1, 2, 3, 4), 4: (2, 3, 4, 5), 5: (3, 4, 5, 6), 6: (4, 5, 6, 7)}
+        assert err.reproducer == {
+            "parents": [None, 0, 0, 1, 1, 2, 2],
+            "leaf_tuples": leaf_tuples,
+            "cost": "manhattan",
+        }
+        assert str(err) == (
+            "coordinates 2 and 3 solve to 5 > 4 at node 1; instance: "
+            f"parents=[None, 0, 0, 1, 1, 2, 2], leaf_tuples={leaf_tuples}, cost=manhattan"
+        )
+
 
 def _random_tuple_instance(rng, max_leaves, k, window):
     doc = random_document(rng.randint(2, max_leaves), 0, 1, rng, arity="binary")
