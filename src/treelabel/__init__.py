@@ -12,8 +12,8 @@ Five solvers, cross-checkable against each other:
     convex theta (increments that never decrease).
   - solve_interval: interval propagation by the median rule, O(N log d)
     for maximum arity d, for Manhattan cost on any tree.
-  - median_up / median_down: the same up phase, then dp's labels under
-    dp's tie rules, for Manhattan cost on any tree.
+  - median_down: after bottom_up_intervals, dp's labels under dp's tie
+    rules, for Manhattan cost on any tree.
   - brute_force_min: exhaustive enumeration, the testing ground truth.
 
 k-tuple labelings (nondecreasing integer tuples per node) are handled by
@@ -51,7 +51,6 @@ from .intervals import (
     IntervalAssignment,
     bottom_up_intervals,
     median_down,
-    median_up,
     solve_interval,
     top_down_labels,
 )
@@ -116,7 +115,6 @@ __all__ = [
     "eval_total",
     "is_binary",
     "median_down",
-    "median_up",
     "min_total",
     "optimal_label_sets",
     "parse_newick",

@@ -89,12 +89,9 @@ def cmd_solve(args: argparse.Namespace) -> int:
         if args.dump_table or args.dump_intervals:
             raise UnsupportedAlgorithm("dump flags are not available in tuple mode")
         doc = parse_newick_tuples(text)
-        flat = [x for tup in doc.leaf_labels.labels.values() for x in tup]
-        g_min, g_max = min(flat), max(flat)
         serialize = serialize_tuple_labeled
     else:
         doc = parse_newick(text)
-        g_min, g_max = doc.leaf_labels.g_min, doc.leaf_labels.g_max
         serialize = serialize_labeled
 
     resolved = choose_algorithm(args.algorithm, doc.tree, cost)
@@ -123,6 +120,11 @@ def cmd_solve(args: argparse.Namespace) -> int:
     if args.format == "newick":
         print(serialize(doc, labeling))
     else:
+        if args.tuple:
+            tuples = doc.leaf_labels.labels.values()
+            g_min, g_max = min(map(min, tuples)), max(map(max, tuples))
+        else:
+            g_min, g_max = doc.leaf_labels.g_min, doc.leaf_labels.g_max
         payload = {
             "cost": labeling.total_cost,
             "labels": {str(v): labeling.values[v] for v in range(doc.tree.node_count)},

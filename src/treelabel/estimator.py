@@ -54,7 +54,7 @@ class TreeLabeler:
     algorithm_          : the solver actually used
     g_min_, g_max_, m_  : leaf-label range
     intervals_          : IntervalAssignment or None (interval and median
-                          runs; median's also holds the stretch ends)
+                          runs, bottom_up_intervals' either way)
     cost_table_         : CostTable or None (dp and convex runs)
 
     intervals_ and cost_table_ are the up-phase results of the solve

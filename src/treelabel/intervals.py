@@ -17,9 +17,9 @@ the children is, up to a constant, half the sum of |i - e| over the 2r
 ends e, which is minimal exactly between its two middle ends. Its slope
 between the k-th and the (k+1)-th smallest end is k - r, so S_v falls
 with slope -1 on [below, lo] and rises with slope +1 on [hi, above],
-below and above being the (r-1)-th and the (r+2)-th smallest ends.
-median_up keeps those stretch ends too; a unary node, whose cost falls
-and rises with slope 1 over the whole label range, takes g_min and g_max.
+below and above being the (r-1)-th and the (r+2)-th smallest ends; a
+unary node's cost falls and rises with slope 1 over the whole label
+range.
 
 The down phases (Tree.order, parents first) both clamp: every non-root
 node takes its parent's label q moved to the nearest point of a window.
@@ -37,8 +37,10 @@ needed.
   plus or minus 1. The smallest such j is q clamped into [below, hi],
   the largest q clamped into [lo, above], and the root takes lo (or hi),
   the ends of its flat stretch. So median reproduces dp_down's labels
-  and cost on any Manhattan tree without building a table. A leaf's
-  stretch ends are its label, so its clamp keeps it.
+  and cost on any Manhattan tree without building a table. The window
+  differs from the interval only where q leaves it on the tie side, so
+  below (above) is read from the node's children there and nowhere
+  else; a unary node keeps q and a leaf keeps its label.
 
 The up phase is O(N log d) for maximum arity d, independent of the label
 range; a down phase is O(N).
@@ -49,7 +51,6 @@ Other cost functions go through the DP solvers.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Optional
 
 from .costs import Labeling, LeafLabeling
 from .dp import TIES as DP_TIES
@@ -63,15 +64,9 @@ TIES = ("lowest", "highest", "midpoint")
 
 @dataclass(frozen=True)
 class IntervalAssignment:
-    """Closed integer interval (lo, hi) per node, lo <= hi.
-
-    stretches, set by median_up only, holds (below, above) per node: the
-    ends of the stretches where the node's subtree cost falls with slope
-    -1 up to lo and rises with slope +1 from hi.
-    """
+    """Closed integer interval (lo, hi) per node, lo <= hi."""
 
     intervals: tuple[Interval, ...]
-    stretches: Optional[tuple[Interval, ...]] = None
 
     def __getitem__(self, node: int) -> Interval:
         return self.intervals[node]
@@ -101,48 +96,47 @@ def bottom_up_intervals(t: Tree, l: LeafLabeling) -> IntervalAssignment:
     return IntervalAssignment(intervals=tuple(intervals))
 
 
-def median_up(t: Tree, l: LeafLabeling) -> IntervalAssignment:
-    """bottom_up_intervals' intervals, plus the stretch ends median_down needs.
+def _stretch_label(q: int, kids, intervals, lowest: bool) -> int:
+    """dp's label for an internal node whose parent's label q leaves its interval.
 
-    >>> from treelabel import parse_newick
-    >>> doc = parse_newick("(1,2,3);")
-    >>> iv = median_up(doc.tree, doc.leaf_labels)
-    >>> iv[doc.tree.root], iv.stretches[doc.tree.root]
-    ((2, 2), (1, 3))
+    For lowest, q lies below the interval and is raised to the end of the
+    stretch where the node's subtree cost falls with slope -1 into it: the
+    (r-1)-th smallest of its r children's 2r interval ends. For highest, q
+    lies above and is lowered to the end of the stretch where the cost
+    rises with slope +1 out of it: the (r+2)-th smallest. A unary node's
+    stretches span the whole label range, so it keeps q.
     """
-    children, labels = t.children, l.labels
-    # g_min and g_max bound every end, so sorting them in shifts each index
-    # by one and gives a unary node the whole label range as its stretches
-    range_ends = (l.g_min, l.g_max)
-    intervals: list = [None] * t.node_count
-    stretches: list = [None] * t.node_count
-    interval_of = intervals.__getitem__
-    for v in reversed(t.order):
-        kids = children[v]
-        if not kids:
-            p = labels[v]
-            intervals[v] = stretches[v] = (p, p)
-            continue
-        r = len(kids)
-        below, lo, hi, above = sorted(sum(map(interval_of, kids), range_ends))[r - 1 : r + 3]
-        intervals[v] = lo, hi
-        stretches[v] = below, above
-    return IntervalAssignment(intervals=tuple(intervals), stretches=tuple(stretches))
+    r = len(kids)
+    if r == 1:
+        return q
+    ends = sorted(sum(map(intervals.__getitem__, kids), ()))
+    return max(q, ends[r - 2]) if lowest else min(q, ends[r + 1])
 
 
-def _clamp_down(t: Tree, root_label: int, windows) -> Labeling:
-    """Give every non-root node its parent's label clamped into its window."""
+def _clamp_down(
+    t: Tree, iv: IntervalAssignment, root_label: int, dp_tie: str | None = None
+) -> Labeling:
+    """Give every non-root node its parent's label clamped into its interval.
+
+    With dp_tie "lowest" ("highest"), an internal node whose parent's label
+    lies below (above) its interval takes _stretch_label's label instead.
+    """
     # the distance a clamp moves the label is that edge's Manhattan cost
-    parents = t.parents
+    parents, children, intervals = t.parents, t.children, iv.intervals
+    lowest, highest = dp_tie == "lowest", dp_tie == "highest"
     values: dict[int, int] = {t.root: root_label}
     total = 0
     for v in t.order[1:]:
         q = values[parents[v]]
-        lo, hi = windows[v]
+        lo, hi = intervals[v]
         if q < lo:
+            if lowest and children[v]:
+                lo = _stretch_label(q, children[v], intervals, True)
             values[v] = lo
             total += lo - q
         elif q > hi:
+            if highest and children[v]:
+                hi = _stretch_label(q, children[v], intervals, False)
             values[v] = hi
             total += q - hi
         else:
@@ -163,29 +157,24 @@ def top_down_labels(
         root_label = hi
     else:
         root_label = (lo + hi) // 2
-    return _clamp_down(t, root_label, iv.intervals)
+    return _clamp_down(t, iv, root_label)
 
 
 def median_down(
     t: Tree, iv: IntervalAssignment, tie: str = "lowest"
 ) -> Labeling:
-    """dp_down's labels and cost from median_up's intervals and stretch ends.
+    """dp_down's labels and cost from bottom_up_intervals' intervals.
 
     >>> from treelabel import parse_newick
     >>> doc = parse_newick("((0,4),(1,5,9));")
-    >>> iv = median_up(doc.tree, doc.leaf_labels)
+    >>> iv = bottom_up_intervals(doc.tree, doc.leaf_labels)
     >>> median_down(doc.tree, iv).values[2], median_down(doc.tree, iv, "highest").values[2]
     (4, 5)
     """
     if tie not in DP_TIES:
         raise ValueError(f"tie must be one of {DP_TIES}, got {tie!r}")
-    if iv.stretches is None:
-        raise ValueError("median_down needs the stretch ends of median_up")
-    pairs = zip(iv.stretches, iv.intervals)
-    root_lo, root_hi = iv[t.root]
-    if tie == "lowest":
-        return _clamp_down(t, root_lo, [(below, hi) for (below, _), (_, hi) in pairs])
-    return _clamp_down(t, root_hi, [(lo, above) for (_, above), (lo, _) in pairs])
+    lo, hi = iv[t.root]
+    return _clamp_down(t, iv, lo if tie == "lowest" else hi, tie)
 
 
 def solve_interval(t: Tree, l: LeafLabeling, tie: str = "lowest") -> Labeling:

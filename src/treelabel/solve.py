@@ -13,7 +13,6 @@ from .intervals import (
     IntervalAssignment,
     bottom_up_intervals,
     median_down,
-    median_up,
     top_down_labels,
 )
 from .oracle import brute_force_min
@@ -78,9 +77,9 @@ def solve_scalar(
 
     The up-phase result is the CostTable of a dp or convex solve (the
     same table either way) or the IntervalAssignment of an interval or
-    median solve (median's also holds the stretch ends),
-    handed back so that callers reuse it instead of computing it again;
-    the oracle has none (None).
+    median solve (bottom_up_intervals' either way), handed back so that
+    callers reuse it instead of computing it again; the oracle has none
+    (None).
     The oracle path returns the first optimal labeling in enumeration
     order and only supports the default tie rule.
     """
@@ -94,11 +93,9 @@ def solve_scalar(
     if resolved in TABLE_ALGORITHMS:
         table = (convex_up if resolved == "convex" else dp_up)(t, l, c)
         return resolved, dp_down(t, table, c, tie=tie), table
-    if resolved == "interval":
+    if resolved in INTERVAL_ALGORITHMS:
         intervals = bottom_up_intervals(t, l)
-        return resolved, top_down_labels(t, intervals, tie=tie), intervals
-    if resolved == "median":
-        intervals = median_up(t, l)
-        return resolved, median_down(t, intervals, tie=tie), intervals
+        down = median_down if resolved == "median" else top_down_labels
+        return resolved, down(t, intervals, tie=tie), intervals
     optimum = brute_force_min(t, l, c, budget=budget, max_labelings=1)
     return resolved, optimum.labelings[0], None

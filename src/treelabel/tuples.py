@@ -74,15 +74,8 @@ class TupleLeafLabeling:
                 raise TupleLengthMismatch(
                     f"leaf {v} has a {len(value)}-tuple; expected k={k}"
                 )
-            _check_monotone(value, f"leaf {v}")
+            _check_monotone(value, "leaf", v)
         return cls(k=k, labels=labels)
-
-    def coordinate(self, i: int) -> LeafLabeling:
-        """Scalar leaf labeling made of component i of every tuple.
-
-        The tuples cover exactly the leaves, so no coverage check is needed.
-        """
-        return LeafLabeling._of_leaves({v: tup[i] for v, tup in self.labels.items()})
 
 
 @dataclass(frozen=True)
@@ -93,19 +86,16 @@ class TupleLabeling:
     total_cost: int
 
 
-def _check_monotone(value: tuple[int, ...], where: str) -> None:
-    if all(map(le, value, value[1:])):
-        return
-    for a, b in zip(value, value[1:]):
-        if a > b:
-            raise TupleNotMonotone(f"tuple {value} at {where} decreases")
+def _check_monotone(value: tuple[int, ...], kind: str, v: int) -> None:
+    if not all(map(le, value, value[1:])):
+        raise TupleNotMonotone(f"tuple {value} at {kind} {v} decreases")
 
 
 def tuple_cost(t: Tree, c: CostFunction, full: TupleLabeling | Mapping) -> int:
     """Total stretch: sum over edges of the per-coordinate theta costs."""
     values = full.values if isinstance(full, TupleLabeling) else full
     for v, tup in values.items():
-        _check_monotone(tuple(tup), f"node {v}")
+        _check_monotone(tuple(tup), "node", v)
     total = 0
     for parent, child in t.edges():
         try:

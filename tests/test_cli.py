@@ -15,7 +15,7 @@ from treelabel import (
     convex_up,
     document_to_newick,
     dp_up,
-    median_up,
+    median_down,
     parse_newick,
     random_document,
     random_topology,
@@ -192,7 +192,7 @@ class TestSolve:
     def test_dump_intervals_on_auto_median(self, capsys, tmp_path, monkeypatch):
         path = tmp_path / "t.nwk"
         path.write_text("(1,(2,4,6),3);")  # auto resolves to median
-        calls = count_calls(monkeypatch, median_up)
+        calls = count_calls(monkeypatch, bottom_up_intervals)
         code, out, _ = run(capsys, "solve", str(path), "--format", "json",
                            "--dump-intervals", str(tmp_path / "auto.csv"))
         assert code == 0
@@ -228,10 +228,26 @@ class TestSolve:
         assert err.startswith(f"error:UnsupportedAlgorithm:{message}")
 
     @pytest.mark.parametrize("tie", ["lowest", "highest"])
+    def test_median_huge_span_unary_chain_stays_int(self, capsys, tmp_path, tie):
+        # the unary chain above leaf 10**31 takes a stretch that spans the
+        # whole label range, and no float sentinel stands in for its ends
+        path = tmp_path / "t.nwk"
+        path.write_text("(((10000000000000000000000000000000)),0,5);")
+        code, newick, _ = run(capsys, "solve", str(path), "--tie", tie)
+        assert code == 0
+        code, out, _ = run(capsys, "solve", str(path), "--tie", tie, "--format", "json")
+        assert code == 0
+        payload = json.loads(out)
+        assert payload["algorithm"] == "median"
+        assert all(type(label) is int for label in payload["labels"].values())
+        assert type(payload["cost"]) is int
+        assert "inf" not in newick + out
+
+    @pytest.mark.parametrize("tie", ["lowest", "highest"])
     def test_auto_stdout_matches_convex_on_non_binary_trees(
         self, capsys, tmp_path, monkeypatch, tie
     ):
-        medians = count_calls(monkeypatch, median_up)
+        medians = count_calls(monkeypatch, median_down)
         rng = random.Random(f"median-vs-convex:{tie}")
         for index in range(12):
             if index % 2:
@@ -534,7 +550,7 @@ class TestBench:
         assert len(convex_calls) == 5 + 1
 
     def test_median_rows(self, capsys, monkeypatch):
-        calls = count_calls(monkeypatch, median_up)
+        calls = count_calls(monkeypatch, median_down)
         code, out, _ = run(capsys, "bench", "--algorithms", "median",
                            "--n-grid", "6", "--m-grid", "8", "--reps", "5", "--seed", "7")
         assert code == 0

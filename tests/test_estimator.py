@@ -9,7 +9,6 @@ from treelabel import (
     convex_up,
     dp_up,
     is_binary,
-    median_up,
     parse_newick,
     postorder,
     preorder,
@@ -70,12 +69,12 @@ class TestFit:
         assert est.intervals_ == bottom_up_intervals(doc.tree, doc.leaf_labels)
 
     def test_auto_median_fit(self, monkeypatch):
-        calls = count_calls(monkeypatch, median_up)
+        calls = count_calls(monkeypatch, bottom_up_intervals)
         est = TreeLabeler().fit("(1,2,3);")
         assert est.algorithm_ == "median"
         assert len(calls) == 1
         doc = parse_newick("(1,2,3);")
-        assert est.intervals_ == median_up(doc.tree, doc.leaf_labels)
+        assert est.intervals_ == bottom_up_intervals(doc.tree, doc.leaf_labels)
         assert est.cost_table_ is None
         assert (est.labels_, est.cost_) == ([2, 1, 2, 3], 2)
 

@@ -21,7 +21,6 @@ from treelabel import (
     enumerate_optimal,
     eval_total,
     median_down,
-    median_up,
     min_total,
     optimal_label_sets,
     parse_newick,
@@ -361,36 +360,43 @@ class TestSolveInterval:
 
 
 class TestMedian:
-    def test_stretch_ends(self):
-        # the root of (1,(2,4,6),3) sorts the ends 1,1,3,3,4,4 (plus the
-        # range ends 1 and 6); the unary node over 7 spans the label range
-        doc = parse_newick("(1,(2,4,6),3,((7)));")
-        iv = median_up(doc.tree, doc.leaf_labels)
-        root = doc.tree.root
-        assert (iv[root], iv.stretches[root]) == ((3, 4), (3, 4))
-        inner, unary = doc.tree.children[root][1], doc.tree.children[root][3]
-        assert (iv[inner], iv.stretches[inner]) == ((4, 4), (2, 6))
-        assert (iv[unary], iv.stretches[unary]) == ((7, 7), (1, 7))
-        assert iv.intervals == bottom_up_intervals(doc.tree, doc.leaf_labels).intervals
-
-    # the unary chain above leaf 7 may take any label in [3, 7]: dp's
-    # lowest rule stays at the root's 3, its highest rule goes to 7
-    @pytest.mark.parametrize("tie,root,unary", [("lowest", 3, 3), ("highest", 4, 7)])
-    def test_tie_rules_follow_dp(self, tie, root, unary):
-        doc = parse_newick("(1,(2,4,6),3,((7)));")
-        labeling = median_down(doc.tree, median_up(doc.tree, doc.leaf_labels), tie=tie)
+    # (1,(2,4,6),3,((7))): the unary chain above leaf 7 (nodes 4 and 8) may
+    # take any label in [3, 7], so dp's lowest rule stays at the root's 3
+    # and its highest rule goes to 7. Node 2's interval is [4, 4]; under
+    # lowest the root's 3 lies below it, inside the stretch where node 2's
+    # cost falls with slope -1 (down to 2, the 2nd smallest of its ends
+    # 2,2,4,4,6,6), so node 2 keeps 3 where the interval clamp gives 4. In
+    # (9,(2,4,6),9) under highest the root's 9 lies above node 2's [4, 4]
+    # and node 2 takes 6, the 5th smallest end, where the clamp gives 4.
+    @pytest.mark.parametrize(
+        "newick,tie,pins,clamped,cost",
+        [
+            pytest.param(
+                "(1,(2,4,6),3,((7)));", "lowest", {0: 3, 2: 3, 4: 3, 8: 3}, 4, 11,
+                id="lowest-3-3",
+            ),
+            pytest.param(
+                "(1,(2,4,6),3,((7)));", "highest", {0: 4, 2: 4, 4: 7, 8: 7}, 4, 11,
+                id="highest-4-7",
+            ),
+            pytest.param("(9,(2,4,6),9);", "highest", {0: 9, 2: 6}, 4, 9, id="highest-9-6"),
+        ],
+    )
+    def test_tie_rules_follow_dp(self, newick, tie, pins, clamped, cost):
+        doc = parse_newick(newick)
+        iv = bottom_up_intervals(doc.tree, doc.leaf_labels)
+        assert iv[2] == (4, 4)
+        labeling = median_down(doc.tree, iv, tie=tie)
         expected = solve_dp(doc.tree, doc.leaf_labels, MANHATTAN, tie=tie)
         assert labeling.values == expected.values
-        assert labeling.values[doc.tree.root] == root
-        assert labeling.values[doc.tree.children[doc.tree.root][3]] == unary
-        assert labeling.total_cost == expected.total_cost == 11
+        assert {v: labeling.values[v] for v in pins} == pins
+        assert top_down_labels(doc.tree, iv, tie=tie).values[2] == clamped
+        assert labeling.total_cost == expected.total_cost == cost
 
-    def test_midpoint_tie_and_missing_stretches_rejected(self):
+    def test_midpoint_tie_rejected(self):
         doc = parse_newick("(1,2,3);")
         with pytest.raises(ValueError, match="tie"):
-            median_down(doc.tree, median_up(doc.tree, doc.leaf_labels), tie="midpoint")
-        with pytest.raises(ValueError, match="stretch ends"):
-            median_down(doc.tree, bottom_up_intervals(doc.tree, doc.leaf_labels))
+            median_down(doc.tree, bottom_up_intervals(doc.tree, doc.leaf_labels), tie="midpoint")
 
     @pytest.mark.parametrize(
         "newick,cost",

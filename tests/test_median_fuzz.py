@@ -1,10 +1,12 @@
 """Hypothesis differential test of the median solver against dp's tie rules.
 
-median_up / median_down must give dp_down(convex_up(...))'s labels and
-cost under both of dp's tie rules, on any Manhattan tree, and the optimal
-cost of the interval solver. hypothesis comes with the ``test`` extra;
-without it this module is skipped, and the seeded median tests in
-test_intervals.py still run.
+bottom_up_intervals / median_down must give dp_down(convex_up(...))'s
+labels and cost under both of dp's tie rules, on any Manhattan tree, and
+the optimal cost of the interval solver. Two metamorphic properties ride
+along: reflecting the leaf labels (x -> -x) swaps the tie rules node by
+node, and shifting them by a constant shifts every label by it.
+hypothesis comes with the ``test`` extra; without it this module is
+skipped, and the seeded median tests in test_intervals.py still run.
 """
 
 import pytest
@@ -22,7 +24,6 @@ from treelabel import (
     convex_up,
     dp_down,
     median_down,
-    median_up,
     solve_interval,
 )
 
@@ -53,15 +54,28 @@ def _instances(draw):
 
 class TestMedianAgainstDp:
     @settings(derandomize=True, deadline=None, database=None, max_examples=150)
-    @given(instance=_instances())
-    def test_dp_labels_and_cost_under_both_ties(self, instance):
+    @given(instance=_instances(), shift=st.integers(-10**6, 10**6))
+    def test_dp_labels_and_cost_under_both_ties(self, instance, shift):
         t, l = instance
-        iv = median_up(t, l)
-        assert iv.intervals == bottom_up_intervals(t, l).intervals
+        iv = bottom_up_intervals(t, l)
         table = convex_up(t, l, MANHATTAN)
+        got = {}
         for tie in ("lowest", "highest"):
-            got = median_down(t, iv, tie=tie)
+            got[tie] = median_down(t, iv, tie=tie)
             expected = dp_down(t, table, MANHATTAN, tie=tie)
-            assert got.values == expected.values, tie
-            assert got.total_cost == expected.total_cost, tie
-        assert got.total_cost == solve_interval(t, l).total_cost
+            assert got[tie].values == expected.values, tie
+            assert got[tie].total_cost == expected.total_cost, tie
+        assert got["lowest"].total_cost == solve_interval(t, l).total_cost
+
+        def moved(step):
+            moved_leaves = LeafLabeling.for_tree(t, {v: step(p) for v, p in l.labels.items()})
+            return bottom_up_intervals(t, moved_leaves)
+
+        reflected, shifted = moved(lambda p: -p), moved(lambda p: p + shift)
+        for tie, other in (("lowest", "highest"), ("highest", "lowest")):
+            mirror = median_down(t, reflected, tie=tie)
+            assert mirror.values == {v: -x for v, x in got[other].values.items()}, tie
+            assert mirror.total_cost == got[other].total_cost, tie
+            moved_labels = median_down(t, shifted, tie=tie)
+            assert moved_labels.values == {v: x + shift for v, x in got[tie].values.items()}, tie
+            assert moved_labels.total_cost == got[tie].total_cost, tie

@@ -72,3 +72,40 @@ def test_docstring_examples_pass():
         attempted += result.attempted
     # at least TreeLabeler's and bottom_up_intervals' examples ran
     assert attempted >= 2
+
+
+def _unused_imports(path):
+    """Names a module imports but neither uses nor lists in ``__all__``.
+
+    An import whose line carries ``# noqa: F401`` is kept on purpose (a
+    name other code reads from the module) and is not reported.
+    """
+    source = path.read_text(encoding="utf-8")
+    lines = source.splitlines()
+    tree = ast.parse(source)
+    imported = set()
+    used = set()
+    for node in ast.walk(tree):
+        if isinstance(node, (ast.Import, ast.ImportFrom)):
+            if isinstance(node, ast.ImportFrom) and node.module == "__future__":
+                continue
+            for alias in node.names:
+                if "# noqa: F401" not in lines[alias.lineno - 1]:
+                    imported.add(alias.asname or alias.name.split(".")[0])
+        elif isinstance(node, ast.Name):
+            used.add(node.id)
+        elif isinstance(node, ast.Assign) and any(
+            isinstance(target, ast.Name) and target.id == "__all__" for target in node.targets
+        ):
+            used.update(ast.literal_eval(node.value))
+    return sorted(imported - used)
+
+
+def test_every_import_is_used():
+    # no linter runs here, so this stands in for pyflakes' F401
+    unused = {
+        path.name: names
+        for path in sorted(_PACKAGE.glob("*.py"))
+        if (names := _unused_imports(path))
+    }
+    assert unused == {}

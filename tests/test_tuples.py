@@ -53,12 +53,6 @@ class TestTupleLeafLabeling:
         with pytest.raises(TupleNotMonotone):
             TupleLeafLabeling.for_tree(doc.tree, {1: (2, 1), 2: (1, 2)})
 
-    def test_coordinate_projection(self):
-        doc = tuple_doc("(1|3,2|9);")
-        coord = doc.leaf_labels.coordinate(1)
-        assert coord.labels == {1: 3, 2: 9}
-        assert (coord.g_min, coord.g_max) == (3, 9)
-
     def test_leaf_coverage_checked_once_per_parse_and_solve(self, monkeypatch):
         calls = count_calls(monkeypatch, check_leaf_coverage)
         doc = parse_newick_tuples("((1|2|3,4|5|6),7|8|9);")
