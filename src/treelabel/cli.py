@@ -30,6 +30,7 @@ import statistics
 import sys
 import time
 
+from .costs import CostFunction
 from .dp import cost_table_csv
 from .errors import (
     BudgetExceeded,
@@ -56,7 +57,6 @@ from .solve import (
     solve_scalar,
 )
 from .tuples import solve_ktuple
-from .validation import resolve_cost
 
 _PRECONDITION_ERRORS = (
     BudgetExceeded,
@@ -83,7 +83,7 @@ def _write_file(path: str, text: str) -> None:
 
 def cmd_solve(args: argparse.Namespace) -> int:
     text = _read_input(args.input)
-    cost = resolve_cost(args.cost)
+    cost = CostFunction.from_spec(args.cost)
 
     if args.tuple:
         if args.dump_table or args.dump_intervals:
@@ -169,7 +169,7 @@ _SAME_LABELS = ("median", "convex")
 
 
 def cmd_check(args: argparse.Namespace) -> int:
-    cost = resolve_cost(args.cost)
+    cost = CostFunction.from_spec(args.cost)
     docs = _check_instances(args)
     budget = resolve_budget(args.budget)
 
@@ -248,7 +248,7 @@ def cmd_gen(args: argparse.Namespace) -> int:
 # ------------------------------------------------------------------ #
 
 def cmd_bench(args: argparse.Namespace) -> int:
-    cost = resolve_cost(args.cost)
+    cost = CostFunction.from_spec(args.cost)
     algorithms = [a.strip() for a in args.algorithms.split(",") if a.strip()]
     n_grid = [int(x) for x in args.n_grid.split(",")]
     m_grid = [int(x) for x in args.m_grid.split(",")]

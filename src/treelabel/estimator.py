@@ -1,28 +1,61 @@
 """Estimator-style front end, so the solvers compose with sklearn tooling.
 
 TreeLabeler follows the fit/fit_predict shape of scikit-learn's cluster
-estimators: hyperparameters in __init__, fit(X, y) does the work and
-exposes trailing-underscore attributes, get_params/set_params make the
-object clone()-able and grid-searchable. There is no separate predict(new
-data): like a clustering, the labeling is an answer about the fitted
-instance itself.
+estimators: the hyperparameters are its dataclass fields, fit(X, y) does
+the work and exposes trailing-underscore attributes, get_params/set_params
+make the object clone()-able and grid-searchable. There is no separate
+predict(new data): like a clustering, the labeling is an answer about the
+fitted instance itself.
+
+fit is where user input takes the shape of the problem: X becomes one
+leaf-labeled tree (LabeledTreeDocument) and the cost one CostFunction.
 """
 
 from __future__ import annotations
 
-from typing import Mapping, Optional
+from dataclasses import dataclass, fields
+from typing import Mapping, Optional, Union
+
+from .costs import CostFunction, LeafLabeling
 
 # fit reuses the table that solve_scalar built and never calls dp_up; the
 # name stays bound here because perfbench/test_perfbench.py checks that its
 # tracer restores every binding of dp_up, this one included.
 from .dp import CostTable, dp_up  # noqa: F401
 from .intervals import IntervalAssignment
+from .newick import LabeledTreeDocument, parse_newick, serialize_labeled
 from .solve import solve_scalar
-from .validation import InstanceLike, as_document, resolve_cost
+from .tree import Tree
+
+_InstanceLike = Union[str, LabeledTreeDocument, Tree]
 
 
+def _as_document(X: _InstanceLike, y: Optional[Mapping[int, int]]) -> LabeledTreeDocument:
+    """X as Newick text, a LabeledTreeDocument, or a bare Tree with labels y."""
+    if isinstance(X, str):
+        if y is not None:
+            raise ValueError("y must be None when X is Newick text (labels are leaf names)")
+        return parse_newick(X)
+    if isinstance(X, LabeledTreeDocument):
+        if y is not None:
+            raise ValueError("y must be None when X is already a labeled document")
+        return X
+    if isinstance(X, Tree):
+        if y is None:
+            raise ValueError("passing a bare Tree requires leaf labels in y")
+        return LabeledTreeDocument(tree=X, leaf_labels=LeafLabeling.for_tree(X, y))
+    raise TypeError(
+        f"X must be Newick text, a LabeledTreeDocument or a Tree, got {type(X).__name__}"
+    )
+
+
+@dataclass(eq=False)
 class TreeLabeler:
     """Minimum-cost integer labeling of a leaf-labeled rooted tree.
+
+    The fields are the hyperparameters; none is checked before fit.
+    eq=False keeps identity equality and hashing: two estimators with the
+    same fields are still two estimators.
 
     Parameters
     ----------
@@ -42,7 +75,8 @@ class TreeLabeler:
         with the same label share one table row, with a leaf child
         contributing in O(m).
     cost : str or CostFunction, default "manhattan"
-        Edge-cost spec: "manhattan", "power:<k>" or "table:<c0,c1,...>".
+        Edge-cost spec: "manhattan", "power:<k>" or "table:<c0,c1,...>";
+        fit parses a spec with CostFunction.from_spec.
     tie : {"lowest", "highest", "midpoint"}, default "lowest"
         How equally good labels are broken; "midpoint" is interval-only.
 
@@ -64,15 +98,14 @@ class TreeLabeler:
     [5, 5, 9, 1, 5]
     """
 
-    def __init__(self, algorithm: str = "auto", cost="manhattan", tie: str = "lowest"):
-        self.algorithm = algorithm
-        self.cost = cost
-        self.tie = tie
+    algorithm: str = "auto"
+    cost: Union[str, CostFunction] = "manhattan"
+    tie: str = "lowest"
 
     # -- sklearn estimator protocol ---------------------------------- #
 
     def get_params(self, deep: bool = True) -> dict:
-        return {"algorithm": self.algorithm, "cost": self.cost, "tie": self.tie}
+        return {f.name: getattr(self, f.name) for f in fields(self)}
 
     def set_params(self, **params) -> "TreeLabeler":
         for key, value in params.items():
@@ -84,18 +117,16 @@ class TreeLabeler:
             setattr(self, key, value)
         return self
 
-    def __repr__(self) -> str:
-        return (
-            f"TreeLabeler(algorithm={self.algorithm!r}, "
-            f"cost={self.cost!r}, tie={self.tie!r})"
-        )
-
     # -- fitting ------------------------------------------------------ #
 
-    def fit(self, X: InstanceLike, y: Optional[Mapping[int, int]] = None) -> "TreeLabeler":
+    def fit(self, X: _InstanceLike, y: Optional[Mapping[int, int]] = None) -> "TreeLabeler":
         """Solve the instance in X (Newick text, document, or Tree plus y)."""
-        doc = as_document(X, y)
-        cost_fn = resolve_cost(self.cost)
+        doc = _as_document(X, y)
+        cost_fn = CostFunction.from_spec(self.cost) if isinstance(self.cost, str) else self.cost
+        if not isinstance(cost_fn, CostFunction):
+            raise TypeError(
+                f"cost must be a CostFunction or spec string, got {type(cost_fn).__name__}"
+            )
         algorithm, labeling, up_phase = solve_scalar(
             doc.tree, doc.leaf_labels, cost_fn, algorithm=self.algorithm, tie=self.tie
         )
@@ -119,19 +150,12 @@ class TreeLabeler:
         )
         return self
 
-    def fit_predict(self, X: InstanceLike, y: Optional[Mapping[int, int]] = None) -> list:
+    def fit_predict(self, X: _InstanceLike, y: Optional[Mapping[int, int]] = None) -> list:
         """Fit and return the per-node labels (indexed by node id)."""
         return self.fit(X, y).labels_
 
     def to_newick(self) -> str:
         """The fitted labeling as annotated Newick."""
-        self._check_fitted()
-        from .newick import serialize_labeled
-
-        return serialize_labeled(self.document_, self.labeling_)
-
-    def _check_fitted(self) -> None:
         if not hasattr(self, "labeling_"):
-            raise RuntimeError(
-                "this TreeLabeler instance is not fitted yet; call fit() first"
-            )
+            raise RuntimeError("this TreeLabeler instance is not fitted yet; call fit() first")
+        return serialize_labeled(self.document_, self.labeling_)

@@ -67,5 +67,6 @@ def random_document(
     if lo > hi:
         raise ValueError(f"empty label range [{lo}, {hi}]")
     tree = random_topology(n_leaves, rng, arity=arity)
+    # built from tree.leaves(), so the labels cover exactly the leaves
     labels = {v: rng.randint(lo, hi) for v in tree.leaves()}
-    return LabeledTreeDocument(tree=tree, leaf_labels=LeafLabeling.for_tree(tree, labels))
+    return LabeledTreeDocument(tree=tree, leaf_labels=LeafLabeling._of_leaves(labels))

@@ -42,8 +42,9 @@ needed.
   below (above) is read from the node's children there and nowhere
   else; a unary node keeps q and a leaf keeps its label.
 
-The up phase is O(N log d) for maximum arity d, independent of the label
-range; a down phase is O(N).
+The up phase gathers a node's child interval ends into one list and sorts
+it, so it is O(N log d) for maximum arity d at every arity, a star
+included, and independent of the label range; a down phase is O(N).
 
 Other cost functions go through the DP solvers.
 """
@@ -82,15 +83,18 @@ def bottom_up_intervals(t: Tree, l: LeafLabeling) -> IntervalAssignment:
     """
     children, labels = t.children, l.labels
     intervals: list = [None] * t.node_count
-    interval_of = intervals.__getitem__
     for v in reversed(t.order):
         kids = children[v]
         if not kids:
             p = labels[v]
             intervals[v] = (p, p)
             continue
-        # the r-th and (r+1)-th smallest of the children's 2r interval ends
-        ends = sorted(sum(map(interval_of, kids), ()))
+        # the r-th and (r+1)-th smallest of the children's 2r interval ends,
+        # gathered by extending one list in place: linear in r
+        ends = []
+        for kid in kids:
+            ends += intervals[kid]
+        ends.sort()
         r = len(kids)
         intervals[v] = ends[r - 1], ends[r]
     return IntervalAssignment(intervals=tuple(intervals))
@@ -109,7 +113,10 @@ def _stretch_label(q: int, kids, intervals, lowest: bool) -> int:
     r = len(kids)
     if r == 1:
         return q
-    ends = sorted(sum(map(intervals.__getitem__, kids), ()))
+    ends = []
+    for kid in kids:
+        ends += intervals[kid]
+    ends.sort()
     return max(q, ends[r - 2]) if lowest else min(q, ends[r + 1])
 
 

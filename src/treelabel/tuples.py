@@ -6,8 +6,8 @@ independent scalar problems when the within-tuple monotonicity constraint
 is ignored. The solver exploits exactly that: solve coordinate i on the
 leaf labels made of every tuple's i-th component, then zip the scalar
 answers back into tuples. The leaf columns come from one zip over the
-leaf tuples, each answer is read into a column indexed by node id, and
-the result is the zip of those columns.
+leaf tuples, each answer is read into a column indexed by node id as soon
+as it is solved, and the result is the zip of those columns.
 
 The sum of the k scalar optima is always a lower bound on the constrained
 tuple optimum. Whenever the zipped tuples come out nondecreasing at every
@@ -121,17 +121,16 @@ def solve_ktuple(
 ) -> TupleLabeling:
     """Minimize the total stretch by per-coordinate decomposition."""
     algorithm = choose_algorithm(algorithm, t, c)
-    answers: list[Mapping[int, int]] = []
+    # one column of answers per coordinate, indexed by node id
+    nodes = range(t.node_count)
+    columns: list[list[int]] = []
     total = 0
     for leaf_column in zip(*l.labels.values()):
         coordinate = LeafLabeling._of_leaves(dict(zip(l.labels, leaf_column)))
         _, labeling, _ = solve_scalar(t, coordinate, c, algorithm=algorithm, tie=tie)
-        answers.append(labeling.values)
+        columns.append(list(map(labeling.values.__getitem__, nodes)))
         total += labeling.total_cost
 
-    # one column of answers per coordinate, indexed by node id
-    nodes = range(t.node_count)
-    columns = [list(map(values.__getitem__, nodes)) for values in answers]
     if any(any(map(gt, a, b)) for a, b in zip(columns, columns[1:])):
         # report the first crossing in node order: the smallest node id,
         # and there the smallest coordinate i above coordinate i + 1

@@ -15,7 +15,6 @@ from treelabel import (
     solve_dp,
 )
 from treelabel.solve import solve_scalar
-from treelabel.validation import as_document
 
 
 class TestFit:
@@ -87,7 +86,7 @@ class TestFit:
     def test_document_with_y_rejected(self):
         doc = parse_newick("(2,7);")
         with pytest.raises(ValueError, match="already a labeled document"):
-            as_document(doc, doc.leaf_labels.labels)
+            TreeLabeler().fit(doc, doc.leaf_labels.labels)
 
     @pytest.mark.parametrize("algorithm,cost", [("dp", "power:2"), ("interval", "manhattan")])
     def test_solvers_walk_tree_order_only(self, monkeypatch, algorithm, cost):

@@ -17,6 +17,7 @@ from treelabel import (
     bottom_up_intervals,
     brute_force_min,
     convex_up,
+    dp_down,
     dp_up,
     enumerate_optimal,
     eval_total,
@@ -416,6 +417,32 @@ class TestMedian:
         assert labeling.total_cost == cost
         assert labeling.values[doc.tree.root] == 5
         assert (convex_calls, dp_calls) == ([], [])
+
+
+# a 2,001-leaf star with labels in [0, 40]: small enough a span for convex_up,
+# wide enough that gathering the root's child interval ends must be linear
+_STAR_LEAVES = [random.Random(2001).randint(0, 40) for _ in range(2001)]
+_STAR = "(" + ",".join(map(str, _STAR_LEAVES)) + ")"
+
+
+class TestWideStar:
+    def test_root_interval_is_the_median_leaf_label(self):
+        doc = parse_newick(_STAR + ";")
+        x = sorted(_STAR_LEAVES)[1000]
+        assert bottom_up_intervals(doc.tree, doc.leaf_labels)[doc.tree.root] == (x, x)
+
+    # a cherry leaf below (above) the star puts the root's lowest (highest)
+    # label below (above) the star's interval, so median reads the star
+    # node's stretch ends from its 2,001 children
+    @pytest.mark.parametrize("newick", [_STAR + ";", f"({_STAR},-3);", f"({_STAR},60);"])
+    @pytest.mark.parametrize("tie", ["lowest", "highest"])
+    def test_median_follows_dp(self, newick, tie):
+        doc = parse_newick(newick)
+        labeling = median_down(doc.tree, bottom_up_intervals(doc.tree, doc.leaf_labels), tie=tie)
+        table = convex_up(doc.tree, doc.leaf_labels, MANHATTAN)
+        expected = dp_down(doc.tree, table, MANHATTAN, tie=tie)
+        assert labeling.values == expected.values
+        assert labeling.total_cost == expected.total_cost
 
 
 def test_interval_csv_shape():

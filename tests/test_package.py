@@ -109,3 +109,26 @@ def test_every_import_is_used():
         if (names := _unused_imports(path))
     }
     assert unused == {}
+
+
+def _concatenating_sums(path):
+    """Line numbers of the calls in a file that sum from a tuple or list, like
+    ``sum(parts, ())`` or ``sum(parts, start=[])``."""
+    lines = []
+    for node in ast.walk(ast.parse(path.read_text(encoding="utf-8"))):
+        if isinstance(node, ast.Call) and isinstance(node.func, ast.Name) and node.func.id == "sum":
+            starts = node.args[1:] + [k.value for k in node.keywords if k.arg == "start"]
+            if any(isinstance(s, (ast.Tuple, ast.List)) for s in starts):
+                lines.append(node.lineno)
+    return lines
+
+
+def test_no_sum_concatenates_sequences():
+    # sum(parts, ()) copies the whole result once per part, so it is
+    # quadratic in the number of parts; extend one list in place instead
+    found = {
+        path.name: lines
+        for path in sorted(_PACKAGE.glob("*.py"))
+        if (lines := _concatenating_sums(path))
+    }
+    assert found == {}
