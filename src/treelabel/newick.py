@@ -10,10 +10,13 @@ Node ids are assigned breadth-first from the root, so siblings keep their
 written left-to-right order (ids ascend left to right). The parser splits
 the text at the delimiters '(' ')' ',' ';' and makes one pass over the
 pieces and the delimiters together, checks each piece against a
-pattern, and records every node's parent and depth in text order; a
-stable sort of the nodes by depth then gives exactly the breadth-first
-ids. Error positions are summed from the piece lengths, on the error path
-only.
+pattern, and appends every node to the lists of its depth: its child
+count, and a leaf's name. Within one depth the written order is the
+breadth-first order, so those lists joined depth by depth number the
+nodes breadth-first with no sort, and each node's children are the next
+ids in line. The parser builds its ``Tree`` from them directly, since the
+result is a valid tree by construction. Error positions are summed from
+the piece lengths, on the error path only.
 
 For k-tuple inputs, a leaf name is a '|'-separated run of integers,
 e.g. "3|7|9"; see parse_newick_tuples.
@@ -23,7 +26,9 @@ from __future__ import annotations
 
 import re
 from dataclasses import dataclass
-from typing import Mapping, Optional, Union
+from itertools import chain, compress, repeat
+from operator import not_
+from typing import Mapping, Union
 
 from .costs import FullLabeling, Labeling, LeafLabeling
 from .errors import (
@@ -32,7 +37,7 @@ from .errors import (
     NewickSyntaxError,
     NonIntegerLeafName,
 )
-from .tree import Tree, build_tree
+from .tree import Tree
 from .tuples import TupleLabeling, TupleLeafLabeling
 
 _INT_NAME = re.compile(r"[+-]?[0-9]+", re.ASCII)
@@ -78,14 +83,18 @@ def _leaf_int(name: str, what: str = "leaf name") -> int:
     return int(name)
 
 
-def _scan_nodes(text: str) -> tuple[list[Optional[int]], dict[int, str]]:
-    """Parent ids and leaf names of the nodes of one Newick string.
+def _parse_tree(text: str) -> tuple[Tree, list[int], list[str]]:
+    """The tree of one Newick string, its leaves ascending and their raw names.
 
-    Both are indexed by breadth-first id. One pass over the delimiters and
-    the text pieces between them records each node's parent and depth in
-    text order, which is preorder. Within one depth, breadth-first order is
-    text order, so a stable sort by depth gives the breadth-first ids.
-    Iterative, so nesting depth is unbounded.
+    One pass over the delimiters and the text pieces between them appends
+    each node to the lists of its depth, in text order: its child count (0
+    for a leaf) and, for a leaf, its name. Within one depth, breadth-first
+    order is text order, so the lists joined depth by depth are in
+    breadth-first order, and there node v's children are the next count[v]
+    ids. The ``Tree`` is built from those counts directly: it has one root,
+    no parent out of range and no cycle by construction, so
+    ``build_tree``'s checks could find nothing. Iterative, so nesting depth
+    is unbounded.
     """
     if not text.strip():
         raise EmptyTree("blank input")
@@ -97,13 +106,14 @@ def _scan_nodes(text: str) -> tuple[list[Optional[int]], dict[int, str]]:
     def position(i: int) -> int:
         return sum(map(len, segments[: i + 1])) + i
 
-    # per node, in text order: parent, depth and leaf name (None if internal)
-    parent: list[Optional[int]] = []
-    depth: list[int] = []
-    names: list[Optional[str]] = []
-    # the internal nodes whose ')' is still ahead, on top of the root's
-    # parent None; the stack's length is the next node's depth
-    open_nodes: list[Optional[int]] = [None]
+    # per depth, in text order: every node's child count, every leaf's name.
+    # An internal node's count is stored as minus the next depth's length at
+    # its '(' and has that length added at its ')'; its entry is the last of
+    # its depth all the while, since its descendants all lie deeper.
+    counts: list[list[int]] = [[]]
+    names: list[list[str]] = [[]]
+    depth = 0  # how many internal nodes have their ')' still ahead
+    level, level_names = counts[0], names[0]  # the lists of depth ``depth``
     closed = False  # the previous delimiter was ')'
     for i, (segment, d) in enumerate(zip(segments, delimiters)):
         if closed:
@@ -111,34 +121,39 @@ def _scan_nodes(text: str) -> tuple[list[Optional[int]], dict[int, str]]:
                 raise _malformed(segment, position(i))
         elif d == "(" and (not segment or segment.isspace()):
             # an internal node starts at a '(' with nothing before it
-            parent.append(open_nodes[-1])
-            depth.append(len(open_nodes))
-            open_nodes.append(len(names))
-            names.append(None)
+            depth += 1
+            if depth == len(counts):
+                counts.append([])
+                names.append([])
+            below = counts[depth]
+            level.append(-len(below))
+            level, level_names = below, names[depth]
             continue
         elif d != ";" or (segment and not segment.isspace()):
             # a leaf ends at this delimiter
-            parent.append(open_nodes[-1])
-            depth.append(len(open_nodes))
             leaf = _LEAF.fullmatch(segment)
             if leaf is None:
                 raise _malformed(segment, position(i))
-            names.append(leaf[1])
-        elif open_nodes[-1] is None:
+            level.append(0)
+            level_names.append(leaf[1])
+        elif not depth:
             raise EmptyTree("no tree before ';'")
 
         if d == ",":
-            if open_nodes[-1] is None:
+            if not depth:
                 raise NewickSyntaxError(f"',' outside parentheses at position {position(i)}")
             closed = False
         elif d == ")":
-            if open_nodes[-1] is None:
+            if not depth:
                 raise NewickSyntaxError(f"unbalanced ')' at position {position(i)}")
-            open_nodes.pop()
+            depth -= 1
+            up = counts[depth]
+            up[-1] += len(level)
+            level, level_names = up, names[depth]
             closed = True
         elif d == "(":
             raise NewickSyntaxError(f"unexpected '(' at position {position(i)}")
-        elif open_nodes[-1] is not None:
+        elif depth:
             raise NewickSyntaxError("unbalanced '(': missing ')'")
         else:
             # every earlier ';' ended the loop, so this is the text's first
@@ -151,37 +166,40 @@ def _scan_nodes(text: str) -> tuple[list[Optional[int]], dict[int, str]]:
     else:
         raise NewickSyntaxError("missing ';' terminator")
 
-    order = sorted(range(len(depth)), key=depth.__getitem__)
-    new_id = [0] * len(order)
-    for i, v in enumerate(order):
-        new_id[v] = i
-    parent_of = [None] + [new_id[parent[v]] for v in order[1:]]
-    leaf_names = {i: names[v] for i, v in enumerate(order) if names[v] is not None}
-    return parent_of, leaf_names
-
-
-def _parse_tree(text: str) -> tuple[Tree, dict[int, str]]:
-    """The tree of one Newick string and the raw name of every leaf."""
-    # the scan's text-order lists die with its frame, before build_tree
-    # allocates, so they do not add to the parse's peak memory
-    parent_of, leaf_names = _scan_nodes(text)
-    return build_tree(parent_of), leaf_names
+    count = list(chain.from_iterable(counts))
+    # every id object below is taken from this one tuple, so the parents,
+    # the children and the order share them
+    ids = tuple(range(len(count)))
+    children = []
+    first = 1  # the id of the next node's first child
+    for c in count:
+        end = first + c
+        children.append(ids[first:end])
+        first = end
+    # each internal node, repeated once per child
+    below_root = chain.from_iterable(map(repeat, compress(ids, count), filter(None, count)))
+    tree = Tree(parents=(None, *below_root), children=tuple(children), order=ids)
+    return tree, list(compress(ids, map(not_, count))), list(chain.from_iterable(names))
 
 
 def parse_newick(text: str) -> LabeledTreeDocument:
     """Parse one Newick tree whose leaf names are integer labels."""
-    tree, leaf_names = _parse_tree(text)
+    tree, leaves, names = _parse_tree(text)
+    if not all(map(_INT_NAME.fullmatch, names)):
+        # raises at the first bad name in breadth-first order
+        for name in names:
+            _leaf_int(name)
     # the labels are keyed by the tree's own leaves, so coverage holds
-    labels = {v: _leaf_int(name) for v, name in leaf_names.items()}
+    labels = dict(zip(leaves, map(int, names)))
     return LabeledTreeDocument(tree=tree, leaf_labels=LeafLabeling._of_leaves(labels))
 
 
 def parse_newick_tuples(text: str) -> TupleTreeDocument:
     """Parse one Newick tree whose leaf names are '|'-separated k-tuples."""
-    tree, leaf_names = _parse_tree(text)
+    tree, leaves, names = _parse_tree(text)
     is_int = _INT_NAME.fullmatch
     tuples = {}
-    for v, name in leaf_names.items():
+    for v, name in zip(leaves, names):
         parts = name.split("|")
         if not all(map(is_int, parts)):
             # raises at the first bad component

@@ -13,6 +13,12 @@ reversed and their down phases walk it forwards. Trees of arbitrary
 arity are accepted, including internal nodes with a single child; every
 solver handles them, and binarity matters only to auto's choice of
 solver. A single node that is both root and leaf is a valid tree.
+
+``build_tree`` is the validated entry point for parent arrays from
+outside. The Newick parser builds its ``Tree`` directly instead, because
+its output is a valid tree by construction: one root, no parent out of
+range, no cycle, and breadth-first ids, so its ``order`` is
+``tuple(range(N))``.
 """
 
 from __future__ import annotations

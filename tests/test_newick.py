@@ -79,9 +79,36 @@ class TestParse:
         text = "(" * depth + "0" + ",1)" * depth + ";"
         doc = parse_newick(text)
         assert doc.tree.node_count == 2 * depth + 1
+        # depth j holds ids 2j-1 (the spine, or leaf 0 at the bottom) and 2j
+        # (leaf 1), both children of the spine node one depth up
+        spine = [0] + [2 * j - 1 for j in range(1, depth)]
+        assert doc.tree == build_tree([None] + [p for p in spine for _ in (0, 1)])
+        assert doc.leaf_labels.labels == {
+            **{2 * j: 1 for j in range(1, depth + 1)}, 2 * depth - 1: 0
+        }
         labeling = solve_interval(doc.tree, doc.leaf_labels)
         assert labeling.total_cost == 1
         assert document_to_newick(doc) == text
+
+    @pytest.mark.parametrize(
+        "text, parent_of",
+        [
+            ("5;", [None]),
+            ("((5));", [None, 0, 1]),
+            ("(1,(2,3,4),(5));", [None, 0, 0, 0, 2, 2, 2, 3]),
+        ],
+    )
+    def test_tree_equals_build_tree_of_its_parents(self, text, parent_of):
+        for parse in (parse_newick, parse_newick_tuples):
+            tree = parse(text).tree
+            assert tree == build_tree(parent_of)
+            assert tree.order == tuple(range(len(parent_of)))
+
+    def test_wide_star(self):
+        leaves = 40_000
+        doc = parse_newick("(" + ",".join(str(v % 1000) for v in range(leaves)) + ");")
+        assert doc.tree == build_tree([None] + [0] * leaves)
+        assert doc.leaf_labels.labels == {v: (v - 1) % 1000 for v in range(1, leaves + 1)}
 
     def test_multifurcation_and_single_child(self):
         doc = parse_newick("(1,2,3);")
@@ -156,6 +183,14 @@ class TestParse:
              "leaf name '-x1' is not a decimal integer"),
             (parse_newick, "(5,+);", NonIntegerLeafName,
              "leaf name '+' is not a decimal integer"),
+            # the first bad name in breadth-first order is reported, not the
+            # first in the text
+            (parse_newick, "((x,1),y);", NonIntegerLeafName,
+             "leaf name 'y' is not a decimal integer"),
+            (parse_newick, "(a,(b,1));", NonIntegerLeafName,
+             "leaf name 'a' is not a decimal integer"),
+            # syntax errors come before name errors
+            (parse_newick, "((x,1),2", NewickSyntaxError, "missing ';' terminator"),
             # digits outside ASCII are not decimal integers of the dialect
             (parse_newick, "(²,1);", NonIntegerLeafName,
              "leaf name '²' is not a decimal integer"),
@@ -201,6 +236,16 @@ class TestParse:
     )
     def test_signed_tuple_components_parse(self, text, labels):
         assert parse_newick_tuples(text).leaf_labels.labels == labels
+
+    def test_parse_builds_its_tree_without_build_tree(self, monkeypatch):
+        # the scan's tree is valid by construction, so build_tree's checks
+        # could find nothing there
+        calls = count_calls(monkeypatch, build_tree)
+        doc = parse_newick("((1,5),(9,(3,4)));")
+        tuples = parse_newick_tuples("((1|2,5|6),9|9);")
+        assert calls == []
+        assert doc.tree == build_tree([None, 0, 0, 1, 1, 2, 2, 6, 6])
+        assert tuples.tree == build_tree([None, 0, 0, 1, 1])
 
     def test_parse_skips_the_leaf_coverage_check(self, monkeypatch):
         # the labels come from the tree's own leaves, so coverage holds

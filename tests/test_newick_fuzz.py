@@ -12,7 +12,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from helpers import reference_parse
-from treelabel import TreeLabelError, parse_newick, parse_newick_tuples
+from treelabel import TreeLabelError, build_tree, parse_newick, parse_newick_tuples
 
 # the Newick alphabet: digits, signs, blanks, ':', '|', '.', letters and the
 # four delimiters
@@ -73,3 +73,8 @@ class TestParserFuzz:
                 tree, labels = expected
                 assert got.tree == tree, text
                 assert got.leaf_labels == labels, text
+            if not isinstance(got, type):
+                # the parser builds its Tree without build_tree; it must be
+                # the one build_tree makes of the same parents, ids breadth-first
+                assert got.tree == build_tree(list(got.tree.parents)), text
+                assert got.tree.order == tuple(range(got.tree.node_count)), text
