@@ -4,17 +4,20 @@ Given a rooted tree whose leaves carry integer labels and a strictly
 increasing edge-cost function theta, assign integers to the internal
 nodes minimizing the sum of theta(|label difference|) over all edges.
 
-Five solvers, cross-checkable against each other:
+Five solvers, cross-checkable against each other, all reached through
+solve_scalar(t, l, c, algorithm) (TreeLabeler sits on top of it):
 
-  - TreeLabeler / solve_dp: dynamic programming over the leaf-label
+  - "dp" (dp_up, dp_down): dynamic programming over the leaf-label
     range, any tree arity, any theta. O(N * m^2), a direct scan.
-  - convex_up: the same cost table in O(N * m) by slope merge, for a
-    convex theta (increments that never decrease).
-  - solve_interval: interval propagation by the median rule, O(N log d)
-    for maximum arity d, for Manhattan cost on any tree.
-  - median_down: after bottom_up_intervals, dp's labels under dp's tie
-    rules, for Manhattan cost on any tree.
-  - brute_force_min: exhaustive enumeration, the testing ground truth.
+  - "convex" (convex_up): the same cost table in O(N * m) by slope
+    merge, for a convex theta (increments that never decrease).
+  - "interval" (bottom_up_intervals, top_down_labels): interval
+    propagation by the median rule, O(N log d) for maximum arity d, for
+    Manhattan cost on any tree.
+  - "median" (median_down): after bottom_up_intervals, dp's labels under
+    dp's tie rules, for Manhattan cost on any tree.
+  - "oracle" (brute_force_min): exhaustive enumeration, the testing
+    ground truth.
 
 k-tuple labelings (nondecreasing integer tuples per node) are handled by
 per-coordinate decomposition in solve_ktuple.
@@ -27,7 +30,7 @@ from .costs import (
     eval_total,
     theta,
 )
-from .dp import CostTable, convex_up, dp_down, dp_up, min_total, solve_dp
+from .dp import CostTable, convex_up, dp_down, dp_up, min_total
 from .errors import (
     BudgetExceeded,
     CycleDetected,
@@ -51,7 +54,6 @@ from .intervals import (
     IntervalAssignment,
     bottom_up_intervals,
     median_down,
-    solve_interval,
     top_down_labels,
 )
 from .newick import (
@@ -63,12 +65,7 @@ from .newick import (
     serialize_labeled,
     serialize_tuple_labeled,
 )
-from .oracle import (
-    OptimumSet,
-    brute_force_min,
-    enumerate_optimal,
-    optimal_label_sets,
-)
+from .oracle import OptimumSet, brute_force_min, optimal_label_sets
 from .solve import choose_algorithm, solve_scalar
 from .tree import Tree, build_tree, is_binary, postorder, preorder
 from .tuples import TupleLabeling, TupleLeafLabeling, solve_ktuple, tuple_cost
@@ -111,7 +108,6 @@ __all__ = [
     "document_to_newick",
     "dp_down",
     "dp_up",
-    "enumerate_optimal",
     "eval_total",
     "is_binary",
     "median_down",
@@ -125,8 +121,6 @@ __all__ = [
     "random_topology",
     "serialize_labeled",
     "serialize_tuple_labeled",
-    "solve_dp",
-    "solve_interval",
     "solve_ktuple",
     "solve_scalar",
     "theta",

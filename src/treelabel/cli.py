@@ -48,7 +48,7 @@ from .newick import (
     serialize_labeled,
     serialize_tuple_labeled,
 )
-from .oracle import resolve_budget
+from .oracle import DEFAULT_BUDGET
 from .solve import (
     ALGORITHMS,
     INTERVAL_ALGORITHMS,
@@ -171,7 +171,6 @@ _SAME_LABELS = ("median", "convex")
 def cmd_check(args: argparse.Namespace) -> int:
     cost = CostFunction.from_spec(args.cost)
     docs = _check_instances(args)
-    budget = resolve_budget(args.budget)
 
     pair_stats = {
         ("dp", "interval"): [0, 0],  # [compared, agreed]
@@ -187,9 +186,7 @@ def cmd_check(args: argparse.Namespace) -> int:
         labelings = {}
         for name in _CHECKED:
             try:
-                _, labeling, _ = solve_scalar(
-                    doc.tree, doc.leaf_labels, cost, algorithm=name, budget=budget
-                )
+                _, labeling, _ = solve_scalar(doc.tree, doc.leaf_labels, cost, algorithm=name)
             except (UnsupportedAlgorithm, BudgetExceeded):
                 continue  # this solver does not apply to the instance
             labelings[name] = labeling
@@ -268,8 +265,7 @@ def cmd_bench(args: argparse.Namespace) -> int:
             doc = random_document(n, 0, m - 1, rng, arity="binary")
             for name in algorithms:
                 run = functools.partial(
-                    solve_scalar, doc.tree, doc.leaf_labels, cost,
-                    algorithm=name, budget=args.budget,
+                    solve_scalar, doc.tree, doc.leaf_labels, cost, algorithm=name
                 )
                 run()  # warmup
                 cells.append((name, doc, run, []))
@@ -302,6 +298,8 @@ def build_parser() -> argparse.ArgumentParser:
             help="edge cost: manhattan | power:<k> | table:<c0,c1,...> (default: manhattan)",
         )
 
+    epilog = f"oracle budget: environment variable TREELABEL_BUDGET (default {DEFAULT_BUDGET:,})"
+
     p_solve = sub.add_parser("solve", help="label one tree")
     p_solve.add_argument("input", nargs="?", default="-", help="Newick file or '-' for stdin")
     p_solve.add_argument("--algorithm", default="auto", choices=ALGORITHMS)
@@ -318,7 +316,7 @@ def build_parser() -> argparse.ArgumentParser:
     )
     p_solve.set_defaults(func=cmd_solve)
 
-    p_check = sub.add_parser("check", help="cross-check solver agreement")
+    p_check = sub.add_parser("check", help="cross-check solver agreement", epilog=epilog)
     p_check.add_argument(
         "input", nargs="?", default=None, help="file of Newick lines (default: generate)"
     )
@@ -328,7 +326,6 @@ def build_parser() -> argparse.ArgumentParser:
     p_check.add_argument("--gen-m", type=int, default=13, help="labels drawn from [0, m-1]")
     p_check.add_argument("--gen-arity", default="binary", help="'binary' or a maximum arity")
     p_check.add_argument("--seed", type=int, default=None)
-    p_check.add_argument("--budget", type=int, default=None, help="oracle evaluation budget")
     p_check.add_argument("--verbose", action="store_true", help="one line per instance")
     p_check.set_defaults(func=cmd_check)
 
@@ -341,7 +338,7 @@ def build_parser() -> argparse.ArgumentParser:
     p_gen.add_argument("--seed", type=int, required=True)
     p_gen.set_defaults(func=cmd_gen)
 
-    p_bench = sub.add_parser("bench", help="time solvers over an (n, m) grid")
+    p_bench = sub.add_parser("bench", help="time solvers over an (n, m) grid", epilog=epilog)
     p_bench.add_argument(
         "--algorithms", default="dp,interval",
         help="comma list: dp,convex,interval,median,oracle",
@@ -350,7 +347,6 @@ def build_parser() -> argparse.ArgumentParser:
     p_bench.add_argument("--m-grid", required=True, help="comma list of label range sizes")
     p_bench.add_argument("--reps", type=int, default=5, help="timed repetitions (>= 5)")
     p_bench.add_argument("--seed", type=int, required=True)
-    p_bench.add_argument("--budget", type=int, default=None, help="oracle evaluation budget")
     add_cost(p_bench)
     p_bench.set_defaults(func=cmd_bench)
 

@@ -21,6 +21,7 @@ overflow to guard against.
 from __future__ import annotations
 
 from dataclasses import dataclass, field
+from operator import index
 from typing import Mapping, Sequence, Union
 
 from .errors import DifferenceOutOfRange, MissingNodeLabel
@@ -41,7 +42,7 @@ class CostFunction:
 
     @staticmethod
     def power(exponent: int) -> "CostFunction":
-        if not isinstance(exponent, int) or exponent < 1:
+        if isinstance(exponent, bool) or not isinstance(exponent, int) or exponent < 1:
             raise ValueError(f"exponent must be a positive integer, got {exponent!r}")
         return CostFunction(kind="power", exponent=exponent)
 
@@ -49,10 +50,10 @@ class CostFunction:
     def from_table(values: Sequence[int]) -> "CostFunction":
         """Explicit cost table indexed by label difference.
 
-        The table must start at 0 and be strictly increasing; this is
-        checked exhaustively here so theta never has to re-validate.
+        The entries must be ints, start at 0 and be strictly increasing;
+        this is checked exhaustively here so theta never has to re-validate.
         """
-        table = tuple(int(v) for v in values)
+        table = tuple(as_int(v, f"cost table entry {d}") for d, v in enumerate(values))
         if not table:
             raise ValueError("cost table must not be empty")
         if table[0] != 0:
@@ -151,10 +152,10 @@ class LeafLabeling:
         """Validate that ``labels`` covers exactly the leaves of ``t``.
 
         The entry point for mappings from outside: keys and labels are
-        converted to int here.
+        converted to int here, and a label that is not an int is an error.
         """
         check_leaf_coverage(t, labels)
-        return cls._of_leaves({int(k): int(v) for k, v in labels.items()})
+        return cls._of_leaves({int(k): as_int(v, f"label of leaf {k}") for k, v in labels.items()})
 
     @classmethod
     def _of_leaves(cls, labels: dict[int, int]) -> "LeafLabeling":
@@ -163,6 +164,18 @@ class LeafLabeling:
         ``labels`` is kept as it is, not copied.
         """
         return cls(labels=labels, g_min=min(labels.values()), g_max=max(labels.values()))
+
+
+def as_int(value: object, entry: str) -> int:
+    """``value`` as an exact int.
+
+    ValueError naming ``entry`` for a float (2.0 too), a string or any
+    other value that is not an integer, so nothing is silently truncated.
+    """
+    try:
+        return index(value)
+    except TypeError:
+        raise ValueError(f"{entry} must be an integer, got {value!r}") from None
 
 
 def check_leaf_coverage(t: Tree, labels: Mapping[int, object]) -> None:

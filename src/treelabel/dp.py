@@ -219,13 +219,6 @@ def dp_down(t: Tree, ct: CostTable, c: CostFunction, tie: str = "lowest") -> Lab
     return Labeling(values=values, total_cost=cost)
 
 
-def solve_dp(
-    t: Tree, l: LeafLabeling, c: CostFunction, tie: str = "lowest"
-) -> Labeling:
-    """Up phase, root minimization and down phase in one call."""
-    return dp_down(t, dp_up(t, l, c), c, tie=tie)
-
-
 def cost_table_csv(ct: CostTable) -> str:
     """CSV dump: one row per node, one column per label in [g_min, g_max]."""
     header = "node," + ",".join(str(ct.g_min + i) for i in range(ct.m))

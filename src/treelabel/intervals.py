@@ -184,11 +184,6 @@ def median_down(
     return _clamp_down(t, iv, lo if tie == "lowest" else hi, tie)
 
 
-def solve_interval(t: Tree, l: LeafLabeling, tie: str = "lowest") -> Labeling:
-    """Both stages in one call. Manhattan cost, any arity."""
-    return top_down_labels(t, bottom_up_intervals(t, l), tie=tie)
-
-
 def interval_csv(iv: IntervalAssignment) -> str:
     """CSV dump: node id, interval low, interval high."""
     lines = ["node,lo,hi"]

@@ -9,16 +9,16 @@ against.
 
 The search is refused up front (BudgetExceeded) when the assignment count
 m ** k would exceed the evaluation budget: 10_000_000 by default,
-overridable via the TREELABEL_BUDGET environment variable or the
-``budget`` argument. A count budget, not a wall-clock one, keeps runs
-reproducible.
+overridable via the TREELABEL_BUDGET environment variable or
+brute_force_min's ``budget`` argument. A count budget, not a wall-clock
+one, keeps runs reproducible.
 
 Enumeration order is deterministic: lexicographic over the internal nodes
 in postorder, labels ascending, so "the first optimal labeling" is a
 stable notion across runs.
 
-brute_force_min is the one enumeration loop; optimal_label_sets and
-enumerate_optimal read the per-node label sets it records.
+brute_force_min is the one enumeration loop; optimal_label_sets reads
+the per-node label sets it records.
 """
 
 from __future__ import annotations
@@ -56,12 +56,11 @@ class OptimumSet:
     the cap (truncated says whether anything was dropped). label_sets[v]
     lists, ascending, every label node v takes in at least one optimal
     labeling (a leaf's entry is its observed label); it is always
-    complete, and root_labels is label_sets[root].
+    complete.
     """
 
     cost: int
     labelings: list[Labeling]
-    root_labels: list[int]
     truncated: bool
     label_sets: list[list[int]]
 
@@ -111,13 +110,11 @@ def brute_force_min(
 
     sets = {v: [label] for v, label in l.labels.items()}
     sets.update((v, sorted(labels)) for v, labels in zip(internal, seen))
-    label_sets = [sets[v] for v in range(t.node_count)]
     return OptimumSet(
         cost=best,
         labelings=[Labeling(values=v, total_cost=best) for v in best_labelings],
-        root_labels=label_sets[t.root],
         truncated=truncated,
-        label_sets=label_sets,
+        label_sets=[sets[v] for v in range(t.node_count)],
     )
 
 
@@ -129,10 +126,3 @@ def optimal_label_sets(
     Entry [v] is ascending. Leaf entries are their observed labels.
     """
     return brute_force_min(t, l, c, budget=budget, max_labelings=0).label_sets
-
-
-def enumerate_optimal(
-    t: Tree, l: LeafLabeling, c: CostFunction, node: int, budget: int | None = None
-) -> list[int]:
-    """All labels of ``node`` appearing in at least one optimal labeling."""
-    return optimal_label_sets(t, l, c, budget=budget)[node]

@@ -71,7 +71,6 @@ def solve_scalar(
     c: CostFunction,
     algorithm: str = "auto",
     tie: str = "lowest",
-    budget: int | None = None,
 ) -> tuple[str, Labeling, Optional[Union[CostTable, IntervalAssignment]]]:
     """Solve one scalar instance: (resolved algorithm, labeling, up-phase result).
 
@@ -81,7 +80,8 @@ def solve_scalar(
     callers reuse it instead of computing it again; the oracle has none
     (None).
     The oracle path returns the first optimal labeling in enumeration
-    order and only supports the default tie rule.
+    order, only supports the default tie rule and takes its budget from
+    TREELABEL_BUDGET.
     """
     resolved = choose_algorithm(algorithm, t, c)
     allowed_ties = _TIES_BY_ALGORITHM[resolved]
@@ -97,5 +97,5 @@ def solve_scalar(
         intervals = bottom_up_intervals(t, l)
         down = median_down if resolved == "median" else top_down_labels
         return resolved, down(t, intervals, tie=tie), intervals
-    optimum = brute_force_min(t, l, c, budget=budget, max_labelings=1)
+    optimum = brute_force_min(t, l, c, max_labelings=1)
     return resolved, optimum.labelings[0], None

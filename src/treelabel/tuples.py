@@ -27,7 +27,7 @@ from dataclasses import dataclass
 from operator import gt, le
 from typing import Mapping
 
-from .costs import CostFunction, LeafLabeling, check_leaf_coverage, theta
+from .costs import CostFunction, LeafLabeling, as_int, check_leaf_coverage, theta
 from .errors import (
     MissingNodeLabel,
     TupleDecompositionNotMonotone,
@@ -50,10 +50,14 @@ class TupleLeafLabeling:
         """Validate that ``labels`` covers exactly the leaves of ``t``.
 
         The entry point for mappings from outside: keys and tuple
-        components are converted to int here.
+        components are converted to int here, and a component that is not
+        an int is an error.
         """
         check_leaf_coverage(t, labels)
-        return cls._of_leaves({int(v): tuple(int(x) for x in tup) for v, tup in labels.items()})
+        return cls._of_leaves({
+            int(v): tuple(as_int(x, f"component {i} of leaf {v}") for i, x in enumerate(tup))
+            for v, tup in labels.items()
+        })
 
     @classmethod
     def _of_leaves(cls, labels: dict[int, tuple[int, ...]]) -> "TupleLeafLabeling":

@@ -40,13 +40,10 @@ from treelabel import (
     bottom_up_intervals,
     brute_force_min,
     document_to_newick,
-    enumerate_optimal,
     optimal_label_sets,
     parse_newick,
     parse_newick_tuples,
     random_document,
-    solve_dp,
-    solve_interval,
     solve_ktuple,
 )
 from treelabel.solve import solve_scalar
@@ -73,8 +70,8 @@ def exhaustive_tier():
             for labels in product(range(5), repeat=n):
                 newick = shape_to_newick(shape, labels)
                 doc = parse_newick(newick)
-                dp = solve_dp(doc.tree, doc.leaf_labels, MANHATTAN)
-                iv_labeling = solve_interval(doc.tree, doc.leaf_labels)
+                dp = solve_scalar(doc.tree, doc.leaf_labels, MANHATTAN, "dp")[1]
+                iv_labeling = solve_scalar(doc.tree, doc.leaf_labels, MANHATTAN, "interval")[1]
                 sets = optimal_label_sets(doc.tree, doc.leaf_labels, MANHATTAN)
                 oracle_cost = brute_force_min(
                     doc.tree, doc.leaf_labels, MANHATTAN, max_labelings=1
@@ -122,12 +119,12 @@ def randomized_tier():
         ]
         results = []
         for kind, cost in costs:
-            dp = solve_dp(tree, doc_labels, cost)
+            dp = solve_scalar(tree, doc_labels, cost, "dp")[1]
             oracle_cost = brute_force_min(tree, doc_labels, cost, max_labelings=1).cost
             interval_cost = None
             interval_labeling = None
             if kind == "manhattan":
-                interval_labeling = solve_interval(tree, doc_labels)
+                interval_labeling = solve_scalar(tree, doc_labels, MANHATTAN, "interval")[1]
                 interval_cost = interval_labeling.total_cost
             results.append(
                 {
@@ -206,7 +203,7 @@ def test_criterion_4_cherry_root_optima_fill_the_span():
         a, b = rng.randint(-20, 20), rng.randint(-20, 20)
         doc = parse_newick(f"({a},{b});")
         expected = list(range(min(a, b), max(a, b) + 1))
-        got = enumerate_optimal(doc.tree, doc.leaf_labels, MANHATTAN, doc.tree.root)
+        got = optimal_label_sets(doc.tree, doc.leaf_labels, MANHATTAN)[doc.tree.root]
         assert got == expected, f"({a},{b}): {got} != {expected}"
     report(4, "cherry root optima", "200 cherries")
 
@@ -248,16 +245,16 @@ def test_criterion_5_interval_soundness_as_stated(exhaustive_tier):
 
 def test_criterion_6_worked_values():
     doc = parse_newick("((1,5),9);")
-    assert solve_dp(doc.tree, doc.leaf_labels, MANHATTAN).total_cost == 8
-    assert solve_interval(doc.tree, doc.leaf_labels).total_cost == 8
+    assert solve_scalar(doc.tree, doc.leaf_labels, MANHATTAN, "dp")[1].total_cost == 8
+    assert solve_scalar(doc.tree, doc.leaf_labels, MANHATTAN, "interval")[1].total_cost == 8
     assert brute_force_min(doc.tree, doc.leaf_labels, MANHATTAN).cost == 8
-    assert solve_dp(doc.tree, doc.leaf_labels, SQUARE).total_cost == 23
+    assert solve_scalar(doc.tree, doc.leaf_labels, SQUARE, "dp")[1].total_cost == 23
     assert brute_force_min(doc.tree, doc.leaf_labels, SQUARE).cost == 23
 
     cherry = parse_newick("(2,7);")
     optimum = brute_force_min(cherry.tree, cherry.leaf_labels, MANHATTAN)
     assert optimum.cost == 5
-    assert optimum.root_labels == [2, 3, 4, 5, 6, 7]
+    assert optimum.label_sets[cherry.tree.root] == [2, 3, 4, 5, 6, 7]
     report(6, "worked values", "costs 8, 23, 5; six optimal roots")
 
 
@@ -295,13 +292,13 @@ def test_criterion_8_equivariance():
         binary = index % 2 == 0
         doc = random_document(n, 0, 8, rng, arity="binary" if binary else 4)
         cost = (MANHATTAN, SQUARE)[index % 2 == 1]
-        base = solve_dp(doc.tree, doc.leaf_labels, cost)
+        base = solve_scalar(doc.tree, doc.leaf_labels, cost, "dp")[1]
 
         for shift in (-5, 17):
             shifted = LeafLabeling.for_tree(
                 doc.tree, {v: x + shift for v, x in doc.leaf_labels.labels.items()}
             )
-            moved = solve_dp(doc.tree, shifted, cost)
+            moved = solve_scalar(doc.tree, shifted, cost, "dp")[1]
             assert moved.total_cost == base.total_cost
             assert all(
                 moved.values[v] == base.values[v] + shift
@@ -312,22 +309,23 @@ def test_criterion_8_equivariance():
         reflected = LeafLabeling.for_tree(
             doc.tree, {v: pivot - x for v, x in doc.leaf_labels.labels.items()}
         )
-        assert solve_dp(doc.tree, reflected, cost).total_cost == base.total_cost
+        assert solve_scalar(doc.tree, reflected, cost, "dp")[1].total_cost == base.total_cost
 
         if binary:
-            iv_base = solve_interval(doc.tree, doc.leaf_labels)
+            iv_base = solve_scalar(doc.tree, doc.leaf_labels, MANHATTAN, "interval")[1]
             for shift in (-5, 17):
                 shifted = LeafLabeling.for_tree(
                     doc.tree,
                     {v: x + shift for v, x in doc.leaf_labels.labels.items()},
                 )
-                iv_moved = solve_interval(doc.tree, shifted)
+                iv_moved = solve_scalar(doc.tree, shifted, MANHATTAN, "interval")[1]
                 assert iv_moved.total_cost == iv_base.total_cost
                 assert all(
                     iv_moved.values[v] == iv_base.values[v] + shift
                     for v in range(doc.tree.node_count)
                 )
-            assert solve_interval(doc.tree, reflected).total_cost == iv_base.total_cost
+            iv_reflected = solve_scalar(doc.tree, reflected, MANHATTAN, "interval")[1]
+            assert iv_reflected.total_cost == iv_base.total_cost
     report(8, "equivariance", "500 instances, shifts -5/+17 and reflection")
 
 

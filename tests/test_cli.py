@@ -374,6 +374,16 @@ class TestCheck:
         assert "dp vs interval: 3/3 agree" in out
         assert "result: all solvers agree" in out
 
+    def test_oracle_budget_from_environment(self, capsys, tmp_path, monkeypatch):
+        # over budget, the oracle is skipped like any solver that does not apply
+        monkeypatch.setenv("TREELABEL_BUDGET", "10")
+        path = tmp_path / "t.nwk"
+        path.write_text("((1,5),9);\n")  # 81 assignments > 10
+        code, out, _ = run(capsys, "check", str(path))
+        assert code == 0
+        assert "dp vs interval: 1/1 agree" in out
+        assert "dp vs oracle: 0/0 agree" in out
+
     def test_single_instance_verbose(self, capsys, tmp_path):
         path = tmp_path / "one.nwk"
         path.write_text("(2,7);\n")
@@ -522,6 +532,13 @@ class TestBench:
         assert len(rows) == 1
         assert rows[0].startswith("oracle,")
 
+    def test_oracle_budget_from_environment(self, capsys, monkeypatch):
+        monkeypatch.setenv("TREELABEL_BUDGET", "10")
+        code, _, err = run(capsys, "bench", "--algorithms", "oracle", "--n-grid", "3",
+                           "--m-grid", "9", "--reps", "5", "--seed", "4")
+        assert code == 2
+        assert err.startswith("error:BudgetExceeded:")
+
     def test_inapplicable_algorithm_rejected(self, capsys):
         # bench times solve_scalar, so it applies the same rules as solve
         code, _, err = run(capsys, "bench", "--algorithms", "interval", "--cost", "power:2",
@@ -563,3 +580,13 @@ class TestBench:
                            "--reps", "2", "--seed", "1")
         assert code == 1
         assert err.startswith("error:ValueError:")
+
+
+@pytest.mark.parametrize("command", ["check", "bench"])
+def test_help_names_the_oracle_budget_variable(capsys, command):
+    # the environment variable is the only way to set the oracle budget
+    with pytest.raises(SystemExit):
+        cli.main([command, "--help"])
+    out = capsys.readouterr().out
+    assert "TREELABEL_BUDGET (default 10,000,000)" in out
+    assert "--budget" not in out

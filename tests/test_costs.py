@@ -67,6 +67,17 @@ class TestCostFunctionValidation:
         with pytest.raises(ValueError):
             CostFunction.from_table([])
 
+    @pytest.mark.parametrize("entry", [1.5, 2.0, "1"])
+    def test_table_entries_must_be_ints(self, entry):
+        # int() would truncate 1.5 to 1 and parse "1"; nothing is converted silently
+        with pytest.raises(ValueError, match="cost table entry 1 must be an integer"):
+            CostFunction.from_table([0, entry, 3])
+
+    def test_bool_exponent_rejected(self):
+        # True is an int subclass, but "power:True" would not round-trip through from_spec
+        with pytest.raises(ValueError):
+            CostFunction.power(True)
+
     def test_exponent_must_be_positive_integer(self):
         with pytest.raises(ValueError):
             CostFunction.power(0)

@@ -25,7 +25,6 @@ from treelabel import (
     min_total,
     parse_newick,
     random_document,
-    solve_dp,
     solve_scalar,
 )
 from treelabel.dp import cost_table_csv
@@ -60,7 +59,7 @@ class TestDpUp:
         cost, labels = min_total(ct, t.root)
         assert (cost, labels) == (7, [3])
         optimum = brute_force_min(t, leaves, MANHATTAN)
-        assert (optimum.cost, optimum.root_labels) == (7, [3])
+        assert (optimum.cost, optimum.label_sets[t.root]) == (7, [3])
 
     def test_internal_rows_finite_everywhere(self):
         rng = random.Random(11)
@@ -155,7 +154,7 @@ class TestDpDown:
         rng = random.Random(14)
         for _ in range(20):
             doc = random_document(rng.randint(2, 8), 0, 9, rng, arity=rng.randint(2, 4))
-            labeling = solve_dp(doc.tree, doc.leaf_labels, SQUARE)
+            labeling = solve_scalar(doc.tree, doc.leaf_labels, SQUARE, "dp")[1]
             for leaf, p in doc.leaf_labels.labels.items():
                 assert labeling.values[leaf] == p
 
@@ -178,7 +177,7 @@ class TestSolveDp:
     )
     def test_worked_costs(self, newick, cost, expected):
         doc = parse_newick(newick)
-        labeling = solve_dp(doc.tree, doc.leaf_labels, cost)
+        labeling = solve_scalar(doc.tree, doc.leaf_labels, cost, "dp")[1]
         assert labeling.total_cost == expected
         # cross-check against exhaustive enumeration
         assert brute_force_min(doc.tree, doc.leaf_labels, cost).cost == expected
@@ -191,7 +190,7 @@ class TestSolveDp:
             doc = random_document(n, lo, lo + rng.randint(0, 6), rng,
                                   arity="binary" if rng.random() < 0.6 else 3)
             for cost in (MANHATTAN, SQUARE, random_strict_table(rng, doc.leaf_labels.m)):
-                labeling = solve_dp(doc.tree, doc.leaf_labels, cost)
+                labeling = solve_scalar(doc.tree, doc.leaf_labels, cost, "dp")[1]
                 assert labeling.total_cost == brute_force_min(
                     doc.tree, doc.leaf_labels, cost
                 ).cost
@@ -200,7 +199,7 @@ class TestSolveDp:
         rng = random.Random(16)
         for _ in range(40):
             doc = random_document(rng.randint(2, 8), -3, 9, rng, arity=rng.randint(2, 4))
-            labeling = solve_dp(doc.tree, doc.leaf_labels, SQUARE)
+            labeling = solve_scalar(doc.tree, doc.leaf_labels, SQUARE, "dp")[1]
             lo, hi = doc.leaf_labels.g_min, doc.leaf_labels.g_max
             assert all(lo <= x <= hi for x in labeling.values.values())
 
@@ -209,7 +208,7 @@ class TestSolveDp:
         for _ in range(30):
             doc = random_document(rng.randint(2, 8), 0, 12, rng, arity=rng.randint(2, 4))
             for tie in ("lowest", "highest"):
-                labeling = solve_dp(doc.tree, doc.leaf_labels, MANHATTAN, tie=tie)
+                labeling = solve_scalar(doc.tree, doc.leaf_labels, MANHATTAN, "dp", tie=tie)[1]
                 assert labeling.total_cost == eval_total(doc.tree, MANHATTAN, labeling)
 
     def test_translation_equivariance(self):
@@ -220,8 +219,8 @@ class TestSolveDp:
             shifted_labels = {v: x + shift for v, x in doc.leaf_labels.labels.items()}
             shifted = LeafLabeling.for_tree(doc.tree, shifted_labels)
             for cost in (MANHATTAN, SQUARE):
-                base = solve_dp(doc.tree, doc.leaf_labels, cost)
-                moved = solve_dp(doc.tree, shifted, cost)
+                base = solve_scalar(doc.tree, doc.leaf_labels, cost, "dp")[1]
+                moved = solve_scalar(doc.tree, shifted, cost, "dp")[1]
                 assert moved.total_cost == base.total_cost
                 assert all(
                     moved.values[v] == base.values[v] + shift
@@ -232,13 +231,13 @@ class TestSolveDp:
         rng = random.Random(19)
         for _ in range(30):
             doc = random_document(rng.randint(2, 9), 0, 15, rng, arity=rng.randint(2, 4))
-            labeling = solve_dp(doc.tree, doc.leaf_labels, MANHATTAN)
+            labeling = solve_scalar(doc.tree, doc.leaf_labels, MANHATTAN, "dp")[1]
             assert labeling.total_cost >= doc.leaf_labels.g_max - doc.leaf_labels.g_min
 
     def test_huge_exact_arithmetic(self):
         doc = parse_newick("(0,(0,64));")
         cost = CostFunction.power(11)
-        labeling = solve_dp(doc.tree, doc.leaf_labels, cost)
+        labeling = solve_scalar(doc.tree, doc.leaf_labels, cost, "dp")[1]
         assert labeling.total_cost == brute_force_min(doc.tree, doc.leaf_labels, cost).cost
         assert labeling.total_cost > 2 ** 53  # beyond float precision
 
@@ -247,27 +246,27 @@ class TestSolveDp:
         power_one = CostFunction.power(1)
         for _ in range(25):
             doc = random_document(rng.randint(2, 7), 0, 10, rng, arity=rng.randint(2, 4))
-            a = solve_dp(doc.tree, doc.leaf_labels, MANHATTAN)
-            b = solve_dp(doc.tree, doc.leaf_labels, power_one)
+            a = solve_scalar(doc.tree, doc.leaf_labels, MANHATTAN, "dp")[1]
+            b = solve_scalar(doc.tree, doc.leaf_labels, power_one, "dp")[1]
             assert a.total_cost == b.total_cost
             assert a.values == b.values
 
     def test_single_node_tree(self):
         doc = parse_newick("3;")
-        labeling = solve_dp(doc.tree, doc.leaf_labels, SQUARE)
+        labeling = solve_scalar(doc.tree, doc.leaf_labels, SQUARE, "dp")[1]
         assert labeling.values == {0: 3}
         assert labeling.total_cost == 0
 
     def test_single_child_chain(self):
         # the child-sum recurrence handles unary internal nodes naturally
         doc = parse_newick("((1),9);")
-        labeling = solve_dp(doc.tree, doc.leaf_labels, MANHATTAN)
+        labeling = solve_scalar(doc.tree, doc.leaf_labels, MANHATTAN, "dp")[1]
         assert labeling.total_cost == 8
         assert labeling.total_cost == brute_force_min(
             doc.tree, doc.leaf_labels, MANHATTAN
         ).cost
         chain = parse_newick("((5));")
-        assert solve_dp(chain.tree, chain.leaf_labels, SQUARE).values == {
+        assert solve_scalar(chain.tree, chain.leaf_labels, SQUARE, "dp")[1].values == {
             0: 5, 1: 5, 2: 5,
         }
 
@@ -330,7 +329,7 @@ class TestBeyondFloatRange:
     def test_matches_oracle(self, cost):
         doc = parse_newick("(0,(0,64));")
         assert cost(64) > 1e308
-        labeling = solve_dp(doc.tree, doc.leaf_labels, cost)
+        labeling = solve_scalar(doc.tree, doc.leaf_labels, cost, "dp")[1]
         assert labeling.total_cost == brute_force_min(doc.tree, doc.leaf_labels, cost).cost
 
     def test_convex_up_matches_dp(self):

@@ -12,7 +12,6 @@ from treelabel import (
     parse_newick,
     postorder,
     preorder,
-    solve_dp,
 )
 from treelabel.solve import solve_scalar
 
@@ -37,6 +36,12 @@ class TestFit:
         doc = parse_newick("(2,7);")
         est = TreeLabeler().fit(doc.tree, y=doc.leaf_labels.labels)
         assert est.cost_ == 5
+
+    @pytest.mark.parametrize("label", [5.99, 5.0, "5"])
+    def test_non_integer_y_rejected(self, label):
+        doc = parse_newick("(2,7);")
+        with pytest.raises(ValueError, match="label of leaf 2 must be an integer"):
+            TreeLabeler().fit(doc.tree, {1: 1, 2: label})
 
     def test_dp_path_exposes_cost_table(self):
         # auto takes convex for a convex cost; forced dp builds the same table
@@ -112,7 +117,9 @@ class TestFit:
     def test_matches_functional_api(self):
         doc = parse_newick("((0,(2,9)),(4,(7,7)));")
         est = TreeLabeler(algorithm="dp", cost="power:2", tie="highest").fit(doc)
-        labeling = solve_dp(doc.tree, doc.leaf_labels, CostFunction.power(2), tie="highest")
+        _, labeling, _ = solve_scalar(
+            doc.tree, doc.leaf_labels, CostFunction.power(2), "dp", tie="highest"
+        )
         assert est.labels_ == [labeling.values[v] for v in range(doc.tree.node_count)]
         assert est.cost_ == labeling.total_cost
 

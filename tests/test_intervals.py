@@ -19,15 +19,12 @@ from treelabel import (
     convex_up,
     dp_down,
     dp_up,
-    enumerate_optimal,
     eval_total,
     median_down,
     min_total,
     optimal_label_sets,
     parse_newick,
     random_document,
-    solve_dp,
-    solve_interval,
     solve_scalar,
     top_down_labels,
 )
@@ -120,7 +117,7 @@ class TestAnyArity:
             iv = bottom_up_intervals(tree, leaves)
             optimum = brute_force_min(tree, leaves, MANHATTAN, max_labelings=1).cost
             lo, hi = iv[tree.root]
-            assert enumerate_optimal(tree, leaves, MANHATTAN, tree.root) == list(
+            assert optimal_label_sets(tree, leaves, MANHATTAN)[tree.root] == list(
                 range(lo, hi + 1)
             )
             sets = optimal_label_sets(tree, leaves, MANHATTAN)
@@ -147,7 +144,7 @@ class TestBottomUp:
     def test_five_node_root_interval_is_exactly_the_optimal_set(self):
         # every label in [5,9] extends to an optimum and nothing outside does
         doc = parse_newick("((1,5),9);")
-        assert enumerate_optimal(doc.tree, doc.leaf_labels, MANHATTAN, 0) == [5, 6, 7, 8, 9]
+        assert optimal_label_sets(doc.tree, doc.leaf_labels, MANHATTAN)[0] == [5, 6, 7, 8, 9]
 
     def test_degenerate(self):
         doc = parse_newick("(4,4);")
@@ -184,7 +181,7 @@ class TestTopDown:
         assert labeling.values[0] == 2
         assert labeling.total_cost == 5
         # any root choice in [2,7] is equally optimal
-        assert enumerate_optimal(doc.tree, doc.leaf_labels, MANHATTAN, 0) == [2, 3, 4, 5, 6, 7]
+        assert optimal_label_sets(doc.tree, doc.leaf_labels, MANHATTAN)[0] == [2, 3, 4, 5, 6, 7]
 
     def test_five_node_clamp(self):
         doc = parse_newick("((1,5),9);")
@@ -250,7 +247,7 @@ class TestSolveInterval:
     )
     def test_worked_costs(self, newick, expected):
         doc = parse_newick(newick)
-        labeling = solve_interval(doc.tree, doc.leaf_labels)
+        labeling = solve_scalar(doc.tree, doc.leaf_labels, MANHATTAN, "interval")[1]
         assert labeling.total_cost == expected
         assert brute_force_min(doc.tree, doc.leaf_labels, MANHATTAN).cost == expected
 
@@ -259,28 +256,28 @@ class TestSolveInterval:
         for _ in range(60):
             n = rng.randint(2, 6)
             doc = random_document(n, 0, 10, rng, arity="binary")
-            via_interval = solve_interval(doc.tree, doc.leaf_labels).total_cost
-            via_dp = solve_dp(doc.tree, doc.leaf_labels, MANHATTAN).total_cost
+            via_interval = solve_scalar(doc.tree, doc.leaf_labels, MANHATTAN, "interval")[1]
+            via_dp = solve_scalar(doc.tree, doc.leaf_labels, MANHATTAN, "dp")[1]
             via_oracle = brute_force_min(doc.tree, doc.leaf_labels, MANHATTAN).cost
-            assert via_interval == via_dp == via_oracle
+            assert via_interval.total_cost == via_dp.total_cost == via_oracle
 
     def test_cached_cost_matches_recomputation(self):
         rng = random.Random(34)
         for _ in range(30):
             doc = random_document(rng.randint(2, 12), -4, 18, rng, arity="binary")
-            labeling = solve_interval(doc.tree, doc.leaf_labels)
+            labeling = solve_scalar(doc.tree, doc.leaf_labels, MANHATTAN, "interval")[1]
             assert labeling.total_cost == eval_total(doc.tree, MANHATTAN, labeling)
 
     def test_translation_and_reflection_equivariance(self):
         rng = random.Random(35)
         for _ in range(25):
             doc = random_document(rng.randint(2, 8), 0, 11, rng, arity="binary")
-            base = solve_interval(doc.tree, doc.leaf_labels)
+            base = solve_scalar(doc.tree, doc.leaf_labels, MANHATTAN, "interval")[1]
             shift = rng.choice([-5, 17])
             shifted = LeafLabeling.for_tree(
                 doc.tree, {v: x + shift for v, x in doc.leaf_labels.labels.items()}
             )
-            moved = solve_interval(doc.tree, shifted)
+            moved = solve_scalar(doc.tree, shifted, MANHATTAN, "interval")[1]
             assert moved.total_cost == base.total_cost
             assert all(
                 moved.values[v] == base.values[v] + shift
@@ -290,7 +287,8 @@ class TestSolveInterval:
             reflected = LeafLabeling.for_tree(
                 doc.tree, {v: pivot - x for v, x in doc.leaf_labels.labels.items()}
             )
-            assert solve_interval(doc.tree, reflected).total_cost == base.total_cost
+            reflected_labeling = solve_scalar(doc.tree, reflected, MANHATTAN, "interval")[1]
+            assert reflected_labeling.total_cost == base.total_cost
 
     def test_emitted_labels_are_globally_optimal_node_by_node(self):
         rng = random.Random(36)
@@ -308,9 +306,8 @@ class TestSolveInterval:
         for _ in range(40):
             doc = random_document(rng.randint(2, 5), 0, 5, rng, arity="binary")
             lo, hi = bottom_up_intervals(doc.tree, doc.leaf_labels)[doc.tree.root]
-            assert enumerate_optimal(
-                doc.tree, doc.leaf_labels, MANHATTAN, doc.tree.root
-            ) == list(range(lo, hi + 1))
+            sets = optimal_label_sets(doc.tree, doc.leaf_labels, MANHATTAN)
+            assert sets[doc.tree.root] == list(range(lo, hi + 1))
 
     def test_interval_is_the_optimal_root_set_of_its_own_subtree(self):
         # what the bottom-up pass really computes: node v's interval is
@@ -325,9 +322,8 @@ class TestSolveInterval:
                     doc.tree, doc.leaf_labels, v
                 )
                 lo, hi = iv[v]
-                assert enumerate_optimal(
-                    sub_tree, sub_leaves, MANHATTAN, sub_root
-                ) == list(range(lo, hi + 1))
+                sets = optimal_label_sets(sub_tree, sub_leaves, MANHATTAN)
+                assert sets[sub_root] == list(range(lo, hi + 1))
 
     def test_interior_interval_points_need_not_be_optimal(self):
         # pinned counterexample: it is NOT true that every interval point
@@ -388,7 +384,7 @@ class TestMedian:
         iv = bottom_up_intervals(doc.tree, doc.leaf_labels)
         assert iv[2] == (4, 4)
         labeling = median_down(doc.tree, iv, tie=tie)
-        expected = solve_dp(doc.tree, doc.leaf_labels, MANHATTAN, tie=tie)
+        expected = solve_scalar(doc.tree, doc.leaf_labels, MANHATTAN, "dp", tie=tie)[1]
         assert labeling.values == expected.values
         assert {v: labeling.values[v] for v in pins} == pins
         assert top_down_labels(doc.tree, iv, tie=tie).values[2] == clamped

@@ -24,7 +24,7 @@ from treelabel import (
     convex_up,
     dp_down,
     median_down,
-    solve_interval,
+    solve_scalar,
 )
 
 MANHATTAN = CostFunction.manhattan()
@@ -65,7 +65,7 @@ class TestMedianAgainstDp:
             expected = dp_down(t, table, MANHATTAN, tie=tie)
             assert got[tie].values == expected.values, tie
             assert got[tie].total_cost == expected.total_cost, tie
-        assert got["lowest"].total_cost == solve_interval(t, l).total_cost
+        assert got["lowest"].total_cost == solve_scalar(t, l, MANHATTAN, "interval")[1].total_cost
 
         def moved(step):
             moved_leaves = LeafLabeling.for_tree(t, {v: step(p) for v, p in l.labels.items()})

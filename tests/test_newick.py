@@ -28,9 +28,11 @@ from treelabel import (
     random_topology,
     serialize_labeled,
     serialize_tuple_labeled,
-    solve_interval,
+    solve_scalar,
 )
 from treelabel.costs import check_leaf_coverage
+
+MANHATTAN = CostFunction.manhattan()
 
 
 class TestParse:
@@ -86,7 +88,7 @@ class TestParse:
         assert doc.leaf_labels.labels == {
             **{2 * j: 1 for j in range(1, depth + 1)}, 2 * depth - 1: 0
         }
-        labeling = solve_interval(doc.tree, doc.leaf_labels)
+        labeling = solve_scalar(doc.tree, doc.leaf_labels, MANHATTAN, "interval")[1]
         assert labeling.total_cost == 1
         assert document_to_newick(doc) == text
 
@@ -268,7 +270,7 @@ class TestSerialize:
         # the annotated labels are exactly what solve_interval picks, and
         # the oracle confirms 8 is the optimal cost being annotated
         doc = parse_newick("((1,5),9);")
-        labeling = solve_interval(doc.tree, doc.leaf_labels)
+        labeling = solve_scalar(doc.tree, doc.leaf_labels, MANHATTAN, "interval")[1]
         assert brute_force_min(doc.tree, doc.leaf_labels, CostFunction.manhattan()).cost == 8
         assert labeling.total_cost == 8
         assert serialize_labeled(doc, labeling) == "((1,5)5,9)5;"

@@ -7,7 +7,6 @@ from treelabel import (
     BudgetExceeded,
     CostFunction,
     brute_force_min,
-    enumerate_optimal,
     eval_total,
     optimal_label_sets,
     parse_newick,
@@ -24,7 +23,7 @@ class TestBruteForceMin:
         doc = parse_newick("(2,7);")
         result = brute_force_min(doc.tree, doc.leaf_labels, MANHATTAN)
         assert result.cost == 5
-        assert result.root_labels == [2, 3, 4, 5, 6, 7]
+        assert result.label_sets[doc.tree.root] == [2, 3, 4, 5, 6, 7]
         assert not result.truncated
         assert len(result.labelings) == 6
 
@@ -40,7 +39,7 @@ class TestBruteForceMin:
         doc = parse_newick("3;")
         result = brute_force_min(doc.tree, doc.leaf_labels, MANHATTAN)
         assert result.cost == 0
-        assert result.root_labels == [3]
+        assert result.label_sets[doc.tree.root] == [3]
         assert result.labelings[0].values == {0: 3}
 
     def test_every_reported_labeling_reevaluates_to_the_cost(self):
@@ -59,7 +58,7 @@ class TestBruteForceMin:
         result = brute_force_min(doc.tree, doc.leaf_labels, MANHATTAN, max_labelings=2)
         assert result.truncated
         assert len(result.labelings) == 2
-        assert result.root_labels == [2, 3, 4, 5, 6, 7]
+        assert result.label_sets[doc.tree.root] == [2, 3, 4, 5, 6, 7]
 
     def test_first_labeling_is_lexicographically_smallest(self):
         doc = parse_newick("(2,7);")
@@ -76,7 +75,6 @@ class TestBruteForceMin:
                 for v in range(doc.tree.node_count):
                     expected = sorted({lab.values[v] for lab in result.labelings})
                     assert result.label_sets[v] == expected
-                assert result.root_labels == result.label_sets[doc.tree.root]
 
     def test_budget_refused_up_front(self):
         doc = parse_newick("((1,5),9);")  # m=9, 2 internal nodes: 81 assignments
@@ -108,21 +106,21 @@ class TestBruteForceMin:
                 result = brute_force_min(doc.tree, doc.leaf_labels, cost)
                 ref_cost, ref_roots = recursive_minimum(doc.tree, doc.leaf_labels, cost)
                 assert result.cost == ref_cost
-                assert result.root_labels == ref_roots
+                assert result.label_sets[doc.tree.root] == ref_roots
 
 
 class TestEnumerateOptimal:
     def test_cherry_root_full_interval(self):
         doc = parse_newick("(2,7);")
-        assert enumerate_optimal(doc.tree, doc.leaf_labels, MANHATTAN, 0) == [2, 3, 4, 5, 6, 7]
+        assert optimal_label_sets(doc.tree, doc.leaf_labels, MANHATTAN)[0] == [2, 3, 4, 5, 6, 7]
 
     def test_five_node_root(self):
         doc = parse_newick("((1,5),9);")
-        assert enumerate_optimal(doc.tree, doc.leaf_labels, MANHATTAN, 0) == [5, 6, 7, 8, 9]
+        assert optimal_label_sets(doc.tree, doc.leaf_labels, MANHATTAN)[0] == [5, 6, 7, 8, 9]
 
     def test_degenerate(self):
         doc = parse_newick("(4,4);")
-        assert enumerate_optimal(doc.tree, doc.leaf_labels, MANHATTAN, 0) == [4]
+        assert optimal_label_sets(doc.tree, doc.leaf_labels, MANHATTAN)[0] == [4]
 
     def test_leaf_sets_are_their_observed_labels(self):
         doc = parse_newick("((1,5),9);")
@@ -152,4 +150,4 @@ class TestEnumerateOptimal:
             a, b = rng.randint(-10, 10), rng.randint(-10, 10)
             doc = parse_newick(f"({a},{b});")
             expected = list(range(min(a, b), max(a, b) + 1))
-            assert enumerate_optimal(doc.tree, doc.leaf_labels, MANHATTAN, 0) == expected
+            assert optimal_label_sets(doc.tree, doc.leaf_labels, MANHATTAN)[0] == expected

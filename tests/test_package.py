@@ -2,6 +2,7 @@ import ast
 import doctest
 import importlib
 import importlib.util
+import re
 from pathlib import Path
 
 import treelabel
@@ -9,6 +10,7 @@ import treelabel
 _ROOT = Path(__file__).resolve().parent.parent
 _TRACING = _ROOT / "perfbench" / "tracing.py"
 _PACKAGE = _ROOT / "src" / "treelabel"
+_README = _ROOT / "README.md"
 
 
 def test_public_names_resolve_once():
@@ -72,6 +74,16 @@ def test_docstring_examples_pass():
         attempted += result.attempted
     # at least TreeLabeler's and bottom_up_intervals' examples ran
     assert attempted >= 2
+
+
+def test_readme_examples_run():
+    # every python block of the README runs, so a removed or renamed name
+    # cannot live on in the docs
+    text = _README.read_text(encoding="utf-8")
+    blocks = re.findall(r"^```python\n(.*?)^```", text, re.DOTALL | re.MULTILINE)
+    assert len(blocks) >= 2
+    for block in blocks:
+        exec(compile(block, str(_README), "exec"), {})
 
 
 def _unused_imports(path):

@@ -18,8 +18,8 @@ from treelabel import (
     parse_newick,
     parse_newick_tuples,
     random_document,
-    solve_interval,
     solve_ktuple,
+    solve_scalar,
     tuple_cost,
 )
 from treelabel.costs import check_leaf_coverage
@@ -53,6 +53,13 @@ class TestTupleLeafLabeling:
         with pytest.raises(TupleNotMonotone):
             TupleLeafLabeling.for_tree(doc.tree, {1: (2, 1), 2: (1, 2)})
 
+    @pytest.mark.parametrize("tup", [(1.9, 1.2), (1, 2.0), (1, "2")])
+    def test_non_integer_components_rejected(self, tup):
+        # int() would turn the decreasing (1.9, 1.2) into the valid (1, 1)
+        doc = parse_newick("(2,7);")
+        with pytest.raises(ValueError, match="of leaf 1 must be an integer"):
+            TupleLeafLabeling.for_tree(doc.tree, {1: tup, 2: (1, 2)})
+
     def test_leaf_coverage_checked_once_per_parse_and_solve(self, monkeypatch):
         calls = count_calls(monkeypatch, check_leaf_coverage)
         doc = parse_newick_tuples("((1|2|3,4|5|6),7|8|9);")
@@ -67,7 +74,7 @@ class TestTupleLeafLabeling:
 class TestTupleCost:
     def test_k1_collapses_to_eval_total(self):
         doc = parse_newick("((1,5),9);")
-        scalar = solve_interval(doc.tree, doc.leaf_labels)
+        scalar = solve_scalar(doc.tree, doc.leaf_labels, MANHATTAN, "interval")[1]
         as_tuples = {v: (x,) for v, x in scalar.values.items()}
         assert tuple_cost(doc.tree, MANHATTAN, as_tuples) == eval_total(
             doc.tree, MANHATTAN, scalar
@@ -112,7 +119,7 @@ class TestSolveKtuple:
 
     def test_k1_bit_identical_to_scalar_interval(self):
         doc = parse_newick("((1,5),9);")
-        scalar = solve_interval(doc.tree, doc.leaf_labels)
+        scalar = solve_scalar(doc.tree, doc.leaf_labels, MANHATTAN, "interval")[1]
         as_tuples = TupleLeafLabeling.for_tree(
             doc.tree, {v: (x,) for v, x in doc.leaf_labels.labels.items()}
         )
