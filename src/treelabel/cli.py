@@ -24,9 +24,7 @@ from __future__ import annotations
 
 import argparse
 import functools
-import json
 import random
-import statistics
 import sys
 import time
 
@@ -120,14 +118,17 @@ def cmd_solve(args: argparse.Namespace) -> int:
     if args.format == "newick":
         print(serialize(doc, labeling))
     else:
+        import json  # only this branch needs it, so a cold start skips it
+
         if args.tuple:
             tuples = doc.leaf_labels.labels.values()
             g_min, g_max = min(map(min, tuples)), max(map(max, tuples))
         else:
             g_min, g_max = doc.leaf_labels.g_min, doc.leaf_labels.g_max
+        values = labeling.values
         payload = {
             "cost": labeling.total_cost,
-            "labels": {str(v): labeling.values[v] for v in range(doc.tree.node_count)},
+            "labels": {str(v): values[v] for v in range(doc.tree.node_count)},
             "algorithm": resolved,
             "g_min": g_min,
             "g_max": g_max,
@@ -196,7 +197,9 @@ def cmd_check(args: argparse.Namespace) -> int:
         for (a, b), stats in pair_stats.items():
             if a in costs and b in costs:
                 stats[0] += 1
-                same_labels = (a, b) != _SAME_LABELS or labelings[a] == labelings[b]
+                same_labels = (
+                    (a, b) != _SAME_LABELS or labelings[a].values == labelings[b].values
+                )
                 if costs[a] == costs[b] and same_labels:
                     stats[1] += 1
                 else:
@@ -245,6 +248,8 @@ def cmd_gen(args: argparse.Namespace) -> int:
 # ------------------------------------------------------------------ #
 
 def cmd_bench(args: argparse.Namespace) -> int:
+    import statistics  # bench alone needs it, so a cold start skips it
+
     cost = CostFunction.from_spec(args.cost)
     algorithms = [a.strip() for a in args.algorithms.split(",") if a.strip()]
     n_grid = [int(x) for x in args.n_grid.split(",")]
@@ -253,10 +258,10 @@ def cmd_bench(args: argparse.Namespace) -> int:
     if reps < 5:
         raise ValueError(f"bench needs at least 5 repetitions, got {reps}")
 
-    print("algorithm,N,m,repetitions,median_ns")
     # Every cell is built and warmed up before any is timed, and the timed
     # repetitions go round-robin over the cells, so a drift in machine load
     # during the run spreads over all cells instead of landing between two.
+    # The header follows the warmup, so a grid that fails prints nothing.
     cells = []
     for n in n_grid:
         for m in m_grid:
@@ -269,6 +274,7 @@ def cmd_bench(args: argparse.Namespace) -> int:
                 )
                 run()  # warmup
                 cells.append((name, doc, run, []))
+    print("algorithm,N,m,repetitions,median_ns")
     for _ in range(reps):
         for _, _, run, times in cells:
             start = time.perf_counter_ns()

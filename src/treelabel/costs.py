@@ -20,16 +20,14 @@ overflow to guard against.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
 from operator import index
-from typing import Mapping, Sequence, Union
+from typing import Mapping, NamedTuple, Sequence, Union
 
 from .errors import DifferenceOutOfRange, MissingNodeLabel
 from .tree import Tree
 
 
-@dataclass(frozen=True)
-class CostFunction:
+class CostFunction(NamedTuple):
     """One of the three theta families. Use the factory methods."""
 
     kind: str  # "manhattan" | "power" | "table"
@@ -130,8 +128,7 @@ def theta(c: CostFunction, d: int) -> int:
     return c.table[d]
 
 
-@dataclass(frozen=True)
-class LeafLabeling:
+class LeafLabeling(NamedTuple):
     """Observed integer labels on the leaves, plus the derived label range.
 
     g_min and g_max are the extreme leaf labels and m = g_max - g_min + 1
@@ -193,8 +190,7 @@ def check_leaf_coverage(t: Tree, labels: Mapping[int, object]) -> None:
         raise ValueError("; ".join(parts))
 
 
-@dataclass(frozen=True)
-class Labeling:
+class Labeling(NamedTuple):
     """A full labeling of every node, with its total cost cached.
 
     The solvers fill in the cost they already know: dp_down the minimum
@@ -203,7 +199,7 @@ class Labeling:
     """
 
     values: Mapping[int, int]
-    total_cost: int = field(compare=False, default=0)
+    total_cost: int = 0
 
 
 FullLabeling = Union[Labeling, Mapping[int, int]]

@@ -55,9 +55,9 @@ masquerades as infinity.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
 from itertools import accumulate, islice
 from operator import add, sub
+from typing import NamedTuple
 
 from .costs import CostFunction, Labeling, LeafLabeling, theta
 from .errors import UnsupportedAlgorithm
@@ -69,8 +69,7 @@ INFINITY = math.inf
 TIES = ("lowest", "highest")
 
 
-@dataclass(frozen=True)
-class CostTable:
+class CostTable(NamedTuple):
     """Per-node subtree costs over the label range.
 
     rows[k][i - g_min] is S_k(i). Leaf rows contain the infinity sentinel

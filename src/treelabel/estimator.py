@@ -1,7 +1,7 @@
 """Estimator-style front end, so the solvers compose with sklearn tooling.
 
 TreeLabeler follows the fit/fit_predict shape of scikit-learn's cluster
-estimators: the hyperparameters are its dataclass fields, fit(X, y) does
+estimators: the hyperparameters are its __init__ keywords, fit(X, y) does
 the work and exposes trailing-underscore attributes, get_params/set_params
 make the object clone()-able and grid-searchable. There is no separate
 predict(new data): like a clustering, the labeling is an answer about the
@@ -13,7 +13,6 @@ leaf-labeled tree (LabeledTreeDocument) and the cost one CostFunction.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, fields
 from typing import Mapping, Optional, Union
 
 from .costs import CostFunction, LeafLabeling
@@ -49,13 +48,12 @@ def _as_document(X: _InstanceLike, y: Optional[Mapping[int, int]]) -> LabeledTre
     )
 
 
-@dataclass(eq=False)
 class TreeLabeler:
     """Minimum-cost integer labeling of a leaf-labeled rooted tree.
 
-    The fields are the hyperparameters; none is checked before fit.
-    eq=False keeps identity equality and hashing: two estimators with the
-    same fields are still two estimators.
+    The __init__ keywords are the hyperparameters, stored as they are;
+    none is checked before fit. Equality and hashing are by identity: two
+    estimators with the same parameters are still two estimators.
 
     Parameters
     ----------
@@ -98,14 +96,24 @@ class TreeLabeler:
     [5, 5, 9, 1, 5]
     """
 
-    algorithm: str = "auto"
-    cost: Union[str, CostFunction] = "manhattan"
-    tie: str = "lowest"
+    def __init__(
+        self,
+        algorithm: str = "auto",
+        cost: Union[str, CostFunction] = "manhattan",
+        tie: str = "lowest",
+    ) -> None:
+        self.algorithm = algorithm
+        self.cost = cost
+        self.tie = tie
+
+    def __repr__(self) -> str:
+        params = ", ".join(f"{key}={value!r}" for key, value in self.get_params().items())
+        return f"{type(self).__qualname__}({params})"
 
     # -- sklearn estimator protocol ---------------------------------- #
 
     def get_params(self, deep: bool = True) -> dict:
-        return {f.name: getattr(self, f.name) for f in fields(self)}
+        return {"algorithm": self.algorithm, "cost": self.cost, "tie": self.tie}
 
     def set_params(self, **params) -> "TreeLabeler":
         for key, value in params.items():
@@ -137,7 +145,7 @@ class TreeLabeler:
         self.cost_function_ = cost_fn
         self.algorithm_ = algorithm
         self.labeling_ = labeling
-        self.labels_ = [labeling.values[v] for v in range(doc.tree.node_count)]
+        self.labels_ = list(map(labeling.values.__getitem__, range(doc.tree.node_count)))
         self.cost_ = labeling.total_cost
         self.g_min_ = doc.leaf_labels.g_min
         self.g_max_ = doc.leaf_labels.g_max

@@ -51,7 +51,7 @@ Other cost functions go through the DP solvers.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from typing import NamedTuple
 
 from .costs import Labeling, LeafLabeling
 from .dp import TIES as DP_TIES
@@ -63,9 +63,12 @@ Interval = tuple[int, int]
 TIES = ("lowest", "highest", "midpoint")
 
 
-@dataclass(frozen=True)
-class IntervalAssignment:
-    """Closed integer interval (lo, hi) per node, lo <= hi."""
+class IntervalAssignment(NamedTuple):
+    """Closed integer interval (lo, hi) per node, lo <= hi.
+
+    ``iv[node]`` is the node's interval; len() and iteration are the
+    record's own, over its one field.
+    """
 
     intervals: tuple[Interval, ...]
 

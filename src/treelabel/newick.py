@@ -25,10 +25,9 @@ e.g. "3|7|9"; see parse_newick_tuples.
 from __future__ import annotations
 
 import re
-from dataclasses import dataclass
 from itertools import chain, compress, repeat
 from operator import not_
-from typing import Mapping, Union
+from typing import Mapping, NamedTuple, Union
 
 from .costs import FullLabeling, Labeling, LeafLabeling
 from .errors import (
@@ -51,16 +50,14 @@ _LEAF = re.compile(r"\s*([^\s:]*)" + _LENGTH_TAIL)
 _AFTER_CLOSE = re.compile(r"[^\s:]*" + _LENGTH_TAIL)
 
 
-@dataclass(frozen=True)
-class LabeledTreeDocument:
+class LabeledTreeDocument(NamedTuple):
     """A parsed tree together with its integer leaf labels."""
 
     tree: Tree
     leaf_labels: LeafLabeling
 
 
-@dataclass(frozen=True)
-class TupleTreeDocument:
+class TupleTreeDocument(NamedTuple):
     """A parsed tree together with k-tuple leaf labels."""
 
     tree: Tree

@@ -24,8 +24,8 @@ the per-node label sets it records.
 from __future__ import annotations
 
 import os
-from dataclasses import dataclass
 from itertools import product
+from typing import NamedTuple
 
 from .costs import CostFunction, Labeling, LeafLabeling, theta
 from .errors import BudgetExceeded
@@ -48,8 +48,7 @@ def resolve_budget(budget: int | None = None) -> int:
     return DEFAULT_BUDGET
 
 
-@dataclass
-class OptimumSet:
+class OptimumSet(NamedTuple):
     """Everything the exhaustive scan learned about the optimum.
 
     labelings holds optimal labelings in enumeration order, truncated at
@@ -73,7 +72,8 @@ def brute_force_min(
     max_labelings: int = DEFAULT_LABELING_CAP,
 ) -> OptimumSet:
     """Exact global optimum over the search box, by full enumeration."""
-    internal = [v for v in postorder(t) if not t.is_leaf(v)]
+    children = t.children
+    internal = [v for v in postorder(t) if children[v]]
     allowed = resolve_budget(budget)
     count = l.m ** len(internal)
     if count > allowed:

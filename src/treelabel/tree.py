@@ -23,14 +23,12 @@ range, no cycle, and breadth-first ids, so its ``order`` is
 
 from __future__ import annotations
 
-from dataclasses import dataclass
-from typing import Iterator, Optional, Sequence
+from typing import Iterator, NamedTuple, Optional, Sequence
 
 from .errors import CycleDetected, MultipleRoots, NoRoot, UnreachableNode
 
 
-@dataclass(frozen=True)
-class Tree:
+class Tree(NamedTuple):
     """Rooted tree over node ids 0..N-1.
 
     Attributes
@@ -121,6 +119,7 @@ def postorder(t: Tree) -> list[int]:
     Children are visited in stored (ascending id) order. Iterative, so
     arbitrarily deep trees are fine.
     """
+    children = t.children
     order: list[int] = []
     stack: list[tuple[int, bool]] = [(t.root, False)]
     while stack:
@@ -129,19 +128,20 @@ def postorder(t: Tree) -> list[int]:
             order.append(v)
             continue
         stack.append((v, True))
-        for c in reversed(t.children[v]):
+        for c in reversed(children[v]):
             stack.append((c, False))
     return order
 
 
 def preorder(t: Tree) -> list[int]:
     """Node ids with every node before all of its descendants."""
+    children = t.children
     order: list[int] = []
     stack = [t.root]
     while stack:
         v = stack.pop()
         order.append(v)
-        stack.extend(reversed(t.children[v]))
+        stack.extend(reversed(children[v]))
     return order
 
 

@@ -23,9 +23,8 @@ smallest coordinate i above coordinate i + 1.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from operator import gt, le
-from typing import Mapping
+from typing import Mapping, NamedTuple
 
 from .costs import CostFunction, LeafLabeling, as_int, check_leaf_coverage, theta
 from .errors import (
@@ -38,8 +37,7 @@ from .solve import choose_algorithm, solve_scalar
 from .tree import Tree
 
 
-@dataclass(frozen=True)
-class TupleLeafLabeling:
+class TupleLeafLabeling(NamedTuple):
     """Nondecreasing k-tuples on the leaves, uniform k across the tree."""
 
     k: int
@@ -82,8 +80,7 @@ class TupleLeafLabeling:
         return cls(k=k, labels=labels)
 
 
-@dataclass(frozen=True)
-class TupleLabeling:
+class TupleLabeling(NamedTuple):
     """A k-tuple for every node, with the cached total stretch."""
 
     values: Mapping[int, tuple[int, ...]]

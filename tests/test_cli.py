@@ -581,6 +581,16 @@ class TestBench:
         assert code == 1
         assert err.startswith("error:ValueError:")
 
+    @pytest.mark.parametrize("n_grid, m_grid", [("0", "4"), ("4,0", "4"), ("4", "4,0")])
+    def test_invalid_grid_prints_nothing(self, capsys, n_grid, m_grid):
+        # every cell is built before the header, so a failing one leaves
+        # stdout empty, whichever cell it is
+        code, out, err = run(capsys, "bench", "--n-grid", n_grid, "--m-grid", m_grid,
+                             "--seed", "1")
+        assert code == 1
+        assert out == ""
+        assert err.startswith("error:") and err.count("\n") == 1
+
 
 @pytest.mark.parametrize("command", ["check", "bench"])
 def test_help_names_the_oracle_budget_variable(capsys, command):

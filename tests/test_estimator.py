@@ -187,6 +187,11 @@ class TestEstimatorProtocol:
         text = repr(TreeLabeler(cost="power:2"))
         assert text == "TreeLabeler(algorithm='auto', cost='power:2', tie='lowest')"
 
+    def test_equality_is_identity(self):
+        est = TreeLabeler()
+        assert est == est
+        assert TreeLabeler() != TreeLabeler()
+
     def test_sklearn_clone_compatible(self):
         sklearn_base = pytest.importorskip("sklearn.base")
         est = TreeLabeler(algorithm="dp", cost="power:3", tie="highest")

@@ -2,8 +2,14 @@ import ast
 import doctest
 import importlib
 import importlib.util
+import math
+import os
 import re
+import subprocess
+import sys
 from pathlib import Path
+
+import pytest
 
 import treelabel
 
@@ -144,3 +150,68 @@ def test_no_sum_concatenates_sequences():
         if (lines := _concatenating_sums(path))
     }
     assert found == {}
+
+
+# Modules a cold start must not load: dataclasses costs several
+# milliseconds, most of it its own imports (inspect and what inspect
+# pulls in); json and statistics serve only `solve --format json` and
+# `bench`, which import them when they run.
+_NOT_AT_START = ("dataclasses", "inspect", "json", "statistics")
+
+_ADDED_BY_IMPORT = """
+import sys
+bare = set(sys.modules)
+import treelabel, treelabel.cli
+print(" ".join(sorted(set(sys.modules) - bare)))
+"""
+
+
+def test_cold_import_skips_heavy_modules():
+    # a fresh interpreter, so that nothing this test run loaded counts; the
+    # modules loaded before the import (site's included) are subtracted
+    env = dict(os.environ, PYTHONPATH=str(_PACKAGE.parent))
+    done = subprocess.run(
+        [sys.executable, "-c", _ADDED_BY_IMPORT],
+        env=env, capture_output=True, text=True, check=True,
+    )
+    added = done.stdout.split()
+    assert "treelabel.cli" in added
+    assert [name for name in _NOT_AT_START if name in added] == []
+
+
+_TREE = treelabel.Tree(parents=(None, 0, 0), children=((1, 2), (), ()), order=(0, 1, 2))
+
+
+# each record type with a factory of its fields, in declaration order
+_RECORDS = [
+    (treelabel.Tree, lambda: {
+        "parents": (None, 0, 0), "children": ((1, 2), (), ()), "order": (0, 1, 2)}),
+    (treelabel.CostFunction, lambda: {"kind": "power", "exponent": 2, "table": ()}),
+    (treelabel.LeafLabeling, lambda: {"labels": {1: 3, 2: 5}, "g_min": 3, "g_max": 5}),
+    (treelabel.Labeling, lambda: {"values": {0: 3, 1: 3, 2: 5}, "total_cost": 2}),
+    (treelabel.CostTable, lambda: {
+        "g_min": 3, "g_max": 5,
+        "rows": ((2, 1, 2), (0, math.inf, math.inf), (math.inf, math.inf, 0))}),
+    (treelabel.IntervalAssignment, lambda: {"intervals": ((3, 5), (3, 3), (5, 5))}),
+    (treelabel.LabeledTreeDocument, lambda: {
+        "tree": _TREE, "leaf_labels": treelabel.LeafLabeling({1: 3, 2: 5}, 3, 5)}),
+    (treelabel.TupleTreeDocument, lambda: {
+        "tree": _TREE, "leaf_labels": treelabel.TupleLeafLabeling(2, {1: (1, 2)})}),
+    (treelabel.TupleLeafLabeling, lambda: {"k": 2, "labels": {1: (1, 2), 2: (3, 4)}}),
+    (treelabel.TupleLabeling, lambda: {
+        "values": {0: (1, 2), 1: (1, 2), 2: (3, 4)}, "total_cost": 4}),
+    (treelabel.OptimumSet, lambda: {
+        "cost": 2, "labelings": [treelabel.Labeling(values={0: 3}, total_cost=2)],
+        "truncated": False, "label_sets": [[3, 4, 5], [3], [5]]}),
+]
+
+
+@pytest.mark.parametrize("cls, fields", _RECORDS, ids=[cls.__name__ for cls, _ in _RECORDS])
+def test_record_contract(cls, fields):
+    record = cls(**fields())
+    for name, value in fields().items():
+        with pytest.raises(AttributeError):
+            setattr(record, name, value)
+    assert record == cls(**fields())
+    shown = ", ".join(f"{name}={value!r}" for name, value in fields().items())
+    assert repr(record) == f"{cls.__name__}({shown})"
