@@ -50,12 +50,7 @@ from .errors import (
 )
 from .estimator import TreeLabeler
 from .generate import random_document, random_topology
-from .intervals import (
-    IntervalAssignment,
-    bottom_up_intervals,
-    median_down,
-    top_down_labels,
-)
+from .intervals import bottom_up_intervals, median_down, top_down_labels
 from .newick import (
     LabeledTreeDocument,
     TupleTreeDocument,
@@ -79,7 +74,6 @@ __all__ = [
     "CycleDetected",
     "DifferenceOutOfRange",
     "EmptyTree",
-    "IntervalAssignment",
     "LabeledTreeDocument",
     "Labeling",
     "LeafLabeling",

@@ -56,6 +56,13 @@ from .solve import (
 )
 from .tuples import solve_ktuple
 
+# CPython (3.11, 3.10.7 and later) refuses to print an int of more than
+# 4300 digits by default. The guard stays on while input is parsed and is
+# lifted once it is read, so an exact cost of any size prints; main
+# restores the caller's limit. Older interpreters have no such guard.
+_get_str_digits = getattr(sys, "get_int_max_str_digits", lambda: 0)
+_set_str_digits = getattr(sys, "set_int_max_str_digits", lambda limit: None)
+
 _PRECONDITION_ERRORS = (
     BudgetExceeded,
     UnsupportedAlgorithm,
@@ -91,6 +98,7 @@ def cmd_solve(args: argparse.Namespace) -> int:
     else:
         doc = parse_newick(text)
         serialize = serialize_labeled
+    _set_str_digits(0)  # the input is read
 
     resolved = choose_algorithm(args.algorithm, doc.tree, cost)
     if args.dump_table and resolved not in TABLE_ALGORITHMS:
@@ -172,6 +180,7 @@ _SAME_LABELS = ("median", "convex")
 def cmd_check(args: argparse.Namespace) -> int:
     cost = CostFunction.from_spec(args.cost)
     docs = _check_instances(args)
+    _set_str_digits(0)  # the input is read
 
     pair_stats = {
         ("dp", "interval"): [0, 0],  # [compared, agreed]
@@ -362,6 +371,7 @@ def build_parser() -> argparse.ArgumentParser:
 def main(argv=None) -> int:
     parser = build_parser()
     args = parser.parse_args(argv)
+    limit = _get_str_digits()
     try:
         return args.func(args)
     except _PRECONDITION_ERRORS as exc:
@@ -376,6 +386,8 @@ def main(argv=None) -> int:
     except OSError as exc:
         print(f"error:IO:{exc}", file=sys.stderr)
         return 1
+    finally:
+        _set_str_digits(limit)
 
 
 def entry() -> None:

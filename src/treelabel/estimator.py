@@ -23,7 +23,7 @@ from .costs import CostFunction, LeafLabeling
 from .dp import CostTable, dp_up  # noqa: F401
 from .intervals import IntervalAssignment
 from .newick import LabeledTreeDocument, parse_newick, serialize_labeled
-from .solve import solve_scalar
+from .solve import INTERVAL_ALGORITHMS, TABLE_ALGORITHMS, solve_scalar
 from .tree import Tree
 
 _InstanceLike = Union[str, LabeledTreeDocument, Tree]
@@ -85,8 +85,8 @@ class TreeLabeler:
     cost_               : int, the optimal total cost
     algorithm_          : the solver actually used
     g_min_, g_max_, m_  : leaf-label range
-    intervals_          : IntervalAssignment or None (interval and median
-                          runs, bottom_up_intervals' either way)
+    intervals_          : tuple of (lo, hi) per node id, or None (interval
+                          and median runs, bottom_up_intervals' either way)
     cost_table_         : CostTable or None (dp and convex runs)
 
     intervals_ and cost_table_ are the up-phase results of the solve
@@ -151,10 +151,10 @@ class TreeLabeler:
         self.g_max_ = doc.leaf_labels.g_max
         self.m_ = doc.leaf_labels.m
         self.intervals_: Optional[IntervalAssignment] = (
-            up_phase if isinstance(up_phase, IntervalAssignment) else None
+            up_phase if algorithm in INTERVAL_ALGORITHMS else None
         )
         self.cost_table_: Optional[CostTable] = (
-            up_phase if isinstance(up_phase, CostTable) else None
+            up_phase if algorithm in TABLE_ALGORITHMS else None
         )
         return self
 

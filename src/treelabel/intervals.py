@@ -51,29 +51,16 @@ Other cost functions go through the DP solvers.
 
 from __future__ import annotations
 
-from typing import NamedTuple
-
 from .costs import Labeling, LeafLabeling
 from .dp import TIES as DP_TIES
 from .tree import Tree
 
 Interval = tuple[int, int]
+# closed integer interval (lo, hi), lo <= hi, per node id
+IntervalAssignment = tuple[Interval, ...]
 
 # the root-label rules top_down_labels accepts
 TIES = ("lowest", "highest", "midpoint")
-
-
-class IntervalAssignment(NamedTuple):
-    """Closed integer interval (lo, hi) per node, lo <= hi.
-
-    ``iv[node]`` is the node's interval; len() and iteration are the
-    record's own, over its one field.
-    """
-
-    intervals: tuple[Interval, ...]
-
-    def __getitem__(self, node: int) -> Interval:
-        return self.intervals[node]
 
 
 def bottom_up_intervals(t: Tree, l: LeafLabeling) -> IntervalAssignment:
@@ -100,7 +87,7 @@ def bottom_up_intervals(t: Tree, l: LeafLabeling) -> IntervalAssignment:
         ends.sort()
         r = len(kids)
         intervals[v] = ends[r - 1], ends[r]
-    return IntervalAssignment(intervals=tuple(intervals))
+    return tuple(intervals)
 
 
 def _stretch_label(q: int, kids, intervals, lowest: bool) -> int:
@@ -132,21 +119,21 @@ def _clamp_down(
     lies below (above) its interval takes _stretch_label's label instead.
     """
     # the distance a clamp moves the label is that edge's Manhattan cost
-    parents, children, intervals = t.parents, t.children, iv.intervals
+    parents, children = t.parents, t.children
     lowest, highest = dp_tie == "lowest", dp_tie == "highest"
     values: dict[int, int] = {t.root: root_label}
     total = 0
     for v in t.order[1:]:
         q = values[parents[v]]
-        lo, hi = intervals[v]
+        lo, hi = iv[v]
         if q < lo:
             if lowest and children[v]:
-                lo = _stretch_label(q, children[v], intervals, True)
+                lo = _stretch_label(q, children[v], iv, True)
             values[v] = lo
             total += lo - q
         elif q > hi:
             if highest and children[v]:
-                hi = _stretch_label(q, children[v], intervals, False)
+                hi = _stretch_label(q, children[v], iv, False)
             values[v] = hi
             total += q - hi
         else:
@@ -190,6 +177,6 @@ def median_down(
 def interval_csv(iv: IntervalAssignment) -> str:
     """CSV dump: node id, interval low, interval high."""
     lines = ["node,lo,hi"]
-    for node, (lo, hi) in enumerate(iv.intervals):
+    for node, (lo, hi) in enumerate(iv):
         lines.append(f"{node},{lo},{hi}")
     return "\n".join(lines) + "\n"

@@ -13,9 +13,12 @@ overridable via the TREELABEL_BUDGET environment variable or
 brute_force_min's ``budget`` argument. A count budget, not a wall-clock
 one, keeps runs reproducible.
 
-Enumeration order is deterministic: lexicographic over the internal nodes
-in postorder, labels ascending, so "the first optimal labeling" is a
-stable notion across runs.
+Each assignment is one tuple over every node in postorder, drawn from a
+single itertools.product: an internal node ranges over the box, a leaf
+over its one observed label. Leaf positions never vary, so the order is
+deterministic and lexicographic over the internal nodes in postorder,
+labels ascending, and "the first optimal labeling" is a stable notion
+across runs.
 
 brute_force_min is the one enumeration loop; optimal_label_sets reads
 the per-node label sets it records.
@@ -72,49 +75,47 @@ def brute_force_min(
     max_labelings: int = DEFAULT_LABELING_CAP,
 ) -> OptimumSet:
     """Exact global optimum over the search box, by full enumeration."""
-    children = t.children
-    internal = [v for v in postorder(t) if children[v]]
+    nodes = postorder(t)
+    internal_count = t.node_count - t.leaf_count
     allowed = resolve_budget(budget)
-    count = l.m ** len(internal)
+    count = l.m ** internal_count
     if count > allowed:
         raise BudgetExceeded(
-            f"{l.m}^{len(internal)} = {count} assignments exceed budget {allowed}"
+            f"{l.m}^{internal_count} = {count} assignments exceed budget {allowed}"
         )
-    edges = list(t.edges())
+    box = range(l.g_min, l.g_max + 1)
+    choices = [box if t.children[v] else (l.labels[v],) for v in nodes]
+    at = {v: i for i, v in enumerate(nodes)}
+    pairs = [(at[parent], at[child]) for parent, child in t.edges()]
     th = [theta(c, d) for d in range(l.m)]
 
     best = None
-    best_labelings: list[dict[int, int]] = []
-    seen: list[set[int]] = []  # per internal node, labels seen in optima
+    optima: list[tuple[int, ...]] = []
+    seen: list[set[int]] = []  # per postorder position, labels seen in optima
     truncated = False
 
-    values = dict(l.labels)
-    for assignment in product(range(l.g_min, l.g_max + 1), repeat=len(internal)):
-        for v, label in zip(internal, assignment):
-            values[v] = label
+    for x in product(*choices):
         cost = 0
-        for parent, child in edges:
-            cost += th[abs(values[parent] - values[child])]
+        for i, j in pairs:
+            cost += th[abs(x[i] - x[j])]
         if best is None or cost < best:
             best = cost
-            best_labelings = []
-            seen = [set() for _ in internal]
+            optima = []
+            seen = [set() for _ in nodes]
             truncated = False
         if cost == best:
-            for labels, label in zip(seen, assignment):
+            for labels, label in zip(seen, x):
                 labels.add(label)
-            if len(best_labelings) < max_labelings:
-                best_labelings.append(dict(values))
+            if len(optima) < max_labelings:
+                optima.append(x)
             else:
                 truncated = True
 
-    sets = {v: [label] for v, label in l.labels.items()}
-    sets.update((v, sorted(labels)) for v, labels in zip(internal, seen))
     return OptimumSet(
         cost=best,
-        labelings=[Labeling(values=v, total_cost=best) for v in best_labelings],
+        labelings=[Labeling(values=dict(zip(nodes, x)), total_cost=best) for x in optima],
         truncated=truncated,
-        label_sets=[sets[v] for v in range(t.node_count)],
+        label_sets=[sorted(seen[at[v]]) for v in range(t.node_count)],
     )
 
 

@@ -22,7 +22,7 @@ ALGORITHMS = ("auto", "dp", "convex", "interval", "median", "oracle")
 
 # the algorithms whose up phase is a CostTable
 TABLE_ALGORITHMS = ("dp", "convex")
-# the algorithms whose up phase is an IntervalAssignment, Manhattan cost only
+# the algorithms whose up phase is one (lo, hi) interval per node, Manhattan cost only
 INTERVAL_ALGORITHMS = ("interval", "median")
 
 _TIES_BY_ALGORITHM = {
@@ -75,10 +75,10 @@ def solve_scalar(
     """Solve one scalar instance: (resolved algorithm, labeling, up-phase result).
 
     The up-phase result is the CostTable of a dp or convex solve (the
-    same table either way) or the IntervalAssignment of an interval or
-    median solve (bottom_up_intervals' either way), handed back so that
-    callers reuse it instead of computing it again; the oracle has none
-    (None).
+    same table either way) or the tuple of (lo, hi) intervals per node id
+    of an interval or median solve (bottom_up_intervals' either way),
+    handed back so that callers reuse it instead of computing it again;
+    the oracle has none (None).
     The oracle path returns the first optimal labeling in enumeration
     order, only supports the default tie rule and takes its budget from
     TREELABEL_BUDGET.

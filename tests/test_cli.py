@@ -1,5 +1,8 @@
+import contextlib
+import io
 import json
 import random
+import sys
 
 import pytest
 
@@ -363,6 +366,15 @@ class TestGen:
         assert code == 1
         assert err.startswith("error:ValueError:")
 
+    def test_arity_below_two_rejected(self, capsys):
+        message = "maximum arity must be >= 2, got 1"
+        with pytest.raises(ValueError, match=message):
+            random_topology(3, random.Random(0), arity=1)
+        code, out, err = run(capsys, "gen", "--n", "3", "--arity", "1", "--seed", "0")
+        assert code == 1
+        assert out == ""
+        assert err == f"error:ValueError:{message}\n"
+
 
 class TestCheck:
     def test_file_agreement(self, capsys, tmp_path):
@@ -600,3 +612,132 @@ def test_help_names_the_oracle_budget_variable(capsys, command):
     out = capsys.readouterr().out
     assert "TREELABEL_BUDGET (default 10,000,000)" in out
     assert "--budget" not in out
+
+
+@contextlib.contextmanager
+def no_digit_limit():
+    """Lift CPython's int<->str digit limit inside the block, restore it after."""
+    limit = sys.get_int_max_str_digits()
+    sys.set_int_max_str_digits(0)
+    try:
+        yield
+    finally:
+        sys.set_int_max_str_digits(limit)
+
+
+@pytest.mark.skipif(
+    not hasattr(sys, "get_int_max_str_digits"), reason="no int<->str digit limit"
+)
+class TestExactCostsOfAnySize:
+    """Costs of more than CPython's default 4300 printable digits still print."""
+
+    # power:7000 on (0,9): the root takes 4, at a cost of 4,893 digits
+    COST = 4**7000 + 5**7000
+
+    def test_json_cost_scalar_and_tuple(self, capsys, tmp_path):
+        limit = sys.get_int_max_str_digits()
+        path = tmp_path / "t.nwk"
+        for text, flags in (("(0,9);", ()), ("(0|9,9|9);", ("--tuple",))):
+            path.write_text(text)
+            code, out, err = run(capsys, "solve", str(path), "--cost", "power:7000",
+                                 "--format", "json", *flags)
+            assert (code, err) == (0, "")
+            assert sys.get_int_max_str_digits() == limit
+            with no_digit_limit():
+                assert json.loads(out)["cost"] == self.COST
+
+    def test_dump_table_and_check_verbose(self, capsys, tmp_path):
+        limit = sys.get_int_max_str_digits()
+        path, table = tmp_path / "t.nwk", tmp_path / "table.csv"
+        path.write_text("(0,9);\n")
+        code, out, err = run(capsys, "solve", str(path), "--cost", "power:7000",
+                             "--dump-table", str(table))
+        assert (code, out, err) == (0, "(0,9)4;\n", "")
+        code, out, err = run(capsys, "check", str(path), "--cost", "power:7000", "--verbose")
+        assert (code, err) == (0, "")
+        assert sys.get_int_max_str_digits() == limit
+        with no_digit_limit():
+            cost = str(self.COST)
+            # the root row, labels 0..9: labels 4 and 5 are optimal
+            assert table.read_text().split("\n")[1].split(",")[5:7] == [cost, cost]
+            assert f"(0,9);\tdp={cost} oracle={cost} convex={cost}\n" in out
+
+    def test_input_keeps_the_limit(self, capsys, tmp_path):
+        limit = sys.get_int_max_str_digits()
+        path = tmp_path / "t.nwk"
+        path.write_text("(" + "1" * (limit + 1) + ",2);")
+        code, out, err = run(capsys, "solve", str(path))
+        assert (code, out) == (1, "")
+        assert err.startswith("error:ValueError:Exceeds the limit")
+        assert sys.get_int_max_str_digits() == limit
+
+
+# the Newick alphabet without digits; digits enter only as one-digit labels
+# and edits never join two, so no fuzzed label span exceeds 19 (a wide span
+# makes forced dp and convex, which have no work budget yet, scan for
+# minutes, and power:7000 costs of thousands of digits slow every scan)
+_SYMBOLS = "+- \t\n:|.ax(),;"
+_COSTS = ("manhattan", "power:2", "power:7000", "table:0,1,3,6,10,15,21,28,36,45",
+          "table:0,5,6,11,12,13,14,15,16,17,18,19,20,21,22,23,24,25,26")
+_BAD_COSTS = ("table:0,2,3", "power:0", "power:x", "table:", "table:0,0", "table:1,2",
+              "cubic", "")
+
+
+def _fuzz_text(rng):
+    """Random Newick-alphabet text, or a generated tree, maybe truncated or edited."""
+    if rng.random() < 0.2:
+        chars = []
+        for _ in range(rng.randint(0, 16)):
+            if rng.random() < 0.3 and not (chars and chars[-1].isdigit()):
+                chars.append(str(rng.randint(0, 9)))
+            else:
+                chars.append(rng.choice(_SYMBOLS))
+        return "".join(chars)
+    doc = random_document(rng.randint(1, 6), 0, 9, rng, arity=rng.choice(["binary", 3, 4]))
+    text = document_to_newick(doc)
+    if rng.random() < 0.3:  # tuple leaves: each label joined to a second digit
+        text = "".join(f"{ch}|{rng.randint(int(ch), 9)}" if ch.isdigit() else ch for ch in text)
+    at = rng.randrange(len(text))
+    edited = rng.choice([
+        text[:at], text[:at] + rng.choice(_SYMBOLS) + text[at + 1:], text[:at] + text[at + 1:]
+    ])
+    joins_digits = any(a.isdigit() and b.isdigit() for a, b in zip(edited, edited[1:]))
+    return text if joins_digits or rng.random() < 0.6 else edited
+
+
+def test_fuzzed_cli_never_leaks_a_traceback(capsys, tmp_path, monkeypatch):
+    monkeypatch.setenv("TREELABEL_BUDGET", "20000")
+    rng = random.Random(20261019)
+    path = tmp_path / "in.nwk"
+    exits = []
+    for case in range(1500):
+        text = _fuzz_text(rng)
+        path.write_text(text)
+        monkeypatch.setattr("sys.stdin", io.StringIO(text))
+        source = rng.choice([str(path), "-"])
+        cost = ["--cost", rng.choice(_COSTS if rng.random() < 0.8 else _BAD_COSTS)]
+        if case % 10 == 0:
+            argv = ["check", str(path), *cost] + ["--verbose"] * rng.randrange(2)
+        else:
+            argv = [
+                "solve", source, *cost,
+                "--algorithm", rng.choice(cli.ALGORITHMS),
+                "--tie", rng.choices(cli.INTERVAL_TIES, weights=(6, 3, 1))[0],
+                "--format", rng.choice(["newick", "json"]),
+            ]
+            argv += ["--tuple"] * (rng.random() < (0.8 if "|" in text else 0.2))
+            argv += rng.choices([
+                [], ["--dump-table", str(tmp_path / "t.csv")],
+                ["--dump-intervals", str(tmp_path / "i.csv")],
+            ], weights=(6, 1, 1))[0]
+        code = cli.main(argv)
+        out, err = capsys.readouterr()
+        exits.append(code)
+        context = f"{argv} on {text!r}"
+        assert code in (0, 1, 2, 3), context
+        if code:
+            assert err.startswith("error:") and err.count("\n") == 1, context
+        else:
+            assert err == "" and out, context
+    # every kind of outcome but a check disagreement occurs often
+    assert min(exits.count(code) for code in (0, 1, 2)) > 150

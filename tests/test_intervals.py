@@ -88,7 +88,7 @@ class TestMergeIntervals:
         for _ in range(300):
             doc = random_document(rng.randint(1, 30), -8, 20, rng, arity="binary")
             iv = bottom_up_intervals(doc.tree, doc.leaf_labels)
-            assert list(iv.intervals) == reference_binary_intervals(
+            assert list(iv) == reference_binary_intervals(
                 doc.tree, doc.leaf_labels
             )
 
@@ -161,7 +161,7 @@ class TestBottomUp:
         assert bottom_up_intervals(star.tree, star.leaf_labels)[star.tree.root] == (2, 2)
         chain = parse_newick("((5));")
         iv = bottom_up_intervals(chain.tree, chain.leaf_labels)
-        assert iv.intervals == ((5, 5),) * 3
+        assert iv == ((5, 5),) * 3
 
     def test_intervals_inside_leaf_range(self):
         rng = random.Random(31)
@@ -169,7 +169,7 @@ class TestBottomUp:
             doc = random_document(rng.randint(2, 10), -6, 14, rng, arity="binary")
             iv = bottom_up_intervals(doc.tree, doc.leaf_labels)
             lo, hi = doc.leaf_labels.g_min, doc.leaf_labels.g_max
-            for a, b in iv.intervals:
+            for a, b in iv:
                 assert lo <= a <= b <= hi
 
 

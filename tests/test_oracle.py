@@ -1,8 +1,9 @@
 import random
+from itertools import product
 
 import pytest
 
-from helpers import recursive_minimum
+from helpers import random_instance, recursive_minimum
 from treelabel import (
     BudgetExceeded,
     CostFunction,
@@ -10,6 +11,7 @@ from treelabel import (
     eval_total,
     optimal_label_sets,
     parse_newick,
+    postorder,
     random_document,
 )
 from treelabel.oracle import DEFAULT_BUDGET, resolve_budget
@@ -75,6 +77,37 @@ class TestBruteForceMin:
                 for v in range(doc.tree.node_count):
                     expected = sorted({lab.values[v] for lab in result.labelings})
                     assert result.label_sets[v] == expected
+
+    def test_optima_come_in_postorder_lexicographic_order(self):
+        # the order, the caps and the label sets are pinned against a plain
+        # enumeration: labels of the internal nodes in postorder, ascending
+        rng = random.Random(44)
+        many = 0
+        flat = CostFunction.from_table([0, 2, 3, 4, 5])  # concave: many ties
+        for _ in range(100):
+            t, l = random_instance(rng, rng.randint(1, 8), 0, rng.randint(2, 4), max_arity=3)
+            internal = [v for v in postorder(t) if t.children[v]]
+            for cost in (MANHATTAN, flat):
+                scored = []
+                for labels in product(range(l.g_min, l.g_max + 1), repeat=len(internal)):
+                    values = {**l.labels, **dict(zip(internal, labels))}
+                    scored.append((eval_total(t, cost, values), values))
+                best = min(total for total, _ in scored)
+                optima = [values for total, values in scored if total == best]
+                many += len(optima) > 2
+
+                result = brute_force_min(t, l, cost, max_labelings=10**6)
+                assert (result.cost, result.truncated) == (best, False)
+                assert [labeling.values for labeling in result.labelings] == optima
+                assert result.label_sets == [
+                    sorted({values[v] for values in optima}) for v in range(t.node_count)
+                ]
+                for cap in (1, 2):
+                    capped = brute_force_min(t, l, cost, max_labelings=cap)
+                    assert [labeling.values for labeling in capped.labelings] == optima[:cap]
+                    assert capped.truncated == (len(optima) > cap)
+                    assert capped.label_sets == result.label_sets
+        assert many >= 40
 
     def test_budget_refused_up_front(self):
         doc = parse_newick("((1,5),9);")  # m=9, 2 internal nodes: 81 assignments

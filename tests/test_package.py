@@ -192,7 +192,6 @@ _RECORDS = [
     (treelabel.CostTable, lambda: {
         "g_min": 3, "g_max": 5,
         "rows": ((2, 1, 2), (0, math.inf, math.inf), (math.inf, math.inf, 0))}),
-    (treelabel.IntervalAssignment, lambda: {"intervals": ((3, 5), (3, 3), (5, 5))}),
     (treelabel.LabeledTreeDocument, lambda: {
         "tree": _TREE, "leaf_labels": treelabel.LeafLabeling({1: 3, 2: 5}, 3, 5)}),
     (treelabel.TupleTreeDocument, lambda: {
