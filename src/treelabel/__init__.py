@@ -20,7 +20,9 @@ solve_scalar(t, l, c, algorithm) (TreeLabeler sits on top of it):
     ground truth.
 
 k-tuple labelings (nondecreasing integer tuples per node) are handled by
-per-coordinate decomposition in solve_ktuple.
+per-coordinate decomposition in solve_ktuple. Every solver, the k-tuple
+one included, returns its answer as one record, Labeling: the value of
+each node id and the total cost.
 """
 
 from .costs import (
@@ -63,7 +65,7 @@ from .newick import (
 from .oracle import OptimumSet, brute_force_min, optimal_label_sets
 from .solve import choose_algorithm, solve_scalar
 from .tree import Tree, build_tree, is_binary, postorder, preorder
-from .tuples import TupleLabeling, TupleLeafLabeling, solve_ktuple, tuple_cost
+from .tuples import TupleLeafLabeling, solve_ktuple, tuple_cost
 
 __version__ = "0.1.0"
 
@@ -87,7 +89,6 @@ __all__ = [
     "TreeLabelError",
     "TreeLabeler",
     "TupleDecompositionNotMonotone",
-    "TupleLabeling",
     "TupleLeafLabeling",
     "TupleLengthMismatch",
     "TupleNotMonotone",

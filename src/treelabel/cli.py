@@ -28,7 +28,7 @@ import random
 import sys
 import time
 
-from .costs import CostFunction
+from .costs import CostFunction, node_values
 from .dp import cost_table_csv
 from .errors import (
     BudgetExceeded,
@@ -133,10 +133,9 @@ def cmd_solve(args: argparse.Namespace) -> int:
             g_min, g_max = min(map(min, tuples)), max(map(max, tuples))
         else:
             g_min, g_max = doc.leaf_labels.g_min, doc.leaf_labels.g_max
-        values = labeling.values
         payload = {
             "cost": labeling.total_cost,
-            "labels": {str(v): values[v] for v in range(doc.tree.node_count)},
+            "labels": {str(v): x for v, x in enumerate(node_values(doc.tree, labeling))},
             "algorithm": resolved,
             "g_min": g_min,
             "g_max": g_max,

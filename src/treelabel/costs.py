@@ -16,12 +16,17 @@ decided.
 Labels may be any integers, negative included; costs depend only on
 differences. All arithmetic is exact (Python ints), so there is no
 overflow to guard against.
+
+A finished labeling, scalar or k-tuple, is one record, ``Labeling``, and
+node_values is the one place it is read by node id: every cost sum,
+serializer and front end goes through it, so a node with no label fails
+the same way everywhere.
 """
 
 from __future__ import annotations
 
 from operator import index
-from typing import Mapping, NamedTuple, Sequence, Union
+from typing import Any, Mapping, NamedTuple, Sequence, Union
 
 from .errors import DifferenceOutOfRange, MissingNodeLabel
 from .tree import Tree
@@ -193,31 +198,42 @@ def check_leaf_coverage(t: Tree, labels: Mapping[int, object]) -> None:
 class Labeling(NamedTuple):
     """A full labeling of every node, with its total cost cached.
 
-    The solvers fill in the cost they already know: dp_down the minimum
-    of the root row, the oracle its best sum, top_down_labels the sum of
-    its clamp distances. Tests recompute it rather than trusting it.
+    ``values`` maps each node id to its label: an int, or a k-tuple of
+    ints from solve_ktuple. The solvers fill in the cost they already
+    know: dp_down the minimum of the root row, the oracle its best sum,
+    top_down_labels the sum of its clamp distances, solve_ktuple the sum
+    of its coordinates' costs. Tests recompute it rather than trusting it.
     """
 
-    values: Mapping[int, int]
-    total_cost: int = 0
+    values: Mapping[int, Any]
+    total_cost: int
 
 
-FullLabeling = Union[Labeling, Mapping[int, int]]
+# A Labeling, or a plain mapping from node id to label (an int or a k-tuple)
+FullLabeling = Union[Labeling, Mapping[int, Any]]
 
 
-def _values_of(full: FullLabeling) -> Mapping[int, int]:
-    return full.values if isinstance(full, Labeling) else full
+def node_values(t: Tree, full: FullLabeling) -> list:
+    """The label of every node of ``t``, indexed by node id.
+
+    The one reader of a full labeling: a key that is not a node id is
+    ignored, and a node with no label raises MissingNodeLabel naming the
+    lowest such id.
+    """
+    values = full.values if isinstance(full, Labeling) else full
+    try:
+        return list(map(values.__getitem__, range(t.node_count)))
+    except KeyError as exc:
+        raise MissingNodeLabel(f"no label for node {exc.args[0]}") from None
 
 
 def eval_total(t: Tree, c: CostFunction, full: FullLabeling) -> int:
-    """Sum of theta(|label(parent) - label(child)|) over all N-1 edges."""
-    values = _values_of(full)
+    """Sum of theta(|label(parent) - label(child)|) over all N-1 edges.
+
+    Every node needs a label, a single node's included.
+    """
+    values = node_values(t, full)
     total = 0
     for parent, child in t.edges():
-        try:
-            a = values[parent]
-            b = values[child]
-        except KeyError as exc:
-            raise MissingNodeLabel(f"no label for node {exc.args[0]}") from None
-        total += theta(c, abs(a - b))
+        total += theta(c, abs(values[parent] - values[child]))
     return total

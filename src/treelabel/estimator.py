@@ -15,7 +15,7 @@ from __future__ import annotations
 
 from typing import Mapping, Optional, Union
 
-from .costs import CostFunction, LeafLabeling
+from .costs import CostFunction, LeafLabeling, node_values
 
 # fit reuses the table that solve_scalar built and never calls dp_up; the
 # name stays bound here because perfbench/test_perfbench.py checks that its
@@ -145,7 +145,7 @@ class TreeLabeler:
         self.cost_function_ = cost_fn
         self.algorithm_ = algorithm
         self.labeling_ = labeling
-        self.labels_ = list(map(labeling.values.__getitem__, range(doc.tree.node_count)))
+        self.labels_ = node_values(doc.tree, labeling)
         self.cost_ = labeling.total_cost
         self.g_min_ = doc.leaf_labels.g_min
         self.g_max_ = doc.leaf_labels.g_max

@@ -27,17 +27,12 @@ from __future__ import annotations
 import re
 from itertools import chain, compress, repeat
 from operator import not_
-from typing import Mapping, NamedTuple, Union
+from typing import NamedTuple, Union
 
-from .costs import FullLabeling, Labeling, LeafLabeling
-from .errors import (
-    EmptyTree,
-    MissingNodeLabel,
-    NewickSyntaxError,
-    NonIntegerLeafName,
-)
+from .costs import FullLabeling, LeafLabeling, node_values
+from .errors import EmptyTree, NewickSyntaxError, NonIntegerLeafName
 from .tree import Tree
-from .tuples import TupleLabeling, TupleLeafLabeling
+from .tuples import TupleLeafLabeling
 
 _INT_NAME = re.compile(r"[+-]?[0-9]+", re.ASCII)
 _DELIMITER = re.compile(r"[(),;]")
@@ -211,8 +206,8 @@ def parse_newick_tuples(text: str) -> TupleTreeDocument:
 # serialization                                                          #
 # --------------------------------------------------------------------- #
 
-def _render(tree: Tree, names: list[str]) -> str:
-    """Newick text of ``tree`` with ``names[v]`` as the text of node v.
+def _render(tree: Tree, values: list, text) -> str:
+    """Newick text of ``tree`` with ``text(values[v])`` as the text of node v.
 
     Iterative: a stack of child iterators, one per open internal node, so
     nesting depth is unbounded. A child is preceded by ',' unless it is the
@@ -230,11 +225,11 @@ def _render(tree: Tree, names: list[str]) -> str:
                 pieces.append("(")
                 stack.append((v, iter(children[v])))
                 break
-            pieces.append(names[v])
+            pieces.append(text(values[v]))
         else:
             stack.pop()
             if parent is not None:
-                pieces += (")", names[parent])
+                pieces += (")", text(values[parent]))
     pieces.append(";")
     return "".join(pieces)
 
@@ -243,29 +238,25 @@ def _tuple_text(value: tuple[int, ...]) -> str:
     return "|".join(map(str, value))
 
 
-def _node_names(tree: Tree, values: Mapping[int, object], text) -> list[str]:
-    """``text(values[v])`` for every node v in id order."""
-    try:
-        return [text(values[v]) for v in range(tree.node_count)]
-    except KeyError as exc:
-        raise MissingNodeLabel(f"no label for node {exc.args[0]}") from None
-
-
 def serialize_labeled(doc: LabeledTreeDocument, full: FullLabeling) -> str:
     """Newick text with every node (internal ones included) named by its label.
 
-    Example: the 5-node tree with leaves 1,5,9 and both internal labels 5
-    renders as "((1,5)5,9)5;". Round-trips through parse_newick to the same
-    topology and leaf labels.
+    ``full`` is read by node_values, so a node with no label raises
+    MissingNodeLabel naming the lowest such id. Example: the 5-node tree
+    with leaves 1,5,9 and both internal labels 5 renders as
+    "((1,5)5,9)5;". Round-trips through parse_newick to the same topology
+    and leaf labels.
     """
-    values = full.values if isinstance(full, Labeling) else full
-    return _render(doc.tree, _node_names(doc.tree, values, str))
+    return _render(doc.tree, node_values(doc.tree, full), str)
 
 
-def serialize_tuple_labeled(doc: TupleTreeDocument, full: TupleLabeling) -> str:
-    """Newick text with every node named by its '|'-joined tuple."""
-    values = full.values if isinstance(full, TupleLabeling) else full
-    return _render(doc.tree, _node_names(doc.tree, values, _tuple_text))
+def serialize_tuple_labeled(doc: TupleTreeDocument, full: FullLabeling) -> str:
+    """Newick text with every node named by its '|'-joined tuple.
+
+    ``full`` is a Labeling of k-tuples, such as solve_ktuple returns, or a
+    plain mapping of them, read by node_values like serialize_labeled's.
+    """
+    return _render(doc.tree, node_values(doc.tree, full), _tuple_text)
 
 
 def document_to_newick(doc: Union[LabeledTreeDocument, TupleTreeDocument]) -> str:
@@ -273,4 +264,4 @@ def document_to_newick(doc: Union[LabeledTreeDocument, TupleTreeDocument]) -> st
     labels = doc.leaf_labels.labels
     text = _tuple_text if isinstance(doc, TupleTreeDocument) else str
     names = ["" if kids else text(labels[v]) for v, kids in enumerate(doc.tree.children)]
-    return _render(doc.tree, names)
+    return _render(doc.tree, names, str)  # the names are text already

@@ -116,20 +116,19 @@ def build_tree(parent_of: Sequence[Optional[int]]) -> Tree:
 def postorder(t: Tree) -> list[int]:
     """Node ids with every node after all of its descendants.
 
-    Children are visited in stored (ascending id) order. Iterative, so
-    arbitrarily deep trees are fine.
+    Children are visited in stored (ascending id) order. The walk is the
+    reverse of a preorder that visits children last to first: popping a
+    stack onto which each node's children are pushed in stored order.
+    Iterative, so arbitrarily deep trees are fine.
     """
     children = t.children
     order: list[int] = []
-    stack: list[tuple[int, bool]] = [(t.root, False)]
+    stack = [t.root]
     while stack:
-        v, expanded = stack.pop()
-        if expanded:
-            order.append(v)
-            continue
-        stack.append((v, True))
-        for c in reversed(children[v]):
-            stack.append((c, False))
+        v = stack.pop()
+        order.append(v)
+        stack.extend(children[v])
+    order.reverse()
     return order
 
 

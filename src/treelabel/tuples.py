@@ -7,7 +7,9 @@ is ignored. The solver exploits exactly that: solve coordinate i on the
 leaf labels made of every tuple's i-th component, then zip the scalar
 answers back into tuples. The leaf columns come from one zip over the
 leaf tuples, each answer is read into a column indexed by node id as soon
-as it is solved, and the result is the zip of those columns.
+as it is solved, and the result is the zip of those columns, returned as
+a ``Labeling`` whose values are k-tuples: the same record a scalar solve
+gives, read by the same costs.node_values.
 
 The sum of the k scalar optima is always a lower bound on the constrained
 tuple optimum. Whenever the zipped tuples come out nondecreasing at every
@@ -26,13 +28,17 @@ from __future__ import annotations
 from operator import gt, le
 from typing import Mapping, NamedTuple
 
-from .costs import CostFunction, LeafLabeling, as_int, check_leaf_coverage, theta
-from .errors import (
-    MissingNodeLabel,
-    TupleDecompositionNotMonotone,
-    TupleLengthMismatch,
-    TupleNotMonotone,
+from .costs import (
+    CostFunction,
+    FullLabeling,
+    Labeling,
+    LeafLabeling,
+    as_int,
+    check_leaf_coverage,
+    node_values,
+    theta,
 )
+from .errors import TupleDecompositionNotMonotone, TupleLengthMismatch, TupleNotMonotone
 from .solve import choose_algorithm, solve_scalar
 from .tree import Tree
 
@@ -80,30 +86,24 @@ class TupleLeafLabeling(NamedTuple):
         return cls(k=k, labels=labels)
 
 
-class TupleLabeling(NamedTuple):
-    """A k-tuple for every node, with the cached total stretch."""
-
-    values: Mapping[int, tuple[int, ...]]
-    total_cost: int
-
-
 def _check_monotone(value: tuple[int, ...], kind: str, v: int) -> None:
     if not all(map(le, value, value[1:])):
         raise TupleNotMonotone(f"tuple {value} at {kind} {v} decreases")
 
 
-def tuple_cost(t: Tree, c: CostFunction, full: TupleLabeling | Mapping) -> int:
-    """Total stretch: sum over edges of the per-coordinate theta costs."""
-    values = full.values if isinstance(full, TupleLabeling) else full
-    for v, tup in values.items():
+def tuple_cost(t: Tree, c: CostFunction, full: FullLabeling) -> int:
+    """Total stretch: sum over edges of the per-coordinate theta costs.
+
+    ``full`` is a Labeling or a mapping of k-tuples, read by node_values.
+    Each node's tuple must be nondecreasing, checked in node id order.
+    """
+    values = node_values(t, full)
+    for v, tup in enumerate(values):
         _check_monotone(tuple(tup), "node", v)
     total = 0
     for parent, child in t.edges():
-        try:
-            a = values[parent]
-            b = values[child]
-        except KeyError as exc:
-            raise MissingNodeLabel(f"no tuple for node {exc.args[0]}") from None
+        a = values[parent]
+        b = values[child]
         if len(a) != len(b):
             raise TupleLengthMismatch(
                 f"edge ({parent}, {child}) joins a {len(a)}-tuple to a {len(b)}-tuple"
@@ -119,8 +119,12 @@ def solve_ktuple(
     c: CostFunction,
     algorithm: str = "auto",
     tie: str = "lowest",
-) -> TupleLabeling:
-    """Minimize the total stretch by per-coordinate decomposition."""
+) -> Labeling:
+    """Minimize the total stretch by per-coordinate decomposition.
+
+    The answer is a Labeling whose values are the k-tuples by node id and
+    whose total_cost is the sum of the k scalar optima.
+    """
     algorithm = choose_algorithm(algorithm, t, c)
     # one column of answers per coordinate, indexed by node id
     nodes = range(t.node_count)
@@ -129,7 +133,7 @@ def solve_ktuple(
     for leaf_column in zip(*l.labels.values()):
         coordinate = LeafLabeling._of_leaves(dict(zip(l.labels, leaf_column)))
         _, labeling, _ = solve_scalar(t, coordinate, c, algorithm=algorithm, tie=tie)
-        columns.append(list(map(labeling.values.__getitem__, nodes)))
+        columns.append(node_values(t, labeling))
         total += labeling.total_cost
 
     if any(any(map(gt, a, b)) for a, b in zip(columns, columns[1:])):
@@ -154,4 +158,4 @@ def solve_ktuple(
             coordinate=i,
             reproducer=reproducer,
         )
-    return TupleLabeling(values=dict(zip(nodes, zip(*columns))), total_cost=total)
+    return Labeling(values=dict(zip(nodes, zip(*columns))), total_cost=total)

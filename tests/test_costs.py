@@ -9,6 +9,7 @@ from treelabel import (
     Labeling,
     MissingNodeLabel,
     brute_force_min,
+    build_tree,
     eval_total,
     parse_newick,
     random_document,
@@ -146,6 +147,18 @@ class TestEvalTotal:
         doc = parse_newick("(2,7);")
         with pytest.raises(MissingNodeLabel):
             eval_total(doc.tree, MANHATTAN, {0: 4, 1: 2})
+
+    def test_single_node_needs_its_label(self):
+        # no edge to sum, but the labeling is still incomplete
+        doc = parse_newick("5;")
+        with pytest.raises(MissingNodeLabel, match="no label for node 0$"):
+            eval_total(doc.tree, MANHATTAN, {})
+
+    def test_missing_labels_name_the_lowest_node(self):
+        # root 2 over leaves 0 and 1: edge order meets node 2 first
+        t = build_tree([2, 2, None])
+        with pytest.raises(MissingNodeLabel, match="no label for node 0$"):
+            eval_total(t, MANHATTAN, {1: 4})
 
     def test_exact_huge_costs(self):
         doc = parse_newick("(0,1000);")

@@ -504,3 +504,11 @@ class TestPrinterDifferential:
         tuple_doc = parse_newick_tuples("(1|4,3|8);")
         with pytest.raises(MissingNodeLabel, match="no label for node 0$"):
             serialize_tuple_labeled(tuple_doc, {1: (1, 4), 2: (3, 8)})
+        # root 2 over leaves 0 and 1: the printer meets node 2 first
+        t = build_tree([2, 2, None])
+        doc = LabeledTreeDocument(t, LeafLabeling.for_tree(t, {0: 1, 1: 3}))
+        with pytest.raises(MissingNodeLabel, match="no label for node 0$"):
+            serialize_labeled(doc, {1: 3})
+        tuple_doc = TupleTreeDocument(t, TupleLeafLabeling.for_tree(t, {0: (1,), 1: (3,)}))
+        with pytest.raises(MissingNodeLabel, match="no label for node 0$"):
+            serialize_tuple_labeled(tuple_doc, {1: (3,)})

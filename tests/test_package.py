@@ -41,17 +41,22 @@ def test_benchmark_tracer_targets_exist():
         assert path[-1] in vars(owner), dotted
 
 
-def _raised_names(path):
-    """Names of the exceptions raised by ``raise X`` or ``raise X(...)`` in a file."""
-    names = set()
+def _raises(path):
+    """(name, line) of every ``raise X`` or ``raise X(...)`` in a file."""
+    found = []
     for node in ast.walk(ast.parse(path.read_text(encoding="utf-8"))):
         if isinstance(node, ast.Raise) and node.exc is not None:
             exc = node.exc.func if isinstance(node.exc, ast.Call) else node.exc
             if isinstance(exc, ast.Name):
-                names.add(exc.id)
+                found.append((exc.id, node.lineno))
             elif isinstance(exc, ast.Attribute):
-                names.add(exc.attr)
-    return names
+                found.append((exc.attr, node.lineno))
+    return found
+
+
+def _raised_names(path):
+    """Names of the exceptions raised by ``raise X`` or ``raise X(...)`` in a file."""
+    return {name for name, _ in _raises(path)}
 
 
 def test_every_public_error_class_is_raised():
@@ -197,8 +202,6 @@ _RECORDS = [
     (treelabel.TupleTreeDocument, lambda: {
         "tree": _TREE, "leaf_labels": treelabel.TupleLeafLabeling(2, {1: (1, 2)})}),
     (treelabel.TupleLeafLabeling, lambda: {"k": 2, "labels": {1: (1, 2), 2: (3, 4)}}),
-    (treelabel.TupleLabeling, lambda: {
-        "values": {0: (1, 2), 1: (1, 2), 2: (3, 4)}, "total_cost": 4}),
     (treelabel.OptimumSet, lambda: {
         "cost": 2, "labelings": [treelabel.Labeling(values={0: 3}, total_cost=2)],
         "truncated": False, "label_sets": [[3, 4, 5], [3], [5]]}),
@@ -214,3 +217,51 @@ def test_record_contract(cls, fields):
     assert record == cls(**fields())
     shown = ", ".join(f"{name}={value!r}" for name, value in fields().items())
     assert repr(record) == f"{cls.__name__}({shown})"
+
+
+_CODE_LINES = _ROOT / "tools" / "code_lines.py"
+
+_COUNTED = '''"""Module docstring,
+over two lines."""
+
+import os  # a trailing comment leaves the line a code line
+
+
+# a comment line
+def join(x):
+    """Function docstring."""
+
+    return os.path.join(
+        x,
+
+        "y",
+    )
+
+
+class Holder:
+    """Class docstring."""
+
+    text = """a string, not a docstring"""
+'''
+
+
+def test_code_line_counter_definition():
+    # code lines: non-blank, outside comments and docstrings; a call over
+    # several lines counts each of its non-blank lines
+    spec = importlib.util.spec_from_file_location("code_lines", _CODE_LINES)
+    code_lines = importlib.util.module_from_spec(spec)
+    spec.loader.exec_module(code_lines)
+    # import, def, return, x, "y", ), class, text
+    assert code_lines.count_code_lines(_COUNTED) == 8
+    assert code_lines.count_code_lines("") == 0
+
+
+def test_missing_node_label_raised_in_one_place():
+    # every reader of a full labeling goes through costs.node_values
+    sites = [
+        path.name
+        for path in sorted(_PACKAGE.glob("*.py"))
+        for name, _ in _raises(path)
+        if name == "MissingNodeLabel"
+    ]
+    assert sites == ["costs.py"]

@@ -3,6 +3,7 @@ from collections import deque
 
 import pytest
 
+from helpers import random_instance
 from treelabel import (
     CycleDetected,
     MultipleRoots,
@@ -141,6 +142,19 @@ class TestTraversals:
                     assert post_pos[p] > post_pos[v]
                     assert pre_pos[p] < pre_pos[v]
 
+    def test_walks_equal_a_recursive_reference(self):
+        rng = random.Random(20261019)
+        for _ in range(200):
+            # max_arity 1 gives a unary chain
+            t, _ = random_instance(rng, rng.randint(1, 40), 0, 0, max_arity=rng.randint(1, 5))
+            ids = list(range(t.node_count))
+            rng.shuffle(ids)  # node v becomes ids[v], so the root need not be 0
+            parent_of = [None] * t.node_count
+            for v, p in enumerate(t.parents):
+                parent_of[ids[v]] = None if p is None else ids[p]
+            for tree in (t, build_tree(parent_of)):
+                assert (preorder(tree), postorder(tree)) == _recursive_walks(tree)
+
     def test_deep_tree_no_recursion_limit(self):
         # caterpillar far deeper than Python's default recursion limit:
         # internal 2k has leaf 2k+1 and internal 2k+2; the last node is a leaf
@@ -155,6 +169,20 @@ class TestTraversals:
         assert is_binary(t)
         assert len(postorder(t)) == total
         assert len(preorder(t)) == total
+
+
+def _recursive_walks(t):
+    """(preorder, postorder) of ``t`` by plain recursion, children in stored order."""
+    pre, post = [], []
+
+    def walk(v):
+        pre.append(v)
+        for c in t.children[v]:
+            walk(c)
+        post.append(v)
+
+    walk(t.root)
+    return pre, post
 
 
 def _breadth_first(t):

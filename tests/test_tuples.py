@@ -12,6 +12,7 @@ from treelabel import (
     TupleLeafLabeling,
     TupleLengthMismatch,
     TupleNotMonotone,
+    build_tree,
     choose_algorithm,
     eval_total,
     is_binary,
@@ -102,6 +103,17 @@ class TestTupleCost:
         with pytest.raises(MissingNodeLabel):
             tuple_cost(doc.tree, MANHATTAN, {1: (1, 4), 2: (3, 8)})
 
+    def test_missing_nodes_name_the_lowest(self):
+        # root 2 over leaves 0 and 1: edge order meets node 2 first
+        t = build_tree([2, 2, None])
+        with pytest.raises(MissingNodeLabel, match="no label for node 0$"):
+            tuple_cost(t, MANHATTAN, {1: (1, 4)})
+
+    def test_keys_that_are_not_nodes_are_ignored(self):
+        doc = tuple_doc("(1|4,3|8);")
+        full = {0: (1, 4), 1: (1, 4), 2: (3, 8), 9: (5, 1)}
+        assert tuple_cost(doc.tree, MANHATTAN, full) == 6
+
     def test_non_monotone_rejected(self):
         doc = tuple_doc("(1|4,3|8);")
         with pytest.raises(TupleNotMonotone):
@@ -126,6 +138,13 @@ class TestSolveKtuple:
         result = solve_ktuple(doc.tree, as_tuples, MANHATTAN)
         assert result.total_cost == scalar.total_cost == 8
         assert result.values == {v: (x,) for v, x in scalar.values.items()}
+
+    def test_returns_a_labeling(self):
+        doc = tuple_doc("(1|4,3|8);")
+        result = solve_ktuple(doc.tree, doc.leaf_labels, MANHATTAN)
+        assert type(result) is Labeling
+        assert result == Labeling(values={0: (1, 4), 1: (1, 4), 2: (3, 8)}, total_cost=6)
+        assert tuple_cost(doc.tree, MANHATTAN, result) == 6
 
     def test_cherry_k2_worked_value(self):
         doc = tuple_doc("(1|4,3|8);")
