@@ -25,8 +25,8 @@ the same way everywhere.
 
 from __future__ import annotations
 
-from operator import index
-from typing import Any, Mapping, NamedTuple, Sequence, Union
+from operator import index, pos
+from typing import Any, Callable, Mapping, NamedTuple, Sequence, Union
 
 from .errors import DifferenceOutOfRange, MissingNodeLabel
 from .tree import Tree
@@ -122,15 +122,31 @@ def theta(c: CostFunction, d: int) -> int:
     """Cost of a label difference d >= 0."""
     if d < 0:
         raise ValueError(f"difference must be nonnegative, got {d}")
+    return theta_function(c)(d)
+
+
+def theta_function(c: CostFunction) -> Callable[[int], int]:
+    """theta(c, .) for differences d >= 0, with c's fields read once.
+
+    For the callers that take theta of many differences (the cost sums,
+    the dp's and the oracle's tables): a call then reads no field. The
+    table kind raises DifferenceOutOfRange for a difference past its end.
+    """
     if c.kind == "manhattan":
-        return d
+        return pos
     if c.kind == "power":
-        return d ** c.exponent
-    if d >= len(c.table):
-        raise DifferenceOutOfRange(
-            f"difference {d} outside cost table of length {len(c.table)}"
-        )
-    return c.table[d]
+        exponent = c.exponent
+        return lambda d: d ** exponent
+    table = c.table
+
+    def lookup(d: int) -> int:
+        if d >= len(table):
+            raise DifferenceOutOfRange(
+                f"difference {d} outside cost table of length {len(table)}"
+            )
+        return table[d]
+
+    return lookup
 
 
 class LeafLabeling(NamedTuple):
@@ -233,7 +249,5 @@ def eval_total(t: Tree, c: CostFunction, full: FullLabeling) -> int:
     Every node needs a label, a single node's included.
     """
     values = node_values(t, full)
-    total = 0
-    for parent, child in t.edges():
-        total += theta(c, abs(values[parent] - values[child]))
-    return total
+    cost = theta_function(c)
+    return sum(cost(abs(values[parent] - values[child])) for parent, child in t.edges())

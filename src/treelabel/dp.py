@@ -59,7 +59,7 @@ from itertools import accumulate, islice
 from operator import add, sub
 from typing import NamedTuple
 
-from .costs import CostFunction, Labeling, LeafLabeling, theta
+from .costs import CostFunction, Labeling, LeafLabeling, theta_function
 from .errors import UnsupportedAlgorithm
 from .tree import Tree
 
@@ -95,7 +95,7 @@ def _mirrored_theta(c: CostFunction, m: int) -> list[int]:
     j = 0..m-1. Raises DifferenceOutOfRange up front if a custom table is too short
     for this instance's label range.
     """
-    th = [theta(c, d) for d in range(m)]
+    th = list(map(theta_function(c), range(m)))
     return th[:0:-1] + th
 
 

@@ -6,7 +6,9 @@ interval between the r-th and the (r+1)-th smallest of its children's 2r
 interval ends. This is the median rule of ordered-character (Wagner)
 parsimony (Farris 1970; Swofford & Maddison 1987). For r = 1 it copies
 the child's interval; for r = 2 it is the intersection of the two
-intervals when they overlap and the gap between them when they do not.
+intervals when they overlap and the gap between them when they do not,
+and the code takes it in that closed form: the larger low and the
+smaller high, in order, with no sort.
 
 Why the rule is optimal: under Manhattan cost the subtree cost S_b of a
 child b is convex with integer slopes and flat exactly on b's interval
@@ -42,9 +44,10 @@ needed.
   below (above) is read from the node's children there and nowhere
   else; a unary node keeps q and a leaf keeps its label.
 
-The up phase gathers a node's child interval ends into one list and sorts
-it, so it is O(N log d) for maximum arity d at every arity, a star
-included, and independent of the label range; a down phase is O(N).
+The up phase takes a two-child node in that closed form and, at any other
+arity, gathers the node's child interval ends into one list and sorts it,
+so it is O(N log d) for maximum arity d, a star included, and independent
+of the label range; a down phase is O(N).
 
 Other cost functions go through the DP solvers.
 """
@@ -78,6 +81,14 @@ def bottom_up_intervals(t: Tree, l: LeafLabeling) -> IntervalAssignment:
         if not kids:
             p = labels[v]
             intervals[v] = (p, p)
+            continue
+        if len(kids) == 2:
+            # the 2nd and 3rd smallest of the four ends are the larger low
+            # and the smaller high: the intersection, or the gap, in order
+            (lo, hi), (lo2, hi2) = intervals[kids[0]], intervals[kids[1]]
+            x = lo if lo > lo2 else lo2
+            y = hi if hi < hi2 else hi2
+            intervals[v] = (x, y) if x <= y else (y, x)
             continue
         # the r-th and (r+1)-th smallest of the children's 2r interval ends,
         # gathered by extending one list in place: linear in r

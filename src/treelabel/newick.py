@@ -7,16 +7,19 @@ discarded, so files exported from phylogeny tools parse without cleanup.
 Exactly one tree per string, terminated by ';'.
 
 Node ids are assigned breadth-first from the root, so siblings keep their
-written left-to-right order (ids ascend left to right). The parser splits
-the text at the delimiters '(' ')' ',' ';' and makes one pass over the
-pieces and the delimiters together, checks each piece against a
-pattern, and appends every node to the lists of its depth: its child
-count, and a leaf's name. Within one depth the written order is the
-breadth-first order, so those lists joined depth by depth number the
-nodes breadth-first with no sort, and each node's children are the next
-ids in line. The parser builds its ``Tree`` from them directly, since the
-result is a valid tree by construction. Error positions are summed from
-the piece lengths, on the error path only.
+written left-to-right order (ids ascend left to right). The parser cuts
+the text at the delimiters '(' ')' ',' ';' with str methods, no regex:
+one translate turns every delimiter into ',' to split at, and a second
+keeps only the delimiters, in order. It makes one pass over the pieces
+and the delimiters together, takes a decimal piece as a leaf's name as
+it is, checks every other piece against a pattern, and appends every
+node to the lists of its depth: its child count, and a leaf's name.
+Within one depth the written order is the breadth-first order, so those
+lists joined depth by depth number the nodes breadth-first with no sort,
+and each node's children are the next ids in line. The parser builds its
+``Tree`` from them directly, since the result is a valid tree by
+construction. Error positions are summed from the piece lengths, on the
+error path only.
 
 For k-tuple inputs, a leaf name is a '|'-separated run of integers,
 e.g. "3|7|9"; see parse_newick_tuples.
@@ -35,7 +38,21 @@ from .tree import Tree
 from .tuples import TupleLeafLabeling
 
 _INT_NAME = re.compile(r"[+-]?[0-9]+", re.ASCII)
-_DELIMITER = re.compile(r"[(),;]")
+# a k-tuple leaf name: every '|'-separated component an _INT_NAME
+_INT_TUPLE = re.compile(r"[+-]?[0-9]+(?:\|[+-]?[0-9]+)*", re.ASCII)
+# str.translate tables: every delimiter to ',' (to split at), and every
+# code point but the four delimiters dropped (to keep them in order)
+_TO_COMMA = str.maketrans("();", ",,,")
+
+
+class _OnlyDelimiters(dict):
+    # a miss returns None, which translate reads as "drop"; unlike a
+    # defaultdict's, it inserts nothing, so the table stays four entries
+    def __missing__(self, key: int) -> None:
+        return None
+
+
+_ONLY_DELIMITERS = _OnlyDelimiters((ord(d), d) for d in "(),;")
 # The text between two delimiters. A leaf is an optional name and an
 # optional ":<length>", blanks allowed around both; after ')' the same
 # shape holds, but the internal node's name must follow the ')' directly.
@@ -92,8 +109,8 @@ def _parse_tree(text: str) -> tuple[Tree, list[int], list[str]]:
         raise EmptyTree("blank input")
     # segments[i] is the text before delimiters[i]; a position is worked
     # out from the piece lengths, on the error path only
-    segments = _DELIMITER.split(text)
-    delimiters = _DELIMITER.findall(text)
+    segments = text.translate(_TO_COMMA).split(",")
+    delimiters = text.translate(_ONLY_DELIMITERS)
 
     def position(i: int) -> int:
         return sum(map(len, segments[: i + 1])) + i
@@ -122,12 +139,15 @@ def _parse_tree(text: str) -> tuple[Tree, list[int], list[str]]:
             level, level_names = below, names[depth]
             continue
         elif d != ";" or (segment and not segment.isspace()):
-            # a leaf ends at this delimiter
-            leaf = _LEAF.fullmatch(segment)
-            if leaf is None:
-                raise _malformed(segment, position(i))
+            # a leaf ends at this delimiter; a decimal piece is its own name
+            if segment.isdecimal():
+                level_names.append(segment)
+            else:
+                leaf = _LEAF.fullmatch(segment)
+                if leaf is None:
+                    raise _malformed(segment, position(i))
+                level_names.append(leaf[1])
             level.append(0)
-            level_names.append(leaf[1])
         elif not depth:
             raise EmptyTree("no tree before ';'")
 
@@ -189,11 +209,11 @@ def parse_newick(text: str) -> LabeledTreeDocument:
 def parse_newick_tuples(text: str) -> TupleTreeDocument:
     """Parse one Newick tree whose leaf names are '|'-separated k-tuples."""
     tree, leaves, names = _parse_tree(text)
-    is_int = _INT_NAME.fullmatch
+    is_tuple = _INT_TUPLE.fullmatch
     tuples = {}
     for v, name in zip(leaves, names):
         parts = name.split("|")
-        if not all(map(is_int, parts)):
+        if not is_tuple(name):
             # raises at the first bad component
             for p in parts:
                 _leaf_int(p, f"tuple component of leaf {name!r}")

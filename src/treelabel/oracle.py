@@ -30,7 +30,7 @@ import os
 from itertools import product
 from typing import NamedTuple
 
-from .costs import CostFunction, Labeling, LeafLabeling, theta
+from .costs import CostFunction, Labeling, LeafLabeling, theta_function
 from .errors import BudgetExceeded
 from .tree import Tree, postorder
 
@@ -87,7 +87,7 @@ def brute_force_min(
     choices = [box if t.children[v] else (l.labels[v],) for v in nodes]
     at = {v: i for i, v in enumerate(nodes)}
     pairs = [(at[parent], at[child]) for parent, child in t.edges()]
-    th = [theta(c, d) for d in range(l.m)]
+    th = list(map(theta_function(c), range(l.m)))
 
     best = None
     optima: list[tuple[int, ...]] = []

@@ -36,7 +36,7 @@ from .costs import (
     as_int,
     check_leaf_coverage,
     node_values,
-    theta,
+    theta_function,
 )
 from .errors import TupleDecompositionNotMonotone, TupleLengthMismatch, TupleNotMonotone
 from .solve import choose_algorithm, solve_scalar
@@ -100,6 +100,7 @@ def tuple_cost(t: Tree, c: CostFunction, full: FullLabeling) -> int:
     values = node_values(t, full)
     for v, tup in enumerate(values):
         _check_monotone(tuple(tup), "node", v)
+    cost = theta_function(c)
     total = 0
     for parent, child in t.edges():
         a = values[parent]
@@ -108,8 +109,7 @@ def tuple_cost(t: Tree, c: CostFunction, full: FullLabeling) -> int:
             raise TupleLengthMismatch(
                 f"edge ({parent}, {child}) joins a {len(a)}-tuple to a {len(b)}-tuple"
             )
-        for x, y in zip(a, b):
-            total += theta(c, abs(x - y))
+        total += sum(cost(abs(x - y)) for x, y in zip(a, b))
     return total
 
 

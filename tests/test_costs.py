@@ -14,7 +14,9 @@ from treelabel import (
     parse_newick,
     random_document,
     theta,
+    tuple_cost,
 )
+from helpers import random_instance
 
 MANHATTAN = CostFunction.manhattan()
 SQUARE = CostFunction.power(2)
@@ -165,6 +167,61 @@ class TestEvalTotal:
         cost = CostFunction.power(20)
         values = {0: 0, 1: 0, 2: 1000}
         assert eval_total(doc.tree, cost, values) == 1000 ** 20
+
+
+def _sum_or_error(total):
+    """``total()``, or the text of the DifferenceOutOfRange it raised."""
+    try:
+        return total()
+    except DifferenceOutOfRange as exc:
+        return f"DifferenceOutOfRange: {exc}"
+
+
+class TestEdgeSums:
+    # eval_total and tuple_cost resolve theta once per call: they must sum
+    # what theta gives edge by edge, and a table too short for some edge
+    # must fail at the first such edge in t.edges() order
+    COSTS = [MANHATTAN, CostFunction.power(3), CostFunction.from_table([0, 2, 5, 9, 14])]
+
+    def _instances(self, seed):
+        rng = random.Random(seed)
+        for _ in range(80):
+            # label spans up to 10 reach past the 5-entry table on some edges
+            t, leaves = random_instance(rng, rng.randint(1, 12), -4, 6)
+            yield t, leaves, rng
+
+    def test_eval_total_is_the_per_edge_theta_sum(self):
+        outcomes = []
+        for t, leaves, rng in self._instances(21):
+            values = {v: rng.randint(-4, 6) for v in range(t.node_count)}
+            values.update(leaves.labels)
+            for cost in self.COSTS:
+                got = _sum_or_error(lambda: eval_total(t, cost, values))
+                expected = _sum_or_error(lambda: sum(
+                    theta(cost, abs(values[p] - values[c])) for p, c in t.edges()
+                ))
+                assert got == expected
+                outcomes.append(got)
+        assert any(isinstance(o, str) for o in outcomes)  # out of range was met
+
+    def test_tuple_cost_is_the_per_edge_theta_sum(self):
+        outcomes = []
+        for t, _, rng in self._instances(22):
+            k = rng.randint(1, 3)
+            values = {
+                v: tuple(sorted(rng.randint(-4, 6) for _ in range(k)))
+                for v in range(t.node_count)
+            }
+            for cost in self.COSTS:
+                got = _sum_or_error(lambda: tuple_cost(t, cost, values))
+                expected = _sum_or_error(lambda: sum(
+                    theta(cost, abs(x - y))
+                    for p, c in t.edges()
+                    for x, y in zip(values[p], values[c])
+                ))
+                assert got == expected
+                outcomes.append(got)
+        assert any(isinstance(o, str) for o in outcomes)
 
 
 def _random_full_labeling(doc, rng):

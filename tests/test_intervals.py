@@ -55,6 +55,9 @@ class TestMergeIntervals:
             ((3, 3), (3, 3), (3, 3)),   # identity
             ((7, 9), (1, 2), (2, 7)),   # disjoint, b below a: the gap
             ((1, 5), (5, 9), (5, 5)),   # touching boundaries: single point
+            ((1, 9), (3, 5), (3, 5)),   # nested: the inner interval
+            ((2, 6), (2, 9), (2, 6)),   # shared low
+            ((1, 5), (3, 5), (3, 5)),   # shared high
         ],
     )
     def test_rule(self, a, b, expected):

@@ -74,6 +74,11 @@ class TestParse:
         doc = parse_newick("( (1 , 5) ,\n 9 ) ;\n")
         assert doc.tree.node_count == 5
 
+    @pytest.mark.parametrize("text", ["(\u30001,2);", "(1,2)\u00a0;"])
+    def test_non_ascii_blanks_tolerated(self, text):
+        # an ideographic space before a name, a no-break space before ';'
+        assert parse_newick(text).leaf_labels.labels == {1: 1, 2: 2}
+
     def test_deep_nesting_no_recursion_limit(self):
         # caterpillar nested far past Python's default recursion limit;
         # the parser, serializer and solvers are all iterative
@@ -198,6 +203,15 @@ class TestParse:
              "leaf name '²' is not a decimal integer"),
             (parse_newick, " (1,١);", NonIntegerLeafName,
              "leaf name '١' is not a decimal integer"),
+            # decimal digits outside ASCII take the same fast path as ASCII
+            # ones and are then refused by name
+            (parse_newick, "(٣,1);", NonIntegerLeafName,
+             "leaf name '٣' is not a decimal integer"),
+            (parse_newick, "(١٢,3|4);", NonIntegerLeafName,
+             "leaf name '١٢' is not a decimal integer"),
+            # a fullwidth parenthesis is not a delimiter
+            (parse_newick, "（1,2);", NewickSyntaxError,
+             "',' outside parentheses at position 2"),
             (parse_newick_tuples, "( 1|3, 2|x);", NonIntegerLeafName,
              "tuple component of leaf '2|x' 'x' is not a decimal integer"),
             # the first bad component of a leaf is the one reported

@@ -15,8 +15,10 @@ from helpers import reference_parse
 from treelabel import TreeLabelError, build_tree, parse_newick, parse_newick_tuples
 
 # the Newick alphabet: digits, signs, blanks, ':', '|', '.', letters and the
-# four delimiters
-_ALPHABET = "0123456789+- \t\n:|.abnxAZ(),;"
+# four delimiters, then text outside ASCII: decimals (٣ ٠), a digit that is
+# not decimal (²), blanks (no-break and ideographic space), a fullwidth '('
+# and a letter (é)
+_ALPHABET = "0123456789+- \t\n:|.abnxAZ(),;٣٠²\u00a0\u3000（é"
 # subtrees of 1-3 children per '(' with names, lengths and blanks, so that
 # drawn text parses often enough instead of failing at its first character
 _NAMES = st.sampled_from(

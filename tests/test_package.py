@@ -134,6 +134,47 @@ def test_every_import_is_used():
     assert unused == {}
 
 
+def _private_definitions(tree):
+    """Module-level ``_name``s a module assigns, defines or declares a class of."""
+    names = set()
+    for node in tree.body:
+        if isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef, ast.ClassDef)):
+            names.add(node.name)
+        elif isinstance(node, (ast.Assign, ast.AnnAssign)):
+            targets = node.targets if isinstance(node, ast.Assign) else [node.target]
+            names.update(t.id for t in targets if isinstance(t, ast.Name))
+    return {name for name in names if name.startswith("_") and not name.startswith("__")}
+
+
+def _read_names(tree):
+    """Names a module loads, reads as an attribute or imports from another."""
+    read = set()
+    for node in ast.walk(tree):
+        if isinstance(node, ast.Name) and isinstance(node.ctx, ast.Load):
+            read.add(node.id)
+        elif isinstance(node, ast.Attribute):
+            read.add(node.attr)
+        elif isinstance(node, ast.ImportFrom):
+            read.update(alias.name for alias in node.names)
+    return read
+
+
+def test_every_private_name_is_read():
+    # a module-level private name that no module of the package reads is
+    # dead code, such as a pattern left behind by a rewrite
+    trees = {
+        path.name: ast.parse(path.read_text(encoding="utf-8"))
+        for path in sorted(_PACKAGE.glob("*.py"))
+    }
+    read = set().union(*map(_read_names, trees.values()))
+    unread = {
+        name: sorted(defined - read)
+        for name, tree in trees.items()
+        if (defined := _private_definitions(tree)) - read
+    }
+    assert unread == {}
+
+
 def _concatenating_sums(path):
     """Line numbers of the calls in a file that sum from a tuple or list, like
     ``sum(parts, ())`` or ``sum(parts, start=[])``."""
