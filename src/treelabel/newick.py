@@ -9,17 +9,17 @@ Exactly one tree per string, terminated by ';'.
 Node ids are assigned breadth-first from the root, so siblings keep their
 written left-to-right order (ids ascend left to right). The parser cuts
 the text at the delimiters '(' ')' ',' ';' with str methods, no regex:
-one translate turns every delimiter into ',' to split at, and a second
-keeps only the delimiters, in order. It makes one pass over the pieces
-and the delimiters together, takes a decimal piece as a leaf's name as
-it is, checks every other piece against a pattern, and appends every
-node to the lists of its depth: its child count, and a leaf's name.
-Within one depth the written order is the breadth-first order, so those
-lists joined depth by depth number the nodes breadth-first with no sort,
-and each node's children are the next ids in line. The parser builds its
-``Tree`` from them directly, since the result is a valid tree by
-construction. Error positions are summed from the piece lengths, on the
-error path only.
+str.replace turns every delimiter into ',' and one split cuts there. Both
+run at C speed on any text, ASCII or not. It makes one pass over the
+pieces, keeping the offset of the delimiter that ends each one; that
+offset reads the delimiter from the text and is the position an error
+reports. It takes a decimal piece as a leaf's name as it is, checks
+every other piece against a pattern, and appends every node to the lists
+of its depth: its child count, and a leaf's name. Within one depth the
+written order is the breadth-first order, so those lists joined depth by
+depth number the nodes breadth-first with no sort, and each node's
+children are the next ids in line. The parser builds its ``Tree`` from
+them directly, since the result is a valid tree by construction.
 
 For k-tuple inputs, a leaf name is a '|'-separated run of integers,
 e.g. "3|7|9"; see parse_newick_tuples.
@@ -40,19 +40,6 @@ from .tuples import TupleLeafLabeling
 _INT_NAME = re.compile(r"[+-]?[0-9]+", re.ASCII)
 # a k-tuple leaf name: every '|'-separated component an _INT_NAME
 _INT_TUPLE = re.compile(r"[+-]?[0-9]+(?:\|[+-]?[0-9]+)*", re.ASCII)
-# str.translate tables: every delimiter to ',' (to split at), and every
-# code point but the four delimiters dropped (to keep them in order)
-_TO_COMMA = str.maketrans("();", ",,,")
-
-
-class _OnlyDelimiters(dict):
-    # a miss returns None, which translate reads as "drop"; unlike a
-    # defaultdict's, it inserts nothing, so the table stays four entries
-    def __missing__(self, key: int) -> None:
-        return None
-
-
-_ONLY_DELIMITERS = _OnlyDelimiters((ord(d), d) for d in "(),;")
 # The text between two delimiters. A leaf is an optional name and an
 # optional ":<length>", blanks allowed around both; after ')' the same
 # shape holds, but the internal node's name must follow the ')' directly.
@@ -107,13 +94,10 @@ def _parse_tree(text: str) -> tuple[Tree, list[int], list[str]]:
     """
     if not text.strip():
         raise EmptyTree("blank input")
-    # segments[i] is the text before delimiters[i]; a position is worked
-    # out from the piece lengths, on the error path only
-    segments = text.translate(_TO_COMMA).split(",")
-    delimiters = text.translate(_ONLY_DELIMITERS)
-
-    def position(i: int) -> int:
-        return sum(map(len, segments[: i + 1])) + i
+    # the pieces between delimiters; the one after the last delimiter ends
+    # no node, so it is dropped
+    segments = text.replace("(", ",").replace(")", ",").replace(";", ",").split(",")
+    segments.pop()
 
     # per depth, in text order: every node's child count, every leaf's name.
     # An internal node's count is stored as minus the next depth's length at
@@ -124,10 +108,13 @@ def _parse_tree(text: str) -> tuple[Tree, list[int], list[str]]:
     depth = 0  # how many internal nodes have their ')' still ahead
     level, level_names = counts[0], names[0]  # the lists of depth ``depth``
     closed = False  # the previous delimiter was ')'
-    for i, (segment, d) in enumerate(zip(segments, delimiters)):
+    at = -1  # the offset of the delimiter d that ends ``segment``
+    for segment in segments:
+        at += len(segment) + 1
+        d = text[at]
         if closed:
             if segment and _AFTER_CLOSE.fullmatch(segment) is None:
-                raise _malformed(segment, position(i))
+                raise _malformed(segment, at)
         elif d == "(" and (not segment or segment.isspace()):
             # an internal node starts at a '(' with nothing before it
             depth += 1
@@ -145,7 +132,7 @@ def _parse_tree(text: str) -> tuple[Tree, list[int], list[str]]:
             else:
                 leaf = _LEAF.fullmatch(segment)
                 if leaf is None:
-                    raise _malformed(segment, position(i))
+                    raise _malformed(segment, at)
                 level_names.append(leaf[1])
             level.append(0)
         elif not depth:
@@ -153,27 +140,27 @@ def _parse_tree(text: str) -> tuple[Tree, list[int], list[str]]:
 
         if d == ",":
             if not depth:
-                raise NewickSyntaxError(f"',' outside parentheses at position {position(i)}")
+                raise NewickSyntaxError(f"',' outside parentheses at position {at}")
             closed = False
         elif d == ")":
             if not depth:
-                raise NewickSyntaxError(f"unbalanced ')' at position {position(i)}")
+                raise NewickSyntaxError(f"unbalanced ')' at position {at}")
             depth -= 1
             up = counts[depth]
             up[-1] += len(level)
             level, level_names = up, names[depth]
             closed = True
         elif d == "(":
-            raise NewickSyntaxError(f"unexpected '(' at position {position(i)}")
+            raise NewickSyntaxError(f"unexpected '(' at position {at}")
         elif depth:
             raise NewickSyntaxError("unbalanced '(': missing ')'")
         else:
-            # every earlier ';' ended the loop, so this is the text's first
-            start = text.index(";") + 1
-            rest = text[start:]
-            if rest.strip():
-                at = start + len(rest) - len(rest.lstrip())
-                raise NewickSyntaxError(f"unexpected text after ';' at position {at}")
+            # the text's first ';': every earlier one ended the loop
+            rest = text[at + 1:].lstrip()
+            if rest:
+                raise NewickSyntaxError(
+                    f"unexpected text after ';' at position {len(text) - len(rest)}"
+                )
             break
     else:
         raise NewickSyntaxError("missing ';' terminator")
