@@ -8,14 +8,17 @@ Subcommands:
   bench   time solvers over an (n, m) grid, CSV out
 
 Which solver applies is decided only in solve.py: solve resolves it once,
-for scalar and tuple input alike, and rejects a mismatched dump flag before
-solving; check runs solve_scalar per solver and skips inapplicable ones;
-bench times solve_scalar per algorithm, so an inapplicable one fails it.
+for scalar and tuple input alike, and --dump writes the up phase that
+solver built, a cost table or intervals; only the oracle and tuple mode
+have none, and refuse --dump before solving. check runs solve_scalar per
+solver and skips inapplicable ones; bench times solve_scalar per
+algorithm, so an inapplicable one fails it.
 
 Exit codes: 0 success; 1 parse or validation failure; 2 solver
 precondition failure (oracle budget, unsupported combinations such as a
 non-Manhattan cost for the interval or median solver); 3 check found a
-disagreement. Every failure prints a single diagnostic line
+disagreement. An error's code is its class's exit_code. Every failure
+prints a single diagnostic line
 "error:<code>:<message>" to stderr. Identical input, flags and seed
 reproduce identical stdout bytes (timings in bench output excepted).
 """
@@ -28,14 +31,9 @@ import random
 import sys
 import time
 
-from .costs import CostFunction, node_values
-from .dp import cost_table_csv
-from .errors import (
-    BudgetExceeded,
-    TreeLabelError,
-    TupleDecompositionNotMonotone,
-    UnsupportedAlgorithm,
-)
+from .costs import CostFunction, LeafLabeling, node_values
+from .dp import CostTable, cost_table_csv
+from .errors import BudgetExceeded, TreeLabelError, UnsupportedAlgorithm
 from .generate import random_document
 from .intervals import TIES as INTERVAL_TIES
 from .intervals import interval_csv
@@ -47,13 +45,7 @@ from .newick import (
     serialize_tuple_labeled,
 )
 from .oracle import DEFAULT_BUDGET
-from .solve import (
-    ALGORITHMS,
-    INTERVAL_ALGORITHMS,
-    TABLE_ALGORITHMS,
-    choose_algorithm,
-    solve_scalar,
-)
+from .solve import ALGORITHMS, choose_algorithm, solve_scalar
 from .tuples import solve_ktuple
 
 # CPython (3.11, 3.10.7 and later) refuses to print an int of more than
@@ -62,12 +54,6 @@ from .tuples import solve_ktuple
 # restores the caller's limit. Older interpreters have no such guard.
 _get_str_digits = getattr(sys, "get_int_max_str_digits", lambda: 0)
 _set_str_digits = getattr(sys, "set_int_max_str_digits", lambda limit: None)
-
-_PRECONDITION_ERRORS = (
-    BudgetExceeded,
-    UnsupportedAlgorithm,
-    TupleDecompositionNotMonotone,
-)
 
 
 def _read_input(path: str) -> str:
@@ -91,8 +77,8 @@ def cmd_solve(args: argparse.Namespace) -> int:
     cost = CostFunction.from_spec(args.cost)
 
     if args.tuple:
-        if args.dump_table or args.dump_intervals:
-            raise UnsupportedAlgorithm("dump flags are not available in tuple mode")
+        if args.dump:
+            raise UnsupportedAlgorithm("--dump is not available in tuple mode")
         doc = parse_newick_tuples(text)
         serialize = serialize_tuple_labeled
     else:
@@ -101,16 +87,8 @@ def cmd_solve(args: argparse.Namespace) -> int:
     _set_str_digits(0)  # the input is read
 
     resolved = choose_algorithm(args.algorithm, doc.tree, cost)
-    if args.dump_table and resolved not in TABLE_ALGORITHMS:
-        raise UnsupportedAlgorithm(
-            f"--dump-table requires an algorithm with a cost table "
-            f"({', '.join(TABLE_ALGORITHMS)}), got {resolved}"
-        )
-    if args.dump_intervals and resolved not in INTERVAL_ALGORITHMS:
-        raise UnsupportedAlgorithm(
-            f"--dump-intervals requires an algorithm with intervals "
-            f"({', '.join(INTERVAL_ALGORITHMS)}), got {resolved}"
-        )
+    if args.dump and resolved == "oracle":
+        raise UnsupportedAlgorithm("--dump is not available for the oracle, which has no up phase")
 
     if args.tuple:
         labeling = solve_ktuple(doc.tree, doc.leaf_labels, cost, algorithm=resolved, tie=args.tie)
@@ -118,10 +96,9 @@ def cmd_solve(args: argparse.Namespace) -> int:
         _, labeling, up_phase = solve_scalar(
             doc.tree, doc.leaf_labels, cost, algorithm=resolved, tie=args.tie
         )
-        if args.dump_table:
-            _write_file(args.dump_table, cost_table_csv(up_phase))
-        if args.dump_intervals:
-            _write_file(args.dump_intervals, interval_csv(up_phase))
+        if args.dump:
+            to_csv = cost_table_csv if isinstance(up_phase, CostTable) else interval_csv
+            _write_file(args.dump, to_csv(up_phase))
 
     if args.format == "newick":
         print(serialize(doc, labeling))
@@ -276,6 +253,11 @@ def cmd_bench(args: argparse.Namespace) -> int:
             # one instance per grid point, shared by all algorithms
             rng = random.Random(f"{args.seed}:{n}:{m}")
             doc = random_document(n, 0, m - 1, rng, arity="binary")
+            # the first and last leaves take the range's ends, so the cell's
+            # m is the one asked for (a one-leaf cell has m = 1)
+            leaves = doc.tree.leaves()
+            labels = {**doc.leaf_labels.labels, leaves[0]: 0, leaves[-1]: m - 1}
+            doc = doc._replace(leaf_labels=LeafLabeling.for_tree(doc.tree, labels))
             for name in algorithms:
                 run = functools.partial(
                     solve_scalar, doc.tree, doc.leaf_labels, cost, algorithm=name
@@ -323,10 +305,9 @@ def build_parser() -> argparse.ArgumentParser:
     p_solve.add_argument("--format", default="newick", choices=["newick", "json"])
     p_solve.add_argument("--tuple", action="store_true", help="leaf names are a|b|c tuples")
     p_solve.add_argument(
-        "--dump-table", metavar="PATH", help="write the dp or convex cost table as CSV"
-    )
-    p_solve.add_argument(
-        "--dump-intervals", metavar="PATH", help="write the interval assignment as CSV"
+        "--dump", metavar="PATH",
+        help="write the solver's up phase as CSV: the dp or convex cost table, "
+        "or the interval or median intervals",
     )
     p_solve.set_defaults(func=cmd_solve)
 
@@ -373,12 +354,9 @@ def main(argv=None) -> int:
     limit = _get_str_digits()
     try:
         return args.func(args)
-    except _PRECONDITION_ERRORS as exc:
-        print(f"error:{type(exc).__name__}:{exc}", file=sys.stderr)
-        return 2
     except TreeLabelError as exc:
         print(f"error:{type(exc).__name__}:{exc}", file=sys.stderr)
-        return 1
+        return exc.exit_code
     except ValueError as exc:
         print(f"error:ValueError:{exc}", file=sys.stderr)
         return 1

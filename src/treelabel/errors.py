@@ -2,12 +2,16 @@
 
 Every error raised on purpose by this package derives from TreeLabelError,
 so callers (and the CLI) can catch one base class. The class name doubles
-as the machine-readable error code in CLI diagnostics ("error:<code>:...").
+as the machine-readable error code in CLI diagnostics ("error:<code>:..."),
+and its ``exit_code`` is the CLI's exit status: 1 for a parse or
+validation failure, 2 for a solver precondition failure.
 """
 
 
 class TreeLabelError(Exception):
     """Base class for all treelabel errors."""
+
+    exit_code = 1
 
 
 # --- tree construction -------------------------------------------------- #
@@ -57,9 +61,13 @@ class DifferenceOutOfRange(TreeLabelError):
 class UnsupportedAlgorithm(TreeLabelError):
     """The requested algorithm/cost/tie combination is not available."""
 
+    exit_code = 2
+
 
 class BudgetExceeded(TreeLabelError):
     """The brute-force search space exceeds the evaluation budget."""
+
+    exit_code = 2
 
 
 # --- k-tuple labelings ---------------------------------------------------- #
@@ -78,6 +86,8 @@ class TupleDecompositionNotMonotone(TreeLabelError):
     Carries enough context to reproduce the instance; the solver never
     repairs such a result silently.
     """
+
+    exit_code = 2
 
     def __init__(self, message, node=None, coordinate=None, reproducer=None):
         super().__init__(message)

@@ -23,7 +23,7 @@ from .costs import CostFunction, LeafLabeling, node_values
 from .dp import CostTable, dp_up  # noqa: F401
 from .intervals import IntervalAssignment
 from .newick import LabeledTreeDocument, parse_newick, serialize_labeled
-from .solve import INTERVAL_ALGORITHMS, TABLE_ALGORITHMS, solve_scalar
+from .solve import solve_scalar
 from .tree import Tree
 
 _InstanceLike = Union[str, LabeledTreeDocument, Tree]
@@ -89,8 +89,9 @@ class TreeLabeler:
                           and median runs, bottom_up_intervals' either way)
     cost_table_         : CostTable or None (dp and convex runs)
 
-    intervals_ and cost_table_ are the up-phase results of the solve
-    itself; fit computes each one once.
+    intervals_ and cost_table_ are the up-phase result of the solve
+    itself, filled in by its type; fit computes it once, and an oracle run
+    has neither.
 
     >>> TreeLabeler().fit_predict("((1,5),9);")
     [5, 5, 9, 1, 5]
@@ -139,23 +140,17 @@ class TreeLabeler:
             doc.tree, doc.leaf_labels, cost_fn, algorithm=self.algorithm, tie=self.tie
         )
 
-        self.document_ = doc
         self.tree_ = doc.tree
         self.leaf_labels_ = doc.leaf_labels
-        self.cost_function_ = cost_fn
         self.algorithm_ = algorithm
-        self.labeling_ = labeling
         self.labels_ = node_values(doc.tree, labeling)
         self.cost_ = labeling.total_cost
         self.g_min_ = doc.leaf_labels.g_min
         self.g_max_ = doc.leaf_labels.g_max
         self.m_ = doc.leaf_labels.m
-        self.intervals_: Optional[IntervalAssignment] = (
-            up_phase if algorithm in INTERVAL_ALGORITHMS else None
-        )
-        self.cost_table_: Optional[CostTable] = (
-            up_phase if algorithm in TABLE_ALGORITHMS else None
-        )
+        is_table = isinstance(up_phase, CostTable)
+        self.cost_table_: Optional[CostTable] = up_phase if is_table else None
+        self.intervals_: Optional[IntervalAssignment] = None if is_table else up_phase
         return self
 
     def fit_predict(self, X: _InstanceLike, y: Optional[Mapping[int, int]] = None) -> list:
@@ -164,6 +159,6 @@ class TreeLabeler:
 
     def to_newick(self) -> str:
         """The fitted labeling as annotated Newick."""
-        if not hasattr(self, "labeling_"):
+        if not hasattr(self, "labels_"):
             raise RuntimeError("this TreeLabeler instance is not fitted yet; call fit() first")
-        return serialize_labeled(self.document_, self.labeling_)
+        return serialize_labeled(LabeledTreeDocument(self.tree_, self.leaf_labels_), self.labels_)

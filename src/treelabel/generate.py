@@ -18,7 +18,8 @@ Arity = Union[str, int]  # "binary" or a maximum arity >= 2
 
 
 def _pick_arity(arity: Arity, count: int, rng: random.Random) -> int:
-    if arity == "binary":
+    # a maximum arity of 2 is "binary": no draw, so both give the same trees
+    if arity == "binary" or int(arity) == 2:
         return 2
     # random_topology checks arity >= 2 and asks only for count >= 2
     return rng.randint(2, min(int(arity), count))

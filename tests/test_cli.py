@@ -14,6 +14,7 @@ from treelabel import (
     TupleLeafLabeling,
     TupleTreeDocument,
     bottom_up_intervals,
+    brute_force_min,
     choose_algorithm,
     convex_up,
     document_to_newick,
@@ -123,7 +124,7 @@ class TestSolve:
         out_csv = tmp_path / "table.csv"
         path.write_text("(2,7);")
         code, _, _ = run(capsys, "solve", str(path), "--algorithm", "dp",
-                         "--dump-table", str(out_csv))
+                         "--dump", str(out_csv))
         assert code == 0
         lines = out_csv.read_text().strip().split("\n")
         assert lines[0] == "node,2,3,4,5,6,7"
@@ -133,7 +134,7 @@ class TestSolve:
         path = tmp_path / "t.nwk"
         out_csv = tmp_path / "iv.csv"
         path.write_text("((1,5),9);")
-        code, _, _ = run(capsys, "solve", str(path), "--dump-intervals", str(out_csv))
+        code, _, _ = run(capsys, "solve", str(path), "--dump", str(out_csv))
         assert code == 0
         assert "0,5,9" in out_csv.read_text()
 
@@ -145,7 +146,7 @@ class TestSolve:
         dp_calls = count_calls(monkeypatch, dp_up)
         convex_calls = count_calls(monkeypatch, convex_up)
         code, _, _ = run(capsys, "solve", str(path), "--cost", "power:2",
-                         "--dump-table", str(out_csv))
+                         "--dump", str(out_csv))
         assert code == 0
         # auto resolves to convex, whose table is dp_up's
         assert (len(convex_calls), len(dp_calls)) == (1, 0)
@@ -159,62 +160,82 @@ class TestSolve:
         out_csv = tmp_path / "iv.csv"
         path.write_text(text)
         calls = count_calls(monkeypatch, bottom_up_intervals)
-        code, _, _ = run(capsys, "solve", str(path), "--dump-intervals", str(out_csv))
+        code, _, _ = run(capsys, "solve", str(path), "--dump", str(out_csv))
         assert code == 0
         assert len(calls) == 1
         doc = parse_newick(text)
         expected = interval_csv(bottom_up_intervals(doc.tree, doc.leaf_labels))
         assert out_csv.read_bytes() == expected.encode()
 
-    def test_dump_table_needs_dp(self, capsys, tmp_path):
+    def test_dump_follows_the_solver(self, capsys, tmp_path):
+        # one tree, one flag: the table of dp and convex, the intervals of
+        # interval and median
         path = tmp_path / "t.nwk"
         path.write_text("(2,7);")
-        code, _, err = run(capsys, "solve", str(path), "--dump-table",
-                           str(tmp_path / "x.csv"))
-        assert code == 2
-        assert err.startswith("error:UnsupportedAlgorithm:")
+        doc = parse_newick("(2,7);")
+        table = cost_table_csv(dp_up(doc.tree, doc.leaf_labels, CostFunction.manhattan()))
+        intervals = interval_csv(bottom_up_intervals(doc.tree, doc.leaf_labels))
+        for algorithm, expected in (("dp", table), ("convex", table),
+                                    ("interval", intervals), ("median", intervals)):
+            out_csv = tmp_path / f"{algorithm}.csv"
+            code, out, err = run(capsys, "solve", str(path), "--algorithm", algorithm,
+                                 "--dump", str(out_csv))
+            assert (code, out, err) == (0, "(2,7)2;\n", ""), algorithm
+            assert out_csv.read_text() == expected, algorithm
 
     def test_wrong_dump_flag_rejected_before_the_solve(self, capsys, tmp_path, monkeypatch):
+        # only the oracle and tuple mode have no up phase to dump
         path = tmp_path / "t.nwk"
         out_csv = tmp_path / "x.csv"
-        path.write_text("(2,7);")  # auto resolves to interval
-        calls = count_calls(monkeypatch, bottom_up_intervals)
-        code, _, err = run(capsys, "solve", str(path), "--dump-table", str(out_csv))
-        assert code == 2
-        assert err.startswith("error:UnsupportedAlgorithm:")
-        assert calls == []
-        path.write_text("(1,2,3);")  # auto resolves to convex under power:2
-        calls = count_calls(monkeypatch, convex_up)
-        code, _, err = run(capsys, "solve", str(path), "--dump-intervals", str(out_csv),
-                           "--cost", "power:2")
-        assert code == 2
-        assert err.startswith("error:UnsupportedAlgorithm:")
-        assert calls == []
+        up_phases = [
+            count_calls(monkeypatch, function, refuse=True)
+            for function in (dp_up, convex_up, bottom_up_intervals, brute_force_min)
+        ]
+        path.write_text("(2,7);")
+        code, out, err = run(capsys, "solve", str(path), "--algorithm", "oracle",
+                             "--dump", str(out_csv))
+        assert (code, out) == (2, "")
+        assert err.startswith("error:UnsupportedAlgorithm:--dump is not available")
+        path.write_text("(1|4,3|8);")
+        code, out, err = run(capsys, "solve", str(path), "--tuple", "--dump", str(out_csv))
+        assert (code, out) == (2, "")
+        assert err.startswith("error:UnsupportedAlgorithm:--dump is not available")
+        assert up_phases == [[], [], [], []]
         assert not out_csv.exists()
+        monkeypatch.undo()
+        path.write_text("(2,7);")  # auto resolves to interval
+        code, _, _ = run(capsys, "solve", str(path), "--dump", str(out_csv))
+        assert code == 0
+        assert out_csv.read_text().startswith("node,lo,hi\n")
+        path.write_text("(1,2,3);")  # auto resolves to convex under power:2
+        code, _, _ = run(capsys, "solve", str(path), "--dump", str(out_csv), "--cost", "power:2")
+        assert code == 0
+        assert out_csv.read_text().startswith("node,1,2,3\n")
 
     def test_dump_intervals_on_auto_median(self, capsys, tmp_path, monkeypatch):
         path = tmp_path / "t.nwk"
         path.write_text("(1,(2,4,6),3);")  # auto resolves to median
         calls = count_calls(monkeypatch, bottom_up_intervals)
         code, out, _ = run(capsys, "solve", str(path), "--format", "json",
-                           "--dump-intervals", str(tmp_path / "auto.csv"))
+                           "--dump", str(tmp_path / "auto.csv"))
         assert code == 0
         assert json.loads(out)["algorithm"] == "median"
         assert len(calls) == 1
         code, _, _ = run(capsys, "solve", str(path), "--algorithm", "interval",
-                         "--dump-intervals", str(tmp_path / "interval.csv"))
+                         "--dump", str(tmp_path / "interval.csv"))
         assert code == 0
         assert (tmp_path / "auto.csv").read_bytes() == (tmp_path / "interval.csv").read_bytes()
         assert (tmp_path / "auto.csv").read_text().startswith("node,lo,hi\n0,3,3\n")
 
-    def test_dump_table_on_auto_median_exit_2(self, capsys, tmp_path):
+    def test_dump_leaves_the_auto_median_output_alone(self, capsys, tmp_path):
         path = tmp_path / "t.nwk"
         path.write_text("(1,(2,4,6),3);")
-        code, out, err = run(capsys, "solve", str(path), "--dump-table", str(tmp_path / "x.csv"))
-        assert code == 2
-        assert out == ""
-        assert err.startswith("error:UnsupportedAlgorithm:--dump-table")
-        assert not (tmp_path / "x.csv").exists()
+        plain = run(capsys, "solve", str(path))
+        dumped = run(capsys, "solve", str(path), "--dump", str(tmp_path / "x.csv"))
+        assert dumped == plain == (0, "(1,(2,4,6)3,3)3;\n", "")
+        doc = parse_newick("(1,(2,4,6),3);")
+        expected = interval_csv(bottom_up_intervals(doc.tree, doc.leaf_labels))
+        assert (tmp_path / "x.csv").read_text() == expected
 
     @pytest.mark.parametrize(
         "flags,message",
@@ -279,12 +300,21 @@ class TestSolve:
     def test_tuple_mode_rejects_dump_flags(self, capsys, tmp_path):
         path = tmp_path / "t.nwk"
         path.write_text("(1|4,3|8);")
-        code, out, err = run(capsys, "solve", str(path), "--tuple", "--dump-table",
+        code, out, err = run(capsys, "solve", str(path), "--tuple", "--dump",
                              str(tmp_path / "x.csv"))
         assert code == 2
         assert out == ""
-        assert err == "error:UnsupportedAlgorithm:dump flags are not available in tuple mode\n"
+        assert err == "error:UnsupportedAlgorithm:--dump is not available in tuple mode\n"
         assert not (tmp_path / "x.csv").exists()
+
+    def test_tuple_decomposition_not_monotone_exit_2(self, capsys, monkeypatch):
+        text = "(2|2,(5|6,3|8,4|5));"
+        monkeypatch.setattr("sys.stdin", io.StringIO(text))
+        code, out, err = run(capsys, "solve", "-", "--tuple",
+                             "--cost", "table:0,1,10,11,30,31,60,61,100,101,150")
+        assert (code, out) == (2, "")
+        assert err.startswith("error:TupleDecompositionNotMonotone:")
+        assert err.count("\n") == 1
 
     def test_tuple_mode_resolves_auto_once(self, capsys, tmp_path, monkeypatch):
         path = tmp_path / "t.nwk"
@@ -355,6 +385,17 @@ class TestGen:
         _, out, _ = run(capsys, "gen", "--n", "9", "--count", "5", "--seed", "2")
         for line in out.strip().split("\n"):
             assert is_binary(parse_newick(line).tree)
+
+    def test_arity_two_is_binary(self, capsys):
+        # a maximum arity of 2 draws no child count, so it gives "binary"'s trees
+        gen = ["gen", "--n", "3", "--count", "2", "--seed", "1", "--arity"]
+        binary = run(capsys, *gen, "binary")
+        assert binary == (0, "(4,(1,7));\n((3,1),6);\n", "")
+        assert run(capsys, *gen, "2") == binary
+        check = ["check", "--gen-count", "20", "--seed", "3", "--verbose", "--gen-arity"]
+        binary = run(capsys, *check, "binary")
+        assert binary[0] == 0
+        assert run(capsys, *check, "2") == binary
 
     def test_seed_required(self, capsys):
         with pytest.raises(SystemExit):
@@ -536,6 +577,19 @@ class TestBench:
             assert int(reps) == 5
             assert int(median) > 0
 
+    def test_reported_m_is_the_one_asked_for(self, capsys):
+        # the first and last leaves take the ends of the range
+        code, out, _ = run(capsys, "bench", "--algorithms", "interval", "--n-grid", "50,500",
+                           "--m-grid", "128,1000", "--seed", "1")
+        assert code == 0
+        rows = [row.split(",") for row in out.strip().split("\n")[1:]]
+        assert [(int(n), int(m)) for _, n, m, _, _ in rows] == [
+            (99, 128), (99, 1000), (999, 128), (999, 1000)]
+        code, out, _ = run(capsys, "bench", "--algorithms", "dp", "--n-grid", "1",
+                           "--m-grid", "8", "--seed", "1")
+        assert code == 0
+        assert out.strip().split("\n")[1].split(",")[1:3] == ["1", "1"]  # one leaf: m = 1
+
     def test_oracle_small_within_budget(self, capsys):
         code, out, _ = run(capsys, "bench", "--algorithms", "oracle", "--n-grid", "3",
                            "--m-grid", "9", "--reps", "5", "--seed", "4")
@@ -651,7 +705,7 @@ class TestExactCostsOfAnySize:
         path, table = tmp_path / "t.nwk", tmp_path / "table.csv"
         path.write_text("(0,9);\n")
         code, out, err = run(capsys, "solve", str(path), "--cost", "power:7000",
-                             "--dump-table", str(table))
+                             "--dump", str(table))
         assert (code, out, err) == (0, "(0,9)4;\n", "")
         code, out, err = run(capsys, "check", str(path), "--cost", "power:7000", "--verbose")
         assert (code, err) == (0, "")
@@ -726,10 +780,7 @@ def test_fuzzed_cli_never_leaks_a_traceback(capsys, tmp_path, monkeypatch):
                 "--format", rng.choice(["newick", "json"]),
             ]
             argv += ["--tuple"] * (rng.random() < (0.8 if "|" in text else 0.2))
-            argv += rng.choices([
-                [], ["--dump-table", str(tmp_path / "t.csv")],
-                ["--dump-intervals", str(tmp_path / "i.csv")],
-            ], weights=(6, 1, 1))[0]
+            argv += rng.choices([[], ["--dump", str(tmp_path / "up.csv")]], weights=(6, 2))[0]
         code = cli.main(argv)
         out, err = capsys.readouterr()
         exits.append(code)

@@ -306,3 +306,15 @@ def test_missing_node_label_raised_in_one_place():
         if name == "MissingNodeLabel"
     ]
     assert sites == ["costs.py"]
+
+
+def test_solver_groups_named_in_one_place():
+    # which solvers build a cost table and which build intervals is said
+    # only in solve.py; every other module tells the up phase by its type
+    groups = {"TABLE_ALGORITHMS", "INTERVAL_ALGORITHMS"}
+    sites = [
+        path.name
+        for path in sorted(_PACKAGE.glob("*.py"))
+        if groups & _read_names(ast.parse(path.read_text(encoding="utf-8")))
+    ]
+    assert sites == ["solve.py"]
