@@ -29,8 +29,10 @@ from .costs import (
     CostFunction,
     Labeling,
     LeafLabeling,
+    TupleLeafLabeling,
     eval_total,
     theta,
+    tuple_cost,
 )
 from .dp import CostTable, convex_up, dp_down, dp_up, min_total
 from .errors import (
@@ -65,7 +67,7 @@ from .newick import (
 from .oracle import OptimumSet, brute_force_min, optimal_label_sets
 from .solve import choose_algorithm, solve_scalar
 from .tree import Tree, build_tree, is_binary, postorder, preorder
-from .tuples import TupleLeafLabeling, solve_ktuple, tuple_cost
+from .tuples import solve_ktuple
 
 __version__ = "0.1.0"
 

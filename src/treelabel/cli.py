@@ -296,7 +296,7 @@ def build_parser() -> argparse.ArgumentParser:
 
     epilog = f"oracle budget: environment variable TREELABEL_BUDGET (default {DEFAULT_BUDGET:,})"
 
-    p_solve = sub.add_parser("solve", help="label one tree")
+    p_solve = sub.add_parser("solve", help="label one tree", epilog=epilog)
     p_solve.add_argument("input", nargs="?", default="-", help="Newick file or '-' for stdin")
     p_solve.add_argument("--algorithm", default="auto", choices=ALGORITHMS)
     add_cost(p_solve)

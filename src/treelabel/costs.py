@@ -17,18 +17,27 @@ Labels may be any integers, negative included; costs depend only on
 differences. All arithmetic is exact (Python ints), so there is no
 overflow to guard against.
 
-A finished labeling, scalar or k-tuple, is one record, ``Labeling``, and
-node_values is the one place it is read by node id: every cost sum,
-serializer and front end goes through it, so a node with no label fails
-the same way everywhere.
+The problem's data lives here, below every solver: the leaf records,
+``LeafLabeling`` for integer labels and ``TupleLeafLabeling`` for
+nondecreasing k-tuples, and their cost sums, eval_total and tuple_cost.
+The parser, the generator and the solvers all build on them, and this
+module imports no solver. A finished labeling, scalar or k-tuple, is one
+record, ``Labeling``, and node_values is the one place it is read by node
+id: every cost sum, serializer and front end goes through it, so a node
+with no label fails the same way everywhere.
 """
 
 from __future__ import annotations
 
-from operator import index, pos
+from operator import index, le, pos
 from typing import Any, Callable, Mapping, NamedTuple, Sequence, Union
 
-from .errors import DifferenceOutOfRange, MissingNodeLabel
+from .errors import (
+    DifferenceOutOfRange,
+    MissingNodeLabel,
+    TupleLengthMismatch,
+    TupleNotMonotone,
+)
 from .tree import Tree
 
 
@@ -184,6 +193,54 @@ class LeafLabeling(NamedTuple):
         return cls(labels=labels, g_min=min(labels.values()), g_max=max(labels.values()))
 
 
+class TupleLeafLabeling(NamedTuple):
+    """Nondecreasing k-tuples on the leaves, uniform k across the tree."""
+
+    k: int
+    labels: Mapping[int, tuple[int, ...]]
+
+    @classmethod
+    def for_tree(cls, t: Tree, labels: Mapping[int, tuple[int, ...]]) -> "TupleLeafLabeling":
+        """Validate that ``labels`` covers exactly the leaves of ``t``.
+
+        The entry point for mappings from outside: keys and tuple
+        components are converted to int here, and a component that is not
+        an int is an error.
+        """
+        check_leaf_coverage(t, labels)
+        return cls._of_leaves({
+            int(v): tuple(as_int(x, f"component {i} of leaf {v}") for i, x in enumerate(tup))
+            for v, tup in labels.items()
+        })
+
+    @classmethod
+    def _of_leaves(cls, labels: dict[int, tuple[int, ...]]) -> "TupleLeafLabeling":
+        """The labeling of int tuples ``labels`` known to cover exactly the leaves.
+
+        Checks, in ascending leaf order, that every tuple has the same k >= 1
+        components and is nondecreasing. ``labels`` is kept as it is, not
+        copied.
+        """
+        k = None
+        for v in sorted(labels):
+            value = labels[v]
+            if k is None:
+                k = len(value)
+                if k == 0:
+                    raise ValueError("tuples must have at least one component")
+            elif len(value) != k:
+                raise TupleLengthMismatch(
+                    f"leaf {v} has a {len(value)}-tuple; expected k={k}"
+                )
+            _check_monotone(value, "leaf", v)
+        return cls(k=k, labels=labels)
+
+
+def _check_monotone(value: tuple[int, ...], kind: str, v: int) -> None:
+    if not all(map(le, value, value[1:])):
+        raise TupleNotMonotone(f"tuple {value} at {kind} {v} decreases")
+
+
 def as_int(value: object, entry: str) -> int:
     """``value`` as an exact int.
 
@@ -251,3 +308,25 @@ def eval_total(t: Tree, c: CostFunction, full: FullLabeling) -> int:
     values = node_values(t, full)
     cost = theta_function(c)
     return sum(cost(abs(values[parent] - values[child])) for parent, child in t.edges())
+
+
+def tuple_cost(t: Tree, c: CostFunction, full: FullLabeling) -> int:
+    """Total stretch: sum over edges of the per-coordinate theta costs.
+
+    ``full`` is a Labeling or a mapping of k-tuples, read by node_values.
+    Each node's tuple must be nondecreasing, checked in node id order.
+    """
+    values = node_values(t, full)
+    for v, tup in enumerate(values):
+        _check_monotone(tuple(tup), "node", v)
+    cost = theta_function(c)
+    total = 0
+    for parent, child in t.edges():
+        a = values[parent]
+        b = values[child]
+        if len(a) != len(b):
+            raise TupleLengthMismatch(
+                f"edge ({parent}, {child}) joins a {len(a)}-tuple to a {len(b)}-tuple"
+            )
+        total += sum(cost(abs(x - y)) for x, y in zip(a, b))
+    return total

@@ -223,6 +223,6 @@ def cost_table_csv(ct: CostTable) -> str:
     header = "node," + ",".join(str(ct.g_min + i) for i in range(ct.m))
     lines = [header]
     for node, row in enumerate(ct.rows):
-        cells = ",".join("inf" if v == INFINITY else str(v) for v in row)
-        lines.append(f"{node},{cells}")
+        # str(INFINITY) is "inf"
+        lines.append(f"{node},{','.join(map(str, row))}")
     return "\n".join(lines) + "\n"

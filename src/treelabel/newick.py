@@ -3,8 +3,11 @@
 Dialect: standard Newick nesting, but every leaf name must be a decimal
 integer (optionally signed); the leaf name IS the leaf's label. Internal
 node names and branch lengths (":<number>" suffixes) are accepted and
-discarded, so files exported from phylogeny tools parse without cleanup.
-Exactly one tree per string, terminated by ';'.
+discarded. Square-bracket comments (the "[&R]" rooted marker, "[&...]"
+annotations) and quoted labels ("'1'") are not accepted yet: an export
+that carries them ends in NewickSyntaxError or NonIntegerLeafName.
+Exactly one tree per string, terminated by ';'. The leaf records come
+from costs.py, so parsing imports no solver.
 
 Node ids are assigned breadth-first from the root, so siblings keep their
 written left-to-right order (ids ascend left to right). The parser cuts
@@ -32,10 +35,9 @@ from itertools import chain, compress, repeat
 from operator import not_
 from typing import NamedTuple, Union
 
-from .costs import FullLabeling, LeafLabeling, node_values
+from .costs import FullLabeling, LeafLabeling, TupleLeafLabeling, node_values
 from .errors import EmptyTree, NewickSyntaxError, NonIntegerLeafName
 from .tree import Tree
-from .tuples import TupleLeafLabeling
 
 _INT_NAME = re.compile(r"[+-]?[0-9]+", re.ASCII)
 # a k-tuple leaf name: every '|'-separated component an _INT_NAME

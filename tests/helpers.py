@@ -482,3 +482,37 @@ def extract_subtree(t: Tree, l: LeafLabeling, v):
     sub = build_tree(parent_of)
     labels = {new_id[old]: l.labels[old] for old in old_ids if t.is_leaf(old)}
     return sub, LeafLabeling.for_tree(sub, labels), new_id[v]
+
+
+def renumber(t: Tree, l: LeafLabeling, rng):
+    """The same instance under random node ids: (tree, leaves, new id by old).
+
+    Children are stored in id order, so the new ids reorder every node's
+    children.
+    """
+    new_id = list(range(t.node_count))
+    rng.shuffle(new_id)
+    parent_of = [None] * t.node_count
+    for v, p in enumerate(t.parents):
+        parent_of[new_id[v]] = None if p is None else new_id[p]
+    moved = build_tree(parent_of)
+    moved_leaves = LeafLabeling.for_tree(moved, {new_id[v]: x for v, x in l.labels.items()})
+    return moved, moved_leaves, new_id
+
+
+def reroot(t: Tree, r) -> Tree:
+    """The same unrooted tree rooted at internal node ``r``.
+
+    The parent pointers on the path from ``r`` to the old root are
+    reversed; node ids, edges and leaves stay as they are. An old root
+    with one child would become a leaf, so it is refused.
+    """
+    if t.is_leaf(r):
+        raise ValueError(f"node {r} is a leaf")
+    if len(t.children[t.root]) == 1:
+        raise ValueError("the old root has one child and would become a leaf")
+    parent_of = list(t.parents)
+    below, v = None, r
+    while v is not None:
+        parent_of[v], below, v = below, v, t.parents[v]
+    return build_tree(parent_of)

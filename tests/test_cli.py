@@ -658,7 +658,7 @@ class TestBench:
         assert err.startswith("error:") and err.count("\n") == 1
 
 
-@pytest.mark.parametrize("command", ["check", "bench"])
+@pytest.mark.parametrize("command", ["solve", "check", "bench"])
 def test_help_names_the_oracle_budget_variable(capsys, command):
     # the environment variable is the only way to set the oracle budget
     with pytest.raises(SystemExit):

@@ -8,12 +8,12 @@ from helpers import (
     random_instance,
     reference_binary_intervals,
     reference_merge_intervals,
+    renumber,
 )
 from treelabel import (
     CostFunction,
     LeafLabeling,
     TreeLabeler,
-    build_tree,
     bottom_up_intervals,
     brute_force_min,
     convex_up,
@@ -74,15 +74,7 @@ class TestMergeIntervals:
         rng = random.Random(31)
         for tree, leaves in any_arity_instances(30, 200, 14):
             iv = bottom_up_intervals(tree, leaves)
-            new_id = list(range(tree.node_count))
-            rng.shuffle(new_id)
-            parent_of = [None] * tree.node_count
-            for v, p in enumerate(tree.parents):
-                parent_of[new_id[v]] = None if p is None else new_id[p]
-            moved = build_tree(parent_of)
-            moved_leaves = LeafLabeling.for_tree(
-                moved, {new_id[v]: x for v, x in leaves.labels.items()}
-            )
+            moved, moved_leaves, new_id = renumber(tree, leaves, rng)
             moved_iv = bottom_up_intervals(moved, moved_leaves)
             assert all(moved_iv[new_id[v]] == iv[v] for v in range(tree.node_count))
 

@@ -27,6 +27,7 @@ from treelabel import (
     TupleLeafLabeling,
     build_tree,
     solve_ktuple,
+    tuple_cost,
 )
 from treelabel.solve import solve_scalar
 
@@ -40,12 +41,12 @@ TIES = ("lowest", "highest", "midpoint")
 
 
 @st.composite
-def _instances(draw):
+def _instances(draw, unchecked=True):
     """A tree of 1-16 nodes, max arity 1-5, with k-tuples, k in 1-4.
 
-    The tuples are sorted and checked by TupleLeafLabeling.for_tree, or
-    one time in four taken as drawn, unchecked, so that the k scalar
-    answers can cross.
+    The tuples are sorted and checked by TupleLeafLabeling.for_tree, or,
+    if ``unchecked``, one time in four taken as drawn, unchecked, so that
+    the k scalar answers can cross.
     """
     n_nodes = draw(st.integers(1, 16))
     max_arity = draw(st.integers(1, 5))
@@ -60,7 +61,7 @@ def _instances(draw):
     k = draw(st.integers(1, 4))
     component = st.integers(-12, 12)
     labels = {v: tuple(draw(st.lists(component, min_size=k, max_size=k))) for v in t.leaves()}
-    if draw(st.integers(0, 3)) == 0:
+    if unchecked and draw(st.integers(0, 3)) == 0:
         return t, TupleLeafLabeling(k=k, labels=labels)
     labels = {v: tuple(sorted(tup)) for v, tup in labels.items()}
     return t, TupleLeafLabeling.for_tree(t, labels)
@@ -109,3 +110,30 @@ class TestKtupleAgainstCoordinates:
                     continue
                 assert not isinstance(expected, Exception), (algorithm, tie, expected)
                 assert (got.values, got.total_cost) == expected, (algorithm, tie)
+
+
+# convex costs, every one long enough for the components' span of 24;
+# the table's increments repeat, so many labels tie
+_STEPS = [1] * 4 + [2] * 4 + [5] * 8 + [9] * 8
+CONVEX_COSTS = {
+    "manhattan": ("dp", "convex", "median"),
+    "power:2": ("dp", "convex"),
+    "power:3": ("dp", "convex"),
+    "table:" + ",".join(str(sum(_STEPS[:d])) for d in range(len(_STEPS) + 1)): ("dp", "convex"),
+}
+
+
+class TestDecompositionIsExact:
+    # with sorted leaf tuples and a convex theta, dp's "lowest" ("highest")
+    # labeling is the least (greatest) minimizer of an L-natural-convex
+    # objective, monotone in the leaf data, so the k columns never cross
+    @settings(derandomize=True, deadline=None, database=None, max_examples=150)
+    @given(instance=_instances(unchecked=False), spec=st.sampled_from(sorted(CONVEX_COSTS)))
+    def test_sorted_tuples_under_a_convex_cost_never_cross(self, instance, spec):
+        t, l = instance
+        c = CostFunction.from_spec(spec)
+        assert c.is_convex
+        for algorithm in CONVEX_COSTS[spec]:
+            for tie in ("lowest", "highest"):
+                got = solve_ktuple(t, l, c, algorithm=algorithm, tie=tie)
+                assert got.total_cost == tuple_cost(t, c, got), (algorithm, tie)

@@ -318,3 +318,42 @@ def test_solver_groups_named_in_one_place():
         if groups & _read_names(ast.parse(path.read_text(encoding="utf-8")))
     ]
     assert sites == ["solve.py"]
+
+
+def _package_imports(path):
+    """(module, source line) of every import of a treelabel module in a file."""
+    source = path.read_text(encoding="utf-8")
+    found = []
+    for node in ast.walk(ast.parse(source)):
+        if isinstance(node, ast.ImportFrom):
+            if node.level:
+                modules = [node.module] if node.module else [a.name for a in node.names]
+            elif node.module and node.module.startswith("treelabel."):
+                modules = [node.module[len("treelabel."):]]
+            elif node.module == "treelabel":
+                modules = [a.name for a in node.names]
+            else:
+                continue
+        elif isinstance(node, ast.Import):
+            modules = [
+                a.name[len("treelabel."):] for a in node.names if a.name.startswith("treelabel.")
+            ]
+        else:
+            continue
+        line = ast.get_source_segment(source, node).splitlines()[0]
+        found += [(module.split(".")[0], line) for module in modules]
+    return found
+
+
+def test_data_modules_import_no_solver():
+    # the tree, its labelings and costs, Newick text and random instances
+    # are the problem's data: the solvers and front ends build on them,
+    # never the other way round
+    above = {"dp", "intervals", "oracle", "solve", "tuples", "estimator", "cli"}
+    upward = [
+        f"{name}: {line}"
+        for name in ("tree.py", "costs.py", "newick.py", "generate.py")
+        for module, line in _package_imports(_PACKAGE / name)
+        if module in above
+    ]
+    assert upward == []
