@@ -3,9 +3,16 @@
 Subcommands:
 
   solve   label one tree (Newick in, annotated Newick or JSON out)
-  check   cross-check dp / interval / oracle / convex / median agreement over many instances
+  check   cross-check dp / interval / oracle / convex / median agreement over
+          Newick lines, one tree each, from a file or stdin
   gen     emit random instances as Newick lines
   bench   time solvers over an (n, m) grid, CSV out
+
+gen is the one instance generator: "treelabel gen ... | treelabel check"
+cross-checks a seeded random batch, and check refuses an input that
+holds no tree (exit 1), so a failed gen never reads as agreement. Input
+read from a file or stdin may start with a UTF-8 byte-order mark, which
+is dropped before parsing.
 
 Which solver applies is decided only in solve.py: solve resolves it once,
 for scalar and tuple input alike, and --dump writes the up phase that
@@ -33,7 +40,7 @@ import time
 
 from .costs import CostFunction, LeafLabeling, node_values
 from .dp import CostTable, cost_table_csv
-from .errors import BudgetExceeded, TreeLabelError, UnsupportedAlgorithm
+from .errors import BudgetExceeded, EmptyTree, TreeLabelError, UnsupportedAlgorithm
 from .generate import random_document
 from .intervals import TIES as INTERVAL_TIES
 from .intervals import interval_csv
@@ -57,10 +64,13 @@ _set_str_digits = getattr(sys, "set_int_max_str_digits", lambda limit: None)
 
 
 def _read_input(path: str) -> str:
+    """The text of a file, or of stdin for "-", without a leading byte-order mark."""
     if path == "-":
-        return sys.stdin.read()
-    with open(path, "r", encoding="utf-8") as fh:
-        return fh.read()
+        text = sys.stdin.read()
+    else:
+        with open(path, "r", encoding="utf-8") as fh:
+            text = fh.read()
+    return text.removeprefix("\ufeff")
 
 
 def _write_file(path: str, text: str) -> None:
@@ -126,26 +136,6 @@ def cmd_solve(args: argparse.Namespace) -> int:
 # check                                                               #
 # ------------------------------------------------------------------ #
 
-def _check_instances(args: argparse.Namespace):
-    if args.input:
-        text = _read_input(args.input)
-        lines = (line.strip() for line in text.splitlines())
-        return [parse_newick(line) for line in lines if line]
-    if args.seed is None:
-        raise ValueError("check without an input file needs --seed for generation")
-    rng = random.Random(args.seed)
-    docs = []
-    for _ in range(args.gen_count):
-        n = rng.randint(2, max(2, args.gen_n))
-        docs.append(
-            random_document(
-                n, 0, args.gen_m - 1, rng,
-                arity=args.gen_arity if args.gen_arity == "binary" else int(args.gen_arity),
-            )
-        )
-    return docs
-
-
 # the solvers check runs, in the order of its verbose report
 _CHECKED = ("dp", "interval", "oracle", "convex", "median")
 # median reproduces convex's tie rule, so check compares their labelings
@@ -155,7 +145,10 @@ _SAME_LABELS = ("median", "convex")
 
 def cmd_check(args: argparse.Namespace) -> int:
     cost = CostFunction.from_spec(args.cost)
-    docs = _check_instances(args)
+    lines = (line.strip() for line in _read_input(args.input).splitlines())
+    docs = [parse_newick(line) for line in lines if line]
+    if not docs:
+        raise EmptyTree("no tree in the input")
     _set_str_digits(0)  # the input is read
 
     pair_stats = {
@@ -313,14 +306,9 @@ def build_parser() -> argparse.ArgumentParser:
 
     p_check = sub.add_parser("check", help="cross-check solver agreement", epilog=epilog)
     p_check.add_argument(
-        "input", nargs="?", default=None, help="file of Newick lines (default: generate)"
+        "input", nargs="?", default="-", help="file of Newick lines or '-' for stdin"
     )
     add_cost(p_check)
-    p_check.add_argument("--gen-count", type=int, default=100, help="instances to generate")
-    p_check.add_argument("--gen-n", type=int, default=7, help="maximum leaf count")
-    p_check.add_argument("--gen-m", type=int, default=13, help="labels drawn from [0, m-1]")
-    p_check.add_argument("--gen-arity", default="binary", help="'binary' or a maximum arity")
-    p_check.add_argument("--seed", type=int, default=None)
     p_check.add_argument("--verbose", action="store_true", help="one line per instance")
     p_check.set_defaults(func=cmd_check)
 

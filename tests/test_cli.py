@@ -34,6 +34,19 @@ def run(capsys, *argv):
     return code, captured.out, captured.err
 
 
+def gen_batch(capsys, *argv):
+    """The Newick lines ``treelabel gen`` prints for argv."""
+    code, out, err = run(capsys, "gen", *argv)
+    assert (code, err) == (0, "")
+    return out
+
+
+def check_stdin(capsys, monkeypatch, text, *argv):
+    """``treelabel check`` on text piped to its stdin, as in ``gen ... | check``."""
+    monkeypatch.setattr("sys.stdin", io.StringIO(text))
+    return run(capsys, "check", *argv)
+
+
 class TestSolve:
     def test_newick_output(self, capsys, tmp_path):
         path = tmp_path / "t.nwk"
@@ -386,16 +399,19 @@ class TestGen:
         for line in out.strip().split("\n"):
             assert is_binary(parse_newick(line).tree)
 
-    def test_arity_two_is_binary(self, capsys):
+    def test_arity_two_is_binary(self, capsys, monkeypatch):
         # a maximum arity of 2 draws no child count, so it gives "binary"'s trees
         gen = ["gen", "--n", "3", "--count", "2", "--seed", "1", "--arity"]
         binary = run(capsys, *gen, "binary")
         assert binary == (0, "(4,(1,7));\n((3,1),6);\n", "")
         assert run(capsys, *gen, "2") == binary
-        check = ["check", "--gen-count", "20", "--seed", "3", "--verbose", "--gen-arity"]
-        binary = run(capsys, *check, "binary")
-        assert binary[0] == 0
-        assert run(capsys, *check, "2") == binary
+        gen = ["--n", "5", "--count", "20", "--hi", "12", "--seed", "3", "--arity"]
+        checked = {
+            arity: check_stdin(capsys, monkeypatch, gen_batch(capsys, *gen, arity), "--verbose")
+            for arity in ("binary", "2")
+        }
+        assert checked["binary"][0] == 0
+        assert checked["2"] == checked["binary"]
 
     def test_seed_required(self, capsys):
         with pytest.raises(SystemExit):
@@ -415,6 +431,10 @@ class TestGen:
         assert code == 1
         assert out == ""
         assert err == f"error:ValueError:{message}\n"
+
+
+# 15 trees of 6 leaves, arity at most 4, labels in [0, 6]
+_ARITY_4_BATCH = ("--n", "6", "--count", "15", "--hi", "6", "--seed", "12", "--arity", "4")
 
 
 class TestCheck:
@@ -444,22 +464,20 @@ class TestCheck:
         assert code == 0
         assert "dp=5 interval=5 oracle=5" in out
 
-    def test_generated_batch(self, capsys):
-        code, out, _ = run(capsys, "check", "--gen-count", "25", "--gen-n", "6",
-                           "--gen-m", "9", "--seed", "11")
+    def test_generated_batch(self, capsys, monkeypatch):
+        batch = gen_batch(capsys, "--n", "6", "--count", "25", "--hi", "8", "--seed", "11")
+        code, out, _ = check_stdin(capsys, monkeypatch, batch)
         assert code == 0
         assert "instances: 25" in out
         assert "result: all solvers agree" in out
 
-    def test_generated_batch_mixed_arity(self, capsys):
-        code, out, _ = run(capsys, "check", "--gen-count", "15", "--gen-n", "6",
-                           "--gen-m", "7", "--seed", "12", "--gen-arity", "4",
-                           "--cost", "power:2")
+    def test_generated_batch_mixed_arity(self, capsys, monkeypatch):
+        batch = gen_batch(capsys, *_ARITY_4_BATCH)
+        code, out, _ = check_stdin(capsys, monkeypatch, batch, "--cost", "power:2")
         assert code == 0
         # the interval solver needs Manhattan cost, so it never ran
         assert "dp vs interval: 0/0 agree" in out
-        code, out, _ = run(capsys, "check", "--gen-count", "15", "--gen-n", "6",
-                           "--gen-m", "7", "--seed", "12", "--gen-arity", "4")
+        code, out, _ = check_stdin(capsys, monkeypatch, batch)
         assert code == 0
         assert "dp vs interval: 15/15 agree" in out
         assert "interval vs oracle: 15/15 agree" in out
@@ -524,15 +542,15 @@ class TestCheck:
         assert "dp vs convex: 0/2 agree" in out
         assert err.startswith("error:CheckDisagreement:(2,7);")
 
-    def test_median_labelings_cross_checked(self, capsys):
-        code, out, _ = run(capsys, "check", "--gen-count", "15", "--gen-n", "6",
-                           "--gen-m", "7", "--seed", "12", "--gen-arity", "4")
+    def test_median_labelings_cross_checked(self, capsys, monkeypatch):
+        batch = gen_batch(capsys, *_ARITY_4_BATCH)
+        code, out, _ = check_stdin(capsys, monkeypatch, batch)
         assert code == 0
         assert "median vs convex: 15/15 agree" in out
-        code, out, _ = run(capsys, "check", "--gen-count", "5", "--seed", "12",
-                           "--cost", "power:2")
+        code, out, _ = check_stdin(capsys, monkeypatch, batch, "--cost", "power:2")
         assert code == 0
         assert "median vs convex: 0/0 agree" in out
+        assert "dp vs convex: 15/15 agree" in out
 
     def test_median_labeling_mismatch_detected(self, capsys, tmp_path, monkeypatch):
         # median solved under the other tie rule: same cost, other labels
@@ -555,10 +573,31 @@ class TestCheck:
         assert err.startswith("error:CheckDisagreement:(2,7);")
         assert "; median vs convex disagree)" in err
 
-    def test_seed_required_when_generating(self, capsys):
-        code, _, err = run(capsys, "check", "--gen-count", "5")
-        assert code == 1
-        assert err.startswith("error:ValueError:")
+    def test_no_path_reads_stdin(self, capsys, monkeypatch, tmp_path):
+        path = tmp_path / "batch.nwk"
+        path.write_text("(2,7);\n((1,5),9);\n")
+        from_file = run(capsys, "check", str(path), "--verbose")
+        assert from_file[0] == 0
+        assert check_stdin(capsys, monkeypatch, path.read_text(), "--verbose") == from_file
+        assert check_stdin(capsys, monkeypatch, path.read_text(), "-", "--verbose") == from_file
+
+    def test_removed_generator_options_rejected(self, capsys):
+        for option in ("--gen-count", "--gen-n", "--gen-m", "--gen-arity", "--seed"):
+            with pytest.raises(SystemExit) as exc:
+                cli.main(["check", option, "5"])
+            assert exc.value.code == 2
+            # "5" is taken for the input path, so only the option is left over
+            assert capsys.readouterr().err.endswith(f"unrecognized arguments: {option}\n")
+
+    @pytest.mark.parametrize("text", ["", "\n  \n\t\n"], ids=["empty", "blank"])
+    def test_input_with_no_tree_rejected(self, capsys, monkeypatch, tmp_path, text):
+        # a failed gen upstream of the pipe leaves check nothing to read;
+        # that must not read as agreement
+        path = tmp_path / "empty.nwk"
+        path.write_text(text)
+        expected = (1, "", "error:EmptyTree:no tree in the input\n")
+        assert run(capsys, "check", str(path)) == expected
+        assert check_stdin(capsys, monkeypatch, text) == expected
 
 
 class TestBench:
@@ -656,6 +695,20 @@ class TestBench:
         assert code == 1
         assert out == ""
         assert err.startswith("error:") and err.count("\n") == 1
+
+
+@pytest.mark.parametrize("command", ["solve", "check"])
+def test_byte_order_mark_dropped(capsys, monkeypatch, tmp_path, command):
+    # an editor's UTF-8 byte-order mark belongs to the file encoding, not to the tree
+    plain = tmp_path / "plain.nwk"
+    plain.write_text("((1,5),9);\n")
+    expected = run(capsys, command, str(plain))
+    assert expected[0] == 0
+    marked = tmp_path / "bom.nwk"
+    marked.write_text("\ufeff((1,5),9);\n", encoding="utf-8")
+    assert run(capsys, command, str(marked)) == expected
+    monkeypatch.setattr("sys.stdin", io.StringIO("\ufeff((1,5),9);\n"))
+    assert run(capsys, command, "-") == expected
 
 
 @pytest.mark.parametrize("command", ["solve", "check", "bench"])

@@ -2,9 +2,11 @@ import ast
 import doctest
 import importlib
 import importlib.util
+import itertools
 import math
 import os
 import re
+import shlex
 import subprocess
 import sys
 from pathlib import Path
@@ -12,6 +14,7 @@ from pathlib import Path
 import pytest
 
 import treelabel
+from treelabel import cli
 
 _ROOT = Path(__file__).resolve().parent.parent
 _TRACING = _ROOT / "perfbench" / "tracing.py"
@@ -95,6 +98,25 @@ def test_readme_examples_run():
     assert len(blocks) >= 2
     for block in blocks:
         exec(compile(block, str(_README), "exec"), {})
+
+
+def test_readme_shell_commands_parse():
+    # every treelabel command in the README's sh blocks parses, so a removed
+    # or renamed option cannot live on in the docs; nothing is run
+    text = _README.read_text(encoding="utf-8")
+    commands = []
+    for block in re.findall(r"^```sh\n(.*?)^```", text, re.DOTALL | re.MULTILINE):
+        for line in block.splitlines():
+            lexer = shlex.shlex(line, posix=True, punctuation_chars="|")
+            lexer.whitespace_split = True
+            for is_pipe, words in itertools.groupby(lexer, "|".__eq__):
+                argv = list(words)
+                if not is_pipe and argv[0] == "treelabel":
+                    commands.append(argv[1:])
+    assert len(commands) >= 10
+    for argv in commands:
+        # a shell variable stands for a number, as the loop's leaf count does
+        cli.build_parser().parse_args(["1" if word.startswith("$") else word for word in argv])
 
 
 def _unused_imports(path):
