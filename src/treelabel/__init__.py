@@ -9,8 +9,10 @@ solve_scalar(t, l, c, algorithm) (TreeLabeler sits on top of it):
 
   - "dp" (dp_up, dp_down): dynamic programming over the leaf-label
     range, any tree arity, any theta. O(N * m^2), a direct scan.
-  - "convex" (convex_up): the same cost table in O(N * m) by slope
-    merge, for a convex theta (increments that never decrease).
+  - "convex" (convex_up, convex_down): the same cost table in O(N * m)
+    by slope merge, and dp's labels in O(N log m) by binary search for
+    each node's label, for a convex theta (increments that never
+    decrease).
   - "interval" (bottom_up_intervals, top_down_labels): interval
     propagation by the median rule, O(N log d) for maximum arity d, for
     Manhattan cost on any tree.
@@ -34,7 +36,7 @@ from .costs import (
     theta,
     tuple_cost,
 )
-from .dp import CostTable, convex_up, dp_down, dp_up, min_total
+from .dp import CostTable, convex_down, convex_up, dp_down, dp_up, min_total
 from .errors import (
     BudgetExceeded,
     CycleDetected,
@@ -101,6 +103,7 @@ __all__ = [
     "brute_force_min",
     "build_tree",
     "choose_algorithm",
+    "convex_down",
     "convex_up",
     "document_to_newick",
     "dp_down",

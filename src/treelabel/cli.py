@@ -214,7 +214,14 @@ def cmd_gen(args: argparse.Namespace) -> int:
     if args.lo > args.hi:
         raise ValueError(f"empty label range [{args.lo}, {args.hi}]")
     rng = random.Random(args.seed)
-    arity = args.arity if args.arity == "binary" else int(args.arity)
+    arity = args.arity
+    if arity != "binary":
+        try:
+            arity = int(arity)
+        except ValueError:
+            raise ValueError(
+                f"--arity takes 'binary' or an integer >= 2, got {arity!r}"
+            ) from None
     for _ in range(args.count):
         doc = random_document(args.n, args.lo, args.hi, rng, arity=arity)
         print(document_to_newick(doc))
@@ -225,13 +232,24 @@ def cmd_gen(args: argparse.Namespace) -> int:
 # bench                                                               #
 # ------------------------------------------------------------------ #
 
+def _positive_ints(option: str, text: str) -> list[int]:
+    """The entries of a comma-separated option value, each a positive integer."""
+    try:
+        values = [int(x) for x in text.split(",")]
+        if min(values) >= 1:
+            return values
+    except ValueError:
+        pass
+    raise ValueError(f"{option} takes a comma-separated list of positive integers, got {text!r}")
+
+
 def cmd_bench(args: argparse.Namespace) -> int:
     import statistics  # bench alone needs it, so a cold start skips it
 
     cost = CostFunction.from_spec(args.cost)
     algorithms = [a.strip() for a in args.algorithms.split(",") if a.strip()]
-    n_grid = [int(x) for x in args.n_grid.split(",")]
-    m_grid = [int(x) for x in args.m_grid.split(",")]
+    n_grid = _positive_ints("--n-grid", args.n_grid)
+    m_grid = _positive_ints("--m-grid", args.m_grid)
     reps = args.reps
     if reps < 5:
         raise ValueError(f"bench needs at least 5 repetitions, got {reps}")

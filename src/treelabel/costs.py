@@ -273,9 +273,10 @@ class Labeling(NamedTuple):
 
     ``values`` maps each node id to its label: an int, or a k-tuple of
     ints from solve_ktuple. The solvers fill in the cost they already
-    know: dp_down the minimum of the root row, the oracle its best sum,
-    top_down_labels the sum of its clamp distances, solve_ktuple the sum
-    of its coordinates' costs. Tests recompute it rather than trusting it.
+    know: dp_down and convex_down the minimum of the root row, the oracle
+    its best sum, top_down_labels the sum of its clamp distances,
+    solve_ktuple the sum of its coordinates' costs. Tests recompute it
+    rather than trusting it.
     """
 
     values: Mapping[int, Any]

@@ -68,7 +68,8 @@ class TreeLabeler:
         cost, else convex when it applies, else dp.
         dp scans every (label, child label) pair directly in builtins, a
         windowed min(map(add, ...)) per label: O(N * m^2) time. convex
-        builds the same cost table by slope merge in O(N * m). Both use
+        builds the same cost table by slope merge in O(N * m) and finds
+        dp's labels by binary search in O(N log m). Both use
         O(N_internal * m + distinct leaf labels * m) memory, since leaves
         with the same label share one table row, with a leaf child
         contributing in O(m).

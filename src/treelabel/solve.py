@@ -6,7 +6,7 @@ from typing import Optional, Union
 
 from .costs import CostFunction, Labeling, LeafLabeling
 from .dp import TIES as DP_TIES
-from .dp import CostTable, convex_up, dp_down, dp_up, require_convex
+from .dp import CostTable, convex_down, convex_up, dp_down, dp_up, require_convex
 from .errors import UnsupportedAlgorithm
 from .intervals import TIES as INTERVAL_TIES
 from .intervals import (
@@ -91,8 +91,9 @@ def solve_scalar(
             f"(allowed: {', '.join(allowed_ties)})"
         )
     if resolved in TABLE_ALGORITHMS:
-        table = (convex_up if resolved == "convex" else dp_up)(t, l, c)
-        return resolved, dp_down(t, table, c, tie=tie), table
+        up, down = (convex_up, convex_down) if resolved == "convex" else (dp_up, dp_down)
+        table = up(t, l, c)
+        return resolved, down(t, table, c, tie=tie), table
     if resolved in INTERVAL_ALGORITHMS:
         intervals = bottom_up_intervals(t, l)
         down = median_down if resolved == "median" else top_down_labels

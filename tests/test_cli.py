@@ -432,6 +432,11 @@ class TestGen:
         assert out == ""
         assert err == f"error:ValueError:{message}\n"
 
+    def test_non_integer_arity_names_the_option(self, capsys):
+        code, out, err = run(capsys, "gen", "--n", "3", "--arity", "x", "--seed", "0")
+        assert (code, out) == (1, "")
+        assert err == "error:ValueError:--arity takes 'binary' or an integer >= 2, got 'x'\n"
+
 
 # 15 trees of 6 leaves, arity at most 4, labels in [0, 6]
 _ARITY_4_BATCH = ("--n", "6", "--count", "15", "--hi", "6", "--seed", "12", "--arity", "4")
@@ -695,6 +700,16 @@ class TestBench:
         assert code == 1
         assert out == ""
         assert err.startswith("error:") and err.count("\n") == 1
+
+    @pytest.mark.parametrize("option", ["--n-grid", "--m-grid"])
+    @pytest.mark.parametrize("value", ["4,x", "4,,8", "4,-2"])
+    def test_bad_grid_entry_names_the_option(self, capsys, option, value):
+        grids = {"--n-grid": "4", "--m-grid": "4", option: value}
+        code, out, err = run(capsys, "bench", *[x for item in grids.items() for x in item],
+                             "--seed", "1")
+        assert (code, out) == (1, "")
+        assert err == (f"error:ValueError:{option} takes a comma-separated list of "
+                       f"positive integers, got {value!r}\n")
 
 
 @pytest.mark.parametrize("command", ["solve", "check"])

@@ -5,6 +5,7 @@ import pytest
 
 from helpers import (
     binary_dp_rows,
+    count_calls,
     random_instance,
     random_strict_table,
     scan_dp_down,
@@ -17,7 +18,9 @@ from treelabel import (
     LeafLabeling,
     UnsupportedAlgorithm,
     brute_force_min,
+    TreeLabeler,
     choose_algorithm,
+    convex_down,
     convex_up,
     dp_down,
     dp_up,
@@ -406,3 +409,61 @@ class TestConvexUp:
             choose_algorithm("convex", doc.tree, cost)
         assert choose_algorithm("auto", doc.tree, cost) == "dp"
         assert choose_algorithm("auto", doc.tree, SQUARE) == "convex"
+
+
+class TestConvexDown:
+    """The step search picks the labels of the direct scan, ties included."""
+
+    def test_labels_identical_to_the_scan(self):
+        rng = random.Random(29)
+        shapes = {"single": 0, "unary": 0, "wide": 0, "m=1": 0}
+        for index in range(120):
+            n_nodes = 1 if index == 0 else rng.randint(2, 14)
+            lo = rng.randint(-5, 5)
+            span = 0 if index % 10 == 1 else rng.randint(0, 12)
+            t, leaves = random_instance(rng, n_nodes, lo, lo + span)
+            arities = [len(t.children[v]) for v in range(t.node_count) if not t.is_leaf(v)]
+            shapes["single"] += t.node_count == 1
+            shapes["unary"] += 1 in arities
+            shapes["wide"] += any(a >= 3 for a in arities)
+            shapes["m=1"] += leaves.m == 1
+            for cost in TestConvexUp.COSTS:
+                table = convex_up(t, leaves, cost)
+                for tie in ("lowest", "highest"):
+                    got = convex_down(t, table, cost, tie)
+                    expected = scan_dp_down(t, table, cost, tie)
+                    assert got.values == expected.values
+                    assert got.total_cost == expected.total_cost
+        assert all(count > 0 for count in shapes.values()), shapes
+
+    def test_flat_stretches_break_ties_both_ways(self):
+        # the root takes 7; given that, |7 - j| + |j - 2| is 5 for every j
+        # in [2, 7], so the unary node 1 may take any of them
+        doc = parse_newick("((2),7,7);")
+        table = convex_up(doc.tree, doc.leaf_labels, MANHATTAN)
+        for tie in ("lowest", "highest"):
+            got = convex_down(doc.tree, table, MANHATTAN, tie)
+            assert got == dp_down(doc.tree, table, MANHATTAN, tie)
+        assert convex_down(doc.tree, table, MANHATTAN).values[1] == 2
+        assert convex_down(doc.tree, table, MANHATTAN, "highest").values[1] == 7
+
+    def test_non_convex_cost_rejected_before_any_work(self):
+        doc = parse_newick("((0,3),(1,2,2));")
+        cost = CostFunction.from_spec("table:0,5,6,11")
+        # neither the tree nor the table is read before the check
+        with pytest.raises(UnsupportedAlgorithm):
+            convex_down(None, None, cost)
+        with pytest.raises(UnsupportedAlgorithm):
+            convex_down(doc.tree, dp_up(doc.tree, doc.leaf_labels, cost), cost)
+
+    @pytest.mark.parametrize(
+        "algorithm, runs, skips",
+        [("convex", convex_down, dp_down), ("dp", dp_down, convex_down)],
+        ids=["convex", "dp"],
+    )
+    def test_each_solver_runs_its_own_down_phase(self, monkeypatch, algorithm, runs, skips):
+        run_calls = count_calls(monkeypatch, runs)
+        skip_calls = count_calls(monkeypatch, skips)
+        est = TreeLabeler(algorithm=algorithm, cost="power:2").fit("((1,5,2),(9,(3)));")
+        assert est.algorithm_ == algorithm
+        assert (len(run_calls), len(skip_calls)) == (1, 0)
