@@ -25,105 +25,59 @@ k-tuple labelings (nondecreasing integer tuples per node) are handled by
 per-coordinate decomposition in solve_ktuple. Every solver, the k-tuple
 one included, returns its answer as one record, Labeling: the value of
 each node id and the total cost.
+
+The package loads lazily: importing it loads no submodule, and each
+public name (or submodule, such as treelabel.dp) imports its defining
+submodule on first use, so a command or script compiles and runs only
+the modules it reaches.
 """
 
-from .costs import (
-    CostFunction,
-    Labeling,
-    LeafLabeling,
-    TupleLeafLabeling,
-    eval_total,
-    theta,
-    tuple_cost,
-)
-from .dp import CostTable, convex_down, convex_up, dp_down, dp_up, min_total
-from .errors import (
-    BudgetExceeded,
-    CycleDetected,
-    DifferenceOutOfRange,
-    EmptyTree,
-    MissingNodeLabel,
-    MultipleRoots,
-    NewickSyntaxError,
-    NonIntegerLeafName,
-    NoRoot,
-    TreeLabelError,
-    TupleDecompositionNotMonotone,
-    TupleLengthMismatch,
-    TupleNotMonotone,
-    UnreachableNode,
-    UnsupportedAlgorithm,
-)
-from .estimator import TreeLabeler
-from .generate import random_document, random_topology
-from .intervals import bottom_up_intervals, median_down, top_down_labels
-from .newick import (
-    LabeledTreeDocument,
-    TupleTreeDocument,
-    document_to_newick,
-    parse_newick,
-    parse_newick_tuples,
-    serialize_labeled,
-    serialize_tuple_labeled,
-)
-from .oracle import OptimumSet, brute_force_min, optimal_label_sets
-from .solve import choose_algorithm, solve_scalar
-from .tree import Tree, build_tree, is_binary, postorder, preorder
-from .tuples import solve_ktuple
+from importlib import import_module
 
 __version__ = "0.1.0"
 
-__all__ = [
-    "BudgetExceeded",
-    "CostFunction",
-    "CostTable",
-    "CycleDetected",
-    "DifferenceOutOfRange",
-    "EmptyTree",
-    "LabeledTreeDocument",
-    "Labeling",
-    "LeafLabeling",
-    "MissingNodeLabel",
-    "MultipleRoots",
-    "NewickSyntaxError",
-    "NoRoot",
-    "NonIntegerLeafName",
-    "OptimumSet",
-    "Tree",
-    "TreeLabelError",
-    "TreeLabeler",
-    "TupleDecompositionNotMonotone",
-    "TupleLeafLabeling",
-    "TupleLengthMismatch",
-    "TupleNotMonotone",
-    "TupleTreeDocument",
-    "UnreachableNode",
-    "UnsupportedAlgorithm",
-    "bottom_up_intervals",
-    "brute_force_min",
-    "build_tree",
-    "choose_algorithm",
-    "convex_down",
-    "convex_up",
-    "document_to_newick",
-    "dp_down",
-    "dp_up",
-    "eval_total",
-    "is_binary",
-    "median_down",
-    "min_total",
-    "optimal_label_sets",
-    "parse_newick",
-    "parse_newick_tuples",
-    "postorder",
-    "preorder",
-    "random_document",
-    "random_topology",
-    "serialize_labeled",
-    "serialize_tuple_labeled",
-    "solve_ktuple",
-    "solve_scalar",
-    "theta",
-    "top_down_labels",
-    "tuple_cost",
-]
+# each submodule with the public names it defines
+_EXPORTS = {
+    "costs": (
+        "CostFunction", "Labeling", "LeafLabeling", "TupleLeafLabeling",
+        "eval_total", "theta", "tuple_cost",
+    ),
+    "dp": ("CostTable", "convex_down", "convex_up", "dp_down", "dp_up", "min_total"),
+    "errors": (
+        "BudgetExceeded", "CycleDetected", "DifferenceOutOfRange", "EmptyTree",
+        "MissingNodeLabel", "MultipleRoots", "NewickSyntaxError", "NonIntegerLeafName",
+        "NoRoot", "TreeLabelError", "TupleDecompositionNotMonotone",
+        "TupleLengthMismatch", "TupleNotMonotone", "UnreachableNode",
+        "UnsupportedAlgorithm",
+    ),
+    "estimator": ("TreeLabeler",),
+    "generate": ("random_document", "random_topology"),
+    "intervals": ("bottom_up_intervals", "median_down", "top_down_labels"),
+    "newick": (
+        "LabeledTreeDocument", "TupleTreeDocument", "document_to_newick", "parse_newick",
+        "parse_newick_tuples", "serialize_labeled", "serialize_tuple_labeled",
+    ),
+    "oracle": ("OptimumSet", "brute_force_min", "optimal_label_sets"),
+    "solve": ("choose_algorithm", "solve_scalar"),
+    "tree": ("Tree", "build_tree", "is_binary", "postorder", "preorder"),
+    "tuples": ("solve_ktuple",),
+}
+_MODULE_OF = {name: module for module, names in _EXPORTS.items() for name in names}
+_SUBMODULES = (*_EXPORTS, "cli")
+
+__all__ = sorted(_MODULE_OF)
+
+
+def __getattr__(name: str):
+    # Nothing is cached here: a name is read from its module on every
+    # access, so a rebinding there (a test's patch, a tracer's wrapper)
+    # shows through the package and is gone from it once undone.
+    if name in _MODULE_OF:
+        return getattr(import_module(f".{_MODULE_OF[name]}", __name__), name)
+    if name in _SUBMODULES:
+        return import_module(f".{name}", __name__)
+    raise AttributeError(f"module {__name__!r} has no attribute {name!r}")
+
+
+def __dir__() -> list[str]:
+    return sorted({*globals(), *__all__, *_SUBMODULES})

@@ -21,6 +21,11 @@ have none, and refuse --dump before solving. check runs solve_scalar per
 solver and skips inapplicable ones; bench times solve_scalar per
 algorithm, so an inapplicable one fails it.
 
+A command imports what only it needs where it needs it (the generator
+in gen and bench, the k-tuple solver under --tuple, dp.py for a --dump,
+json under --format json), as solve_scalar does for dp.py and the
+oracle, so a cold start compiles only the modules its command reaches.
+
 Exit codes: 0 success; 1 parse or validation failure; 2 solver
 precondition failure (oracle budget, unsupported combinations such as a
 non-Manhattan cost for the interval or median solver); 3 check found a
@@ -33,15 +38,10 @@ reproduce identical stdout bytes (timings in bench output excepted).
 from __future__ import annotations
 
 import argparse
-import functools
-import random
 import sys
-import time
 
 from .costs import CostFunction, LeafLabeling, node_values
-from .dp import CostTable, cost_table_csv
-from .errors import BudgetExceeded, EmptyTree, TreeLabelError, UnsupportedAlgorithm
-from .generate import random_document
+from .errors import DEFAULT_BUDGET, BudgetExceeded, EmptyTree, TreeLabelError, UnsupportedAlgorithm
 from .intervals import TIES as INTERVAL_TIES
 from .intervals import interval_csv
 from .newick import (
@@ -51,9 +51,7 @@ from .newick import (
     serialize_labeled,
     serialize_tuple_labeled,
 )
-from .oracle import DEFAULT_BUDGET
 from .solve import ALGORITHMS, choose_algorithm, solve_scalar
-from .tuples import solve_ktuple
 
 # CPython (3.11, 3.10.7 and later) refuses to print an int of more than
 # 4300 digits by default. The guard stays on while input is parsed and is
@@ -101,12 +99,16 @@ def cmd_solve(args: argparse.Namespace) -> int:
         raise UnsupportedAlgorithm("--dump is not available for the oracle, which has no up phase")
 
     if args.tuple:
+        from .tuples import solve_ktuple
+
         labeling = solve_ktuple(doc.tree, doc.leaf_labels, cost, algorithm=resolved, tie=args.tie)
     else:
         _, labeling, up_phase = solve_scalar(
             doc.tree, doc.leaf_labels, cost, algorithm=resolved, tie=args.tie
         )
         if args.dump:
+            from .dp import CostTable, cost_table_csv
+
             to_csv = cost_table_csv if isinstance(up_phase, CostTable) else interval_csv
             _write_file(args.dump, to_csv(up_phase))
 
@@ -211,8 +213,14 @@ def cmd_check(args: argparse.Namespace) -> int:
 # ------------------------------------------------------------------ #
 
 def cmd_gen(args: argparse.Namespace) -> int:
+    import random
+
+    from .generate import random_document
+
     if args.lo > args.hi:
         raise ValueError(f"empty label range [{args.lo}, {args.hi}]")
+    if args.count < 1:
+        raise ValueError(f"--count takes a positive integer, got {args.count}")
     rng = random.Random(args.seed)
     arity = args.arity
     if arity != "binary":
@@ -244,10 +252,19 @@ def _positive_ints(option: str, text: str) -> list[int]:
 
 
 def cmd_bench(args: argparse.Namespace) -> int:
-    import statistics  # bench alone needs it, so a cold start skips it
+    import functools
+    import random
+    import statistics
+    import time
+
+    from .generate import random_document
 
     cost = CostFunction.from_spec(args.cost)
     algorithms = [a.strip() for a in args.algorithms.split(",") if a.strip()]
+    if not algorithms:
+        raise ValueError(
+            f"--algorithms takes a comma-separated list of solver names, got {args.algorithms!r}"
+        )
     n_grid = _positive_ints("--n-grid", args.n_grid)
     m_grid = _positive_ints("--m-grid", args.m_grid)
     reps = args.reps

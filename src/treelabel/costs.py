@@ -40,6 +40,10 @@ from .errors import (
 )
 from .tree import Tree
 
+# the tie rules of dp's down phase, which convex and median reproduce: the
+# smallest or the largest minimizer
+DP_TIES = ("lowest", "highest")
+
 
 class CostFunction(NamedTuple):
     """One of the three theta families. Use the factory methods."""

@@ -73,14 +73,11 @@ from itertools import accumulate
 from operator import add, sub
 from typing import NamedTuple
 
-from .costs import CostFunction, Labeling, LeafLabeling, theta_function
+from .costs import DP_TIES, CostFunction, Labeling, LeafLabeling, theta_function
 from .errors import UnsupportedAlgorithm
 from .tree import Tree
 
 INFINITY = math.inf
-
-# the tie rules dp_down accepts
-TIES = ("lowest", "highest")
 
 
 class CostTable(NamedTuple):
@@ -225,7 +222,7 @@ def _down_phase(t: Tree, ct: CostTable, c: CostFunction, tie: str, rule) -> Labe
     [0, m) minimizing tm[k + j] + row[j], the smallest such j, or the
     largest with ``pick_last``.
     """
-    if tie not in TIES:
+    if tie not in DP_TIES:
         raise ValueError(f"tie must be 'lowest' or 'highest', got {tie!r}")
     g_min, m = ct.g_min, ct.m
     pick_last = tie == "highest"

@@ -70,6 +70,12 @@ class BudgetExceeded(TreeLabelError):
     exit_code = 2
 
 
+# the oracle's evaluation budget unless TREELABEL_BUDGET sets another; it
+# lives beside its error so that the CLI's help names it without loading
+# the oracle
+DEFAULT_BUDGET = 10_000_000
+
+
 # --- k-tuple labelings ---------------------------------------------------- #
 
 class TupleNotMonotone(TreeLabelError):

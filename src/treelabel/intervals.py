@@ -54,8 +54,7 @@ Other cost functions go through the DP solvers.
 
 from __future__ import annotations
 
-from .costs import Labeling, LeafLabeling
-from .dp import TIES as DP_TIES
+from .costs import DP_TIES, Labeling, LeafLabeling
 from .tree import Tree
 
 Interval = tuple[int, int]

@@ -186,7 +186,10 @@ def _parse_tree(text: str) -> tuple[Tree, list[int], list[str]]:
 def parse_newick(text: str) -> LabeledTreeDocument:
     """Parse one Newick tree whose leaf names are integer labels."""
     tree, leaves, names = _parse_tree(text)
-    if not all(map(_INT_NAME.fullmatch, names)):
+    # an ASCII decimal name is an _INT_NAME, so only a text with some other
+    # name (signed, non-ASCII digits, or no integer at all) needs the pattern
+    decimal = text.isascii() and all(map(str.isdecimal, names))
+    if not decimal and not all(map(_INT_NAME.fullmatch, names)):
         # raises at the first bad name in breadth-first order
         for name in names:
             _leaf_int(name)

@@ -31,10 +31,9 @@ from itertools import product
 from typing import NamedTuple
 
 from .costs import CostFunction, Labeling, LeafLabeling, theta_function
-from .errors import BudgetExceeded
+from .errors import DEFAULT_BUDGET, BudgetExceeded
 from .tree import Tree, postorder
 
-DEFAULT_BUDGET = 10_000_000
 DEFAULT_LABELING_CAP = 1000
 
 

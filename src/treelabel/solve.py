@@ -1,12 +1,14 @@
-"""Algorithm selection shared by the estimator, the k-tuple solver and the CLI."""
+"""Algorithm selection shared by the estimator, the k-tuple solver and the CLI.
+
+The table solvers (dp.py) and the oracle are imported by the branches
+that run them, so a Manhattan solve never loads either.
+"""
 
 from __future__ import annotations
 
-from typing import Optional, Union
+from typing import TYPE_CHECKING, Optional, Union
 
-from .costs import CostFunction, Labeling, LeafLabeling
-from .dp import TIES as DP_TIES
-from .dp import CostTable, convex_down, convex_up, dp_down, dp_up, require_convex
+from .costs import DP_TIES, CostFunction, Labeling, LeafLabeling
 from .errors import UnsupportedAlgorithm
 from .intervals import TIES as INTERVAL_TIES
 from .intervals import (
@@ -15,8 +17,10 @@ from .intervals import (
     median_down,
     top_down_labels,
 )
-from .oracle import brute_force_min
 from .tree import Tree, is_binary
+
+if TYPE_CHECKING:
+    from .dp import CostTable
 
 ALGORITHMS = ("auto", "dp", "convex", "interval", "median", "oracle")
 
@@ -61,6 +65,8 @@ def choose_algorithm(algorithm: str, t: Tree, c: CostFunction) -> str:
             f"{algorithm} solver supports manhattan cost only, got {c.spec()!r}"
         )
     if algorithm == "convex":
+        from .dp import require_convex
+
         require_convex(c)
     return algorithm
 
@@ -91,6 +97,8 @@ def solve_scalar(
             f"(allowed: {', '.join(allowed_ties)})"
         )
     if resolved in TABLE_ALGORITHMS:
+        from .dp import convex_down, convex_up, dp_down, dp_up
+
         up, down = (convex_up, convex_down) if resolved == "convex" else (dp_up, dp_down)
         table = up(t, l, c)
         return resolved, down(t, table, c, tie=tie), table
@@ -98,5 +106,7 @@ def solve_scalar(
         intervals = bottom_up_intervals(t, l)
         down = median_down if resolved == "median" else top_down_labels
         return resolved, down(t, intervals, tie=tie), intervals
+    from .oracle import brute_force_min
+
     optimum = brute_force_min(t, l, c, max_labelings=1)
     return resolved, optimum.labelings[0], None

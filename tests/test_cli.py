@@ -437,6 +437,13 @@ class TestGen:
         assert (code, out) == (1, "")
         assert err == "error:ValueError:--arity takes 'binary' or an integer >= 2, got 'x'\n"
 
+    @pytest.mark.parametrize("count", ["0", "-1"])
+    def test_count_below_one_names_the_option(self, capsys, count):
+        # a run that would print no instance is refused, not passed off as done
+        code, out, err = run(capsys, "gen", "--n", "3", "--count", count, "--seed", "0")
+        assert (code, out) == (1, "")
+        assert err == f"error:ValueError:--count takes a positive integer, got {count}\n"
+
 
 # 15 trees of 6 leaves, arity at most 4, labels in [0, 6]
 _ARITY_4_BATCH = ("--n", "6", "--count", "15", "--hi", "6", "--seed", "12", "--arity", "4")
@@ -700,6 +707,15 @@ class TestBench:
         assert code == 1
         assert out == ""
         assert err.startswith("error:") and err.count("\n") == 1
+
+    @pytest.mark.parametrize("value", [" , ", ",", ""])
+    def test_no_algorithm_names_the_option(self, capsys, value):
+        # a list with no name would print a bare header
+        code, out, err = run(capsys, "bench", "--algorithms", value, "--n-grid", "4",
+                             "--m-grid", "4", "--seed", "1")
+        assert (code, out) == (1, "")
+        assert err == (f"error:ValueError:--algorithms takes a comma-separated list of "
+                       f"solver names, got {value!r}\n")
 
     @pytest.mark.parametrize("option", ["--n-grid", "--m-grid"])
     @pytest.mark.parametrize("value", ["4,x", "4,,8", "4,-2"])

@@ -3,6 +3,7 @@ import re
 
 import pytest
 
+import treelabel.newick as newick
 from helpers import count_calls, reference_parse, reference_render
 from treelabel import (
     CostFunction,
@@ -61,6 +62,40 @@ class TestParse:
         doc = parse_newick("(-3,+7);")
         assert doc.leaf_labels.labels == {1: -3, 2: 7}
         assert doc.leaf_labels.g_min == -3
+
+    @pytest.mark.parametrize(
+        "text, labels",
+        [
+            ("(-3,(+4,05),7);", {1: -3, 3: 7, 4: 4, 5: 5}),
+            ("(12,-0);", {1: 12, 2: 0}),
+            # ASCII decimal names in a text that is not ASCII
+            ("(1,2)\u00a0;", {1: 1, 2: 2}),
+            ("(-1,\u30002);", {1: -1, 2: 2}),
+        ],
+    )
+    def test_signed_names_parse_beside_decimal_ones(self, text, labels):
+        assert parse_newick(text).leaf_labels.labels == labels
+
+    def test_name_pattern_runs_only_when_some_name_is_not_ascii_decimal(self, monkeypatch):
+        # an ASCII text whose names are all decimal has only _INT_NAME
+        # names, so the pattern is skipped; any other text runs it, and a
+        # bad name raises as before
+        seen = []
+
+        class Spy:
+            def fullmatch(self, name, _real=newick._INT_NAME.fullmatch):
+                seen.append(name)
+                return _real(name)
+
+        monkeypatch.setattr(newick, "_INT_NAME", Spy())
+        assert parse_newick("((1,22),333);").leaf_labels.labels == {2: 333, 3: 1, 4: 22}
+        assert seen == []
+        assert parse_newick("(-3,4);").leaf_labels.labels == {1: -3, 2: 4}
+        assert seen[:2] == ["-3", "4"]
+        seen.clear()
+        with pytest.raises(NonIntegerLeafName, match="^leaf name '٣' is not a decimal integer$"):
+            parse_newick("(٣,1);")
+        assert "٣" in seen
 
     def test_duplicate_labels_legal(self):
         doc = parse_newick("(4,4);")

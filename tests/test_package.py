@@ -123,7 +123,9 @@ def _unused_imports(path):
     """Names a module imports but neither uses nor lists in ``__all__``.
 
     An import whose line carries ``# noqa: F401`` is kept on purpose (a
-    name other code reads from the module) and is not reported.
+    name other code reads from the module) and is not reported. Only a
+    literal ``__all__`` is read; one computed at import time (the
+    package's, from its table of lazily loaded names) re-exports no import.
     """
     source = path.read_text(encoding="utf-8")
     lines = source.splitlines()
@@ -139,8 +141,10 @@ def _unused_imports(path):
                     imported.add(alias.asname or alias.name.split(".")[0])
         elif isinstance(node, ast.Name):
             used.add(node.id)
-        elif isinstance(node, ast.Assign) and any(
-            isinstance(target, ast.Name) and target.id == "__all__" for target in node.targets
+        elif (
+            isinstance(node, ast.Assign)
+            and any(isinstance(t, ast.Name) and t.id == "__all__" for t in node.targets)
+            and isinstance(node.value, (ast.List, ast.Tuple))
         ):
             used.update(ast.literal_eval(node.value))
     return sorted(imported - used)
@@ -245,6 +249,106 @@ def test_cold_import_skips_heavy_modules():
     added = done.stdout.split()
     assert "treelabel.cli" in added
     assert [name for name in _NOT_AT_START if name in added] == []
+
+
+def _fresh_python(code, *argv):
+    """Run code in a fresh interpreter that imports treelabel from the sources."""
+    env = dict(os.environ, PYTHONPATH=str(_PACKAGE.parent))
+    return subprocess.run(
+        [sys.executable, "-c", code, *map(str, argv)],
+        env=env, capture_output=True, text=True, check=False,
+    )
+
+
+# the package's submodules, each listed after every module it imports
+_LAYERS = (
+    "errors", "tree", "costs", "newick", "generate", "intervals", "dp", "oracle",
+    "solve", "tuples", "estimator", "cli",
+)
+
+_LOADED_BY_MAIN = """
+import contextlib, io, sys
+import treelabel
+print(" ".join(name for name in sys.modules if name.startswith("treelabel.")))
+from treelabel.cli import main
+with contextlib.redirect_stdout(io.StringIO()):
+    code = main(sys.argv[1:])
+print(code)
+print(" ".join(name[len("treelabel."):] for name in sys.modules if name.startswith("treelabel.")))
+"""
+
+_NOT_FOR_ANY_SOLVE = {"estimator", "generate"}
+
+
+@pytest.mark.parametrize(
+    "text, argv, needed, unneeded",
+    [
+        # binary: interval; non-binary: median; neither needs a cost table
+        ("((1,2),3);", [], {"intervals"}, {"dp", "oracle", "tuples"}),
+        ("(1,(2,3,4),5);", [], {"intervals"}, {"dp", "oracle", "tuples"}),
+        ("(1|2,(3|4,5|6,7|8));", ["--tuple"], {"tuples"}, {"dp", "oracle"}),
+        ("(1,(2,3,4),5);", ["--cost", "power:2"], {"dp"}, {"oracle", "tuples"}),
+        ("((1,2),3);", ["--algorithm", "oracle"], {"oracle"}, {"dp", "tuples"}),
+    ],
+)
+def test_solve_loads_only_the_modules_it_runs(tmp_path, text, argv, needed, unneeded):
+    # a fresh interpreter, so that nothing this test run loaded counts
+    path = tmp_path / "t.nwk"
+    path.write_text(text)
+    done = _fresh_python(_LOADED_BY_MAIN, "solve", path, *argv)
+    at_import, code, loaded = done.stdout.split("\n")[:3]
+    assert (at_import, code) == ("", "0"), done.stderr
+    loaded = set(loaded.split())
+    assert needed <= loaded
+    assert loaded & (unneeded | _NOT_FOR_ANY_SOLVE) == set()
+
+
+_ATTRIBUTE_CONTRACT = """
+import sys
+import treelabel
+
+layers = sys.argv[1:]
+assert [name for name in sys.modules if name.startswith("treelabel.")] == []
+# each submodule resolves as an attribute, imported by that access: the
+# modules it imports come earlier in the layer order and are loaded already
+for name in layers:
+    assert f"treelabel.{name}" not in sys.modules, name
+    assert getattr(treelabel, name) is sys.modules[f"treelabel.{name}"], name
+
+for name in treelabel.__all__:
+    value = getattr(treelabel, name)
+    assert value is getattr(sys.modules[value.__module__], name), name
+    assert name not in vars(treelabel), name  # read through, never cached
+
+newick = sys.modules["treelabel.newick"]
+original = newick.parse_newick
+newick.parse_newick = patched = lambda text: None
+assert treelabel.parse_newick is patched
+newick.parse_newick = original
+assert treelabel.parse_newick is original
+
+star = {}
+exec("from treelabel import *", star)
+assert all(star[name] is getattr(treelabel, name) for name in treelabel.__all__)
+assert set(treelabel.__all__) <= set(dir(treelabel))
+assert set(layers) <= set(dir(treelabel))
+
+try:
+    treelabel.no_such_name
+except AttributeError as exc:
+    assert "no_such_name" in str(exc), exc
+else:
+    raise AssertionError("an unknown name resolved")
+print("ok")
+"""
+
+
+def test_package_attributes_resolve_lazily():
+    # a fresh interpreter: count_calls' undone patches leave real bindings
+    # on the package, so in this process the result would hang on test order
+    assert sorted(_LAYERS) == sorted(p.stem for p in _PACKAGE.glob("*.py") if p.stem != "__init__")
+    done = _fresh_python(_ATTRIBUTE_CONTRACT, *_LAYERS)
+    assert (done.returncode, done.stdout) == (0, "ok\n"), done.stderr
 
 
 _TREE = treelabel.Tree(parents=(None, 0, 0), children=((1, 2), (), ()), order=(0, 1, 2))
