@@ -23,11 +23,14 @@ below and above being the (r-1)-th and the (r+2)-th smallest ends; a
 unary node's cost falls and rises with slope 1 over the whole label
 range.
 
-The down phases (Tree.order, parents first) both clamp: every non-root
-node takes its parent's label q moved to the nearest point of a window.
-The distance a clamp moves the label is the Manhattan cost of that edge,
-so the same loop sums the total cost; no second pass over the edges is
-needed.
+The down phases (Tree.order, parents first) are one loop, _clamp_down:
+every non-root node takes its parent's label q moved to the nearest point
+of a window. The distance a clamp moves the label is the Manhattan cost
+of that edge, so the same loop sums the total cost; no second pass over
+the edges is needed. The root rule lives there too: the root takes the
+low end of its interval for tie "lowest", the high end for "highest" and
+the midpoint, rounded down, for "midpoint"; each public down phase only
+checks which ties it takes.
 
   interval (top_down_labels): the root takes any label of its interval
   (the lowest by default; all choices are equally optimal) and the
@@ -37,7 +40,7 @@ needed.
   median (median_down): dp's tie rule. dp gives a node the smallest (or
   the largest) j minimizing |q - j| + S_v(j), whose slope is that of S_v
   plus or minus 1. The smallest such j is q clamped into [below, hi],
-  the largest q clamped into [lo, above], and the root takes lo (or hi),
+  the largest q clamped into [lo, above], and the root's lo (or hi) are
   the ends of its flat stretch. So median reproduces dp_down's labels
   and cost on any Manhattan tree without building a table. The window
   differs from the interval only where q leaves it on the tie side, so
@@ -45,9 +48,10 @@ needed.
   else; a unary node keeps q and a leaf keeps its label.
 
 The up phase takes a two-child node in that closed form and, at any other
-arity, gathers the node's child interval ends into one list and sorts it,
-so it is O(N log d) for maximum arity d, a star included, and independent
-of the label range; a down phase is O(N).
+arity, gathers the node's child interval ends into one list and sorts it.
+That gather, _sorted_ends, also gives median its below and above. So the
+up phase is O(N log d) for maximum arity d, a star included, and
+independent of the label range; a down phase is O(N).
 
 Other cost functions go through the DP solvers.
 """
@@ -89,15 +93,23 @@ def bottom_up_intervals(t: Tree, l: LeafLabeling) -> IntervalAssignment:
             y = hi if hi < hi2 else hi2
             intervals[v] = (x, y) if x <= y else (y, x)
             continue
-        # the r-th and (r+1)-th smallest of the children's 2r interval ends,
-        # gathered by extending one list in place: linear in r
-        ends = []
-        for kid in kids:
-            ends += intervals[kid]
-        ends.sort()
+        # the r-th and (r+1)-th smallest of the children's 2r interval ends
+        ends = _sorted_ends(kids, intervals)
         r = len(kids)
         intervals[v] = ends[r - 1], ends[r]
     return tuple(intervals)
+
+
+def _sorted_ends(kids, intervals) -> list[int]:
+    """The 2r interval ends of a node's r children, ascending.
+
+    Gathered by extending one list in place, so linear in r before the sort.
+    """
+    ends = []
+    for kid in kids:
+        ends += intervals[kid]
+    ends.sort()
+    return ends
 
 
 def _stretch_label(q: int, kids, intervals, lowest: bool) -> int:
@@ -113,24 +125,25 @@ def _stretch_label(q: int, kids, intervals, lowest: bool) -> int:
     r = len(kids)
     if r == 1:
         return q
-    ends = []
-    for kid in kids:
-        ends += intervals[kid]
-    ends.sort()
+    ends = _sorted_ends(kids, intervals)
     return max(q, ends[r - 2]) if lowest else min(q, ends[r + 1])
 
 
-def _clamp_down(
-    t: Tree, iv: IntervalAssignment, root_label: int, dp_tie: str | None = None
-) -> Labeling:
-    """Give every non-root node its parent's label clamped into its interval.
+def _clamp_down(t: Tree, iv: IntervalAssignment, tie: str, stretch: bool) -> Labeling:
+    """Label the root by tie, then each other node by clamping its parent's label.
 
-    With dp_tie "lowest" ("highest"), an internal node whose parent's label
-    lies below (above) its interval takes _stretch_label's label instead.
+    The root takes the low end of its interval for tie "lowest", the high
+    end for "highest" and the midpoint, rounded down, for "midpoint", so
+    the root rule of both down phases lives here. Every other node takes
+    its parent's label clamped into its interval; with stretch and tie
+    "lowest" ("highest"), an internal node whose parent's label lies below
+    (above) its interval takes _stretch_label's label instead.
     """
     # the distance a clamp moves the label is that edge's Manhattan cost
     parents, children = t.parents, t.children
-    lowest, highest = dp_tie == "lowest", dp_tie == "highest"
+    lo, hi = iv[t.root]
+    root_label = lo if tie == "lowest" else hi if tie == "highest" else (lo + hi) // 2
+    lowest, highest = stretch and tie == "lowest", stretch and tie == "highest"
     values: dict[int, int] = {t.root: root_label}
     total = 0
     for v in t.order[1:]:
@@ -157,14 +170,7 @@ def top_down_labels(
     """Pick concrete labels: root by tie rule, others clamped to the parent."""
     if tie not in TIES:
         raise ValueError(f"tie must be one of {TIES}, got {tie!r}")
-    lo, hi = iv[t.root]
-    if tie == "lowest":
-        root_label = lo
-    elif tie == "highest":
-        root_label = hi
-    else:
-        root_label = (lo + hi) // 2
-    return _clamp_down(t, iv, root_label)
+    return _clamp_down(t, iv, tie, stretch=False)
 
 
 def median_down(
@@ -180,8 +186,7 @@ def median_down(
     """
     if tie not in DP_TIES:
         raise ValueError(f"tie must be one of {DP_TIES}, got {tie!r}")
-    lo, hi = iv[t.root]
-    return _clamp_down(t, iv, lo if tie == "lowest" else hi, tie)
+    return _clamp_down(t, iv, tie, stretch=True)
 
 
 def interval_csv(iv: IntervalAssignment) -> str:

@@ -9,10 +9,13 @@ Children are kept in ascending id order so that every traversal, and
 therefore every solver output, is deterministic. ``Tree.order`` is the
 breadth-first walk from the root, computed once when the tree is built:
 every parent comes before its children, so the solvers' up phases walk it
-reversed and their down phases walk it forwards. Trees of arbitrary
-arity are accepted, including internal nodes with a single child; every
-solver handles them, and binarity matters only to auto's choice of
-solver. A single node that is both root and leaf is a valid tree.
+reversed and their down phases walk it forwards. ``preorder`` and
+``postorder`` are depth-first and share one stack walk from the root:
+preorder pushes each node's children reversed, so they pop in stored
+order, and postorder is the reverse of the walk that pushes them in
+stored order. Trees of arbitrary arity are accepted, including internal
+nodes with a single child; every solver handles them, and binarity
+matters only to auto's choice of solver. A single node that is both root and leaf is a valid tree.
 
 ``build_tree`` is the validated entry point for parent arrays from
 outside. The Newick parser builds its ``Tree`` directly instead, because
@@ -113,13 +116,11 @@ def build_tree(parent_of: Sequence[Optional[int]]) -> Tree:
     )
 
 
-def postorder(t: Tree) -> list[int]:
-    """Node ids with every node after all of its descendants.
+def _stack_walk(t: Tree, push_reversed: bool) -> list[int]:
+    """Node ids in the order a stack pops them, starting from the root.
 
-    Children are visited in stored (ascending id) order. The walk is the
-    reverse of a preorder that visits children last to first: popping a
-    stack onto which each node's children are pushed in stored order.
-    Iterative, so arbitrarily deep trees are fine.
+    Each popped node's children are pushed in stored order, or reversed
+    with push_reversed. Iterative, so arbitrarily deep trees are fine.
     """
     children = t.children
     order: list[int] = []
@@ -127,21 +128,23 @@ def postorder(t: Tree) -> list[int]:
     while stack:
         v = stack.pop()
         order.append(v)
-        stack.extend(children[v])
-    order.reverse()
+        stack.extend(reversed(children[v]) if push_reversed else children[v])
     return order
+
+
+def postorder(t: Tree) -> list[int]:
+    """Node ids with every node after all of its descendants.
+
+    Children are visited in stored (ascending id) order: the walk that
+    pushes children in stored order visits them last to first, with every
+    node before its descendants, so its reverse is this postorder.
+    """
+    return _stack_walk(t, False)[::-1]
 
 
 def preorder(t: Tree) -> list[int]:
     """Node ids with every node before all of its descendants."""
-    children = t.children
-    order: list[int] = []
-    stack = [t.root]
-    while stack:
-        v = stack.pop()
-        order.append(v)
-        stack.extend(reversed(children[v]))
-    return order
+    return _stack_walk(t, True)
 
 
 def is_binary(t: Tree) -> bool:

@@ -1,4 +1,5 @@
 import ast
+import collections
 import doctest
 import importlib
 import importlib.util
@@ -222,6 +223,31 @@ def test_no_sum_concatenates_sequences():
         if (lines := _concatenating_sums(path))
     }
     assert found == {}
+
+
+def _statement_runs(path):
+    """(text, file:line) of every run of three consecutive statements in a
+    file whose ``ast.unparse`` text is longer than 40 characters."""
+    found = []
+    for node in ast.walk(ast.parse(path.read_text(encoding="utf-8"))):
+        for field in ("body", "orelse", "finalbody"):
+            body = getattr(node, field, None)
+            if isinstance(body, list):
+                for i in range(len(body) - 2):
+                    text = "\n".join(map(ast.unparse, body[i:i + 3]))
+                    if len(text) > 40:
+                        found.append((text, f"{path.name}:{body[i].lineno}"))
+    return found
+
+
+def test_no_statement_run_is_written_twice():
+    # a rule written out at two places can drift apart; a run of three
+    # statements that occurs twice belongs in one helper both places call
+    places = collections.defaultdict(list)
+    for path in sorted(_PACKAGE.glob("*.py")):
+        for text, place in _statement_runs(path):
+            places[text].append(place)
+    assert {text: found for text, found in places.items() if len(found) > 1} == {}
 
 
 # Modules a cold start must not load: dataclasses costs several
