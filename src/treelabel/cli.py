@@ -29,10 +29,11 @@ oracle, so a cold start compiles only the modules its command reaches.
 Exit codes: 0 success; 1 parse or validation failure; 2 solver
 precondition failure (oracle budget, unsupported combinations such as a
 non-Manhattan cost for the interval or median solver); 3 check found a
-disagreement. An error's code is its class's exit_code. Every failure
-prints a single diagnostic line
-"error:<code>:<message>" to stderr. Identical input, flags and seed
-reproduce identical stdout bytes (timings in bench output excepted).
+disagreement; 4 out of memory (a MemoryError, such as a cost table over
+a huge label span). A TreeLabelError's code is its class's exit_code.
+Every failure prints a single diagnostic line "error:<code>:<message>"
+to stderr. Identical input, flags and seed reproduce identical stdout
+bytes (timings in bench output excepted).
 """
 
 from __future__ import annotations
@@ -386,6 +387,9 @@ def main(argv=None) -> int:
     except OSError as exc:
         print(f"error:IO:{exc}", file=sys.stderr)
         return 1
+    except MemoryError as exc:
+        print(f"error:MemoryError:{exc}", file=sys.stderr)
+        return 4
     finally:
         _set_str_digits(limit)
 

@@ -294,15 +294,17 @@ FullLabeling = Union[Labeling, Mapping[int, Any]]
 def node_values(t: Tree, full: FullLabeling) -> list:
     """The label of every node of ``t``, indexed by node id.
 
-    The one reader of a full labeling: a key that is not a node id is
-    ignored, and a node with no label raises MissingNodeLabel naming the
-    lowest such id.
+    The one reader of a full labeling, a mapping or a sequence indexed by
+    node id: a key that is not a node id is ignored, and a node with no
+    label raises MissingNodeLabel naming the lowest such id. For a
+    sequence too short for the tree, that is its length.
     """
     values = full.values if isinstance(full, Labeling) else full
     try:
         return list(map(values.__getitem__, range(t.node_count)))
-    except KeyError as exc:
-        raise MissingNodeLabel(f"no label for node {exc.args[0]}") from None
+    except (KeyError, IndexError) as exc:
+        missing = len(values) if isinstance(exc, IndexError) else exc.args[0]
+        raise MissingNodeLabel(f"no label for node {missing}") from None
 
 
 def eval_total(t: Tree, c: CostFunction, full: FullLabeling) -> int:

@@ -5,9 +5,12 @@ integer (optionally signed); the leaf name IS the leaf's label. Internal
 node names and branch lengths (":<number>" suffixes) are accepted and
 discarded. Square-bracket comments (the "[&R]" rooted marker, "[&...]"
 annotations) and quoted labels ("'1'") are not accepted yet: an export
-that carries them ends in NewickSyntaxError or NonIntegerLeafName.
-Exactly one tree per string, terminated by ';'. The leaf records come
-from costs.py, so parsing imports no solver.
+that carries them ends in NewickSyntaxError or NonIntegerLeafName. A
+leaf name of more digits than CPython converts to an int (see
+sys.get_int_max_str_digits) raises NonIntegerLeafName naming the leaf,
+its digit count and the limit. Exactly one tree per string, terminated
+by ';'. The leaf records come from costs.py, so parsing imports no
+solver.
 
 Node ids are assigned breadth-first from the root, so siblings keep their
 written left-to-right order (ids ascend left to right). The parser cuts
@@ -31,6 +34,7 @@ e.g. "3|7|9"; see parse_newick_tuples.
 from __future__ import annotations
 
 import re
+import sys
 from itertools import chain, compress, repeat
 from operator import not_
 from typing import NamedTuple, Union
@@ -79,6 +83,23 @@ def _leaf_int(name: str, what: str = "leaf name") -> int:
     if not _INT_NAME.fullmatch(name):
         raise NonIntegerLeafName(f"{what} {name!r} is not a decimal integer")
     return int(name)
+
+
+def _raise_over_digit_limit(leaves: list[int], names: list[str]) -> None:
+    """Raise NonIntegerLeafName for the first leaf with a name over the digit limit.
+
+    Called once int() refused a name: CPython (3.11, 3.10.7 and later)
+    converts text of at most sys.get_int_max_str_digits() digits, and its
+    own message names a remedy a command-line user cannot apply.
+    """
+    limit = sys.get_int_max_str_digits()
+    for v, name in zip(leaves, names):
+        digits = max(len(part.lstrip("+-")) for part in name.split("|"))
+        if digits > limit:
+            raise NonIntegerLeafName(
+                f"leaf {v} has an integer of {digits} digits in its name, "
+                f"more than the limit of {limit}"
+            ) from None
 
 
 def _parse_tree(text: str) -> tuple[Tree, list[int], list[str]]:
@@ -194,7 +215,11 @@ def parse_newick(text: str) -> LabeledTreeDocument:
         for name in names:
             _leaf_int(name)
     # the labels are keyed by the tree's own leaves, so coverage holds
-    labels = dict(zip(leaves, map(int, names)))
+    try:
+        labels = dict(zip(leaves, map(int, names)))
+    except ValueError:
+        _raise_over_digit_limit(leaves, names)
+        raise
     return LabeledTreeDocument(tree=tree, leaf_labels=LeafLabeling._of_leaves(labels))
 
 
@@ -203,13 +228,17 @@ def parse_newick_tuples(text: str) -> TupleTreeDocument:
     tree, leaves, names = _parse_tree(text)
     is_tuple = _INT_TUPLE.fullmatch
     tuples = {}
-    for v, name in zip(leaves, names):
-        parts = name.split("|")
-        if not is_tuple(name):
-            # raises at the first bad component
-            for p in parts:
-                _leaf_int(p, f"tuple component of leaf {name!r}")
-        tuples[v] = tuple(map(int, parts))
+    try:
+        for v, name in zip(leaves, names):
+            parts = name.split("|")
+            if not is_tuple(name):
+                # raises at the first bad component
+                for p in parts:
+                    _leaf_int(p, f"tuple component of leaf {name!r}")
+            tuples[v] = tuple(map(int, parts))
+    except ValueError:
+        _raise_over_digit_limit(leaves, names)
+        raise
     # the tuples are keyed by the tree's own leaves, so coverage holds
     return TupleTreeDocument(tree=tree, leaf_labels=TupleLeafLabeling._of_leaves(tuples))
 

@@ -437,6 +437,15 @@ class TestGen:
         assert (code, out) == (1, "")
         assert err == "error:ValueError:--arity takes 'binary' or an integer >= 2, got 'x'\n"
 
+    def test_topology_needs_a_leaf(self):
+        with pytest.raises(ValueError, match="^need at least one leaf, got 0$"):
+            random_topology(0, random.Random(0))
+
+    def test_document_needs_a_label_range(self):
+        # gen checks --lo > --hi itself, so only a library call reaches this check
+        with pytest.raises(ValueError, match=r"^empty label range \[5, 2\]$"):
+            random_document(3, 5, 2, random.Random(0))
+
     @pytest.mark.parametrize("count", ["0", "-1"])
     def test_count_below_one_names_the_option(self, capsys, count):
         # a run that would print no instance is refused, not passed off as done
@@ -742,6 +751,21 @@ def test_byte_order_mark_dropped(capsys, monkeypatch, tmp_path, command):
     assert run(capsys, command, "-") == expected
 
 
+@pytest.mark.parametrize("message", ["", "cannot allocate"])
+def test_memory_error_is_one_line(capsys, monkeypatch, tmp_path, message):
+    # a solve too large for memory ends like every other failure, with its own
+    # exit code; the solver is patched, so nothing large is allocated
+    def exhausted(*args, **kwargs):
+        raise MemoryError(*[message] if message else [])
+
+    monkeypatch.setattr(cli, "solve_scalar", exhausted)
+    path = tmp_path / "t.nwk"
+    path.write_text("(0,10000000,5);")
+    assert run(capsys, "solve", str(path), "--cost", "power:2") == (
+        4, "", f"error:MemoryError:{message}\n"
+    )
+
+
 @pytest.mark.parametrize("command", ["solve", "check", "bench"])
 def test_help_names_the_oracle_budget_variable(capsys, command):
     # the environment variable is the only way to set the oracle budget
@@ -801,12 +825,24 @@ class TestExactCostsOfAnySize:
             assert f"(0,9);\tdp={cost} oracle={cost} convex={cost}\n" in out
 
     def test_input_keeps_the_limit(self, capsys, tmp_path):
+        # a leaf name over the limit is a typed input error naming the leaf
         limit = sys.get_int_max_str_digits()
         path = tmp_path / "t.nwk"
-        path.write_text("(" + "1" * (limit + 1) + ",2);")
-        code, out, err = run(capsys, "solve", str(path))
-        assert (code, out) == (1, "")
-        assert err.startswith("error:ValueError:Exceeds the limit")
+        over = "1" * (limit + 1)
+        for text, flags in ((f"({over},2);", ()), (f"({over},2);", ("--tuple",)),
+                            (f"(1|{over},2|3);", ("--tuple",))):
+            path.write_text(text)
+            code, out, err = run(capsys, "solve", str(path), *flags)
+            assert (code, out) == (1, "")
+            assert err == (f"error:NonIntegerLeafName:leaf 1 has an integer of {limit + 1} "
+                           f"digits in its name, more than the limit of {limit}\n")
+            assert sys.get_int_max_str_digits() == limit
+
+    def test_input_at_the_limit_prints(self, capsys, tmp_path):
+        limit = sys.get_int_max_str_digits()
+        path = tmp_path / "t.nwk"
+        path.write_text(f"({'1' * limit},2);")
+        assert run(capsys, "solve", str(path)) == (0, f"({'1' * limit},2)2;\n", "")
         assert sys.get_int_max_str_digits() == limit
 
 

@@ -162,6 +162,14 @@ class TestEvalTotal:
         with pytest.raises(MissingNodeLabel, match="no label for node 0$"):
             eval_total(t, MANHATTAN, {1: 4})
 
+    def test_short_sequence_names_its_length(self):
+        # a list is read by index: the first node past its end has no label
+        doc = parse_newick("((1,5),9);")
+        with pytest.raises(MissingNodeLabel, match="no label for node 3$"):
+            eval_total(doc.tree, MANHATTAN, [5, 5, 9])
+        with pytest.raises(MissingNodeLabel, match="no label for node 0$"):
+            eval_total(doc.tree, MANHATTAN, ())
+
     def test_exact_huge_costs(self):
         doc = parse_newick("(0,1000);")
         cost = CostFunction.power(20)

@@ -1,5 +1,6 @@
 import random
 import re
+import sys
 
 import pytest
 
@@ -171,6 +172,22 @@ class TestParse:
     def test_empty_leaf_name(self):
         with pytest.raises(NonIntegerLeafName):
             parse_newick("(,7);")
+
+    @pytest.mark.skipif(
+        not hasattr(sys, "get_int_max_str_digits"), reason="no int<->str digit limit"
+    )
+    def test_name_over_the_digit_limit(self):
+        # CPython refuses to convert more digits; the error names the leaf
+        limit = sys.get_int_max_str_digits()
+        name = "9" * limit
+        assert parse_newick(f"(2,{name});").leaf_labels.labels[2] == int(name)
+        assert parse_newick_tuples(f"(2|{name},3|{name});").leaf_labels.labels[2] == (3, int(name))
+        message = (f"^leaf 2 has an integer of {limit + 1} digits in its name, "
+                   f"more than the limit of {limit}$")
+        for parse, text in ((parse_newick, f"(2,-{name}9);"),
+                            (parse_newick_tuples, f"(2|3,1|{name}9);")):
+            with pytest.raises(NonIntegerLeafName, match=message):
+                parse(text)
 
     @pytest.mark.parametrize(
         "text",
@@ -561,3 +578,12 @@ class TestPrinterDifferential:
         tuple_doc = TupleTreeDocument(t, TupleLeafLabeling.for_tree(t, {0: (1,), 1: (3,)}))
         with pytest.raises(MissingNodeLabel, match="no label for node 0$"):
             serialize_tuple_labeled(tuple_doc, {1: (3,)})
+
+    def test_short_sequence_names_its_length(self):
+        # a list is read by index, as TreeLabeler.to_newick passes one
+        doc = parse_newick("((1,5),9);")
+        with pytest.raises(MissingNodeLabel, match="no label for node 3$"):
+            serialize_labeled(doc, [5, 5, 9])
+        tuple_doc = parse_newick_tuples("(1|4,3|8);")
+        with pytest.raises(MissingNodeLabel, match="no label for node 2$"):
+            serialize_tuple_labeled(tuple_doc, [(1, 4), (1, 4)])

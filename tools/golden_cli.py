@@ -16,7 +16,9 @@ costs: manhattan, power:2, a convex table and a non-convex one. The
 oracle runs under a budget of BUDGET assignments, so it solves some
 instances and refuses the others. Further cases cover ``--dump``,
 ``--tuple`` (a crossing decomposition included), ``check`` with and
-without ``--verbose``, ``gen`` itself and malformed input.
+without ``--verbose``, ``gen`` itself, malformed input, leaf names over
+CPython's default limit of 4300 digits and a solve that runs out of
+memory (its solver patched to raise MemoryError).
 
 Record only for a deliberate change of output, and name that change in
 CHANGES.md: a recording made on changed code would pin the change.
@@ -98,6 +100,15 @@ ERRORS = (
     ("gen-empty-range", "", ["gen", "--n", "3", "--seed", "1", "--lo", "2", "--hi", "1"]),
     ("gen-arity", "", ["gen", "--n", "3", "--seed", "1", "--arity", "1"]),
     ("check-empty", "\n\n", ["check"]),
+    # names of one digit more than CPython's default int conversion limit
+    ("digit-limit", f"({'1' * 4301},2);", ["solve", "-"]),
+    ("digit-limit-tuple", f"(1|{'1' * 4301},2|3);", ["solve", "-", "--tuple"]),
+)
+# cases whose named function raises MemoryError instead of running, so
+# that no replay allocates what would exhaust memory
+OUT_OF_MEMORY = (
+    ("out-of-memory", "(0,10000000,5);", ["solve", "-", "--cost", "power:2"],
+     "treelabel.dp.convex_up"),
 )
 
 
@@ -174,6 +185,9 @@ def record(scratch: Path) -> dict[str, str]:
         for name, stdin, argv in cases():
             assert name not in hashes, name
             hashes[name] = run(stdin, argv, scratch)
+        for name, stdin, argv, target in OUT_OF_MEMORY:
+            with mock.patch(target, side_effect=MemoryError):
+                hashes[name] = run(stdin, argv, scratch)
     return hashes
 
 
