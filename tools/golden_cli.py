@@ -146,7 +146,8 @@ def cases() -> Iterator[tuple[str, str, list[str]]]:
         trees += [(f"{batch}.{i}", line) for i, line in enumerate(text.splitlines())]
         for cost, spec in COSTS.items():
             for flags in ([], ["--verbose"]):
-                yield f"{batch} check {' '.join([cost, *flags])}", text, ["check", "--cost", spec, *flags]
+                check = ["check", "--cost", spec, *flags]
+                yield f"{batch} check {' '.join([cost, *flags])}", text, check
 
     solves = [
         (f"{cost} {algorithm} {tie} {fmt}",
