@@ -30,7 +30,7 @@ with no label fails the same way everywhere.
 from __future__ import annotations
 
 from operator import index, le, pos
-from typing import Any, Callable, Mapping, NamedTuple, Sequence, Union
+from typing import Any, Callable, Collection, Iterator, Mapping, NamedTuple, Optional, Sequence, Union
 
 from .errors import (
     DifferenceOutOfRange,
@@ -305,6 +305,31 @@ def node_values(t: Tree, full: FullLabeling) -> list:
     except (KeyError, IndexError) as exc:
         missing = len(values) if isinstance(exc, IndexError) else exc.args[0]
         raise MissingNodeLabel(f"no label for node {missing}") from None
+
+
+def converted_once(
+    keys: Collection, convert_all: Callable[[Collection], Iterator], span: Optional[int] = None
+) -> Iterator:
+    """convert_all(keys), equal keys sharing one result object where keys repeat.
+
+    ``convert_all`` takes a collection and yields one result per key, in
+    its order, such as ``partial(map, int)``. A large tree repeats a few
+    labels many times, so when at most half of ``keys`` are distinct, only
+    the distinct keys are converted and each place that holds one gets
+    that one object. Otherwise every key is converted where it stands: the
+    table would cost more than the objects it saves. ``span`` is the size
+    of a label range that holds the keys, when the caller knows one: a
+    range wider than half the keys is taken as an input with few repeats,
+    and its keys are converted where they stand with no set built to count
+    them. Equal keys must be interchangeable, since 1, 1.0 and True are one
+    key.
+    """
+    if span is None or 2 * span <= len(keys):
+        distinct = set(keys)
+        if 2 * len(distinct) <= len(keys):
+            table = dict(zip(distinct, convert_all(distinct)))
+            return map(table.__getitem__, keys)
+    return convert_all(keys)
 
 
 def eval_total(t: Tree, c: CostFunction, full: FullLabeling) -> int:

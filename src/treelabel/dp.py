@@ -69,7 +69,7 @@ from __future__ import annotations
 
 import math
 from bisect import bisect_left, bisect_right
-from itertools import accumulate
+from itertools import accumulate, islice
 from operator import add, sub
 from typing import NamedTuple
 
@@ -235,7 +235,7 @@ def _down_phase(t: Tree, ct: CostTable, c: CostFunction, tie: str, rule) -> Labe
     # a leaf's label is the one finite entry of its row, found once per
     # shared row object
     leaf_labels: dict[int, int] = {}
-    for v in t.order[1:]:
+    for v in islice(t.order, 1, None):
         row = rows[v]
         if not children[v]:
             label = leaf_labels.get(id(row))

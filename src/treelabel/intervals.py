@@ -1,14 +1,16 @@
 """Manhattan solvers for trees of any arity: one up phase, two down phases.
 
 Up phase (Tree.order reversed, children first): each leaf gets the
-degenerate interval [p, p]. An internal node with r children gets the
-interval between the r-th and the (r+1)-th smallest of its children's 2r
-interval ends. This is the median rule of ordered-character (Wagner)
-parsimony (Farris 1970; Swofford & Maddison 1987). For r = 1 it copies
-the child's interval; for r = 2 it is the intersection of the two
-intervals when they overlap and the gap between them when they do not,
-and the code takes it in that closed form: the larger low and the
-smaller high, in order, with no sort.
+degenerate interval [p, p], and leaves with equal labels share one tuple
+where labels repeat (see costs.converted_once). An internal node with r
+children gets the interval between the r-th and the (r+1)-th smallest of
+its children's 2r interval ends. This is the median rule of
+ordered-character (Wagner) parsimony (Farris 1970; Swofford & Maddison
+1987). For r = 1 that is the child's interval, and the node shares the
+child's tuple; for r = 2 it is the intersection of the two intervals
+when they overlap and the gap between them when they do not, and the
+code takes it in that closed form: the larger low and the smaller high,
+in order, with no sort.
 
 Why the rule is optimal: under Manhattan cost the subtree cost S_b of a
 child b is convex with integer slopes and flat exactly on b's interval
@@ -47,8 +49,9 @@ checks which ties it takes.
   below (above) is read from the node's children there and nowhere
   else; a unary node keeps q and a leaf keeps its label.
 
-The up phase takes a two-child node in that closed form and, at any other
-arity, gathers the node's child interval ends into one list and sorts it.
+The up phase takes a unary node's interval from its child, a two-child
+node's in that closed form and, at any other arity, gathers the node's
+child interval ends into one list and sorts them.
 That gather, _sorted_ends, also gives median its below and above. So the
 up phase is O(N log d) for maximum arity d, a star included, and
 independent of the label range; a down phase is O(N).
@@ -58,7 +61,9 @@ Other cost functions go through the DP solvers.
 
 from __future__ import annotations
 
-from .costs import DP_TIES, Labeling, LeafLabeling
+from itertools import islice
+
+from .costs import DP_TIES, Labeling, LeafLabeling, converted_once
 from .tree import Tree
 
 Interval = tuple[int, int]
@@ -79,11 +84,12 @@ def bottom_up_intervals(t: Tree, l: LeafLabeling) -> IntervalAssignment:
     """
     children, labels = t.children, l.labels
     intervals: list = [None] * t.node_count
+    # the leaves first: leaves with equal labels share one interval
+    for v, interval in zip(labels, converted_once(labels.values(), _degenerate, l.m)):
+        intervals[v] = interval
     for v in reversed(t.order):
         kids = children[v]
         if not kids:
-            p = labels[v]
-            intervals[v] = (p, p)
             continue
         if len(kids) == 2:
             # the 2nd and 3rd smallest of the four ends are the larger low
@@ -93,11 +99,19 @@ def bottom_up_intervals(t: Tree, l: LeafLabeling) -> IntervalAssignment:
             y = hi if hi < hi2 else hi2
             intervals[v] = (x, y) if x <= y else (y, x)
             continue
+        if len(kids) == 1:
+            intervals[v] = intervals[kids[0]]
+            continue
         # the r-th and (r+1)-th smallest of the children's 2r interval ends
         ends = _sorted_ends(kids, intervals)
         r = len(kids)
         intervals[v] = ends[r - 1], ends[r]
     return tuple(intervals)
+
+
+def _degenerate(labels):
+    """The interval [p, p] of each label p."""
+    return zip(labels, labels)
 
 
 def _sorted_ends(kids, intervals) -> list[int]:
@@ -146,7 +160,7 @@ def _clamp_down(t: Tree, iv: IntervalAssignment, tie: str, stretch: bool) -> Lab
     lowest, highest = stretch and tie == "lowest", stretch and tie == "highest"
     values: dict[int, int] = {t.root: root_label}
     total = 0
-    for v in t.order[1:]:
+    for v in islice(t.order, 1, None):
         q = values[parents[v]]
         lo, hi = iv[v]
         if q < lo:

@@ -27,6 +27,18 @@ depth number the nodes breadth-first with no sort, and each node's
 children are the next ids in line. The parser builds its ``Tree`` from
 them directly, since the result is a valid tree by construction.
 
+A large tree repeats a few labels many times, so equal labels share one
+object from the parse to the text: each distinct leaf name is converted
+to an int once, and leaves with equal names share that int. The
+printer, _render, takes the text of every node by node id and calls no
+function per node; serialize_labeled writes each distinct int label
+once, and the nodes with that label share the text. A label of any
+other type (a float, a bool) gets its own text, so equal values of
+different types print apart, and k-tuples, which seldom repeat, are
+each written out. Where more than half of the labels are distinct, or
+the leaves' label range is wider than half of them, a table would cost
+more than it saves and none is built (see costs.converted_once).
+
 For k-tuple inputs, a leaf name is a '|'-separated run of integers,
 e.g. "3|7|9"; see parse_newick_tuples.
 """
@@ -35,11 +47,12 @@ from __future__ import annotations
 
 import re
 import sys
+from functools import partial
 from itertools import chain, compress, repeat
 from operator import not_
 from typing import NamedTuple, Union
 
-from .costs import FullLabeling, LeafLabeling, TupleLeafLabeling, node_values
+from .costs import FullLabeling, LeafLabeling, TupleLeafLabeling, converted_once, node_values
 from .errors import EmptyTree, NewickSyntaxError, NonIntegerLeafName
 from .tree import Tree
 
@@ -53,6 +66,8 @@ _INT_TUPLE = re.compile(r"[+-]?[0-9]+(?:\|[+-]?[0-9]+)*", re.ASCII)
 _LENGTH_TAIL = r"(?:\s*:\s*[^\s:]+)?\s*"
 _LEAF = re.compile(r"\s*([^\s:]*)" + _LENGTH_TAIL)
 _AFTER_CLOSE = re.compile(r"[^\s:]*" + _LENGTH_TAIL)
+# the one type of label whose equal values print alike
+_EXACT_INT = frozenset((int,))
 
 
 class LabeledTreeDocument(NamedTuple):
@@ -214,9 +229,10 @@ def parse_newick(text: str) -> LabeledTreeDocument:
         # raises at the first bad name in breadth-first order
         for name in names:
             _leaf_int(name)
-    # the labels are keyed by the tree's own leaves, so coverage holds
+    # the labels are keyed by the tree's own leaves, so coverage holds; leaves
+    # with equal names share one int
     try:
-        labels = dict(zip(leaves, map(int, names)))
+        labels = dict(zip(leaves, converted_once(names, partial(map, int))))
     except ValueError:
         _raise_over_digit_limit(leaves, names)
         raise
@@ -247,8 +263,8 @@ def parse_newick_tuples(text: str) -> TupleTreeDocument:
 # serialization                                                          #
 # --------------------------------------------------------------------- #
 
-def _render(tree: Tree, values: list, text) -> str:
-    """Newick text of ``tree`` with ``text(values[v])`` as the text of node v.
+def _render(tree: Tree, names: list[str]) -> str:
+    """Newick text of ``tree`` with ``names[v]`` as the text of node v.
 
     Iterative: a stack of child iterators, one per open internal node, so
     nesting depth is unbounded. A child is preceded by ',' unless it is the
@@ -266,11 +282,11 @@ def _render(tree: Tree, values: list, text) -> str:
                 pieces.append("(")
                 stack.append((v, iter(children[v])))
                 break
-            pieces.append(text(values[v]))
+            pieces.append(names[v])
         else:
             stack.pop()
             if parent is not None:
-                pieces += (")", text(values[parent]))
+                pieces += (")", names[parent])
     pieces.append(";")
     return "".join(pieces)
 
@@ -288,7 +304,15 @@ def serialize_labeled(doc: LabeledTreeDocument, full: FullLabeling) -> str:
     "((1,5)5,9)5;". Round-trips through parse_newick to the same topology
     and leaf labels.
     """
-    return _render(doc.tree, node_values(doc.tree, full), str)
+    values = node_values(doc.tree, full)
+    # nodes with equal int labels share one text, and an optimal labeling
+    # stays in the leaves' label range, of size m; a table keyed by value
+    # would give 1, 1.0 and True one text, so other types get their own
+    if _EXACT_INT.issuperset(map(type, values)):
+        texts = converted_once(values, partial(map, str), doc.leaf_labels.m)
+    else:
+        texts = map(str, values)
+    return _render(doc.tree, list(texts))
 
 
 def serialize_tuple_labeled(doc: TupleTreeDocument, full: FullLabeling) -> str:
@@ -297,7 +321,8 @@ def serialize_tuple_labeled(doc: TupleTreeDocument, full: FullLabeling) -> str:
     ``full`` is a Labeling of k-tuples, such as solve_ktuple returns, or a
     plain mapping of them, read by node_values like serialize_labeled's.
     """
-    return _render(doc.tree, node_values(doc.tree, full), _tuple_text)
+    # tuples seldom repeat, so each is written out with no table
+    return _render(doc.tree, list(map(_tuple_text, node_values(doc.tree, full))))
 
 
 def document_to_newick(doc: Union[LabeledTreeDocument, TupleTreeDocument]) -> str:
@@ -305,4 +330,4 @@ def document_to_newick(doc: Union[LabeledTreeDocument, TupleTreeDocument]) -> st
     labels = doc.leaf_labels.labels
     text = _tuple_text if isinstance(doc, TupleTreeDocument) else str
     names = ["" if kids else text(labels[v]) for v, kids in enumerate(doc.tree.children)]
-    return _render(doc.tree, names, str)  # the names are text already
+    return _render(doc.tree, names)

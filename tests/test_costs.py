@@ -1,4 +1,5 @@
 import random
+from functools import partial
 
 import pytest
 
@@ -16,6 +17,7 @@ from treelabel import (
     theta,
     tuple_cost,
 )
+from treelabel.costs import converted_once
 from helpers import random_instance
 
 MANHATTAN = CostFunction.manhattan()
@@ -279,3 +281,28 @@ class TestCostInvariances:
                     assert total == 0
                 else:
                     assert total > 0
+
+
+class TestConvertedOnce:
+    """Equal keys share one converted object when at most half are distinct."""
+
+    @staticmethod
+    def _boxed(keys):
+        return map(lambda k: [k], keys)  # a new object per call
+
+    def test_repeated_keys_share_one_object(self):
+        out = list(converted_once([7, 8, 7, 8], self._boxed))
+        assert out == [[7], [8], [7], [8]]
+        assert out[0] is out[2] and out[1] is out[3]
+
+    def test_mostly_distinct_keys_are_converted_where_they_stand(self):
+        out = list(converted_once([7, 8, 9, 9], self._boxed))
+        assert out == [[7], [8], [9], [9]]
+        assert out[2] is not out[3]
+
+    def test_a_span_over_half_the_keys_builds_no_table(self):
+        assert list(converted_once([7, 7, 7, 7], partial(map, str), span=3)) == ["7"] * 4
+        out = list(converted_once([7, 7, 7, 7], self._boxed, span=3))
+        assert out[0] is not out[1]
+        shared = list(converted_once([7, 7, 7, 7], self._boxed, span=2))
+        assert shared[0] is shared[1] is shared[2] is shared[3]

@@ -158,6 +158,21 @@ class TestBottomUp:
         iv = bottom_up_intervals(chain.tree, chain.leaf_labels)
         assert iv == ((5, 5),) * 3
 
+    def test_equal_leaf_labels_share_one_interval(self):
+        doc = parse_newick("((1000,1000),(1000,(1001)));")
+        iv = bottom_up_intervals(doc.tree, doc.leaf_labels)
+        leaves = [v for v, label in doc.leaf_labels.labels.items() if label == 1000]
+        assert len(leaves) == 3
+        assert iv[leaves[0]] is iv[leaves[1]] is iv[leaves[2]]
+
+    def test_unary_node_shares_its_childs_interval(self):
+        doc = parse_newick("((1000,1000),(1000,(1001)));")
+        iv = bottom_up_intervals(doc.tree, doc.leaf_labels)
+        [unary] = [v for v, kids in enumerate(doc.tree.children) if len(kids) == 1]
+        [child] = doc.tree.children[unary]
+        assert iv[unary] == (1001, 1001)
+        assert iv[unary] is iv[child]
+
     def test_intervals_inside_leaf_range(self):
         rng = random.Random(31)
         for _ in range(40):

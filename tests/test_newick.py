@@ -59,6 +59,13 @@ class TestParse:
         assert doc.tree.node_count == 1
         assert doc.leaf_labels.labels == {0: 3}
 
+    def test_equal_leaf_names_share_one_int(self):
+        # above 256, where CPython caches no int of its own
+        labels = parse_newick("((1000,1000),1000);").leaf_labels.labels
+        first, second, third = labels.values()
+        assert first == 1000
+        assert first is second is third
+
     def test_signed_labels(self):
         doc = parse_newick("(-3,+7);")
         assert doc.leaf_labels.labels == {1: -3, 2: 7}
@@ -561,6 +568,29 @@ class TestPrinterDifferential:
         scalar = {v: v % 61 - 30 for v in range(tree.node_count)}
         tuples = {v: (v % 7, v % 7 + v % 3) for v in range(tree.node_count)}
         self._check_all_serializers(tree, scalar, tuples)
+
+    def test_all_distinct_labels(self):
+        # a span far wider than the tree: no two labels are equal
+        rng = random.Random(6063)
+        for _ in range(100):
+            tree = _random_tree(rng, rng.randint(1, 40))
+            values = rng.sample(range(-10**15, 10**15), tree.node_count)
+            scalar = dict(enumerate(values))
+            tuples = {v: (x, x + rng.randint(0, 10**15)) for v, x in scalar.items()}
+            self._check_all_serializers(tree, scalar, tuples)
+        tree = _caterpillar(5_000)
+        scalar = {v: v * 7_919 - 10**12 for v in range(tree.node_count)}
+        tuples = {v: (x, x) for v, x in scalar.items()}
+        self._check_all_serializers(tree, scalar, tuples)
+
+    def test_equal_values_of_other_types_keep_their_texts(self):
+        doc = parse_newick("(2,7);")
+        assert serialize_labeled(doc, {0: 1.0, 1: True, 2: 1}) == "(True,1)1.0;"
+        # the leaves' labels repeat, so exact int labels would share a text
+        tree = _caterpillar(300)
+        doc = LabeledTreeDocument(tree, LeafLabeling.for_tree(tree, dict.fromkeys(tree.leaves(), 1)))
+        full = {v: (1, True, 1.0)[v % 3] for v in range(tree.node_count)}
+        assert serialize_labeled(doc, full) == reference_render(tree, lambda v: str(full[v]))
 
     def test_missing_label_names_the_lowest_missing_node(self):
         # print order reaches node 3 before node 2; the error names node 2
