@@ -95,7 +95,7 @@ def cmd_solve(args: argparse.Namespace) -> int:
         serialize = serialize_labeled
     _set_str_digits(0)  # the input is read
 
-    resolved = choose_algorithm(args.algorithm, doc.tree, cost)
+    resolved = choose_algorithm(args.algorithm, doc.tree, cost, args.tie)
     if args.dump and resolved == "oracle":
         raise UnsupportedAlgorithm("--dump is not available for the oracle, which has no up phase")
 

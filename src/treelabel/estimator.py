@@ -77,7 +77,8 @@ class TreeLabeler:
         Edge-cost spec: "manhattan", "power:<k>" or "table:<c0,c1,...>";
         fit parses a spec with CostFunction.from_spec.
     tie : {"lowest", "highest", "midpoint"}, default "lowest"
-        How equally good labels are broken; "midpoint" is interval-only.
+        How equally good labels are broken; "midpoint" is interval-only,
+        so "auto" takes interval for it under Manhattan cost.
 
     Attributes (after fit)
     ----------------------

@@ -38,19 +38,22 @@ _TIES_BY_ALGORITHM = {
 }
 
 
-def choose_algorithm(algorithm: str, t: Tree, c: CostFunction) -> str:
+def choose_algorithm(algorithm: str, t: Tree, c: CostFunction, tie: str = "lowest") -> str:
     """Resolve "auto" and reject impossible requests.
 
-    auto picks the first solver that applies, fastest first: interval
-    (binary tree, Manhattan cost, O(N)), then median (any other tree,
-    Manhattan cost, O(N log d) for maximum arity d), then convex (convex
-    cost, O(N * m)), then dp (O(N * m^2)). interval and median share an up
-    phase and handle any arity; median's down phase gives dp's labels, so
-    auto's output on a non-binary tree is convex's, while interval's clamp
-    labeling there can differ at equal cost. Forcing a solver that does
-    not apply is an error, never a silent fallback: a non-Manhattan cost
-    for interval or median and a non-convex cost for convex are rejected
-    here, and an already resolved name passes through without a tree pass.
+    auto picks the first solver that applies to the tree, the cost and the
+    tie rule, fastest first: interval (binary tree or tie "midpoint",
+    Manhattan cost, O(N)), then median (any other tree, Manhattan cost,
+    O(N log d) for maximum arity d), then convex (convex cost, O(N * m)),
+    then dp (O(N * m^2)). interval and median share an up phase and handle
+    any arity; median's down phase gives dp's labels, so auto's output on
+    a non-binary tree is convex's, while interval's clamp labeling there
+    can differ at equal cost. Only interval takes the tie "midpoint", so
+    auto takes it for that tie on any Manhattan tree. Forcing a solver
+    that does not apply is an error, never a silent fallback: a
+    non-Manhattan cost for interval or median and a non-convex cost for
+    convex are rejected here, and an already resolved name passes through
+    without a tree pass.
     """
     if algorithm not in ALGORITHMS:
         raise UnsupportedAlgorithm(
@@ -58,7 +61,7 @@ def choose_algorithm(algorithm: str, t: Tree, c: CostFunction) -> str:
         )
     if algorithm == "auto":
         if c.kind == "manhattan":
-            return "interval" if is_binary(t) else "median"
+            return "interval" if tie == "midpoint" or is_binary(t) else "median"
         return "convex" if c.is_convex else "dp"
     if algorithm in INTERVAL_ALGORITHMS and c.kind != "manhattan":
         raise UnsupportedAlgorithm(
@@ -89,7 +92,7 @@ def solve_scalar(
     order, only supports the default tie rule and takes its budget from
     TREELABEL_BUDGET.
     """
-    resolved = choose_algorithm(algorithm, t, c)
+    resolved = choose_algorithm(algorithm, t, c, tie)
     allowed_ties = _TIES_BY_ALGORITHM[resolved]
     if tie not in allowed_ties:
         raise UnsupportedAlgorithm(

@@ -50,7 +50,7 @@ def solve_ktuple(
     The answer is a Labeling whose values are the k-tuples by node id and
     whose total_cost is the sum of the k scalar optima.
     """
-    algorithm = choose_algorithm(algorithm, t, c)
+    algorithm = choose_algorithm(algorithm, t, c, tie)
     # one column of answers per coordinate, indexed by node id
     nodes = range(t.node_count)
     columns: list[list[int]] = []

@@ -264,6 +264,18 @@ class TestSolve:
         assert code == 2
         assert err.startswith(f"error:UnsupportedAlgorithm:{message}")
 
+    def test_auto_takes_interval_for_midpoint_on_any_tree(self, capsys, tmp_path):
+        path = tmp_path / "t.nwk"
+        path.write_text("(1,2,3);")
+        assert run(capsys, "solve", str(path), "--tie", "midpoint") == (0, "(1,2,3)2;\n", "")
+        code, out, _ = run(capsys, "solve", str(path), "--tie", "midpoint", "--format", "json")
+        assert code == 0
+        assert json.loads(out)["algorithm"] == "interval"
+        tree = parse_newick("(1,2,3);").tree
+        assert choose_algorithm("auto", tree, CostFunction.manhattan(), "midpoint") == "interval"
+        assert choose_algorithm("auto", tree, CostFunction.manhattan(), "highest") == "median"
+        assert choose_algorithm("auto", tree, CostFunction.power(2), "midpoint") == "convex"
+
     @pytest.mark.parametrize("tie", ["lowest", "highest"])
     def test_median_huge_span_unary_chain_stays_int(self, capsys, tmp_path, tie):
         # the unary chain above leaf 10**31 takes a stretch that spans the
