@@ -30,7 +30,9 @@ with no label fails the same way everywhere.
 from __future__ import annotations
 
 from operator import index, le, pos
-from typing import Any, Callable, Collection, Iterator, Mapping, NamedTuple, Optional, Sequence, Union
+from typing import (
+    Any, Callable, Collection, Iterator, Mapping, NamedTuple, Optional, Sequence, Union,
+)
 
 from .errors import (
     DifferenceOutOfRange,

@@ -588,7 +588,8 @@ class TestPrinterDifferential:
         assert serialize_labeled(doc, {0: 1.0, 1: True, 2: 1}) == "(True,1)1.0;"
         # the leaves' labels repeat, so exact int labels would share a text
         tree = _caterpillar(300)
-        doc = LabeledTreeDocument(tree, LeafLabeling.for_tree(tree, dict.fromkeys(tree.leaves(), 1)))
+        leaf_labels = LeafLabeling.for_tree(tree, dict.fromkeys(tree.leaves(), 1))
+        doc = LabeledTreeDocument(tree, leaf_labels)
         full = {v: (1, True, 1.0)[v % 3] for v in range(tree.node_count)}
         assert serialize_labeled(doc, full) == reference_render(tree, lambda v: str(full[v]))
 
