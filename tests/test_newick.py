@@ -516,12 +516,12 @@ def _caterpillar(depth):
     return build_tree(parent_of)
 
 
-def _random_labels(rng, tree):
-    """Random scalar labels and random k-tuples for every node of ``tree``."""
+def _random_labels(rng, tree, span=30):
+    """Random scalar labels and random k-tuples in [-span, span] for every node of ``tree``."""
     k = rng.randint(1, 3)
-    scalar = {v: rng.randint(-30, 30) for v in range(tree.node_count)}
+    scalar = {v: rng.randint(-span, span) for v in range(tree.node_count)}
     tuples = {
-        v: tuple(sorted(rng.randint(-30, 30) for _ in range(k)))
+        v: tuple(sorted(rng.randint(-span, span) for _ in range(k)))
         for v in range(tree.node_count)
     }
     return scalar, tuples
@@ -546,7 +546,7 @@ class TestPrinterDifferential:
         assert serialize_labeled(doc, scalar) == reference_render(tree, lambda v: str(scalar[v]))
         assert serialize_tuple_labeled(tuple_doc, tuples) == reference_render(tree, tuple_text)
         assert document_to_newick(doc) == reference_render(
-            tree, lambda v: str(scalar[v]) if tree.is_leaf(v) else ""
+            tree, lambda v: str(doc.leaf_labels.labels[v]) if tree.is_leaf(v) else ""
         )
         assert document_to_newick(tuple_doc) == reference_render(
             tree, lambda v: tuple_text(v) if tree.is_leaf(v) else ""
@@ -557,6 +557,20 @@ class TestPrinterDifferential:
         for _ in range(400):
             tree = _random_tree(rng, rng.randint(1, 40))
             self._check_all_serializers(tree, *_random_labels(rng, tree))
+        # a span so wide that no two labels are equal, so no text is shared
+        for _ in range(100):
+            tree = _random_tree(rng, rng.randint(1, 40))
+            scalar, tuples = _random_labels(rng, tree, span=10**15)
+            assert len(set(scalar.values())) == tree.node_count
+            self._check_all_serializers(tree, scalar, tuples)
+        # equal values of different types, on leaves whose labels repeat
+        for _ in range(100):
+            tree = _random_tree(rng, rng.randint(2, 40))
+            scalar, tuples = _random_labels(rng, tree)
+            for v in scalar:
+                scalar[v] = rng.choice((1, True) if tree.is_leaf(v) else (1, True, 1.0))
+            self._check_all_serializers(tree, scalar, tuples)
+        assert serialize_labeled(parse_newick("(2,7);"), {0: 1.0, 1: True, 2: 1}) == "(True,1)1.0;"
 
     def test_single_node_and_unary_chains(self):
         rng = random.Random(6062)
@@ -568,30 +582,6 @@ class TestPrinterDifferential:
         scalar = {v: v % 61 - 30 for v in range(tree.node_count)}
         tuples = {v: (v % 7, v % 7 + v % 3) for v in range(tree.node_count)}
         self._check_all_serializers(tree, scalar, tuples)
-
-    def test_all_distinct_labels(self):
-        # a span far wider than the tree: no two labels are equal
-        rng = random.Random(6063)
-        for _ in range(100):
-            tree = _random_tree(rng, rng.randint(1, 40))
-            values = rng.sample(range(-10**15, 10**15), tree.node_count)
-            scalar = dict(enumerate(values))
-            tuples = {v: (x, x + rng.randint(0, 10**15)) for v, x in scalar.items()}
-            self._check_all_serializers(tree, scalar, tuples)
-        tree = _caterpillar(5_000)
-        scalar = {v: v * 7_919 - 10**12 for v in range(tree.node_count)}
-        tuples = {v: (x, x) for v, x in scalar.items()}
-        self._check_all_serializers(tree, scalar, tuples)
-
-    def test_equal_values_of_other_types_keep_their_texts(self):
-        doc = parse_newick("(2,7);")
-        assert serialize_labeled(doc, {0: 1.0, 1: True, 2: 1}) == "(True,1)1.0;"
-        # the leaves' labels repeat, so exact int labels would share a text
-        tree = _caterpillar(300)
-        leaf_labels = LeafLabeling.for_tree(tree, dict.fromkeys(tree.leaves(), 1))
-        doc = LabeledTreeDocument(tree, leaf_labels)
-        full = {v: (1, True, 1.0)[v % 3] for v in range(tree.node_count)}
-        assert serialize_labeled(doc, full) == reference_render(tree, lambda v: str(full[v]))
 
     def test_missing_label_names_the_lowest_missing_node(self):
         # print order reaches node 3 before node 2; the error names node 2
