@@ -30,9 +30,7 @@ with no label fails the same way everywhere.
 from __future__ import annotations
 
 from operator import index, le, pos
-from typing import (
-    Any, Callable, Collection, Iterator, Mapping, NamedTuple, Optional, Sequence, Union,
-)
+from typing import Any, Callable, Collection, Mapping, NamedTuple, Optional, Sequence, Union
 
 from .errors import (
     DifferenceOutOfRange,
@@ -309,29 +307,27 @@ def node_values(t: Tree, full: FullLabeling) -> list:
         raise MissingNodeLabel(f"no label for node {missing}") from None
 
 
-def converted_once(
-    keys: Collection, convert_all: Callable[[Collection], Iterator], span: Optional[int] = None
-) -> Iterator:
-    """convert_all(keys), equal keys sharing one result object where keys repeat.
+def shared_table(
+    keys: Collection, convert: Callable, span: Optional[int] = None
+) -> Optional[dict]:
+    """convert(k) for each distinct key k, keyed by k; None where keys repeat too little.
 
-    ``convert_all`` takes a collection and yields one result per key, in
-    its order, such as ``partial(map, int)``. A large tree repeats a few
-    labels many times, so when at most half of ``keys`` are distinct, only
-    the distinct keys are converted and each place that holds one gets
-    that one object. Otherwise every key is converted where it stands: the
-    table would cost more than the objects it saves. ``span`` is the size
-    of a label range that holds the keys, when the caller knows one: a
-    range wider than half the keys is taken as an input with few repeats,
-    and its keys are converted where they stand with no set built to count
-    them. Equal keys must be interchangeable, since 1, 1.0 and True are one
-    key.
+    A large tree repeats a few labels many times, and a caller that maps
+    its keys through this table gives every place holding one key one
+    object. When more than half of ``keys`` are distinct, the table would
+    cost more than the objects it saves, so there is none and the caller
+    converts each key where it stands. ``span`` is the size of a label
+    range that holds the keys, when the caller knows one: a range wider
+    than half the keys is taken as an input with few repeats, and no set
+    is built to count them. Equal keys must be interchangeable, since 1,
+    1.0 and True are one key.
     """
-    if span is None or 2 * span <= len(keys):
-        distinct = set(keys)
-        if 2 * len(distinct) <= len(keys):
-            table = dict(zip(distinct, convert_all(distinct)))
-            return map(table.__getitem__, keys)
-    return convert_all(keys)
+    if span is not None and 2 * span > len(keys):
+        return None
+    distinct = set(keys)
+    if 2 * len(distinct) > len(keys):
+        return None
+    return dict(zip(distinct, map(convert, distinct)))
 
 
 def eval_total(t: Tree, c: CostFunction, full: FullLabeling) -> int:

@@ -2,7 +2,7 @@
 
 Up phase (Tree.order reversed, children first): each leaf gets the
 degenerate interval [p, p], and leaves with equal labels share one tuple
-where labels repeat (see costs.converted_once). An internal node with r
+where labels repeat (see costs.shared_table). An internal node with r
 children gets the interval between the r-th and the (r+1)-th smallest of
 its children's 2r interval ends. This is the median rule of
 ordered-character (Wagner) parsimony (Farris 1970; Swofford & Maddison
@@ -63,7 +63,7 @@ from __future__ import annotations
 
 from itertools import islice
 
-from .costs import DP_TIES, Labeling, LeafLabeling, converted_once
+from .costs import DP_TIES, Labeling, LeafLabeling, shared_table
 from .tree import Tree
 
 Interval = tuple[int, int]
@@ -85,7 +85,9 @@ def bottom_up_intervals(t: Tree, l: LeafLabeling) -> IntervalAssignment:
     children, labels = t.children, l.labels
     intervals: list = [None] * t.node_count
     # the leaves first: leaves with equal labels share one interval
-    for v, interval in zip(labels, converted_once(labels.values(), _degenerate, l.m)):
+    ps = labels.values()
+    shared = shared_table(ps, _degenerate, l.m)
+    for v, interval in zip(labels, map(shared.__getitem__, ps) if shared else zip(ps, ps)):
         intervals[v] = interval
     for v in reversed(t.order):
         kids = children[v]
@@ -109,9 +111,8 @@ def bottom_up_intervals(t: Tree, l: LeafLabeling) -> IntervalAssignment:
     return tuple(intervals)
 
 
-def _degenerate(labels):
-    """The interval [p, p] of each label p."""
-    return zip(labels, labels)
+def _degenerate(p: int) -> Interval:
+    return p, p
 
 
 def _sorted_ends(kids, intervals) -> list[int]:

@@ -29,15 +29,14 @@ them directly, since the result is a valid tree by construction.
 
 A large tree repeats a few labels many times, so equal labels share one
 object from the parse to the text: each distinct leaf name is converted
-to an int once, and leaves with equal names share that int. The
-printer, _render, takes the text of every node by node id and calls no
-function per node; serialize_labeled writes each distinct int label
-once, and the nodes with that label share the text. A label of any
-other type (a float, a bool) gets its own text, so equal values of
-different types print apart, and k-tuples, which seldom repeat, are
-each written out. Where more than half of the labels are distinct, or
-the leaves' label range is wider than half of them, a table would cost
-more than it saves and none is built (see costs.converted_once).
+to an int once, and leaves with equal names share that int;
+serialize_labeled writes each distinct int label once, and the printer
+looks every node's text up in that table. A label of any other type (a
+float, a bool) is written where it stands, so equal values of different
+types print apart, and so are k-tuples, which seldom repeat. Where more
+than half of the labels are distinct, or the leaves' label range is
+wider than half of them, a table would cost more than it saves and none
+is built (see costs.shared_table).
 
 For k-tuple inputs, a leaf name is a '|'-separated run of integers,
 e.g. "3|7|9"; see parse_newick_tuples.
@@ -47,12 +46,11 @@ from __future__ import annotations
 
 import re
 import sys
-from functools import partial
 from itertools import chain, compress, repeat
 from operator import not_
 from typing import NamedTuple, Union
 
-from .costs import FullLabeling, LeafLabeling, TupleLeafLabeling, converted_once, node_values
+from .costs import FullLabeling, LeafLabeling, TupleLeafLabeling, node_values, shared_table
 from .errors import EmptyTree, NewickSyntaxError, NonIntegerLeafName
 from .tree import Tree
 
@@ -232,7 +230,8 @@ def parse_newick(text: str) -> LabeledTreeDocument:
     # the labels are keyed by the tree's own leaves, so coverage holds; leaves
     # with equal names share one int
     try:
-        labels = dict(zip(leaves, converted_once(names, partial(map, int))))
+        ints = shared_table(names, int)
+        labels = dict(zip(leaves, map(ints.__getitem__ if ints else int, names)))
     except ValueError:
         _raise_over_digit_limit(leaves, names)
         raise
@@ -263,8 +262,8 @@ def parse_newick_tuples(text: str) -> TupleTreeDocument:
 # serialization                                                          #
 # --------------------------------------------------------------------- #
 
-def _render(tree: Tree, names: list[str]) -> str:
-    """Newick text of ``tree`` with ``names[v]`` as the text of node v.
+def _render(tree: Tree, values: list, text) -> str:
+    """Newick text of ``tree`` with ``text(values[v])`` as the text of node v.
 
     Iterative: a stack of child iterators, one per open internal node, so
     nesting depth is unbounded. A child is preceded by ',' unless it is the
@@ -282,11 +281,11 @@ def _render(tree: Tree, names: list[str]) -> str:
                 pieces.append("(")
                 stack.append((v, iter(children[v])))
                 break
-            pieces.append(names[v])
+            pieces.append(text(values[v]))
         else:
             stack.pop()
             if parent is not None:
-                pieces += (")", names[parent])
+                pieces += (")", text(values[parent]))
     pieces.append(";")
     return "".join(pieces)
 
@@ -305,14 +304,13 @@ def serialize_labeled(doc: LabeledTreeDocument, full: FullLabeling) -> str:
     and leaf labels.
     """
     values = node_values(doc.tree, full)
-    # nodes with equal int labels share one text, and an optimal labeling
-    # stays in the leaves' label range, of size m; a table keyed by value
-    # would give 1, 1.0 and True one text, so other types get their own
+    # nodes with equal labels share one text, and an optimal labeling stays
+    # in the leaves' label range, of size m; a table keyed by value would
+    # give 1, 1.0 and True one text, so it serves exact ints only
+    texts = None
     if _EXACT_INT.issuperset(map(type, values)):
-        texts = converted_once(values, partial(map, str), doc.leaf_labels.m)
-    else:
-        texts = map(str, values)
-    return _render(doc.tree, list(texts))
+        texts = shared_table(values, str, doc.leaf_labels.m)
+    return _render(doc.tree, values, texts.__getitem__ if texts else str)
 
 
 def serialize_tuple_labeled(doc: TupleTreeDocument, full: FullLabeling) -> str:
@@ -321,8 +319,7 @@ def serialize_tuple_labeled(doc: TupleTreeDocument, full: FullLabeling) -> str:
     ``full`` is a Labeling of k-tuples, such as solve_ktuple returns, or a
     plain mapping of them, read by node_values like serialize_labeled's.
     """
-    # tuples seldom repeat, so each is written out with no table
-    return _render(doc.tree, list(map(_tuple_text, node_values(doc.tree, full))))
+    return _render(doc.tree, node_values(doc.tree, full), _tuple_text)
 
 
 def document_to_newick(doc: Union[LabeledTreeDocument, TupleTreeDocument]) -> str:
@@ -330,4 +327,4 @@ def document_to_newick(doc: Union[LabeledTreeDocument, TupleTreeDocument]) -> st
     labels = doc.leaf_labels.labels
     text = _tuple_text if isinstance(doc, TupleTreeDocument) else str
     names = ["" if kids else text(labels[v]) for v, kids in enumerate(doc.tree.children)]
-    return _render(doc.tree, names)
+    return _render(doc.tree, names, str)  # the names are text already

@@ -1,5 +1,4 @@
 import random
-from functools import partial
 
 import pytest
 
@@ -17,7 +16,7 @@ from treelabel import (
     theta,
     tuple_cost,
 )
-from treelabel.costs import converted_once
+from treelabel.costs import shared_table
 from helpers import random_instance
 
 MANHATTAN = CostFunction.manhattan()
@@ -283,26 +282,16 @@ class TestCostInvariances:
                     assert total > 0
 
 
-class TestConvertedOnce:
-    """Equal keys share one converted object when at most half are distinct."""
+class TestSharedTable:
+    """One object per distinct key, where at most half of the keys are distinct."""
 
-    @staticmethod
-    def _boxed(keys):
-        return map(lambda k: [k], keys)  # a new object per call
+    def test_repeated_keys_get_one_object_each(self):
+        table = shared_table([7, 8, 7, 8], lambda k: [k])
+        assert table == {7: [7], 8: [8]}
 
-    def test_repeated_keys_share_one_object(self):
-        out = list(converted_once([7, 8, 7, 8], self._boxed))
-        assert out == [[7], [8], [7], [8]]
-        assert out[0] is out[2] and out[1] is out[3]
+    def test_mostly_distinct_keys_get_no_table(self):
+        assert shared_table([7, 8, 9, 9], lambda k: [k]) is None
 
-    def test_mostly_distinct_keys_are_converted_where_they_stand(self):
-        out = list(converted_once([7, 8, 9, 9], self._boxed))
-        assert out == [[7], [8], [9], [9]]
-        assert out[2] is not out[3]
-
-    def test_a_span_over_half_the_keys_builds_no_table(self):
-        assert list(converted_once([7, 7, 7, 7], partial(map, str), span=3)) == ["7"] * 4
-        out = list(converted_once([7, 7, 7, 7], self._boxed, span=3))
-        assert out[0] is not out[1]
-        shared = list(converted_once([7, 7, 7, 7], self._boxed, span=2))
-        assert shared[0] is shared[1] is shared[2] is shared[3]
+    def test_a_span_over_half_the_keys_gets_no_table(self):
+        assert shared_table([7, 7, 7, 7], str, span=3) is None
+        assert shared_table([7, 7, 7, 7], str, span=2) == {7: "7"}
