@@ -86,8 +86,9 @@ def bottom_up_intervals(t: Tree, l: LeafLabeling) -> IntervalAssignment:
     intervals: list = [None] * t.node_count
     # the leaves first: leaves with equal labels share one interval
     ps = labels.values()
-    shared = shared_table(ps, _degenerate, l.m)
-    for v, interval in zip(labels, map(shared.__getitem__, ps) if shared else zip(ps, ps)):
+    shared = shared_table(ps, lambda p: (p, p), l.m)
+    leaf_intervals = map(shared.__getitem__, ps) if shared else zip(ps, ps)
+    for v, interval in zip(labels, leaf_intervals):
         intervals[v] = interval
     for v in reversed(t.order):
         kids = children[v]
@@ -109,10 +110,6 @@ def bottom_up_intervals(t: Tree, l: LeafLabeling) -> IntervalAssignment:
         r = len(kids)
         intervals[v] = ends[r - 1], ends[r]
     return tuple(intervals)
-
-
-def _degenerate(p: int) -> Interval:
-    return p, p
 
 
 def _sorted_ends(kids, intervals) -> list[int]:
