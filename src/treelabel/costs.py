@@ -24,7 +24,8 @@ The parser, the generator and the solvers all build on them, and this
 module imports no solver. A finished labeling, scalar or k-tuple, is one
 record, ``Labeling``, and node_values is the one place it is read by node
 id: every cost sum, serializer and front end goes through it, so a node
-with no label fails the same way everywhere.
+with no label fails the same way everywhere. shared_table decides, in one
+place, when equal labels share one object from the parse to the text.
 """
 
 from __future__ import annotations

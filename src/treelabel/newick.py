@@ -31,9 +31,9 @@ A large tree repeats a few labels many times, so equal labels share one
 object from the parse to the text: each distinct leaf name is converted
 to an int once, and leaves with equal names share that int;
 serialize_labeled writes each distinct int label once, and the printer
-looks every node's text up in that table. A label of any other type (a
-float, a bool) is written where it stands, so equal values of different
-types print apart, and so are k-tuples, which seldom repeat. Where more
+looks every node's text up in that table. Every other label is written
+where it stands: a float or a bool, so that equal values of different
+types print apart, and a k-tuple, since tuples seldom repeat. Where more
 than half of the labels are distinct, or the leaves' label range is
 wider than half of them, a table would cost more than it saves and none
 is built (see costs.shared_table).
