@@ -23,8 +23,8 @@ solve_scalar(t, l, c, algorithm) (TreeLabeler sits on top of it):
 
 k-tuple labelings (nondecreasing integer tuples per node) are handled by
 per-coordinate decomposition in solve_ktuple. Every solver, the k-tuple
-one included, returns its answer as one record, Labeling: the value of
-each node id and the total cost.
+one included, returns its answer as one record, Labeling: a list of the
+labels by node id and the total cost.
 
 The package loads lazily: importing it loads no submodule, and each
 public name (or submodule, such as treelabel.dp) imports its defining

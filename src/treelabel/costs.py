@@ -22,8 +22,9 @@ The problem's data lives here, below every solver: the leaf records,
 nondecreasing k-tuples, and their cost sums, eval_total and tuple_cost.
 The parser, the generator and the solvers all build on them, and this
 module imports no solver. A finished labeling, scalar or k-tuple, is one
-record, ``Labeling``, and node_values is the one place it is read by node
-id: every cost sum, serializer and front end goes through it, so a node
+record, ``Labeling``, whose values are a list by node id, and node_values
+is the one place it is read by node id: every cost sum, serializer and
+front end goes through it, taking a solver's list as it is, so a node
 with no label fails the same way everywhere. shared_table decides, in one
 place, when equal labels share one object from the parse to the text.
 """
@@ -276,31 +277,38 @@ def check_leaf_coverage(t: Tree, labels: Mapping[int, object]) -> None:
 class Labeling(NamedTuple):
     """A full labeling of every node, with its total cost cached.
 
-    ``values`` maps each node id to its label: an int, or a k-tuple of
-    ints from solve_ktuple. The solvers fill in the cost they already
-    know: dp_down and convex_down the minimum of the root row, the oracle
-    its best sum, top_down_labels the sum of its clamp distances,
-    solve_ktuple the sum of its coordinates' costs. Tests recompute it
-    rather than trusting it.
+    ``values`` is a list by node id: entry v is node v's label, an int, or
+    a k-tuple of ints from solve_ktuple. Every solver fills one list of
+    exactly N entries, which its readers take as it is. The solvers fill
+    in the cost they already know: dp_down and convex_down the minimum of
+    the root row, the oracle its best sum, top_down_labels the sum of its
+    clamp distances, solve_ktuple the sum of its coordinates' costs. Tests
+    recompute it rather than trusting it.
     """
 
-    values: Mapping[int, Any]
+    values: list
     total_cost: int
 
 
-# A Labeling, or a plain mapping from node id to label (an int or a k-tuple)
-FullLabeling = Union[Labeling, Mapping[int, Any]]
+# A Labeling, or labels by node id (an int or a k-tuple each) given as a
+# list or another sequence, or as a mapping from node id to label
+FullLabeling = Union[Labeling, Sequence[Any], Mapping[int, Any]]
 
 
 def node_values(t: Tree, full: FullLabeling) -> list:
-    """The label of every node of ``t``, indexed by node id.
+    """The label of every node of ``t``, as a list indexed by node id.
 
     The one reader of a full labeling, a mapping or a sequence indexed by
-    node id: a key that is not a node id is ignored, and a node with no
-    label raises MissingNodeLabel naming the lowest such id. For a
-    sequence too short for the tree, that is its length.
+    node id. A list of exactly N entries, which every solver's Labeling
+    holds, is returned as it is, not copied. Anything else is copied into
+    a new list: a key that is not a node id, or an entry past N, is
+    ignored, and a node with no label raises MissingNodeLabel naming the
+    lowest such id. For a sequence too short for the tree, that is its
+    length.
     """
     values = full.values if isinstance(full, Labeling) else full
+    if type(values) is list and len(values) == t.node_count:
+        return values
     try:
         return list(map(values.__getitem__, range(t.node_count)))
     except (KeyError, IndexError) as exc:
@@ -344,7 +352,8 @@ def eval_total(t: Tree, c: CostFunction, full: FullLabeling) -> int:
 def tuple_cost(t: Tree, c: CostFunction, full: FullLabeling) -> int:
     """Total stretch: sum over edges of the per-coordinate theta costs.
 
-    ``full`` is a Labeling or a mapping of k-tuples, read by node_values.
+    ``full`` is a Labeling, a list or a mapping of k-tuples, read by
+    node_values.
     Each node's tuple must be nondecreasing, checked in node id order.
     """
     values = node_values(t, full)

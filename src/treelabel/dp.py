@@ -220,7 +220,8 @@ def _down_phase(t: Tree, ct: CostTable, c: CostFunction, tie: str, rule) -> Labe
 
     ``rule(tm, m, pick_last)`` returns ``pick(k, row)``: the index j in
     [0, m) minimizing tm[k + j] + row[j], the smallest such j, or the
-    largest with ``pick_last``.
+    largest with ``pick_last``. The labels are one list by node id, made
+    as N copies of the root's label and filled in place, parents first.
     """
     if tie not in DP_TIES:
         raise ValueError(f"tie must be 'lowest' or 'highest', got {tie!r}")
@@ -229,7 +230,7 @@ def _down_phase(t: Tree, ct: CostTable, c: CostFunction, tie: str, rule) -> Labe
     pick = rule(_mirrored_theta(c, m), m, pick_last)
 
     cost, root_labels = min_total(ct, t.root)
-    values: dict[int, int] = {t.root: root_labels[-1] if pick_last else root_labels[0]}
+    values = [root_labels[-1] if pick_last else root_labels[0]] * t.node_count
 
     children, parents, rows = t.children, t.parents, ct.rows
     # a leaf's label is the one finite entry of its row, found once per

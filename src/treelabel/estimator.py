@@ -15,7 +15,7 @@ from __future__ import annotations
 
 from typing import Mapping, Optional, Union
 
-from .costs import CostFunction, LeafLabeling, node_values
+from .costs import CostFunction, LeafLabeling
 
 # fit reuses the table that solve_scalar built and never calls dp_up; the
 # name stays bound here because perfbench/test_perfbench.py checks that its
@@ -83,7 +83,8 @@ class TreeLabeler:
     Attributes (after fit)
     ----------------------
     tree_, leaf_labels_ : the parsed instance
-    labels_             : list, optimal label per node id
+    labels_             : list, optimal label per node id (the solver's
+                          own list, not a copy)
     cost_               : int, the optimal total cost
     algorithm_          : the solver actually used
     g_min_, g_max_, m_  : leaf-label range
@@ -145,7 +146,7 @@ class TreeLabeler:
         self.tree_ = doc.tree
         self.leaf_labels_ = doc.leaf_labels
         self.algorithm_ = algorithm
-        self.labels_ = node_values(doc.tree, labeling)
+        self.labels_ = labeling.values
         self.cost_ = labeling.total_cost
         self.g_min_ = doc.leaf_labels.g_min
         self.g_max_ = doc.leaf_labels.g_max

@@ -150,13 +150,18 @@ def _clamp_down(t: Tree, iv: IntervalAssignment, tie: str, stretch: bool) -> Lab
     its parent's label clamped into its interval; with stretch and tie
     "lowest" ("highest"), an internal node whose parent's label lies below
     (above) its interval takes _stretch_label's label instead.
+
+    The labels are one list by node id, made as N copies of the root's
+    label and filled in place, parents first. Each label is an interval
+    end or its parent's label (a "midpoint" root's aside), so the phase
+    makes no new int.
     """
     # the distance a clamp moves the label is that edge's Manhattan cost
     parents, children = t.parents, t.children
     lo, hi = iv[t.root]
     root_label = lo if tie == "lowest" else hi if tie == "highest" else (lo + hi) // 2
     lowest, highest = stretch and tie == "lowest", stretch and tie == "highest"
-    values: dict[int, int] = {t.root: root_label}
+    values = [root_label] * t.node_count
     total = 0
     for v in islice(t.order, 1, None):
         q = values[parents[v]]

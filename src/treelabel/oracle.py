@@ -54,7 +54,8 @@ class OptimumSet(NamedTuple):
     """Everything the exhaustive scan learned about the optimum.
 
     labelings holds optimal labelings in enumeration order, truncated at
-    the cap (truncated says whether anything was dropped). label_sets[v]
+    the cap (truncated says whether anything was dropped); each one's
+    values are a list by node id, like every solver's. label_sets[v]
     lists, ascending, every label node v takes in at least one optimal
     labeling (a leaf's entry is its observed label); it is always
     complete.
@@ -110,11 +111,13 @@ def brute_force_min(
             else:
                 truncated = True
 
+    # an optimum is a tuple in postorder: node v's label is at position at[v]
+    by_id = [at[v] for v in range(t.node_count)]
     return OptimumSet(
         cost=best,
-        labelings=[Labeling(values=dict(zip(nodes, x)), total_cost=best) for x in optima],
+        labelings=[Labeling(values=[x[i] for i in by_id], total_cost=best) for x in optima],
         truncated=truncated,
-        label_sets=[sorted(seen[at[v]]) for v in range(t.node_count)],
+        label_sets=[sorted(seen[i]) for i in by_id],
     )
 
 

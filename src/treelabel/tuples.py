@@ -6,12 +6,13 @@ independent scalar problems when the within-tuple monotonicity constraint
 is ignored. The solver exploits exactly that: solve coordinate i on the
 leaf labels made of every tuple's i-th component, then zip the scalar
 answers back into tuples. The leaf columns come from one zip over the
-leaf tuples, each answer is read into a column indexed by node id as soon
+leaf tuples, each answer's list by node id is taken as a column as soon
 as it is solved, and the result is the zip of those columns, returned as
-a ``Labeling`` whose values are k-tuples: the same record a scalar solve
-gives, read by the same costs.node_values. The problem's data, the leaf
-record TupleLeafLabeling and the cost sum tuple_cost, lives in costs.py
-beside its scalar twins; this module holds only the solver.
+a ``Labeling`` whose values are a list of k-tuples by node id: the same
+record a scalar solve gives, read by the same costs.node_values. The
+problem's data, the leaf record TupleLeafLabeling and the cost sum
+tuple_cost, lives in costs.py beside its scalar twins; this module holds
+only the solver.
 
 The sum of the k scalar optima is always a lower bound on the constrained
 tuple optimum. Whenever the zipped tuples come out nondecreasing at every
@@ -32,7 +33,7 @@ from __future__ import annotations
 
 from operator import gt
 
-from .costs import CostFunction, Labeling, LeafLabeling, TupleLeafLabeling, node_values
+from .costs import CostFunction, Labeling, LeafLabeling, TupleLeafLabeling
 from .errors import TupleDecompositionNotMonotone
 from .solve import choose_algorithm, solve_scalar
 from .tree import Tree
@@ -47,18 +48,17 @@ def solve_ktuple(
 ) -> Labeling:
     """Minimize the total stretch by per-coordinate decomposition.
 
-    The answer is a Labeling whose values are the k-tuples by node id and
-    whose total_cost is the sum of the k scalar optima.
+    The answer is a Labeling whose values are a list of the k-tuples by
+    node id and whose total_cost is the sum of the k scalar optima.
     """
     algorithm = choose_algorithm(algorithm, t, c, tie)
     # one column of answers per coordinate, indexed by node id
-    nodes = range(t.node_count)
     columns: list[list[int]] = []
     total = 0
     for leaf_column in zip(*l.labels.values()):
         coordinate = LeafLabeling._of_leaves(dict(zip(l.labels, leaf_column)))
         _, labeling, _ = solve_scalar(t, coordinate, c, algorithm=algorithm, tie=tie)
-        columns.append(node_values(t, labeling))
+        columns.append(labeling.values)
         total += labeling.total_cost
 
     if any(any(map(gt, a, b)) for a, b in zip(columns, columns[1:])):
@@ -66,7 +66,7 @@ def solve_ktuple(
         # and there the smallest coordinate i above coordinate i + 1
         v, i = next(
             (v, i)
-            for v in nodes
+            for v in range(t.node_count)
             for i in range(len(columns) - 1)
             if columns[i][v] > columns[i + 1][v]
         )
@@ -83,4 +83,4 @@ def solve_ktuple(
             coordinate=i,
             reproducer=reproducer,
         )
-    return Labeling(values=dict(zip(nodes, zip(*columns))), total_cost=total)
+    return Labeling(values=list(zip(*columns)), total_cost=total)

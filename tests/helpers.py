@@ -162,7 +162,8 @@ def scan_dp_down(t: Tree, ct: CostTable, c: CostFunction, tie="lowest") -> Label
     root_row = ct.rows[t.root]
     root_min = min(root_row)
     best_root = [i for i in range(m) if root_row[i] == root_min]
-    values = {t.root: g_min + (best_root[-1] if pick_last else best_root[0])}
+    values = [None] * t.node_count
+    values[t.root] = g_min + (best_root[-1] if pick_last else best_root[0])
     for v in preorder(t):
         if v == t.root:
             continue

@@ -181,7 +181,7 @@ def test_criterion_3_labels_stay_in_leaf_range(exhaustive_tier, randomized_tier)
         hi = record["doc"].leaf_labels.g_max
         for labeling in (record["dp"], record["interval"]):
             violations += sum(
-                1 for x in labeling.values.values() if not lo <= x <= hi
+                1 for x in labeling.values if not lo <= x <= hi
             )
     for record in randomized_tier["records"]:
         lo, hi = record["labels"].g_min, record["labels"].g_max
@@ -191,7 +191,7 @@ def test_criterion_3_labels_stay_in_leaf_range(exhaustive_tier, randomized_tier)
                 labelings.append(result["interval"])
             for labeling in labelings:
                 violations += sum(
-                    1 for x in labeling.values.values() if not lo <= x <= hi
+                    1 for x in labeling.values if not lo <= x <= hi
                 )
     assert violations == 0
     report(3, "label range bound", "zero violations")
@@ -343,7 +343,7 @@ def test_criterion_9_ktuple():
         tuple_result = solve_ktuple(doc.tree, as_tuples, cost)
         _, scalar, _ = solve_scalar(doc.tree, doc.leaf_labels, cost)
         assert tuple_result.total_cost == scalar.total_cost
-        assert tuple_result.values == {v: (x,) for v, x in scalar.values.items()}
+        assert tuple_result.values == [(x,) for x in scalar.values]
 
     # k=2 against the constrained tuple-space brute force
     audit_failures = []

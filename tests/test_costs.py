@@ -8,15 +8,20 @@ from treelabel import (
     LeafLabeling,
     Labeling,
     MissingNodeLabel,
+    TreeLabeler,
     brute_force_min,
     build_tree,
     eval_total,
     parse_newick,
+    parse_newick_tuples,
     random_document,
+    solve_ktuple,
+    solve_scalar,
     theta,
     tuple_cost,
 )
-from treelabel.costs import shared_table
+from treelabel import estimator
+from treelabel.costs import node_values, shared_table
 from helpers import random_instance
 
 MANHATTAN = CostFunction.manhattan()
@@ -280,6 +285,61 @@ class TestCostInvariances:
                     assert total == 0
                 else:
                     assert total > 0
+
+
+class TestLabelsAreOneListByNodeId:
+    """Every solver's labels are one list of N entries, read without a copy."""
+
+    _NEWICKS = ("3;", "((1,5),9);", "(1,(2,4,6),3,((7)));")
+
+    @pytest.mark.parametrize("algorithm", ["dp", "convex", "interval", "median", "oracle"])
+    def test_every_scalar_solver_returns_a_list(self, algorithm):
+        for newick in self._NEWICKS:
+            doc = parse_newick(newick)
+            values = solve_scalar(doc.tree, doc.leaf_labels, MANHATTAN, algorithm)[1].values
+            assert type(values) is list, (algorithm, newick)
+            assert len(values) == doc.tree.node_count, (algorithm, newick)
+
+    def test_ktuple_and_every_optimum_are_lists(self):
+        doc = parse_newick_tuples("(1|4,(3|8,2|2,5|6));")
+        values = solve_ktuple(doc.tree, doc.leaf_labels, MANHATTAN).values
+        assert type(values) is list and len(values) == doc.tree.node_count
+        doc = parse_newick("((2,7),9,(0,4));")
+        labelings = brute_force_min(doc.tree, doc.leaf_labels, MANHATTAN).labelings
+        assert len(labelings) > 1
+        for labeling in labelings:
+            assert type(labeling.values) is list
+            assert len(labeling.values) == doc.tree.node_count
+
+    def test_fit_keeps_the_solvers_own_list(self, monkeypatch):
+        solved = []
+
+        def recording_solve(*args, **kwargs):
+            result = solve_scalar(*args, **kwargs)
+            solved.append(result[1])
+            return result
+
+        monkeypatch.setattr(estimator, "solve_scalar", recording_solve)
+        fitted = TreeLabeler().fit("((1,5),9);")
+        assert fitted.labels_ is solved[0].values
+
+    def test_node_values_copies_only_what_is_not_a_full_list(self):
+        doc = parse_newick("((1,5),9);")
+        t = doc.tree
+        full = [5, 5, 9, 1, 5]
+        assert node_values(t, full) is full
+        labeling = Labeling(values=full, total_cost=8)
+        assert node_values(t, labeling) is full
+        # a mapping, a tuple and a list of the wrong length are copied
+        mapping = dict(enumerate(full))
+        for other in (mapping, tuple(full), full + [7]):
+            got = node_values(t, other)
+            assert type(got) is list and got == full and got is not other
+        with pytest.raises(MissingNodeLabel, match="no label for node 4$"):
+            node_values(t, full[:4])
+        del mapping[2]
+        with pytest.raises(MissingNodeLabel, match="no label for node 2$"):
+            node_values(t, mapping)
 
 
 class TestSharedTable:

@@ -151,7 +151,7 @@ class TestDpDown:
         ct = dp_up(doc.tree, doc.leaf_labels, SQUARE)
         labeling = dp_down(doc.tree, ct, SQUARE)
         assert labeling.total_cost == 0
-        assert set(labeling.values.values()) == {4}
+        assert set(labeling.values) == {4}
 
     def test_leaves_keep_observed_labels(self):
         rng = random.Random(14)
@@ -204,7 +204,7 @@ class TestSolveDp:
             doc = random_document(rng.randint(2, 8), -3, 9, rng, arity=rng.randint(2, 4))
             labeling = solve_scalar(doc.tree, doc.leaf_labels, SQUARE, "dp")[1]
             lo, hi = doc.leaf_labels.g_min, doc.leaf_labels.g_max
-            assert all(lo <= x <= hi for x in labeling.values.values())
+            assert all(lo <= x <= hi for x in labeling.values)
 
     def test_cached_cost_matches_recomputation(self):
         rng = random.Random(17)
@@ -257,7 +257,7 @@ class TestSolveDp:
     def test_single_node_tree(self):
         doc = parse_newick("3;")
         labeling = solve_scalar(doc.tree, doc.leaf_labels, SQUARE, "dp")[1]
-        assert labeling.values == {0: 3}
+        assert labeling.values == [3]
         assert labeling.total_cost == 0
 
     def test_single_child_chain(self):
@@ -269,9 +269,7 @@ class TestSolveDp:
             doc.tree, doc.leaf_labels, MANHATTAN
         ).cost
         chain = parse_newick("((5));")
-        assert solve_scalar(chain.tree, chain.leaf_labels, SQUARE, "dp")[1].values == {
-            0: 5, 1: 5, 2: 5,
-        }
+        assert solve_scalar(chain.tree, chain.leaf_labels, SQUARE, "dp")[1].values == [5, 5, 5]
 
 
 def test_cost_table_csv_shape():

@@ -1,4 +1,6 @@
 import random
+import sys
+import tracemalloc
 
 import pytest
 
@@ -205,7 +207,7 @@ class TestTopDown:
         doc = parse_newick("(4,4);")
         iv = bottom_up_intervals(doc.tree, doc.leaf_labels)
         labeling = top_down_labels(doc.tree, iv)
-        assert set(labeling.values.values()) == {4}
+        assert set(labeling.values) == {4}
         assert labeling.total_cost == 0
 
     @pytest.mark.parametrize("tie,root", [("lowest", 2), ("highest", 7), ("midpoint", 4)])
@@ -449,6 +451,24 @@ class TestWideStar:
         expected = dp_down(doc.tree, table, MANHATTAN, tie=tie)
         assert labeling.values == expected.values
         assert labeling.total_cost == expected.total_cost
+
+
+@pytest.mark.parametrize("down,tie", [(top_down_labels, "lowest"), (median_down, "lowest"),
+                                      (median_down, "highest")])
+def test_down_phase_allocates_one_list_of_labels(down, tie):
+    # the labels are interval ends or parents' labels, so beyond the list
+    # by node id a down phase makes no object per node
+    doc = random_document(10000, 0, 999, random.Random(5))
+    iv = bottom_up_intervals(doc.tree, doc.leaf_labels)
+    bound = 2 * sys.getsizeof([0] * doc.tree.node_count)
+    tracemalloc.start()
+    try:
+        labeling = down(doc.tree, iv, tie=tie)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert doc.tree.node_count == len(labeling.values) == 19999
+    assert peak < bound, (peak, bound)
 
 
 def test_interval_csv_shape():

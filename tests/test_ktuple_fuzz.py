@@ -79,13 +79,13 @@ def _reference(t, l, c, algorithm, tie):
             total += labeling.total_cost
     except TreeLabelError as exc:
         return exc
-    values = {}
+    values = []
     for v in range(t.node_count):
         tup = tuple(answer[v] for answer in answers)
         for i in range(l.k - 1):
             if tup[i] > tup[i + 1]:
                 return TupleDecompositionNotMonotone("", node=v, coordinate=i)
-        values[v] = tup
+        values.append(tup)
     return values, total
 
 

@@ -85,10 +85,10 @@ class TestMedianAgainstDp:
         reflected, shifted = moved(lambda p: -p), moved(lambda p: p + shift)
         for tie, other in (("lowest", "highest"), ("highest", "lowest")):
             mirror = median_down(t, reflected, tie=tie)
-            assert mirror.values == {v: -x for v, x in got[other].values.items()}, tie
+            assert mirror.values == [-x for x in got[other].values], tie
             assert mirror.total_cost == got[other].total_cost, tie
             moved_labels = median_down(t, shifted, tie=tie)
-            assert moved_labels.values == {v: x + shift for v, x in got[tie].values.items()}, tie
+            assert moved_labels.values == [x + shift for x in got[tie].values], tie
             assert moved_labels.total_cost == got[tie].total_cost, tie
 
 

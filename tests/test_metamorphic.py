@@ -102,11 +102,11 @@ def test_translation_and_reflection(spec):
                 got = solve_scalar(t, l, c, algorithm, tie)[1]
                 moved = solve_scalar(t, shifted, c, algorithm, tie)[1]
                 assert moved.total_cost == got.total_cost, (algorithm, tie)
-                assert moved.values == {v: x + shift for v, x in got.values.items()}
+                assert moved.values == [x + shift for x in got.values]
                 mirror = solve_scalar(t, mirrored, c, algorithm, swapped[tie])[1]
                 assert mirror.total_cost == got.total_cost, (algorithm, tie)
                 if tie != "midpoint":
-                    assert mirror.values == {v: -x for v, x in got.values.items()}
+                    assert mirror.values == [-x for x in got.values]
 
 
 def test_reroot_reverses_the_path_to_the_old_root():

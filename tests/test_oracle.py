@@ -42,7 +42,7 @@ class TestBruteForceMin:
         result = brute_force_min(doc.tree, doc.leaf_labels, MANHATTAN)
         assert result.cost == 0
         assert result.label_sets[doc.tree.root] == [3]
-        assert result.labelings[0].values == {0: 3}
+        assert result.labelings[0].values == [3]
 
     def test_every_reported_labeling_reevaluates_to_the_cost(self):
         rng = random.Random(40)
@@ -90,7 +90,8 @@ class TestBruteForceMin:
             for cost in (MANHATTAN, flat):
                 scored = []
                 for labels in product(range(l.g_min, l.g_max + 1), repeat=len(internal)):
-                    values = {**l.labels, **dict(zip(internal, labels))}
+                    by_node = {**l.labels, **dict(zip(internal, labels))}
+                    values = [by_node[v] for v in range(t.node_count)]
                     scored.append((eval_total(t, cost, values), values))
                 best = min(total for total, _ in scored)
                 optima = [values for total, values in scored if total == best]

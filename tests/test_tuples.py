@@ -76,7 +76,7 @@ class TestTupleCost:
     def test_k1_collapses_to_eval_total(self):
         doc = parse_newick("((1,5),9);")
         scalar = solve_scalar(doc.tree, doc.leaf_labels, MANHATTAN, "interval")[1]
-        as_tuples = {v: (x,) for v, x in scalar.values.items()}
+        as_tuples = [(x,) for x in scalar.values]
         assert tuple_cost(doc.tree, MANHATTAN, as_tuples) == eval_total(
             doc.tree, MANHATTAN, scalar
         )
@@ -137,13 +137,13 @@ class TestSolveKtuple:
         )
         result = solve_ktuple(doc.tree, as_tuples, MANHATTAN)
         assert result.total_cost == scalar.total_cost == 8
-        assert result.values == {v: (x,) for v, x in scalar.values.items()}
+        assert result.values == [(x,) for x in scalar.values]
 
     def test_returns_a_labeling(self):
         doc = tuple_doc("(1|4,3|8);")
         result = solve_ktuple(doc.tree, doc.leaf_labels, MANHATTAN)
         assert type(result) is Labeling
-        assert result == Labeling(values={0: (1, 4), 1: (1, 4), 2: (3, 8)}, total_cost=6)
+        assert result == Labeling(values=[(1, 4), (1, 4), (3, 8)], total_cost=6)
         assert tuple_cost(doc.tree, MANHATTAN, result) == 6
 
     def test_cherry_k2_worked_value(self):
@@ -156,7 +156,7 @@ class TestSolveKtuple:
         doc = tuple_doc("(2|5,2|5,2|5);")
         result = solve_ktuple(doc.tree, doc.leaf_labels, SQUARE)
         assert result.total_cost == 0
-        assert set(result.values.values()) == {(2, 5)}
+        assert set(result.values) == {(2, 5)}
 
     def test_k1_collapse_random(self):
         rng = random.Random(50)
@@ -170,7 +170,7 @@ class TestSolveKtuple:
             result = solve_ktuple(doc.tree, as_tuples, cost)
             _, scalar, _ = tuples_module.solve_scalar(doc.tree, doc.leaf_labels, cost)
             assert result.total_cost == scalar.total_cost
-            assert result.values == {v: (x,) for v, x in scalar.values.items()}
+            assert result.values == [(x,) for x in scalar.values]
 
     def test_cached_cost_matches_recomputation(self):
         rng = random.Random(51)
@@ -206,8 +206,8 @@ class TestSolveKtuple:
 
         def broken_solver(t, l, c, algorithm="auto", tie="lowest"):
             label = 9 if l.g_min == 1 else 0  # coordinate 0 above coordinate 1
-            values = dict(l.labels)
-            values[t.root] = label
+            # a solver's labels are a list by node id
+            values = [l.labels.get(v, label) for v in range(t.node_count)]
             return "dp", Labeling(values=values, total_cost=0), None
 
         monkeypatch.setattr(tuples_module, "solve_scalar", broken_solver)
@@ -229,8 +229,9 @@ class TestSolveKtuple:
 
         def crossing_solver(t, l, c, algorithm="auto", tie="lowest"):
             i = next(coordinates)
-            values = dict(l.labels)
-            values.update((v, labels[i]) for v, labels in internal.items())
+            values = [
+                internal[v][i] if v in internal else l.labels[v] for v in range(t.node_count)
+            ]
             return "median", Labeling(values=values, total_cost=0), None
 
         monkeypatch.setattr(tuples_module, "solve_scalar", crossing_solver)
