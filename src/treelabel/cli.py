@@ -285,7 +285,8 @@ def cmd_bench(args: argparse.Namespace) -> int:
             # the first and last leaves take the range's ends, so the cell's
             # m is the one asked for (a one-leaf cell has m = 1)
             leaves = doc.tree.leaves()
-            labels = {**doc.leaf_labels.labels, leaves[0]: 0, leaves[-1]: m - 1}
+            labels = {v: doc.leaf_labels.labels[v] for v in leaves}
+            labels.update({leaves[0]: 0, leaves[-1]: m - 1})
             doc = doc._replace(leaf_labels=LeafLabeling.for_tree(doc.tree, labels))
             for name in algorithms:
                 run = functools.partial(

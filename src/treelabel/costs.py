@@ -18,8 +18,10 @@ differences. All arithmetic is exact (Python ints), so there is no
 overflow to guard against.
 
 The problem's data lives here, below every solver: the leaf records,
-``LeafLabeling`` for integer labels and ``TupleLeafLabeling`` for
-nondecreasing k-tuples, and their cost sums, eval_total and tuple_cost.
+``LeafLabeling`` for integer labels (a list by node id, None at the
+internal nodes) and ``TupleLeafLabeling`` for nondecreasing k-tuples (a
+mapping keyed by leaf id), and their cost sums, eval_total and
+tuple_cost.
 The parser, the generator and the solvers all build on them, and this
 module imports no solver. A finished labeling, scalar or k-tuple, is one
 record, ``Labeling``, whose values are a list by node id, and node_values
@@ -167,12 +169,14 @@ def theta_function(c: CostFunction) -> Callable[[int], int]:
 class LeafLabeling(NamedTuple):
     """Observed integer labels on the leaves, plus the derived label range.
 
-    g_min and g_max are the extreme leaf labels and m = g_max - g_min + 1
-    is the size of the search range: every optimal labeling stays inside
-    [g_min, g_max], so the solvers never look outside it.
+    ``labels`` is a list by node id, as a solver's Labeling is: entry v is
+    leaf v's int label, and None at every internal node. g_min and g_max
+    are the extreme leaf labels and m = g_max - g_min + 1 is the size of
+    the search range: every optimal labeling stays inside [g_min, g_max],
+    so the solvers never look outside it.
     """
 
-    labels: Mapping[int, int]
+    labels: list
     g_min: int
     g_max: int
 
@@ -182,21 +186,27 @@ class LeafLabeling(NamedTuple):
 
     @classmethod
     def for_tree(cls, t: Tree, labels: Mapping[int, int]) -> "LeafLabeling":
-        """Validate that ``labels`` covers exactly the leaves of ``t``.
+        """The labeling of ``labels``, a mapping keyed by leaf id, validated against ``t``.
 
-        The entry point for mappings from outside: keys and labels are
-        converted to int here, and a label that is not an int is an error.
+        The entry point for mappings from outside: the keys must be exactly
+        the leaves of ``t``, keys and labels are converted to int here, and
+        a label that is not an int is an error.
         """
         check_leaf_coverage(t, labels)
-        return cls._of_leaves({int(k): as_int(v, f"label of leaf {k}") for k, v in labels.items()})
+        values = [as_int(v, f"label of leaf {k}") for k, v in labels.items()]
+        by_node: list = [None] * t.node_count
+        for k, value in zip(labels, values):
+            by_node[int(k)] = value
+        return cls._of_leaves(by_node, values)
 
     @classmethod
-    def _of_leaves(cls, labels: dict[int, int]) -> "LeafLabeling":
-        """The labeling of int ``labels`` known to cover exactly the leaves.
+    def _of_leaves(cls, labels: list, leaf_values: Collection[int]) -> "LeafLabeling":
+        """The labeling of ``labels``, a list by node id with an int at exactly the leaves.
 
-        ``labels`` is kept as it is, not copied.
+        ``leaf_values`` holds every leaf's label, each at least once, and
+        sets the range. ``labels`` is kept as it is, not copied.
         """
-        return cls(labels=labels, g_min=min(labels.values()), g_max=max(labels.values()))
+        return cls(labels=labels, g_min=min(leaf_values), g_max=max(leaf_values))
 
 
 class TupleLeafLabeling(NamedTuple):

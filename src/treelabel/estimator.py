@@ -82,14 +82,17 @@ class TreeLabeler:
 
     Attributes (after fit)
     ----------------------
-    tree_, leaf_labels_ : the parsed instance
+    tree_               : the parsed tree
+    leaf_labels_        : LeafLabeling, whose labels are a list by node id
+                          (a leaf's int, None at an internal node)
     labels_             : list, optimal label per node id (the solver's
                           own list, not a copy)
     cost_               : int, the optimal total cost
     algorithm_          : the solver actually used
     g_min_, g_max_, m_  : leaf-label range
-    intervals_          : tuple of (lo, hi) per node id, or None (interval
-                          and median runs, bottom_up_intervals' either way)
+    intervals_          : IntervalAssignment, the lists lo and hi by node
+                          id, or None (interval and median runs,
+                          bottom_up_intervals' either way)
     cost_table_         : CostTable or None (dp and convex runs)
 
     intervals_ and cost_table_ are the up-phase result of the solve

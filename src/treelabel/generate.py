@@ -68,6 +68,11 @@ def random_document(
     if lo > hi:
         raise ValueError(f"empty label range [{lo}, {hi}]")
     tree = random_topology(n_leaves, rng, arity=arity)
-    # built from tree.leaves(), so the labels cover exactly the leaves
+    # one label per leaf, drawn in ascending leaf order, so the labels
+    # cover exactly the leaves
     labels = {v: rng.randint(lo, hi) for v in tree.leaves()}
-    return LabeledTreeDocument(tree=tree, leaf_labels=LeafLabeling._of_leaves(labels))
+    by_node: list = [None] * tree.node_count
+    for v, x in labels.items():
+        by_node[v] = x
+    leaf_labels = LeafLabeling._of_leaves(by_node, labels.values())
+    return LabeledTreeDocument(tree=tree, leaf_labels=leaf_labels)

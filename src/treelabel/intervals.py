@@ -1,16 +1,18 @@
 """Manhattan solvers for trees of any arity: one up phase, two down phases.
 
-Up phase (Tree.order reversed, children first): each leaf gets the
-degenerate interval [p, p], and leaves with equal labels share one tuple
-where labels repeat (see costs.shared_table). An internal node with r
-children gets the interval between the r-th and the (r+1)-th smallest of
-its children's 2r interval ends. This is the median rule of
-ordered-character (Wagner) parsimony (Farris 1970; Swofford & Maddison
-1987). For r = 1 that is the child's interval, and the node shares the
-child's tuple; for r = 2 it is the intersection of the two intervals
-when they overlap and the gap between them when they do not, and the
-code takes it in that closed form: the larger low and the smaller high,
-in order, with no sort.
+The intervals are two lists by node id, lo and hi (IntervalAssignment),
+as the labels are one (costs.Labeling). Up phase (Tree.order reversed,
+children first): both lists start as copies of the leaf labels, so each
+leaf has the degenerate interval [p, p], and only the internal nodes
+are filled in. An internal node with r children gets the interval
+between the r-th and the (r+1)-th smallest of its children's 2r interval
+ends. This is the median rule of ordered-character (Wagner) parsimony
+(Farris 1970; Swofford & Maddison 1987). For r = 1 that is the child's
+interval; for r = 2 it is the intersection of the two intervals when
+they overlap and the gap between them when they do not, and the code
+takes it in that closed form: the larger low and the smaller high, in
+order, with no sort. Every end is a leaf label or a child's end, so the
+phase makes no new int and no object per node.
 
 Why the rule is optimal: under Manhattan cost the subtree cost S_b of a
 child b is convex with integer slopes and flat exactly on b's interval
@@ -62,13 +64,22 @@ Other cost functions go through the DP solvers.
 from __future__ import annotations
 
 from itertools import islice
+from typing import NamedTuple
 
-from .costs import DP_TIES, Labeling, LeafLabeling, shared_table
+from .costs import DP_TIES, Labeling, LeafLabeling
 from .tree import Tree
 
-Interval = tuple[int, int]
-# closed integer interval (lo, hi), lo <= hi, per node id
-IntervalAssignment = tuple[Interval, ...]
+
+class IntervalAssignment(NamedTuple):
+    """The closed integer interval [lo[v], hi[v]] of every node v, lo[v] <= hi[v].
+
+    Two lists by node id, as Labeling.values is; a leaf's entries are both
+    its label.
+    """
+
+    lo: list
+    hi: list
+
 
 # the root-label rules top_down_labels accepts
 TIES = ("lowest", "highest", "midpoint")
@@ -79,17 +90,14 @@ def bottom_up_intervals(t: Tree, l: LeafLabeling) -> IntervalAssignment:
 
     >>> from treelabel import parse_newick
     >>> doc = parse_newick("(1,2,3);")
-    >>> bottom_up_intervals(doc.tree, doc.leaf_labels)[doc.tree.root]
+    >>> iv = bottom_up_intervals(doc.tree, doc.leaf_labels)
+    >>> iv.lo[doc.tree.root], iv.hi[doc.tree.root]
     (2, 2)
     """
-    children, labels = t.children, l.labels
-    intervals: list = [None] * t.node_count
-    # the leaves first: leaves with equal labels share one interval
-    ps = labels.values()
-    shared = shared_table(ps, lambda p: (p, p), l.m)
-    leaf_intervals = map(shared.__getitem__, ps) if shared else zip(ps, ps)
-    for v, interval in zip(labels, leaf_intervals):
-        intervals[v] = interval
+    children = t.children
+    # both ends start as the leaf labels, so a leaf's interval is [p, p]
+    # and the loop below fills in only the internal nodes' None
+    lo, hi = list(l.labels), list(l.labels)
     for v in reversed(t.order):
         kids = children[v]
         if not kids:
@@ -97,34 +105,38 @@ def bottom_up_intervals(t: Tree, l: LeafLabeling) -> IntervalAssignment:
         if len(kids) == 2:
             # the 2nd and 3rd smallest of the four ends are the larger low
             # and the smaller high: the intersection, or the gap, in order
-            (lo, hi), (lo2, hi2) = intervals[kids[0]], intervals[kids[1]]
-            x = lo if lo > lo2 else lo2
-            y = hi if hi < hi2 else hi2
-            intervals[v] = (x, y) if x <= y else (y, x)
-            continue
-        if len(kids) == 1:
-            intervals[v] = intervals[kids[0]]
-            continue
-        # the r-th and (r+1)-th smallest of the children's 2r interval ends
-        ends = _sorted_ends(kids, intervals)
-        r = len(kids)
-        intervals[v] = ends[r - 1], ends[r]
-    return tuple(intervals)
+            a, b = kids
+            x, y = lo[a], lo[b]
+            if x < y:
+                x = y
+            y, z = hi[a], hi[b]
+            if z < y:
+                y = z
+            if x <= y:
+                lo[v], hi[v] = x, y
+            else:
+                lo[v], hi[v] = y, x
+        elif len(kids) == 1:
+            lo[v], hi[v] = lo[kids[0]], hi[kids[0]]
+        else:
+            # the r-th and (r+1)-th smallest of the children's 2r interval ends
+            ends = _sorted_ends(kids, lo, hi)
+            r = len(kids)
+            lo[v], hi[v] = ends[r - 1], ends[r]
+    return IntervalAssignment(lo, hi)
 
 
-def _sorted_ends(kids, intervals) -> list[int]:
-    """The 2r interval ends of a node's r children, ascending.
-
-    Gathered by extending one list in place, so linear in r before the sort.
-    """
+def _sorted_ends(kids, lo: list, hi: list) -> list[int]:
+    """The 2r interval ends of a node's r children, ascending."""
     ends = []
     for kid in kids:
-        ends += intervals[kid]
+        ends.append(lo[kid])
+        ends.append(hi[kid])
     ends.sort()
     return ends
 
 
-def _stretch_label(q: int, kids, intervals, lowest: bool) -> int:
+def _stretch_label(q: int, kids, iv: IntervalAssignment, lowest: bool) -> int:
     """dp's label for an internal node whose parent's label q leaves its interval.
 
     For lowest, q lies below the interval and is raised to the end of the
@@ -137,7 +149,7 @@ def _stretch_label(q: int, kids, intervals, lowest: bool) -> int:
     r = len(kids)
     if r == 1:
         return q
-    ends = _sorted_ends(kids, intervals)
+    ends = _sorted_ends(kids, iv.lo, iv.hi)
     return max(q, ends[r - 2]) if lowest else min(q, ends[r + 1])
 
 
@@ -157,21 +169,23 @@ def _clamp_down(t: Tree, iv: IntervalAssignment, tie: str, stretch: bool) -> Lab
     makes no new int.
     """
     # the distance a clamp moves the label is that edge's Manhattan cost
-    parents, children = t.parents, t.children
-    lo, hi = iv[t.root]
+    parents, children, los, his = t.parents, t.children, iv.lo, iv.hi
+    lo, hi = los[t.root], his[t.root]
     root_label = lo if tie == "lowest" else hi if tie == "highest" else (lo + hi) // 2
     lowest, highest = stretch and tie == "lowest", stretch and tie == "highest"
     values = [root_label] * t.node_count
     total = 0
     for v in islice(t.order, 1, None):
         q = values[parents[v]]
-        lo, hi = iv[v]
+        lo = los[v]
         if q < lo:
             if lowest and children[v]:
                 lo = _stretch_label(q, children[v], iv, True)
             values[v] = lo
             total += lo - q
-        elif q > hi:
+            continue
+        hi = his[v]
+        if q > hi:
             if highest and children[v]:
                 hi = _stretch_label(q, children[v], iv, False)
             values[v] = hi
@@ -209,6 +223,6 @@ def median_down(
 def interval_csv(iv: IntervalAssignment) -> str:
     """CSV dump: node id, interval low, interval high."""
     lines = ["node,lo,hi"]
-    for node, (lo, hi) in enumerate(iv):
+    for node, (lo, hi) in enumerate(zip(iv.lo, iv.hi)):
         lines.append(f"{node},{lo},{hi}")
     return "\n".join(lines) + "\n"

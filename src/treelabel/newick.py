@@ -48,7 +48,7 @@ import re
 import sys
 from itertools import chain, compress, repeat
 from operator import not_
-from typing import NamedTuple, Union
+from typing import Iterator, NamedTuple, Union
 
 from .costs import FullLabeling, LeafLabeling, TupleLeafLabeling, node_values, shared_table
 from .errors import EmptyTree, NewickSyntaxError, NonIntegerLeafName
@@ -98,7 +98,7 @@ def _leaf_int(name: str, what: str = "leaf name") -> int:
     return int(name)
 
 
-def _raise_over_digit_limit(leaves: list[int], names: list[str]) -> None:
+def _raise_over_digit_limit(tree: Tree, names: list[str]) -> None:
     """Raise NonIntegerLeafName for the first leaf with a name over the digit limit.
 
     Called once int() refused a name: CPython (3.11, 3.10.7 and later)
@@ -106,7 +106,7 @@ def _raise_over_digit_limit(leaves: list[int], names: list[str]) -> None:
     own message names a remedy a command-line user cannot apply.
     """
     limit = sys.get_int_max_str_digits()
-    for v, name in zip(leaves, names):
+    for v, name in zip(tree.leaves(), names):
         digits = max(len(part.lstrip("+-")) for part in name.split("|"))
         if digits > limit:
             raise NonIntegerLeafName(
@@ -115,8 +115,8 @@ def _raise_over_digit_limit(leaves: list[int], names: list[str]) -> None:
             ) from None
 
 
-def _parse_tree(text: str) -> tuple[Tree, list[int], list[str]]:
-    """The tree of one Newick string, its leaves ascending and their raw names.
+def _parse_tree(text: str) -> tuple[Tree, Iterator[int], list[str]]:
+    """The tree of one Newick string, an iterator over its leaves ascending, their raw names.
 
     One pass over the delimiters and the text pieces between them appends
     each node to the lists of its depth, in text order: its child count (0
@@ -214,7 +214,7 @@ def _parse_tree(text: str) -> tuple[Tree, list[int], list[str]]:
     # each internal node, repeated once per child
     below_root = chain.from_iterable(map(repeat, compress(ids, count), filter(None, count)))
     tree = Tree(parents=(None, *below_root), children=tuple(children), order=ids)
-    return tree, list(compress(ids, map(not_, count))), list(chain.from_iterable(names))
+    return tree, compress(ids, map(not_, count)), list(chain.from_iterable(names))
 
 
 def parse_newick(text: str) -> LabeledTreeDocument:
@@ -227,32 +227,38 @@ def parse_newick(text: str) -> LabeledTreeDocument:
         # raises at the first bad name in breadth-first order
         for name in names:
             _leaf_int(name)
-    # the labels are keyed by the tree's own leaves, so coverage holds; leaves
-    # with equal names share one int
+    # leaves with equal names share one int
     try:
         ints = shared_table(names, int)
-        labels = dict(zip(leaves, map(ints.__getitem__ if ints else int, names)))
+        values = list(map(ints.__getitem__, names)) if ints else list(map(int, names))
     except ValueError:
-        _raise_over_digit_limit(leaves, names)
+        _raise_over_digit_limit(tree, names)
         raise
-    return LabeledTreeDocument(tree=tree, leaf_labels=LeafLabeling._of_leaves(labels))
+    # the labels by node id: the leaves take the ints, so coverage holds
+    labels: list = [None] * tree.node_count
+    for v, value in zip(leaves, values):
+        labels[v] = value
+    leaf_labels = LeafLabeling._of_leaves(labels, ints.values() if ints else values)
+    return LabeledTreeDocument(tree=tree, leaf_labels=leaf_labels)
 
 
 def parse_newick_tuples(text: str) -> TupleTreeDocument:
     """Parse one Newick tree whose leaf names are '|'-separated k-tuples."""
     tree, leaves, names = _parse_tree(text)
-    is_tuple = _INT_TUPLE.fullmatch
-    tuples = {}
     try:
-        for v, name in zip(leaves, names):
-            parts = name.split("|")
-            if not is_tuple(name):
-                # raises at the first bad component
-                for p in parts:
-                    _leaf_int(p, f"tuple component of leaf {name!r}")
-            tuples[v] = tuple(map(int, parts))
+        if not all(map(_INT_TUPLE.fullmatch, names)):
+            # raises at the first bad name, or name over the digit limit, in
+            # breadth-first order; the bad name's first bad component is named
+            for name in names:
+                parts = name.split("|")
+                if not _INT_TUPLE.fullmatch(name):
+                    for p in parts:
+                        _leaf_int(p, f"tuple component of leaf {name!r}")
+                tuple(map(int, parts))
+        split = map(str.split, names, repeat("|"))
+        tuples = dict(zip(leaves, map(tuple, map(map, repeat(int), split))))
     except ValueError:
-        _raise_over_digit_limit(leaves, names)
+        _raise_over_digit_limit(tree, names)
         raise
     # the tuples are keyed by the tree's own leaves, so coverage holds
     return TupleTreeDocument(tree=tree, leaf_labels=TupleLeafLabeling._of_leaves(tuples))

@@ -26,7 +26,7 @@ ALGORITHMS = ("auto", "dp", "convex", "interval", "median", "oracle")
 
 # the algorithms whose up phase is a CostTable
 TABLE_ALGORITHMS = ("dp", "convex")
-# the algorithms whose up phase is one (lo, hi) interval per node, Manhattan cost only
+# the algorithms whose up phase is an interval [lo, hi] per node, Manhattan cost only
 INTERVAL_ALGORITHMS = ("interval", "median")
 
 _TIES_BY_ALGORITHM = {
@@ -84,8 +84,9 @@ def solve_scalar(
     """Solve one scalar instance: (resolved algorithm, labeling, up-phase result).
 
     The up-phase result is the CostTable of a dp or convex solve (the
-    same table either way) or the tuple of (lo, hi) intervals per node id
-    of an interval or median solve (bottom_up_intervals' either way),
+    same table either way) or the IntervalAssignment, the interval ends
+    lo and hi as lists by node id, of an interval or median solve
+    (bottom_up_intervals' either way),
     handed back so that callers reuse it instead of computing it again;
     the oracle has none (None).
     The oracle path returns the first optimal labeling in enumeration

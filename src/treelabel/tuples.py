@@ -56,7 +56,11 @@ def solve_ktuple(
     columns: list[list[int]] = []
     total = 0
     for leaf_column in zip(*l.labels.values()):
-        coordinate = LeafLabeling._of_leaves(dict(zip(l.labels, leaf_column)))
+        # the coordinate's leaf labels, one list by node id
+        labels: list = [None] * t.node_count
+        for v, x in zip(l.labels, leaf_column):
+            labels[v] = x
+        coordinate = LeafLabeling._of_leaves(labels, leaf_column)
         _, labeling, _ = solve_scalar(t, coordinate, c, algorithm=algorithm, tie=tie)
         columns.append(labeling.values)
         total += labeling.total_cost

@@ -99,6 +99,20 @@ def binary_dp_rows(t: Tree, l: LeafLabeling, c: CostFunction):
 
 
 # ------------------------------------------------------------------ #
+# reading the records by node id                                      #
+# ------------------------------------------------------------------ #
+
+def leaf_map(l: LeafLabeling) -> dict:
+    """The leaf labels of ``l`` as a mapping from leaf id to label."""
+    return {v: x for v, x in enumerate(l.labels) if x is not None}
+
+
+def interval_of(iv, v):
+    """Node v's interval (lo, hi) in an IntervalAssignment."""
+    return iv.lo[v], iv.hi[v]
+
+
+# ------------------------------------------------------------------ #
 # pairwise interval merge (reference for the median rule, binary)     #
 # ------------------------------------------------------------------ #
 
@@ -203,7 +217,7 @@ def recursive_minimum(t: Tree, l: LeafLabeling, c: CostFunction):
             values[internal[idx]] = label
             recurse(idx + 1, values)
 
-    recurse(0, dict(l.labels))
+    recurse(0, leaf_map(l))
     return best[0], sorted(root_labels)
 
 
@@ -497,7 +511,7 @@ def renumber(t: Tree, l: LeafLabeling, rng):
     for v, p in enumerate(t.parents):
         parent_of[new_id[v]] = None if p is None else new_id[p]
     moved = build_tree(parent_of)
-    moved_leaves = LeafLabeling.for_tree(moved, {new_id[v]: x for v, x in l.labels.items()})
+    moved_leaves = LeafLabeling.for_tree(moved, {new_id[v]: x for v, x in leaf_map(l).items()})
     return moved, moved_leaves, new_id
 
 

@@ -28,6 +28,8 @@ import pytest
 import treelabel.cli as cli
 from helpers import (
     binary_shapes,
+    interval_of,
+    leaf_map,
     random_strict_table,
     shape_to_newick,
     tuple_brute_force_cost,
@@ -216,7 +218,7 @@ def test_criterion_5_interval_soundness_as_stated(exhaustive_tier):
         sets = record["optimal_sets"]
         iv = record["intervals"]
         for v in range(doc.tree.node_count):
-            lo, hi = iv[v]
+            lo, hi = interval_of(iv, v)
             if not set(range(lo, hi + 1)) <= set(sets[v]):
                 coverage_violations.append((doc.tree.node_count, record["newick"], v))
             if record["interval"].values[v] not in sets[v]:
@@ -296,7 +298,7 @@ def test_criterion_8_equivariance():
 
         for shift in (-5, 17):
             shifted = LeafLabeling.for_tree(
-                doc.tree, {v: x + shift for v, x in doc.leaf_labels.labels.items()}
+                doc.tree, {v: x + shift for v, x in leaf_map(doc.leaf_labels).items()}
             )
             moved = solve_scalar(doc.tree, shifted, cost, "dp")[1]
             assert moved.total_cost == base.total_cost
@@ -307,7 +309,7 @@ def test_criterion_8_equivariance():
 
         pivot = doc.leaf_labels.g_min + doc.leaf_labels.g_max
         reflected = LeafLabeling.for_tree(
-            doc.tree, {v: pivot - x for v, x in doc.leaf_labels.labels.items()}
+            doc.tree, {v: pivot - x for v, x in leaf_map(doc.leaf_labels).items()}
         )
         assert solve_scalar(doc.tree, reflected, cost, "dp")[1].total_cost == base.total_cost
 
@@ -316,7 +318,7 @@ def test_criterion_8_equivariance():
             for shift in (-5, 17):
                 shifted = LeafLabeling.for_tree(
                     doc.tree,
-                    {v: x + shift for v, x in doc.leaf_labels.labels.items()},
+                    {v: x + shift for v, x in leaf_map(doc.leaf_labels).items()},
                 )
                 iv_moved = solve_scalar(doc.tree, shifted, MANHATTAN, "interval")[1]
                 assert iv_moved.total_cost == iv_base.total_cost
@@ -338,7 +340,7 @@ def test_criterion_9_ktuple():
         doc = random_document(n, 0, 9, rng, arity="binary" if rng.random() < 0.5 else 3)
         cost = rng.choice([MANHATTAN, SQUARE])
         as_tuples = TupleLeafLabeling.for_tree(
-            doc.tree, {v: (x,) for v, x in doc.leaf_labels.labels.items()}
+            doc.tree, {v: (x,) for v, x in leaf_map(doc.leaf_labels).items()}
         )
         tuple_result = solve_ktuple(doc.tree, as_tuples, cost)
         _, scalar, _ = solve_scalar(doc.tree, doc.leaf_labels, cost)

@@ -7,7 +7,7 @@ import sys
 import pytest
 
 import treelabel.cli as cli
-from helpers import count_calls
+from helpers import count_calls, leaf_map
 from treelabel import (
     CostFunction,
     Labeling,
@@ -393,7 +393,7 @@ class TestGen:
         for line in out.strip().split("\n"):
             doc = parse_newick(line)
             assert doc.tree.node_count == 3
-            assert all(2 <= x <= 7 for x in doc.leaf_labels.labels.values())
+            assert all(2 <= x <= 7 for x in leaf_map(doc.leaf_labels).values())
 
     def test_instances_parse_and_respect_bounds(self, capsys):
         code, out, _ = run(capsys, "gen", "--n", "8", "--count", "10",
@@ -530,7 +530,7 @@ class TestCheck:
             if name != "interval":
                 return name, labeling, up_phase
             values = {v: leaves.g_min for v in range(tree.node_count)}
-            values.update(leaves.labels)
+            values.update(leaf_map(leaves))
             return name, Labeling(values=values, total_cost=999), up_phase
 
         monkeypatch.setattr(cli, "solve_scalar", broken_interval)

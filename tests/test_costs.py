@@ -22,7 +22,7 @@ from treelabel import (
 )
 from treelabel import estimator
 from treelabel.costs import node_values, shared_table
-from helpers import random_instance
+from helpers import leaf_map, random_instance
 
 MANHATTAN = CostFunction.manhattan()
 SQUARE = CostFunction.power(2)
@@ -208,7 +208,7 @@ class TestEdgeSums:
         outcomes = []
         for t, leaves, rng in self._instances(21):
             values = {v: rng.randint(-4, 6) for v in range(t.node_count)}
-            values.update(leaves.labels)
+            values.update(leaf_map(leaves))
             for cost in self.COSTS:
                 got = _sum_or_error(lambda: eval_total(t, cost, values))
                 expected = _sum_or_error(lambda: sum(
@@ -240,7 +240,7 @@ class TestEdgeSums:
 
 def _random_full_labeling(doc, rng):
     lo, hi = doc.leaf_labels.g_min, doc.leaf_labels.g_max
-    values = dict(doc.leaf_labels.labels)
+    values = leaf_map(doc.leaf_labels)
     for v in range(doc.tree.node_count):
         if not doc.tree.is_leaf(v):
             values[v] = rng.randint(lo, hi)
@@ -299,6 +299,18 @@ class TestLabelsAreOneListByNodeId:
             values = solve_scalar(doc.tree, doc.leaf_labels, MANHATTAN, algorithm)[1].values
             assert type(values) is list, (algorithm, newick)
             assert len(values) == doc.tree.node_count, (algorithm, newick)
+
+    @pytest.mark.parametrize("algorithm", ["dp", "convex", "interval", "median", "oracle"])
+    def test_a_mapping_and_the_parsers_list_solve_alike(self, algorithm):
+        for newick in (*self._NEWICKS, "((-2,(5)),5,(0,3,5));"):
+            doc = parse_newick(newick)
+            # the mapping's keys in descending order: each label lands at its id
+            mapping = dict(sorted(leaf_map(doc.leaf_labels).items(), reverse=True))
+            given = LeafLabeling.for_tree(doc.tree, mapping)
+            assert type(given.labels) is list
+            assert given == doc.leaf_labels
+            parsed = solve_scalar(doc.tree, doc.leaf_labels, MANHATTAN, algorithm)[1]
+            assert solve_scalar(doc.tree, given, MANHATTAN, algorithm)[1] == parsed
 
     def test_ktuple_and_every_optimum_are_lists(self):
         doc = parse_newick_tuples("(1|4,(3|8,2|2,5|6));")

@@ -6,6 +6,7 @@ import pytest
 from helpers import (
     binary_dp_rows,
     count_calls,
+    leaf_map,
     random_instance,
     random_strict_table,
     scan_dp_down,
@@ -78,7 +79,7 @@ class TestDpUp:
         for up_phase in (dp_up, convex_up):
             ct = up_phase(doc.tree, doc.leaf_labels, SQUARE)
             row_of_label = {}
-            for v, label in doc.leaf_labels.labels.items():
+            for v, label in leaf_map(doc.leaf_labels).items():
                 assert ct.rows[v] is row_of_label.setdefault(label, ct.rows[v])
             assert sorted(row_of_label) == [2, 4]
             assert row_of_label[2] == (0, INF, INF)
@@ -158,7 +159,7 @@ class TestDpDown:
         for _ in range(20):
             doc = random_document(rng.randint(2, 8), 0, 9, rng, arity=rng.randint(2, 4))
             labeling = solve_scalar(doc.tree, doc.leaf_labels, SQUARE, "dp")[1]
-            for leaf, p in doc.leaf_labels.labels.items():
+            for leaf, p in leaf_map(doc.leaf_labels).items():
                 assert labeling.values[leaf] == p
 
     def test_bad_tie_rejected(self):
@@ -219,7 +220,7 @@ class TestSolveDp:
         for _ in range(25):
             doc = random_document(rng.randint(2, 7), 0, 9, rng, arity=rng.randint(2, 4))
             shift = rng.choice([-5, 17])
-            shifted_labels = {v: x + shift for v, x in doc.leaf_labels.labels.items()}
+            shifted_labels = {v: x + shift for v, x in leaf_map(doc.leaf_labels).items()}
             shifted = LeafLabeling.for_tree(doc.tree, shifted_labels)
             for cost in (MANHATTAN, SQUARE):
                 base = solve_scalar(doc.tree, doc.leaf_labels, cost, "dp")[1]

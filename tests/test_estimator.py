@@ -1,6 +1,6 @@
 import pytest
 
-from helpers import count_calls
+from helpers import count_calls, leaf_map
 from treelabel import (
     CostFunction,
     TreeLabeler,
@@ -34,7 +34,7 @@ class TestFit:
 
     def test_fit_from_tree_and_y(self):
         doc = parse_newick("(2,7);")
-        est = TreeLabeler().fit(doc.tree, y=doc.leaf_labels.labels)
+        est = TreeLabeler().fit(doc.tree, y=leaf_map(doc.leaf_labels))
         assert est.cost_ == 5
 
     @pytest.mark.parametrize("label", [5.99, 5.0, "5"])
@@ -91,7 +91,7 @@ class TestFit:
     def test_document_with_y_rejected(self):
         doc = parse_newick("(2,7);")
         with pytest.raises(ValueError, match="already a labeled document"):
-            TreeLabeler().fit(doc, doc.leaf_labels.labels)
+            TreeLabeler().fit(doc, leaf_map(doc.leaf_labels))
 
     @pytest.mark.parametrize("algorithm,cost", [("dp", "power:2"), ("interval", "manhattan")])
     def test_solvers_walk_tree_order_only(self, monkeypatch, algorithm, cost):

@@ -7,6 +7,8 @@ import pytest
 from helpers import (
     count_calls,
     extract_subtree,
+    interval_of,
+    leaf_map,
     random_instance,
     reference_binary_intervals,
     reference_merge_intervals,
@@ -66,8 +68,8 @@ class TestMergeIntervals:
         doc = parse_newick(f"(({a[0]},{a[1]}),({b[0]},{b[1]}));")
         iv = bottom_up_intervals(doc.tree, doc.leaf_labels)
         left, right = doc.tree.children[doc.tree.root]
-        assert (iv[left], iv[right]) == (a, b)
-        assert iv[doc.tree.root] == expected
+        assert (interval_of(iv, left), interval_of(iv, right)) == (a, b)
+        assert interval_of(iv, doc.tree.root) == expected
         assert reference_merge_intervals(a, b) == expected
 
     def test_child_permutation_invariant_at_every_arity(self):
@@ -78,14 +80,17 @@ class TestMergeIntervals:
             iv = bottom_up_intervals(tree, leaves)
             moved, moved_leaves, new_id = renumber(tree, leaves, rng)
             moved_iv = bottom_up_intervals(moved, moved_leaves)
-            assert all(moved_iv[new_id[v]] == iv[v] for v in range(tree.node_count))
+            assert all(
+                interval_of(moved_iv, new_id[v]) == interval_of(iv, v)
+                for v in range(tree.node_count)
+            )
 
     def test_binary_trees_match_the_pairwise_rule(self):
         rng = random.Random(39)
         for _ in range(300):
             doc = random_document(rng.randint(1, 30), -8, 20, rng, arity="binary")
             iv = bottom_up_intervals(doc.tree, doc.leaf_labels)
-            assert list(iv) == reference_binary_intervals(
+            assert list(zip(iv.lo, iv.hi)) == reference_binary_intervals(
                 doc.tree, doc.leaf_labels
             )
 
@@ -101,7 +106,7 @@ class TestAnyArity:
             table = dp_up(tree, leaves, MANHATTAN)
             for v in range(tree.node_count):
                 _, minimizers = min_total(table, v)
-                assert minimizers == list(range(iv[v][0], iv[v][1] + 1))
+                assert minimizers == list(range(iv.lo[v], iv.hi[v] + 1))
             optimum, _ = min_total(table, tree.root)
             for tie in TIES:
                 labeling = top_down_labels(tree, iv, tie=tie)
@@ -113,7 +118,7 @@ class TestAnyArity:
         for tree, leaves in any_arity_instances(41, 60, 7, lo=0, hi=5):
             iv = bottom_up_intervals(tree, leaves)
             optimum = brute_force_min(tree, leaves, MANHATTAN, max_labelings=1).cost
-            lo, hi = iv[tree.root]
+            lo, hi = interval_of(iv, tree.root)
             assert optimal_label_sets(tree, leaves, MANHATTAN)[tree.root] == list(
                 range(lo, hi + 1)
             )
@@ -128,15 +133,15 @@ class TestBottomUp:
     def test_cherry_gap(self):
         doc = parse_newick("(2,7);")
         iv = bottom_up_intervals(doc.tree, doc.leaf_labels)
-        assert iv[0] == (2, 7)
-        assert iv[1] == (2, 2)
-        assert iv[2] == (7, 7)
+        assert interval_of(iv, 0) == (2, 7)
+        assert interval_of(iv, 1) == (2, 2)
+        assert interval_of(iv, 2) == (7, 7)
 
     def test_five_node(self):
         doc = parse_newick("((1,5),9);")
         iv = bottom_up_intervals(doc.tree, doc.leaf_labels)
-        assert iv[1] == (1, 5)  # inner
-        assert iv[0] == (5, 9)  # root
+        assert interval_of(iv, 1) == (1, 5)  # inner
+        assert interval_of(iv, 0) == (5, 9)  # root
 
     def test_five_node_root_interval_is_exactly_the_optimal_set(self):
         # every label in [5,9] extends to an optimum and nothing outside does
@@ -146,34 +151,20 @@ class TestBottomUp:
     def test_degenerate(self):
         doc = parse_newick("(4,4);")
         iv = bottom_up_intervals(doc.tree, doc.leaf_labels)
-        assert iv[0] == (4, 4)
+        assert interval_of(iv, 0) == (4, 4)
 
     def test_single_node(self):
         doc = parse_newick("6;")
         iv = bottom_up_intervals(doc.tree, doc.leaf_labels)
-        assert iv[0] == (6, 6)
+        assert interval_of(iv, 0) == (6, 6)
 
     def test_star_and_unary_chain(self):
         star = parse_newick("(1,2,3);")
-        assert bottom_up_intervals(star.tree, star.leaf_labels)[star.tree.root] == (2, 2)
+        iv = bottom_up_intervals(star.tree, star.leaf_labels)
+        assert interval_of(iv, star.tree.root) == (2, 2)
         chain = parse_newick("((5));")
         iv = bottom_up_intervals(chain.tree, chain.leaf_labels)
-        assert iv == ((5, 5),) * 3
-
-    def test_equal_leaf_labels_share_one_interval(self):
-        doc = parse_newick("((1000,1000),(1000,(1001)));")
-        iv = bottom_up_intervals(doc.tree, doc.leaf_labels)
-        leaves = [v for v, label in doc.leaf_labels.labels.items() if label == 1000]
-        assert len(leaves) == 3
-        assert iv[leaves[0]] is iv[leaves[1]] is iv[leaves[2]]
-
-    def test_unary_node_shares_its_childs_interval(self):
-        doc = parse_newick("((1000,1000),(1000,(1001)));")
-        iv = bottom_up_intervals(doc.tree, doc.leaf_labels)
-        [unary] = [v for v, kids in enumerate(doc.tree.children) if len(kids) == 1]
-        [child] = doc.tree.children[unary]
-        assert iv[unary] == (1001, 1001)
-        assert iv[unary] is iv[child]
+        assert (iv.lo, iv.hi) == ([5] * 3, [5] * 3)
 
     def test_intervals_inside_leaf_range(self):
         rng = random.Random(31)
@@ -181,7 +172,7 @@ class TestBottomUp:
             doc = random_document(rng.randint(2, 10), -6, 14, rng, arity="binary")
             iv = bottom_up_intervals(doc.tree, doc.leaf_labels)
             lo, hi = doc.leaf_labels.g_min, doc.leaf_labels.g_max
-            for a, b in iv:
+            for a, b in zip(iv.lo, iv.hi):
                 assert lo <= a <= b <= hi
 
 
@@ -232,7 +223,7 @@ class TestTopDown:
             for tie in ("lowest", "highest", "midpoint"):
                 labeling = top_down_labels(doc.tree, iv, tie=tie)
                 for v in range(doc.tree.node_count):
-                    lo, hi = iv[v]
+                    lo, hi = interval_of(iv, v)
                     assert lo <= labeling.values[v] <= hi
 
     def test_total_cost_is_the_manhattan_sum_at_every_arity(self):
@@ -287,7 +278,7 @@ class TestSolveInterval:
             base = solve_scalar(doc.tree, doc.leaf_labels, MANHATTAN, "interval")[1]
             shift = rng.choice([-5, 17])
             shifted = LeafLabeling.for_tree(
-                doc.tree, {v: x + shift for v, x in doc.leaf_labels.labels.items()}
+                doc.tree, {v: x + shift for v, x in leaf_map(doc.leaf_labels).items()}
             )
             moved = solve_scalar(doc.tree, shifted, MANHATTAN, "interval")[1]
             assert moved.total_cost == base.total_cost
@@ -297,7 +288,7 @@ class TestSolveInterval:
             )
             pivot = doc.leaf_labels.g_min + doc.leaf_labels.g_max
             reflected = LeafLabeling.for_tree(
-                doc.tree, {v: pivot - x for v, x in doc.leaf_labels.labels.items()}
+                doc.tree, {v: pivot - x for v, x in leaf_map(doc.leaf_labels).items()}
             )
             reflected_labeling = solve_scalar(doc.tree, reflected, MANHATTAN, "interval")[1]
             assert reflected_labeling.total_cost == base.total_cost
@@ -317,7 +308,8 @@ class TestSolveInterval:
         rng = random.Random(37)
         for _ in range(40):
             doc = random_document(rng.randint(2, 5), 0, 5, rng, arity="binary")
-            lo, hi = bottom_up_intervals(doc.tree, doc.leaf_labels)[doc.tree.root]
+            iv = bottom_up_intervals(doc.tree, doc.leaf_labels)
+            lo, hi = interval_of(iv, doc.tree.root)
             sets = optimal_label_sets(doc.tree, doc.leaf_labels, MANHATTAN)
             assert sets[doc.tree.root] == list(range(lo, hi + 1))
 
@@ -333,7 +325,7 @@ class TestSolveInterval:
                 sub_tree, sub_leaves, sub_root = extract_subtree(
                     doc.tree, doc.leaf_labels, v
                 )
-                lo, hi = iv[v]
+                lo, hi = interval_of(iv, v)
                 sets = optimal_label_sets(sub_tree, sub_leaves, MANHATTAN)
                 assert sets[sub_root] == list(range(lo, hi + 1))
 
@@ -345,7 +337,7 @@ class TestSolveInterval:
         # x in 1..3 pays x twice on the two edges above it.
         doc = parse_newick("(0,(0,(3,4)));")
         iv = bottom_up_intervals(doc.tree, doc.leaf_labels)
-        assert iv[2] == (0, 3)
+        assert interval_of(iv, 2) == (0, 3)
         optimum = brute_force_min(doc.tree, doc.leaf_labels, MANHATTAN)
         assert optimum.cost == 4
         sets = optimal_label_sets(doc.tree, doc.leaf_labels, MANHATTAN)
@@ -359,7 +351,7 @@ class TestSolveInterval:
         # root=5, node1=5, node4=5 also costs the optimal 3.
         doc = parse_newick("((4,(3,5)),5);")
         iv = bottom_up_intervals(doc.tree, doc.leaf_labels)
-        assert iv[1] == (4, 4)
+        assert interval_of(iv, 1) == (4, 4)
         assert eval_total(
             doc.tree, MANHATTAN, {0: 5, 1: 5, 2: 5, 3: 4, 4: 5, 5: 3, 6: 5}
         ) == 3
@@ -394,7 +386,7 @@ class TestMedian:
     def test_tie_rules_follow_dp(self, newick, tie, pins, clamped, cost):
         doc = parse_newick(newick)
         iv = bottom_up_intervals(doc.tree, doc.leaf_labels)
-        assert iv[2] == (4, 4)
+        assert interval_of(iv, 2) == (4, 4)
         labeling = median_down(doc.tree, iv, tie=tie)
         expected = solve_scalar(doc.tree, doc.leaf_labels, MANHATTAN, "dp", tie=tie)[1]
         assert labeling.values == expected.values
@@ -437,7 +429,8 @@ class TestWideStar:
     def test_root_interval_is_the_median_leaf_label(self):
         doc = parse_newick(_STAR + ";")
         x = sorted(_STAR_LEAVES)[1000]
-        assert bottom_up_intervals(doc.tree, doc.leaf_labels)[doc.tree.root] == (x, x)
+        iv = bottom_up_intervals(doc.tree, doc.leaf_labels)
+        assert interval_of(iv, doc.tree.root) == (x, x)
 
     # a cherry leaf below (above) the star puts the root's lowest (highest)
     # label below (above) the star's interval, so median reads the star
@@ -451,6 +444,21 @@ class TestWideStar:
         expected = dp_down(doc.tree, table, MANHATTAN, tie=tie)
         assert labeling.values == expected.values
         assert labeling.total_cost == expected.total_cost
+
+
+def test_up_phase_allocates_two_lists_of_ends():
+    # the ends are leaf labels or children's ends, so beyond the lo and hi
+    # lists by node id the up phase makes no object per node
+    doc = random_document(10000, 0, 999, random.Random(5))
+    bound = 3 * sys.getsizeof([0] * doc.tree.node_count)
+    tracemalloc.start()
+    try:
+        iv = bottom_up_intervals(doc.tree, doc.leaf_labels)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert doc.tree.node_count == len(iv.lo) == len(iv.hi) == 19999
+    assert peak < bound, (peak, bound)
 
 
 @pytest.mark.parametrize("down,tie", [(top_down_labels, "lowest"), (median_down, "lowest"),

@@ -23,6 +23,7 @@ pytest.importorskip("hypothesis")
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from helpers import leaf_map
 from treelabel import (
     BudgetExceeded,
     CostFunction,
@@ -79,7 +80,7 @@ class TestMedianAgainstDp:
         assert got["lowest"].total_cost == solve_scalar(t, l, MANHATTAN, "interval")[1].total_cost
 
         def moved(step):
-            moved_leaves = LeafLabeling.for_tree(t, {v: step(p) for v, p in l.labels.items()})
+            moved_leaves = LeafLabeling.for_tree(t, {v: step(p) for v, p in leaf_map(l).items()})
             return bottom_up_intervals(t, moved_leaves)
 
         reflected, shifted = moved(lambda p: -p), moved(lambda p: p + shift)

@@ -16,7 +16,7 @@ import random
 
 import pytest
 
-from helpers import renumber, reroot
+from helpers import leaf_map, renumber, reroot
 from treelabel import (
     CostFunction,
     LeafLabeling,
@@ -79,7 +79,7 @@ def test_rerooting_keeps_the_optimal_cost(spec):
             if t.is_leaf(r) or r == t.root:
                 continue
             rerooted = reroot(t, r)
-            leaves = LeafLabeling.for_tree(rerooted, l.labels)
+            leaves = LeafLabeling.for_tree(rerooted, leaf_map(l))
             for algorithm in SOLVERS[spec]:
                 got = solve_scalar(rerooted, leaves, c, algorithm)[1]
                 assert got.total_cost == optimum, (algorithm, t.parents, r)
@@ -95,8 +95,8 @@ def test_translation_and_reflection(spec):
     for rng, doc in _instances(71, 100):
         t, l = doc.tree, doc.leaf_labels
         shift = rng.randint(-20, 20)
-        shifted = LeafLabeling.for_tree(t, {v: x + shift for v, x in l.labels.items()})
-        mirrored = LeafLabeling.for_tree(t, {v: -x for v, x in l.labels.items()})
+        shifted = LeafLabeling.for_tree(t, {v: x + shift for v, x in leaf_map(l).items()})
+        mirrored = LeafLabeling.for_tree(t, {v: -x for v, x in leaf_map(l).items()})
         for algorithm in SOLVERS[spec]:
             for tie in TIES[algorithm]:
                 got = solve_scalar(t, l, c, algorithm, tie)[1]

@@ -5,7 +5,7 @@ import sys
 import pytest
 
 import treelabel.newick as newick
-from helpers import count_calls, reference_parse, reference_render
+from helpers import count_calls, leaf_map, reference_parse, reference_render
 from treelabel import (
     CostFunction,
     EmptyTree,
@@ -42,7 +42,7 @@ class TestParse:
         doc = parse_newick("(2,7);")
         assert doc.tree.node_count == 3
         assert doc.tree.root == 0
-        assert doc.leaf_labels.labels == {1: 2, 2: 7}
+        assert doc.leaf_labels.labels == [None, 2, 7]
 
     def test_five_node(self):
         doc = parse_newick("((1,5),9);")
@@ -51,34 +51,46 @@ class TestParse:
         # breadth-first ids: root 0, inner 1, leaf 9 is 2, leaves 1 and 5 are 3, 4
         assert t.children[0] == (1, 2)
         assert t.children[1] == (3, 4)
-        assert doc.leaf_labels.labels == {2: 9, 3: 1, 4: 5}
+        assert doc.leaf_labels.labels == [None, None, 9, 1, 5]
         assert postorder(t) == [3, 4, 1, 2, 0]
 
     def test_single_leaf(self):
         doc = parse_newick("3;")
         assert doc.tree.node_count == 1
-        assert doc.leaf_labels.labels == {0: 3}
+        assert doc.leaf_labels.labels == [3]
 
     def test_equal_leaf_names_share_one_int(self):
         # above 256, where CPython caches no int of its own
         labels = parse_newick("((1000,1000),1000);").leaf_labels.labels
-        first, second, third = labels.values()
+        _, _, first, second, third = labels
         assert first == 1000
         assert first is second is third
 
+    def test_leaf_labels_are_one_list_by_node_id(self):
+        text = document_to_newick(random_document(500, 0, 99, random.Random(3), arity=4))
+        doc = parse_newick(text)
+        labels = doc.leaf_labels.labels
+        assert type(labels) is list
+        assert len(labels) == doc.tree.node_count
+        assert [x is None for x in labels] == list(map(bool, doc.tree.children))
+        # leaves with equal names share one int
+        first = {}
+        assert all(first.setdefault(x, x) is x for x in labels if x is not None)
+        assert len(first) <= 100  # of 500 leaves
+
     def test_signed_labels(self):
         doc = parse_newick("(-3,+7);")
-        assert doc.leaf_labels.labels == {1: -3, 2: 7}
+        assert doc.leaf_labels.labels == [None, -3, 7]
         assert doc.leaf_labels.g_min == -3
 
     @pytest.mark.parametrize(
         "text, labels",
         [
-            ("(-3,(+4,05),7);", {1: -3, 3: 7, 4: 4, 5: 5}),
-            ("(12,-0);", {1: 12, 2: 0}),
+            ("(-3,(+4,05),7);", [None, -3, None, 7, 4, 5]),
+            ("(12,-0);", [None, 12, 0]),
             # ASCII decimal names in a text that is not ASCII
-            ("(1,2)\u00a0;", {1: 1, 2: 2}),
-            ("(-1,\u30002);", {1: -1, 2: 2}),
+            ("(1,2)\u00a0;", [None, 1, 2]),
+            ("(-1,\u30002);", [None, -1, 2]),
         ],
     )
     def test_signed_names_parse_beside_decimal_ones(self, text, labels):
@@ -96,9 +108,9 @@ class TestParse:
                 return _real(name)
 
         monkeypatch.setattr(newick, "_INT_NAME", Spy())
-        assert parse_newick("((1,22),333);").leaf_labels.labels == {2: 333, 3: 1, 4: 22}
+        assert parse_newick("((1,22),333);").leaf_labels.labels == [None, None, 333, 1, 22]
         assert seen == []
-        assert parse_newick("(-3,4);").leaf_labels.labels == {1: -3, 2: 4}
+        assert parse_newick("(-3,4);").leaf_labels.labels == [None, -3, 4]
         assert seen[:2] == ["-3", "4"]
         seen.clear()
         with pytest.raises(NonIntegerLeafName, match="^leaf name '٣' is not a decimal integer$"):
@@ -111,7 +123,7 @@ class TestParse:
 
     def test_branch_lengths_and_internal_names_ignored(self):
         doc = parse_newick("(2:1.5,7:0.25)anc:3.0;")
-        assert doc.leaf_labels.labels == {1: 2, 2: 7}
+        assert doc.leaf_labels.labels == [None, 2, 7]
 
     def test_whitespace_tolerated(self):
         doc = parse_newick("( (1 , 5) ,\n 9 ) ;\n")
@@ -120,7 +132,7 @@ class TestParse:
     @pytest.mark.parametrize("text", ["(\u30001,2);", "(1,2)\u00a0;"])
     def test_non_ascii_blanks_tolerated(self, text):
         # an ideographic space before a name, a no-break space before ';'
-        assert parse_newick(text).leaf_labels.labels == {1: 1, 2: 2}
+        assert parse_newick(text).leaf_labels.labels == [None, 1, 2]
 
     def test_deep_nesting_no_recursion_limit(self):
         # caterpillar nested far past Python's default recursion limit;
@@ -133,7 +145,7 @@ class TestParse:
         # (leaf 1), both children of the spine node one depth up
         spine = [0] + [2 * j - 1 for j in range(1, depth)]
         assert doc.tree == build_tree([None] + [p for p in spine for _ in (0, 1)])
-        assert doc.leaf_labels.labels == {
+        assert leaf_map(doc.leaf_labels) == {
             **{2 * j: 1 for j in range(1, depth + 1)}, 2 * depth - 1: 0
         }
         labeling = solve_scalar(doc.tree, doc.leaf_labels, MANHATTAN, "interval")[1]
@@ -158,7 +170,7 @@ class TestParse:
         leaves = 40_000
         doc = parse_newick("(" + ",".join(str(v % 1000) for v in range(leaves)) + ");")
         assert doc.tree == build_tree([None] + [0] * leaves)
-        assert doc.leaf_labels.labels == {v: (v - 1) % 1000 for v in range(1, leaves + 1)}
+        assert doc.leaf_labels.labels == [None] + [(v - 1) % 1000 for v in range(1, leaves + 1)]
 
     def test_multifurcation_and_single_child(self):
         doc = parse_newick("(1,2,3);")
@@ -327,7 +339,7 @@ class TestParse:
         calls = count_calls(monkeypatch, check_leaf_coverage)
         doc = parse_newick("((1,5),(9,(3,4)));")
         assert calls == []
-        assert doc.leaf_labels == LeafLabeling.for_tree(doc.tree, doc.leaf_labels.labels)
+        assert doc.leaf_labels == LeafLabeling.for_tree(doc.tree, leaf_map(doc.leaf_labels))
 
 
 class TestSerialize:

@@ -3,7 +3,7 @@ from itertools import product
 
 import pytest
 
-from helpers import random_instance, recursive_minimum
+from helpers import leaf_map, random_instance, recursive_minimum
 from treelabel import (
     BudgetExceeded,
     CostFunction,
@@ -90,7 +90,7 @@ class TestBruteForceMin:
             for cost in (MANHATTAN, flat):
                 scored = []
                 for labels in product(range(l.g_min, l.g_max + 1), repeat=len(internal)):
-                    by_node = {**l.labels, **dict(zip(internal, labels))}
+                    by_node = {**leaf_map(l), **dict(zip(internal, labels))}
                     values = [by_node[v] for v in range(t.node_count)]
                     scored.append((eval_total(t, cost, values), values))
                 best = min(total for total, _ in scored)

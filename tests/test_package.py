@@ -16,6 +16,7 @@ import pytest
 
 import treelabel
 from treelabel import cli
+from treelabel.intervals import IntervalAssignment
 
 _ROOT = Path(__file__).resolve().parent.parent
 _TRACING = _ROOT / "perfbench" / "tracing.py"
@@ -385,19 +386,20 @@ _RECORDS = [
     (treelabel.Tree, lambda: {
         "parents": (None, 0, 0), "children": ((1, 2), (), ()), "order": (0, 1, 2)}),
     (treelabel.CostFunction, lambda: {"kind": "power", "exponent": 2, "table": ()}),
-    (treelabel.LeafLabeling, lambda: {"labels": {1: 3, 2: 5}, "g_min": 3, "g_max": 5}),
+    (treelabel.LeafLabeling, lambda: {"labels": [None, 3, 5], "g_min": 3, "g_max": 5}),
     (treelabel.Labeling, lambda: {"values": {0: 3, 1: 3, 2: 5}, "total_cost": 2}),
     (treelabel.CostTable, lambda: {
         "g_min": 3, "g_max": 5,
         "rows": ((2, 1, 2), (0, math.inf, math.inf), (math.inf, math.inf, 0))}),
     (treelabel.LabeledTreeDocument, lambda: {
-        "tree": _TREE, "leaf_labels": treelabel.LeafLabeling({1: 3, 2: 5}, 3, 5)}),
+        "tree": _TREE, "leaf_labels": treelabel.LeafLabeling([None, 3, 5], 3, 5)}),
     (treelabel.TupleTreeDocument, lambda: {
         "tree": _TREE, "leaf_labels": treelabel.TupleLeafLabeling(2, {1: (1, 2)})}),
     (treelabel.TupleLeafLabeling, lambda: {"k": 2, "labels": {1: (1, 2), 2: (3, 4)}}),
     (treelabel.OptimumSet, lambda: {
         "cost": 2, "labelings": [treelabel.Labeling(values={0: 3}, total_cost=2)],
         "truncated": False, "label_sets": [[3, 4, 5], [3], [5]]}),
+    (IntervalAssignment, lambda: {"lo": [3, 3, 5], "hi": [5, 3, 5]}),
 ]
 
 

@@ -3,7 +3,7 @@ import random
 import pytest
 
 import treelabel.tuples as tuples_module
-from helpers import count_calls, tuple_brute_force_cost
+from helpers import count_calls, leaf_map, tuple_brute_force_cost
 from treelabel import (
     CostFunction,
     Labeling,
@@ -133,7 +133,7 @@ class TestSolveKtuple:
         doc = parse_newick("((1,5),9);")
         scalar = solve_scalar(doc.tree, doc.leaf_labels, MANHATTAN, "interval")[1]
         as_tuples = TupleLeafLabeling.for_tree(
-            doc.tree, {v: (x,) for v, x in doc.leaf_labels.labels.items()}
+            doc.tree, {v: (x,) for v, x in leaf_map(doc.leaf_labels).items()}
         )
         result = solve_ktuple(doc.tree, as_tuples, MANHATTAN)
         assert result.total_cost == scalar.total_cost == 8
@@ -165,7 +165,7 @@ class TestSolveKtuple:
                                   arity="binary" if rng.random() < 0.5 else 3)
             cost = rng.choice([MANHATTAN, SQUARE])
             as_tuples = TupleLeafLabeling.for_tree(
-                doc.tree, {v: (x,) for v, x in doc.leaf_labels.labels.items()}
+                doc.tree, {v: (x,) for v, x in leaf_map(doc.leaf_labels).items()}
             )
             result = solve_ktuple(doc.tree, as_tuples, cost)
             _, scalar, _ = tuples_module.solve_scalar(doc.tree, doc.leaf_labels, cost)
@@ -207,7 +207,7 @@ class TestSolveKtuple:
         def broken_solver(t, l, c, algorithm="auto", tie="lowest"):
             label = 9 if l.g_min == 1 else 0  # coordinate 0 above coordinate 1
             # a solver's labels are a list by node id
-            values = [l.labels.get(v, label) for v in range(t.node_count)]
+            values = [label if x is None else x for x in l.labels]
             return "dp", Labeling(values=values, total_cost=0), None
 
         monkeypatch.setattr(tuples_module, "solve_scalar", broken_solver)
