@@ -10,7 +10,10 @@ Subcommands:
 
 gen is the one instance generator: "treelabel gen ... | treelabel check"
 cross-checks a seeded random batch, and check refuses an input that
-holds no tree (exit 1), so a failed gen never reads as agreement. Input
+holds no tree (exit 1), so a failed gen never reads as agreement. A
+line check cannot parse fails it with its own error class and exit code,
+the message starting "line N: " for its 1-based line, blank lines
+counted. Input
 read from a file or stdin may start with a UTF-8 byte-order mark, which
 is dropped before parsing.
 
@@ -148,8 +151,15 @@ _SAME_LABELS = ("median", "convex")
 
 def cmd_check(args: argparse.Namespace) -> int:
     cost = CostFunction.from_spec(args.cost)
-    lines = (line.strip() for line in _read_input(args.input).splitlines())
-    docs = [parse_newick(line) for line in lines if line]
+    docs = []
+    for number, line in enumerate(_read_input(args.input).splitlines(), 1):
+        if line.strip():
+            try:
+                docs.append(parse_newick(line.strip()))
+            except TreeLabelError as exc:
+                # the same class and exit code, naming the line, blank lines counted
+                exc.args = (f"line {number}: {exc}",)
+                raise
     if not docs:
         raise EmptyTree("no tree in the input")
     _set_str_digits(0)  # the input is read

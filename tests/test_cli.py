@@ -480,6 +480,21 @@ class TestCheck:
         assert "dp vs interval: 3/3 agree" in out
         assert "result: all solvers agree" in out
 
+    @pytest.mark.parametrize(
+        "text, error",
+        [
+            ("((1,2),3);\n(1,2),x);\n",
+             "error:NewickSyntaxError:line 2: ',' outside parentheses at position 5\n"),
+            # blank lines count, and so does a line ended by '\r\n'
+            ("(2,7);\r\n\n\n  ((1,5),9) ;\n(1,a);\n",
+             "error:NonIntegerLeafName:line 5: leaf name 'a' is not a decimal integer\n"),
+            ("\n(2,7)\n", "error:NewickSyntaxError:line 2: missing ';' terminator\n"),
+        ],
+    )
+    def test_parse_failure_names_its_line(self, capsys, monkeypatch, text, error):
+        code, out, err = check_stdin(capsys, monkeypatch, text)
+        assert (code, out, err) == (1, "", error)
+
     def test_oracle_budget_from_environment(self, capsys, tmp_path, monkeypatch):
         # over budget, the oracle is skipped like any solver that does not apply
         monkeypatch.setenv("TREELABEL_BUDGET", "10")
