@@ -153,9 +153,10 @@ def cmd_check(args: argparse.Namespace) -> int:
     cost = CostFunction.from_spec(args.cost)
     docs = []
     for number, line in enumerate(_read_input(args.input).splitlines(), 1):
-        if line.strip():
+        line = line.strip()
+        if line:
             try:
-                docs.append(parse_newick(line.strip()))
+                docs.append(parse_newick(line))
             except TreeLabelError as exc:
                 # the same class and exit code, naming the line, blank lines counted
                 exc.args = (f"line {number}: {exc}",)

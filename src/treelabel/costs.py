@@ -34,7 +34,9 @@ place, when equal labels share one object from the parse to the text.
 from __future__ import annotations
 
 from operator import index, le, pos
-from typing import Any, Callable, Collection, Mapping, NamedTuple, Optional, Sequence, Union
+from typing import (
+    Any, Callable, Collection, Iterable, Mapping, NamedTuple, Optional, Sequence, Union,
+)
 
 from .errors import (
     DifferenceOutOfRange,
@@ -194,19 +196,21 @@ class LeafLabeling(NamedTuple):
         """
         check_leaf_coverage(t, labels)
         values = [as_int(v, f"label of leaf {k}") for k, v in labels.items()]
-        by_node: list = [None] * t.node_count
-        for k, value in zip(labels, values):
-            by_node[int(k)] = value
-        return cls._of_leaves(by_node, values)
+        return cls._of_leaves(t.node_count, map(int, labels), values)
 
     @classmethod
-    def _of_leaves(cls, labels: list, leaf_values: Collection[int]) -> "LeafLabeling":
-        """The labeling of ``labels``, a list by node id with an int at exactly the leaves.
+    def _of_leaves(
+        cls, node_count: int, leaves: Iterable[int], values: Sequence[int]
+    ) -> "LeafLabeling":
+        """The labeling that gives the i-th of ``leaves`` the int ``values[i]``.
 
-        ``leaf_values`` holds every leaf's label, each at least once, and
-        sets the range. ``labels`` is kept as it is, not copied.
+        ``leaves`` must be exactly the leaf ids of a tree of ``node_count``
+        nodes; every other node id gets None.
         """
-        return cls(labels=labels, g_min=min(leaf_values), g_max=max(leaf_values))
+        labels: list = [None] * node_count
+        for v, value in zip(leaves, values):
+            labels[v] = value
+        return cls(labels=labels, g_min=min(values), g_max=max(values))
 
 
 class TupleLeafLabeling(NamedTuple):

@@ -68,11 +68,8 @@ def random_document(
     if lo > hi:
         raise ValueError(f"empty label range [{lo}, {hi}]")
     tree = random_topology(n_leaves, rng, arity=arity)
-    # one label per leaf, drawn in ascending leaf order, so the labels
-    # cover exactly the leaves
-    labels = {v: rng.randint(lo, hi) for v in tree.leaves()}
-    by_node: list = [None] * tree.node_count
-    for v, x in labels.items():
-        by_node[v] = x
-    leaf_labels = LeafLabeling._of_leaves(by_node, labels.values())
+    # one label per leaf, drawn in ascending leaf order
+    leaves = tree.leaves()
+    labels = [rng.randint(lo, hi) for _ in leaves]
+    leaf_labels = LeafLabeling._of_leaves(tree.node_count, leaves, labels)
     return LabeledTreeDocument(tree=tree, leaf_labels=leaf_labels)

@@ -234,11 +234,8 @@ def parse_newick(text: str) -> LabeledTreeDocument:
     except ValueError:
         _raise_over_digit_limit(tree, names)
         raise
-    # the labels by node id: the leaves take the ints, so coverage holds
-    labels: list = [None] * tree.node_count
-    for v, value in zip(leaves, values):
-        labels[v] = value
-    leaf_labels = LeafLabeling._of_leaves(labels, ints.values() if ints else values)
+    # the ints go to the tree's own leaves, so coverage holds
+    leaf_labels = LeafLabeling._of_leaves(tree.node_count, leaves, values)
     return LabeledTreeDocument(tree=tree, leaf_labels=leaf_labels)
 
 

@@ -56,11 +56,7 @@ def solve_ktuple(
     columns: list[list[int]] = []
     total = 0
     for leaf_column in zip(*l.labels.values()):
-        # the coordinate's leaf labels, one list by node id
-        labels: list = [None] * t.node_count
-        for v, x in zip(l.labels, leaf_column):
-            labels[v] = x
-        coordinate = LeafLabeling._of_leaves(labels, leaf_column)
+        coordinate = LeafLabeling._of_leaves(t.node_count, l.labels, leaf_column)
         _, labeling, _ = solve_scalar(t, coordinate, c, algorithm=algorithm, tie=tie)
         columns.append(labeling.values)
         total += labeling.total_cost
