@@ -274,7 +274,15 @@ def as_int(value: object, entry: str) -> int:
 
 
 def check_leaf_coverage(t: Tree, labels: Mapping[int, object]) -> None:
-    """ValueError unless the keys of ``labels`` are exactly the leaves of ``t``."""
+    """ValueError unless the keys of ``labels`` are exactly the leaves of ``t``.
+
+    TypeError unless ``labels`` is a mapping: a list by node id, such as
+    LeafLabeling.labels, is not taken for one.
+    """
+    if not isinstance(labels, Mapping):
+        raise TypeError(
+            f"leaf labels must be a mapping from leaf id to label, got {type(labels).__name__}"
+        )
     leaves = set(t.leaves())
     given = set(labels)
     if given != leaves:

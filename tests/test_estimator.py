@@ -37,6 +37,12 @@ class TestFit:
         est = TreeLabeler().fit(doc.tree, y=leaf_map(doc.leaf_labels))
         assert est.cost_ == 5
 
+    def test_y_by_node_id_rejected(self):
+        # the parser's list by node id is not a mapping from leaf id
+        doc = parse_newick("(2,7);")
+        with pytest.raises(TypeError, match="^leaf labels must be a mapping .*, got list$"):
+            TreeLabeler().fit(doc.tree, y=doc.leaf_labels.labels)
+
     @pytest.mark.parametrize("label", [5.99, 5.0, "5"])
     def test_non_integer_y_rejected(self, label):
         doc = parse_newick("(2,7);")
