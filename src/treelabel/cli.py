@@ -18,16 +18,18 @@ read from a file or stdin may start with a UTF-8 byte-order mark, which
 is dropped before parsing.
 
 Which solver applies is decided only in solve.py: solve resolves it once,
-for scalar and tuple input alike, and --dump writes the up phase that
-solver built, a cost table or intervals; only the oracle and tuple mode
-have none, and refuse --dump before solving. check runs solve_scalar per
-solver and skips inapplicable ones; bench times solve_scalar per
-algorithm, so an inapplicable one fails it.
+for scalar and tuple input alike, and --dump writes the CSV of the up
+phase that solver built, a cost table or intervals, each record writing
+its own; only the oracle and tuple mode have none, and refuse --dump
+before solving. check runs solve_scalar per solver and skips
+inapplicable ones; bench times solve_scalar per algorithm, so an
+inapplicable one fails it.
 
 A command imports what only it needs where it needs it (the generator
-in gen and bench, the k-tuple solver under --tuple, dp.py for a --dump,
-json under --format json), as solve_scalar does for dp.py and the
-oracle, so a cold start compiles only the modules its command reaches.
+in gen and bench, the k-tuple solver under --tuple, json under --format
+json), as solve_scalar does for dp.py and the oracle, so a cold start
+compiles only the modules its command reaches: a Manhattan --dump loads
+no dp.py.
 
 Exit codes: 0 success; 1 parse or validation failure; 2 solver
 precondition failure (oracle budget, unsupported combinations such as a
@@ -47,7 +49,6 @@ import sys
 from .costs import CostFunction, LeafLabeling, node_values
 from .errors import DEFAULT_BUDGET, BudgetExceeded, EmptyTree, TreeLabelError, UnsupportedAlgorithm
 from .intervals import TIES as INTERVAL_TIES
-from .intervals import interval_csv
 from .newick import (
     document_to_newick,
     parse_newick,
@@ -111,10 +112,7 @@ def cmd_solve(args: argparse.Namespace) -> int:
             doc.tree, doc.leaf_labels, cost, algorithm=resolved, tie=args.tie
         )
         if args.dump:
-            from .dp import CostTable, cost_table_csv
-
-            to_csv = cost_table_csv if isinstance(up_phase, CostTable) else interval_csv
-            _write_file(args.dump, to_csv(up_phase))
+            _write_file(args.dump, up_phase.csv())
 
     if args.format == "newick":
         print(serialize(doc, labeling))

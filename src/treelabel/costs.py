@@ -27,16 +27,16 @@ module imports no solver. A finished labeling, scalar or k-tuple, is one
 record, ``Labeling``, whose values are a list by node id, and node_values
 is the one place it is read by node id: every cost sum, serializer and
 front end goes through it, taking a solver's list as it is, so a node
-with no label fails the same way everywhere. shared_table decides, in one
-place, when equal labels share one object from the parse to the text.
+with no label fails the same way everywhere. shared_convert decides, in
+one place and from the labels alone, when equal labels share one object
+from the parse to the text, and node_csv is the one writer of the up
+phases' --dump text.
 """
 
 from __future__ import annotations
 
 from operator import index, le, pos
-from typing import (
-    Any, Callable, Collection, Iterable, Mapping, NamedTuple, Optional, Sequence, Union,
-)
+from typing import Any, Callable, Collection, Iterable, Mapping, NamedTuple, Sequence, Union
 
 from .errors import (
     DifferenceOutOfRange,
@@ -338,27 +338,28 @@ def node_values(t: Tree, full: FullLabeling) -> list:
         raise MissingNodeLabel(f"no label for node {missing}") from None
 
 
-def shared_table(
-    keys: Collection, convert: Callable, span: Optional[int] = None
-) -> Optional[dict]:
-    """convert(k) for each distinct key k, keyed by k; None where keys repeat too little.
+def shared_convert(keys: Collection, convert: Callable) -> Callable:
+    """The function to map ``keys`` through: ``convert``, or a lookup that shares its results.
 
-    A large tree repeats a few labels many times, and a caller that maps
-    its keys through this table gives every place holding one key one
-    object. When more than half of ``keys`` are distinct, the table would
-    cost more than the objects it saves, so there is none and the caller
-    converts each key where it stands. ``span`` is the size of a label
-    range that holds the keys, when the caller knows one: a range wider
-    than half the keys is taken as an input with few repeats, and no set
-    is built to count them. Equal keys must be interchangeable, since 1,
-    1.0 and True are one key.
+    A large tree repeats a few labels many times. Where at most half of
+    ``keys`` are distinct, the result is the lookup of a table holding
+    convert(k) once for each distinct key k, so every place holding one
+    key gets one object. Where more than half are distinct, the table would
+    cost more than the objects it saves, and ``convert`` itself is
+    returned. Equal keys must be interchangeable, since 1, 1.0 and True
+    are one key.
     """
-    if span is not None and 2 * span > len(keys):
-        return None
     distinct = set(keys)
     if 2 * len(distinct) > len(keys):
-        return None
-    return dict(zip(distinct, map(convert, distinct)))
+        return convert
+    return dict(zip(distinct, map(convert, distinct))).__getitem__
+
+
+def node_csv(header: Iterable, rows: Iterable[Iterable]) -> str:
+    """CSV text: "node" and the ``header`` entries, then v and the entries of row v, for each v."""
+    lines = [",".join(map(str, ("node", *header)))]
+    lines += [",".join(map(str, (v, *row))) for v, row in enumerate(rows)]
+    return "\n".join(lines) + "\n"
 
 
 def eval_total(t: Tree, c: CostFunction, full: FullLabeling) -> int:

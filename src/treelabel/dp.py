@@ -73,7 +73,7 @@ from itertools import accumulate, islice
 from operator import add, sub
 from typing import NamedTuple
 
-from .costs import DP_TIES, CostFunction, Labeling, LeafLabeling, theta_function
+from .costs import DP_TIES, CostFunction, Labeling, LeafLabeling, node_csv, theta_function
 from .errors import UnsupportedAlgorithm
 from .tree import Tree
 
@@ -97,6 +97,13 @@ class CostTable(NamedTuple):
     @property
     def m(self) -> int:
         return self.g_max - self.g_min + 1
+
+    def csv(self) -> str:
+        """The --dump text: one row per node, one column per label in [g_min, g_max].
+
+        An impossible label of a leaf row reads "inf".
+        """
+        return node_csv(range(self.g_min, self.g_max + 1), self.rows)
 
 
 def _mirrored_theta(c: CostFunction, m: int) -> list[int]:
@@ -293,13 +300,3 @@ def convex_down(t: Tree, ct: CostTable, c: CostFunction, tie: str = "lowest") ->
     """
     require_convex(c)
     return _down_phase(t, ct, c, tie, _step_search)
-
-
-def cost_table_csv(ct: CostTable) -> str:
-    """CSV dump: one row per node, one column per label in [g_min, g_max]."""
-    header = "node," + ",".join(str(ct.g_min + i) for i in range(ct.m))
-    lines = [header]
-    for node, row in enumerate(ct.rows):
-        # str(INFINITY) is "inf"
-        lines.append(f"{node},{','.join(map(str, row))}")
-    return "\n".join(lines) + "\n"

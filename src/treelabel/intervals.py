@@ -66,7 +66,7 @@ from __future__ import annotations
 from itertools import islice
 from typing import NamedTuple
 
-from .costs import DP_TIES, Labeling, LeafLabeling
+from .costs import DP_TIES, Labeling, LeafLabeling, node_csv
 from .tree import Tree
 
 
@@ -79,6 +79,10 @@ class IntervalAssignment(NamedTuple):
 
     lo: list
     hi: list
+
+    def csv(self) -> str:
+        """The --dump text: node id, interval low, interval high."""
+        return node_csv(("lo", "hi"), zip(self.lo, self.hi))
 
 
 # the root-label rules top_down_labels accepts
@@ -218,11 +222,3 @@ def median_down(
     if tie not in DP_TIES:
         raise ValueError(f"tie must be one of {DP_TIES}, got {tie!r}")
     return _clamp_down(t, iv, tie, stretch=True)
-
-
-def interval_csv(iv: IntervalAssignment) -> str:
-    """CSV dump: node id, interval low, interval high."""
-    lines = ["node,lo,hi"]
-    for node, (lo, hi) in enumerate(zip(iv.lo, iv.hi)):
-        lines.append(f"{node},{lo},{hi}")
-    return "\n".join(lines) + "\n"

@@ -34,9 +34,9 @@ serialize_labeled writes each distinct int label once, and the printer
 looks every node's text up in that table. Every other label is written
 where it stands: a float or a bool, so that equal values of different
 types print apart, and a k-tuple, since tuples seldom repeat. Where more
-than half of the labels are distinct, or the leaves' label range is
-wider than half of them, a table would cost more than it saves and none
-is built (see costs.shared_table).
+than half of the labels are distinct, a table would cost more than it
+saves and none is built; the labels alone decide it (see
+costs.shared_convert).
 
 For k-tuple inputs, a leaf name is a '|'-separated run of integers,
 e.g. "3|7|9"; see parse_newick_tuples.
@@ -50,7 +50,7 @@ from itertools import chain, compress, repeat
 from operator import not_
 from typing import Iterator, NamedTuple, Union
 
-from .costs import FullLabeling, LeafLabeling, TupleLeafLabeling, node_values, shared_table
+from .costs import FullLabeling, LeafLabeling, TupleLeafLabeling, node_values, shared_convert
 from .errors import EmptyTree, NewickSyntaxError, NonIntegerLeafName
 from .tree import Tree
 
@@ -229,8 +229,7 @@ def parse_newick(text: str) -> LabeledTreeDocument:
             _leaf_int(name)
     # leaves with equal names share one int
     try:
-        ints = shared_table(names, int)
-        values = list(map(ints.__getitem__, names)) if ints else list(map(int, names))
+        values = list(map(shared_convert(names, int), names))
     except ValueError:
         _raise_over_digit_limit(tree, names)
         raise
@@ -307,13 +306,10 @@ def serialize_labeled(doc: LabeledTreeDocument, full: FullLabeling) -> str:
     and leaf labels.
     """
     values = node_values(doc.tree, full)
-    # nodes with equal labels share one text, and an optimal labeling stays
-    # in the leaves' label range, of size m; a table keyed by value would
+    # nodes with equal labels share one text; a table keyed by value would
     # give 1, 1.0 and True one text, so it serves exact ints only
-    texts = None
-    if _EXACT_INT.issuperset(map(type, values)):
-        texts = shared_table(values, str, doc.leaf_labels.m)
-    return _render(doc.tree, values, texts.__getitem__ if texts else str)
+    text = shared_convert(values, str) if _EXACT_INT.issuperset(map(type, values)) else str
+    return _render(doc.tree, values, text)
 
 
 def serialize_tuple_labeled(doc: TupleTreeDocument, full: FullLabeling) -> str:

@@ -24,8 +24,6 @@ from treelabel import (
     random_document,
     random_topology,
 )
-from treelabel.dp import cost_table_csv
-from treelabel.intervals import interval_csv
 
 
 def run(capsys, *argv):
@@ -164,7 +162,7 @@ class TestSolve:
         # auto resolves to convex, whose table is dp_up's
         assert (len(convex_calls), len(dp_calls)) == (1, 0)
         doc = parse_newick(text)
-        expected = cost_table_csv(dp_up(doc.tree, doc.leaf_labels, CostFunction.power(2)))
+        expected = dp_up(doc.tree, doc.leaf_labels, CostFunction.power(2)).csv()
         assert out_csv.read_bytes() == expected.encode()
 
     def test_dump_intervals_is_the_solve_assignment(self, capsys, tmp_path, monkeypatch):
@@ -177,7 +175,7 @@ class TestSolve:
         assert code == 0
         assert len(calls) == 1
         doc = parse_newick(text)
-        expected = interval_csv(bottom_up_intervals(doc.tree, doc.leaf_labels))
+        expected = bottom_up_intervals(doc.tree, doc.leaf_labels).csv()
         assert out_csv.read_bytes() == expected.encode()
 
     def test_dump_follows_the_solver(self, capsys, tmp_path):
@@ -186,8 +184,8 @@ class TestSolve:
         path = tmp_path / "t.nwk"
         path.write_text("(2,7);")
         doc = parse_newick("(2,7);")
-        table = cost_table_csv(dp_up(doc.tree, doc.leaf_labels, CostFunction.manhattan()))
-        intervals = interval_csv(bottom_up_intervals(doc.tree, doc.leaf_labels))
+        table = dp_up(doc.tree, doc.leaf_labels, CostFunction.manhattan()).csv()
+        intervals = bottom_up_intervals(doc.tree, doc.leaf_labels).csv()
         for algorithm, expected in (("dp", table), ("convex", table),
                                     ("interval", intervals), ("median", intervals)):
             out_csv = tmp_path / f"{algorithm}.csv"
@@ -247,7 +245,7 @@ class TestSolve:
         dumped = run(capsys, "solve", str(path), "--dump", str(tmp_path / "x.csv"))
         assert dumped == plain == (0, "(1,(2,4,6)3,3)3;\n", "")
         doc = parse_newick("(1,(2,4,6),3);")
-        expected = interval_csv(bottom_up_intervals(doc.tree, doc.leaf_labels))
+        expected = bottom_up_intervals(doc.tree, doc.leaf_labels).csv()
         assert (tmp_path / "x.csv").read_text() == expected
 
     @pytest.mark.parametrize(

@@ -21,7 +21,7 @@ from treelabel import (
     tuple_cost,
 )
 from treelabel import estimator
-from treelabel.costs import node_values, shared_table
+from treelabel.costs import node_values, shared_convert
 from helpers import leaf_map, random_instance
 
 MANHATTAN = CostFunction.manhattan()
@@ -358,12 +358,21 @@ class TestSharedTable:
     """One object per distinct key, where at most half of the keys are distinct."""
 
     def test_repeated_keys_get_one_object_each(self):
-        table = shared_table([7, 8, 7, 8], lambda k: [k])
-        assert table == {7: [7], 8: [8]}
+        keys = [7, 8, 7, 8]
+        got = list(map(shared_convert(keys, lambda k: [k]), keys))
+        assert got == [[7], [8], [7], [8]]
+        assert got[0] is got[2] and got[1] is got[3]
 
     def test_mostly_distinct_keys_get_no_table(self):
-        assert shared_table([7, 8, 9, 9], lambda k: [k]) is None
+        def convert(k):
+            return [k]
 
-    def test_a_span_over_half_the_keys_gets_no_table(self):
-        assert shared_table([7, 7, 7, 7], str, span=3) is None
-        assert shared_table([7, 7, 7, 7], str, span=2) == {7: "7"}
+        assert shared_convert([7, 8, 9, 9], convert) is convert
+
+    def test_the_keys_alone_decide(self):
+        # ten keys spread over a range far wider than their count still
+        # repeat, and so still share
+        keys = [x * 10**11 for x in range(10)] * 3
+        texts = list(map(shared_convert(keys, str), keys))
+        assert texts == list(map(str, keys))
+        assert all(texts[i] is texts[i + 10] for i in range(20))

@@ -31,7 +31,6 @@ from treelabel import (
     random_document,
     solve_scalar,
 )
-from treelabel.dp import cost_table_csv
 
 INF = math.inf
 MANHATTAN = CostFunction.manhattan()
@@ -275,7 +274,7 @@ class TestSolveDp:
 
 def test_cost_table_csv_shape():
     doc = parse_newick("(2,7);")
-    csv = cost_table_csv(dp_up(doc.tree, doc.leaf_labels, MANHATTAN))
+    csv = dp_up(doc.tree, doc.leaf_labels, MANHATTAN).csv()
     lines = csv.strip().split("\n")
     assert lines[0] == "node,2,3,4,5,6,7"
     assert lines[1] == "0,5,5,5,5,5,5"

@@ -32,7 +32,6 @@ from treelabel import (
     solve_scalar,
     top_down_labels,
 )
-from treelabel.intervals import interval_csv
 
 MANHATTAN = CostFunction.manhattan()
 TIES = ("lowest", "highest", "midpoint")
@@ -481,7 +480,7 @@ def test_down_phase_allocates_one_list_of_labels(down, tie):
 
 def test_interval_csv_shape():
     doc = parse_newick("((1,5),9);")
-    csv = interval_csv(bottom_up_intervals(doc.tree, doc.leaf_labels))
+    csv = bottom_up_intervals(doc.tree, doc.leaf_labels).csv()
     lines = csv.strip().split("\n")
     assert lines[0] == "node,lo,hi"
     assert lines[1] == "0,5,9"

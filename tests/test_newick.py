@@ -1,6 +1,7 @@
 import random
 import re
 import sys
+import tracemalloc
 
 import pytest
 
@@ -15,6 +16,7 @@ from treelabel import (
     NewickSyntaxError,
     NonIntegerLeafName,
     TreeLabelError,
+    TreeLabeler,
     TupleLeafLabeling,
     TupleLengthMismatch,
     TupleNotMonotone,
@@ -364,6 +366,22 @@ class TestSerialize:
         doc = parse_newick("(2,7);")
         with pytest.raises(MissingNodeLabel):
             serialize_labeled(doc, {1: 2, 2: 7})
+
+    def test_few_labels_over_a_wide_range_share_their_texts(self):
+        # ten labels spread over [0, 9 * 10**11]: the labels themselves show
+        # that they repeat, so the printer makes one text per label and its
+        # transient peak is about its list of pieces
+        doc = random_document(10000, 0, 9, random.Random(5))
+        labels = {v: doc.leaf_labels.labels[v] * 10**11 for v in doc.tree.leaves()}
+        fitted = TreeLabeler().fit(doc.tree, labels)
+        tracemalloc.start()
+        try:
+            text = fitted.to_newick()
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert text == reference_render(doc.tree, lambda v: str(fitted.labels_[v]))
+        assert peak < 3 * len(text), (peak, len(text))
 
     def test_document_to_newick_leaves_only(self):
         doc = parse_newick("((1,5),9);")

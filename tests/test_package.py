@@ -316,18 +316,23 @@ _NOT_FOR_ANY_SOLVE = {"estimator", "generate"}
         ("(1|2,(3|4,5|6,7|8));", ["--tuple"], {"tuples"}, {"dp", "oracle"}),
         ("(1,(2,3,4),5);", ["--cost", "power:2"], {"dp"}, {"oracle", "tuples"}),
         ("((1,2),3);", ["--algorithm", "oracle"], {"oracle"}, {"dp", "tuples"}),
+        # the intervals write their own dump
+        ("(1,(2,3,4),5);", ["--dump", "<dump>"], {"intervals"}, {"dp", "oracle", "tuples"}),
     ],
 )
 def test_solve_loads_only_the_modules_it_runs(tmp_path, text, argv, needed, unneeded):
     # a fresh interpreter, so that nothing this test run loaded counts
     path = tmp_path / "t.nwk"
     path.write_text(text)
+    dump = tmp_path / "dump.csv"
+    argv = [dump if word == "<dump>" else word for word in argv]
     done = _fresh_python(_LOADED_BY_MAIN, "solve", path, *argv)
     at_import, code, loaded = done.stdout.split("\n")[:3]
     assert (at_import, code) == ("", "0"), done.stderr
     loaded = set(loaded.split())
     assert needed <= loaded
     assert loaded & (unneeded | _NOT_FOR_ANY_SOLVE) == set()
+    assert dump.exists() == ("--dump" in argv)
 
 
 _ATTRIBUTE_CONTRACT = """
