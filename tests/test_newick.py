@@ -336,6 +336,19 @@ class TestParse:
         assert doc.tree == build_tree([None, 0, 0, 1, 1, 2, 2, 6, 6])
         assert tuples.tree == build_tree([None, 0, 0, 1, 1])
 
+    def test_parse_frees_its_text_pieces_before_building_the_tree(self):
+        # the pieces of text and the per-depth counts are gone before the
+        # tree is built, so the parse's peak stays close to what it keeps
+        text = document_to_newick(random_document(10000, 0, 999, random.Random(5)))
+        tracemalloc.start()
+        try:
+            doc = parse_newick(text)
+            held, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        assert doc.tree.node_count == 19999
+        assert peak < 1.6 * held, (peak, held)
+
     def test_parse_skips_the_leaf_coverage_check(self, monkeypatch):
         # the labels come from the tree's own leaves, so coverage holds
         calls = count_calls(monkeypatch, check_leaf_coverage)
