@@ -21,9 +21,10 @@ Which solver applies is decided only in solve.py: solve resolves it once,
 for scalar and tuple input alike, and --dump writes the CSV of the up
 phase that solver built, a cost table or intervals, each record writing
 its own; only the oracle and tuple mode have none, and refuse --dump
-before solving. check runs solve_scalar per solver and skips
-inapplicable ones; bench times solve_scalar per algorithm, so an
-inapplicable one fails it.
+before solving. --dump takes a file path: "-" is refused before any
+input is read, since stdout carries the tree. check runs solve_scalar per
+solver and skips inapplicable ones; bench times solve_scalar per
+algorithm, so an inapplicable one fails it.
 
 A command imports what only it needs where it needs it (the generator
 in gen and bench, the k-tuple solver under --tuple, json under --format
@@ -86,6 +87,8 @@ def _write_file(path: str, text: str) -> None:
 # ------------------------------------------------------------------ #
 
 def cmd_solve(args: argparse.Namespace) -> int:
+    if args.dump == "-":
+        raise ValueError("--dump takes a file path, not '-': stdout carries the tree")
     text = _read_input(args.input)
     cost = CostFunction.from_spec(args.cost)
 

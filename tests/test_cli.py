@@ -223,6 +223,20 @@ class TestSolve:
         assert code == 0
         assert out_csv.read_text().startswith("node,1,2,3\n")
 
+    @pytest.mark.parametrize("flags", [["--algorithm", "interval"], ["--tuple"]])
+    def test_dump_to_dash_refused_before_the_input_is_read(
+        self, capsys, tmp_path, monkeypatch, flags
+    ):
+        # stdout carries the tree, so "-" is no place for the dump
+        monkeypatch.chdir(tmp_path)
+        stdin = io.StringIO("(1,2,3);\n")
+        monkeypatch.setattr(sys, "stdin", stdin)
+        code, out, err = run(capsys, "solve", "-", *flags, "--dump", "-")
+        assert (code, out) == (1, "")
+        assert err == "error:ValueError:--dump takes a file path, not '-': stdout carries the tree\n"
+        assert stdin.tell() == 0
+        assert list(tmp_path.iterdir()) == []
+
     def test_dump_intervals_on_auto_median(self, capsys, tmp_path, monkeypatch):
         path = tmp_path / "t.nwk"
         path.write_text("(1,(2,4,6),3);")  # auto resolves to median
