@@ -96,6 +96,8 @@ ERRORS = (
     ("tuple-length", "(1|2,3);", ["solve", "-", "--tuple"]),
     ("tuple-decreasing", "(2|1,3|4);", ["solve", "-", "--tuple"]),
     ("tuple-dump", "(1|4,3|8);", ["solve", "-", "--tuple", "--dump", DUMP]),
+    # stdout carries the tree, so the dump refuses "-"
+    ("dump-dash", "(1,2,3);", ["solve", "-", "--algorithm", "interval", "--dump", "-"]),
     ("gen-no-leaf", "", ["gen", "--n", "0", "--seed", "1"]),
     ("gen-empty-range", "", ["gen", "--n", "3", "--seed", "1", "--lo", "2", "--hi", "1"]),
     ("gen-arity", "", ["gen", "--n", "3", "--seed", "1", "--arity", "1"]),
