@@ -200,11 +200,10 @@ def _parse_tree(text: str) -> tuple[Tree, Iterator[int], list[str]]:
             break
     else:
         raise NewickSyntaxError("missing ';' terminator")
-    # the pieces and the per-depth counts are dropped before the tree is
-    # built, so they never take memory beside it
-    del segments
     count = list(chain.from_iterable(counts))
-    del counts
+    # the per-depth counts and the text pieces are dropped before the tree
+    # is built, so they never take memory beside it
+    del counts, segments
     # every id object below is taken from this one tuple, so the parents,
     # the children and the order share them
     ids = tuple(range(len(count)))
