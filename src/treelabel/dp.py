@@ -63,6 +63,10 @@ leaf row, and since leaf rows never enter a
 sum or a slope, no int + inf is ever formed: theta values beyond float
 range (power:200, say) cannot overflow, and no finite "big number" ever
 masquerades as infinity.
+
+A CostTable writes its own --dump text (CostTable.csv, through
+costs.node_csv): one line per node, one column per label, "inf" at a
+leaf row's impossible labels.
 """
 
 from __future__ import annotations

@@ -58,6 +58,9 @@ That gather, _sorted_ends, also gives median its below and above. So the
 up phase is O(N log d) for maximum arity d, a star included, and
 independent of the label range; a down phase is O(N).
 
+An IntervalAssignment writes its own --dump text (IntervalAssignment.csv,
+through costs.node_csv): one line "node,lo,hi" per node.
+
 Other cost functions go through the DP solvers.
 """
 
