@@ -5,7 +5,7 @@
 For each input below it runs TreeLabeler().fit(text).to_newick(), the
 library operation of perfbench's binary-manhattan-large workload, once
 to warm up and once traced. It then runs the operation's four stages one
-by one in one traced session, each with the results of the earlier ones
+by one under one trace, each with the results of the earlier ones
 alive, as in the operation: parse (parse_newick), up
 (bottom_up_intervals), down (top_down_labels) and print
 (serialize_labeled). A peak counts from what was alive before the
@@ -68,7 +68,7 @@ def inputs(seed: int) -> dict[str, str]:
 
 
 def _traced(stages):
-    """(name, peak, held) in bytes of each (name, thunk) run in one traced session."""
+    """(name, peak, held) in bytes of each (name, thunk) run under one trace."""
     gc.collect()
     rows, results = [], []  # the results stay alive until every stage has run
     tracemalloc.start()
