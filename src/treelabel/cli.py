@@ -11,18 +11,21 @@ Subcommands:
 gen is the one instance generator: "treelabel gen ... | treelabel check"
 cross-checks a seeded random batch, and check refuses an input that
 holds no tree (exit 1), so a failed gen never reads as agreement. A
-line check cannot parse fails it with its own error class and exit code,
-the message starting "line N: " for its 1-based line, blank lines
-counted. Input
+line check cannot parse or solve fails it with its own error class and
+exit code, the message starting "line N: " for its 1-based line, blank
+lines counted; only a solver that does not apply (UnsupportedAlgorithm,
+BudgetExceeded) is skipped instead. Input
 read from a file or stdin may start with a UTF-8 byte-order mark, which
 is dropped before parsing.
 
 Which solver applies is decided only in solve.py: solve resolves it once,
 for scalar and tuple input alike, and --dump writes the CSV of the up
 phase that solver built, a cost table or intervals, each record writing
-its own; only the oracle and tuple mode have none, and refuse --dump
-before solving. --dump takes a file path: "-" is refused before any
-input is read, since stdout carries the tree. check runs solve_scalar per
+its own; only the oracle and tuple mode have none. --dump takes a file
+path, "-" not included since stdout carries the tree. Every --dump
+conflict that argv alone decides is refused before any input is read, in
+this order: "-", then --tuple, then --algorithm oracle (auto never
+resolves to the oracle). check runs solve_scalar per
 solver and skips inapplicable ones; bench times solve_scalar per
 algorithm, so an inapplicable one fails it.
 
@@ -89,12 +92,14 @@ def _write_file(path: str, text: str) -> None:
 def cmd_solve(args: argparse.Namespace) -> int:
     if args.dump == "-":
         raise ValueError("--dump takes a file path, not '-': stdout carries the tree")
+    if args.dump and args.tuple:
+        raise UnsupportedAlgorithm("--dump is not available in tuple mode")
+    if args.dump and args.algorithm == "oracle":
+        raise UnsupportedAlgorithm("--dump is not available for the oracle, which has no up phase")
     text = _read_input(args.input)
     cost = CostFunction.from_spec(args.cost)
 
     if args.tuple:
-        if args.dump:
-            raise UnsupportedAlgorithm("--dump is not available in tuple mode")
         doc = parse_newick_tuples(text)
         serialize = serialize_tuple_labeled
     else:
@@ -103,8 +108,6 @@ def cmd_solve(args: argparse.Namespace) -> int:
     _set_str_digits(0)  # the input is read
 
     resolved = choose_algorithm(args.algorithm, doc.tree, cost, args.tie)
-    if args.dump and resolved == "oracle":
-        raise UnsupportedAlgorithm("--dump is not available for the oracle, which has no up phase")
 
     if args.tuple:
         from .tuples import solve_ktuple
@@ -150,18 +153,22 @@ _CHECKED = ("dp", "interval", "oracle", "convex", "median")
 _SAME_LABELS = ("median", "convex")
 
 
+def _on_line(number: int, exc: TreeLabelError) -> TreeLabelError:
+    """``exc``, its message naming ``number``, the 1-based line of check's input it is about."""
+    exc.args = (f"line {number}: {exc}",)
+    return exc
+
+
 def cmd_check(args: argparse.Namespace) -> int:
     cost = CostFunction.from_spec(args.cost)
-    docs = []
+    docs = []  # (line number, document), blank lines counted
     for number, line in enumerate(_read_input(args.input).splitlines(), 1):
         line = line.strip()
         if line:
             try:
-                docs.append(parse_newick(line))
+                docs.append((number, parse_newick(line)))
             except TreeLabelError as exc:
-                # the same class and exit code, naming the line, blank lines counted
-                exc.args = (f"line {number}: {exc}",)
-                raise
+                raise _on_line(number, exc)
     if not docs:
         raise EmptyTree("no tree in the input")
     _set_str_digits(0)  # the input is read
@@ -176,13 +183,15 @@ def cmd_check(args: argparse.Namespace) -> int:
     }
     failures = []
 
-    for doc in docs:
+    for number, doc in docs:
         labelings = {}
         for name in _CHECKED:
             try:
                 _, labeling, _ = solve_scalar(doc.tree, doc.leaf_labels, cost, algorithm=name)
             except (UnsupportedAlgorithm, BudgetExceeded):
                 continue  # this solver does not apply to the instance
+            except TreeLabelError as exc:
+                raise _on_line(number, exc)
             labelings[name] = labeling
         costs = {name: labeling.total_cost for name, labeling in labelings.items()}
 

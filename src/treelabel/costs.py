@@ -15,7 +15,8 @@ the convex solver needs; CostFunction.is_convex is the one place it is
 decided.
 Labels may be any integers, negative included; costs depend only on
 differences. All arithmetic is exact (Python ints), so there is no
-overflow to guard against.
+overflow to guard against, and no float enters a cost: a leaf label or
+a full labeling that holds one is refused where it is read.
 
 The problem's data lives here, below every solver: the leaf records,
 ``LeafLabeling`` for integer labels (a list by node id, None at the
@@ -27,7 +28,8 @@ module imports no solver. A finished labeling, scalar or k-tuple, is one
 record, ``Labeling``, whose values are a list by node id, and node_values
 is the one place it is read by node id: every cost sum, serializer and
 front end goes through it, taking a solver's list as it is, so a node
-with no label fails the same way everywhere. shared_convert decides, in
+with no label, or with a label that is no integer, fails the same way
+everywhere. shared_convert decides, in
 one place and from the labels alone, when equal labels share one object
 from the parse to the text, and node_csv is the one writer of the up
 phases' --dump text.
@@ -321,21 +323,43 @@ def node_values(t: Tree, full: FullLabeling) -> list:
     """The label of every node of ``t``, as a list indexed by node id.
 
     The one reader of a full labeling, a mapping or a sequence indexed by
-    node id. A list of exactly N entries, which every solver's Labeling
-    holds, is returned as it is, not copied. Anything else is copied into
-    a new list: a key that is not a node id, or an entry past N, is
-    ignored, and a node with no label raises MissingNodeLabel naming the
-    lowest such id. For a sequence too short for the tree, that is its
-    length.
+    node id, and the one place its labels meet the integer rule: each is
+    an int, or a tuple of ints as solve_ktuple gives. A list of exactly N
+    entries that are all exact ints, which every scalar solver's Labeling
+    holds, or all tuples, which solve_ktuple's holds, is returned as it
+    is, not copied. Anything else is copied by exact_labels into a new
+    list, a bool or another int subclass becoming its int: a key that is
+    not a node id, or an entry past N, is ignored; a node with no label
+    raises MissingNodeLabel and a label that is no int ValueError, each
+    naming the lowest such node (for a sequence too short for the tree,
+    its length). The components of a list of tuples are held to the rule
+    by their two readers as they read them, tuple_cost and
+    serialize_tuple_labeled, so the printer makes no extra pass over them.
     """
     values = full.values if isinstance(full, Labeling) else full
+    # all exact ints, or all tuples
     if type(values) is list and len(values) == t.node_count:
-        return values
+        if set(map(type, values)) in ({int}, {tuple}):
+            return values
     try:
-        return list(map(values.__getitem__, range(t.node_count)))
+        return exact_labels(map(values.__getitem__, range(t.node_count)))
     except (KeyError, IndexError) as exc:
         missing = len(values) if isinstance(exc, IndexError) else exc.args[0]
         raise MissingNodeLabel(f"no label for node {missing}") from None
+
+
+def exact_labels(values: Iterable) -> list:
+    """``values`` as a new list, each label an exact int or a tuple of exact ints.
+
+    A bool or another integer becomes its int, as as_int makes of a leaf
+    label. Any other label, or tuple component, raises ValueError naming
+    the lowest such node and, in a tuple, the component.
+    """
+    return [
+        tuple(as_int(x, f"component {i} of node {v}") for i, x in enumerate(label))
+        if isinstance(label, tuple) else as_int(label, f"label of node {v}")
+        for v, label in enumerate(values)
+    ]
 
 
 def shared_convert(keys: Collection, convert: Callable) -> Callable:
@@ -346,8 +370,8 @@ def shared_convert(keys: Collection, convert: Callable) -> Callable:
     convert(k) once for each distinct key k, so every place holding one
     key gets one object. Where more than half are distinct, the table would
     cost more than the objects it saves, and ``convert`` itself is
-    returned. Equal keys must be interchangeable, since 1, 1.0 and True
-    are one key.
+    returned. Equal keys must be interchangeable, since they share one
+    object.
     """
     distinct = set(keys)
     if 2 * len(distinct) > len(keys):
@@ -376,12 +400,14 @@ def tuple_cost(t: Tree, c: CostFunction, full: FullLabeling) -> int:
     """Total stretch: sum over edges of the per-coordinate theta costs.
 
     ``full`` is a Labeling, a list or a mapping of k-tuples, read by
-    node_values.
+    node_values; a component that is no integer raises its ValueError.
     Each node's tuple must be nondecreasing, checked in node id order.
     """
     values = node_values(t, full)
+    if {type(x) for label in values for x in label} != {int}:
+        values = exact_labels(values)
     for v, tup in enumerate(values):
-        _check_monotone(tuple(tup), "node", v)
+        _check_monotone(tup, "node", v)
     cost = theta_function(c)
     total = 0
     for parent, child in t.edges():

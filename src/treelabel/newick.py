@@ -30,13 +30,12 @@ them directly, since the result is a valid tree by construction.
 A large tree repeats a few labels many times, so equal labels share one
 object from the parse to the text: each distinct leaf name is converted
 to an int once, and leaves with equal names share that int;
-serialize_labeled writes each distinct int label once, and the printer
-looks every node's text up in that table. Every other label is written
-where it stands: a float or a bool, so that equal values of different
-types print apart, and a k-tuple, since tuples seldom repeat. Where more
-than half of the labels are distinct, a table would cost more than it
-saves and none is built; the labels alone decide it (see
-costs.shared_convert).
+serialize_labeled writes each distinct label once, and the printer looks
+every node's text up in that table. A k-tuple is written where it
+stands, since tuples seldom repeat. Where more than half of the labels
+are distinct, a table would cost more than it saves and none is built;
+the labels alone decide it (see costs.shared_convert). The printers take
+only integer labels, as costs.node_values reads them.
 
 For k-tuple inputs, a leaf name is a '|'-separated run of integers,
 e.g. "3|7|9"; see parse_newick_tuples.
@@ -50,7 +49,9 @@ from itertools import chain, compress, repeat
 from operator import not_
 from typing import Iterator, NamedTuple, Union
 
-from .costs import FullLabeling, LeafLabeling, TupleLeafLabeling, node_values, shared_convert
+from .costs import (
+    FullLabeling, LeafLabeling, TupleLeafLabeling, exact_labels, node_values, shared_convert,
+)
 from .errors import EmptyTree, NewickSyntaxError, NonIntegerLeafName
 from .tree import Tree
 
@@ -64,8 +65,6 @@ _INT_TUPLE = re.compile(r"[+-]?[0-9]+(?:\|[+-]?[0-9]+)*", re.ASCII)
 _LENGTH_TAIL = r"(?:\s*:\s*[^\s:]+)?\s*"
 _LEAF = re.compile(r"\s*([^\s:]*)" + _LENGTH_TAIL)
 _AFTER_CLOSE = re.compile(r"[^\s:]*" + _LENGTH_TAIL)
-# the one type of label whose equal values print alike
-_EXACT_INT = frozenset((int,))
 
 
 class LabeledTreeDocument(NamedTuple):
@@ -295,7 +294,9 @@ def _render(tree: Tree, values: list, text) -> str:
 
 
 def _tuple_text(value: tuple[int, ...]) -> str:
-    return "|".join(map(str, value))
+    # int.__repr__ writes an int subclass as its int and refuses any other
+    # component with a TypeError
+    return "|".join(map(int.__repr__, value))
 
 
 def serialize_labeled(doc: LabeledTreeDocument, full: FullLabeling) -> str:
@@ -308,19 +309,24 @@ def serialize_labeled(doc: LabeledTreeDocument, full: FullLabeling) -> str:
     and leaf labels.
     """
     values = node_values(doc.tree, full)
-    # nodes with equal labels share one text; a table keyed by value would
-    # give 1, 1.0 and True one text, so it serves exact ints only
-    text = shared_convert(values, str) if _EXACT_INT.issuperset(map(type, values)) else str
-    return _render(doc.tree, values, text)
+    # nodes with equal labels share one text
+    return _render(doc.tree, values, shared_convert(values, str))
 
 
 def serialize_tuple_labeled(doc: TupleTreeDocument, full: FullLabeling) -> str:
     """Newick text with every node named by its '|'-joined tuple.
 
     ``full`` is a Labeling of k-tuples, such as solve_ktuple returns, or a
-    plain mapping of them, read by node_values like serialize_labeled's.
+    plain mapping of them, read by node_values like serialize_labeled's. A
+    component that is no integer raises exact_labels' ValueError, naming
+    the lowest such node and the component.
     """
-    return _render(doc.tree, node_values(doc.tree, full), _tuple_text)
+    values = node_values(doc.tree, full)
+    try:
+        return _render(doc.tree, values, _tuple_text)
+    except TypeError:
+        # some component is no int: exact_labels names it, or makes it one
+        return _render(doc.tree, exact_labels(values), _tuple_text)
 
 
 def document_to_newick(doc: Union[LabeledTreeDocument, TupleTreeDocument]) -> str:

@@ -9,9 +9,9 @@ against.
 
 The search is refused up front (BudgetExceeded) when the assignment count
 m ** k would exceed the evaluation budget: 10_000_000 by default,
-overridable via the TREELABEL_BUDGET environment variable or
-brute_force_min's ``budget`` argument. A count budget, not a wall-clock
-one, keeps runs reproducible.
+overridable via the TREELABEL_BUDGET environment variable, the one way
+to set it. A count budget, not a wall-clock one, keeps runs
+reproducible.
 
 Each assignment is one tuple over every node in postorder, drawn from a
 single itertools.product: an internal node ranges over the box, a leaf
@@ -37,17 +37,13 @@ from .tree import Tree, postorder
 DEFAULT_LABELING_CAP = 1000
 
 
-def resolve_budget(budget: int | None = None) -> int:
-    """Explicit argument, else TREELABEL_BUDGET from the environment, else default."""
-    if budget is not None:
-        return budget
-    env = os.environ.get("TREELABEL_BUDGET")
-    if env is not None:
-        try:
-            return int(env)
-        except ValueError:
-            raise ValueError(f"TREELABEL_BUDGET must be an integer, got {env!r}")
-    return DEFAULT_BUDGET
+def resolve_budget() -> int:
+    """TREELABEL_BUDGET from the environment, else the default."""
+    env = os.environ.get("TREELABEL_BUDGET", DEFAULT_BUDGET)
+    try:
+        return int(env)
+    except ValueError:
+        raise ValueError(f"TREELABEL_BUDGET must be an integer, got {env!r}") from None
 
 
 class OptimumSet(NamedTuple):
@@ -68,16 +64,12 @@ class OptimumSet(NamedTuple):
 
 
 def brute_force_min(
-    t: Tree,
-    l: LeafLabeling,
-    c: CostFunction,
-    budget: int | None = None,
-    max_labelings: int = DEFAULT_LABELING_CAP,
+    t: Tree, l: LeafLabeling, c: CostFunction, max_labelings: int = DEFAULT_LABELING_CAP
 ) -> OptimumSet:
     """Exact global optimum over the search box, by full enumeration."""
     nodes = postorder(t)
     internal_count = t.node_count - t.leaf_count
-    allowed = resolve_budget(budget)
+    allowed = resolve_budget()
     count = l.m ** internal_count
     if count > allowed:
         raise BudgetExceeded(
@@ -121,11 +113,9 @@ def brute_force_min(
     )
 
 
-def optimal_label_sets(
-    t: Tree, l: LeafLabeling, c: CostFunction, budget: int | None = None
-) -> list[list[int]]:
+def optimal_label_sets(t: Tree, l: LeafLabeling, c: CostFunction) -> list[list[int]]:
     """For every node, all labels it takes in at least one optimal labeling.
 
     Entry [v] is ascending. Leaf entries are their observed labels.
     """
-    return brute_force_min(t, l, c, budget=budget, max_labelings=0).label_sets
+    return brute_force_min(t, l, c, max_labelings=0).label_sets

@@ -237,6 +237,33 @@ class TestSolve:
         assert stdin.tell() == 0
         assert list(tmp_path.iterdir()) == []
 
+    @pytest.mark.parametrize(
+        "flags, message",
+        [
+            (["--tuple"], "--dump is not available in tuple mode"),
+            (["--algorithm", "oracle"],
+             "--dump is not available for the oracle, which has no up phase"),
+            # tuple mode is refused first
+            (["--tuple", "--algorithm", "oracle"], "--dump is not available in tuple mode"),
+        ],
+    )
+    def test_dump_conflicts_refused_before_the_input_is_read(
+        self, capsys, tmp_path, monkeypatch, flags, message
+    ):
+        # argv alone decides these, so neither a missing file nor malformed
+        # stdin is reached, and stdin is left unread
+        out_csv = tmp_path / "x.csv"
+        error = f"error:UnsupportedAlgorithm:{message}\n"
+        missing = str(tmp_path / "missing.nwk")
+        code, out, err = run(capsys, "solve", missing, *flags, "--dump", str(out_csv))
+        assert (code, out, err) == (2, "", error)
+        stdin = io.StringIO("(1,\n")
+        monkeypatch.setattr(sys, "stdin", stdin)
+        code, out, err = run(capsys, "solve", "-", *flags, "--dump", str(out_csv))
+        assert (code, out, err) == (2, "", error)
+        assert stdin.tell() == 0
+        assert not out_csv.exists()
+
     def test_dump_intervals_on_auto_median(self, capsys, tmp_path, monkeypatch):
         path = tmp_path / "t.nwk"
         path.write_text("(1,(2,4,6),3);")  # auto resolves to median
@@ -506,6 +533,16 @@ class TestCheck:
     def test_parse_failure_names_its_line(self, capsys, monkeypatch, text, error):
         code, out, err = check_stdin(capsys, monkeypatch, text)
         assert (code, out, err) == (1, "", error)
+
+    def test_solver_failure_names_its_line(self, capsys, monkeypatch):
+        # every solver error but the skipped two names its line, keeping its
+        # class and exit code
+        text = "(0,1);\n\n(0,9);\n"
+        code, out, err = check_stdin(capsys, monkeypatch, text, "--cost", "table:0,1,2")
+        assert (code, out) == (1, "")
+        assert err == (
+            "error:DifferenceOutOfRange:line 3: difference 3 outside cost table of length 3\n"
+        )
 
     def test_oracle_budget_from_environment(self, capsys, tmp_path, monkeypatch):
         # over budget, the oracle is skipped like any solver that does not apply

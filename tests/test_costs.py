@@ -354,6 +354,45 @@ class TestLabelsAreOneListByNodeId:
             node_values(t, mapping)
 
 
+class TestIntegerRule:
+    """A full labeling is held to ints where it is read, by node_values."""
+
+    def test_eval_total_refuses_a_float_label(self):
+        # before the rule, manhattan and power:2 summed 4.5 into a float cost
+        # and the table lookup failed with a bare TypeError
+        t = parse_newick("(2,7);").tree
+        error = "^label of node 0 must be an integer, got 4.5$"
+        for cost in (MANHATTAN, SQUARE, CostFunction.from_table([0, 1, 2, 3, 4, 5, 6])):
+            for full in ([4.5, 2, 7], {0: 4.5, 1: 2, 2: 7}):
+                with pytest.raises(ValueError, match=error):
+                    eval_total(t, cost, full)
+
+    def test_bools_become_ints_and_exact_lists_pass_as_they_are(self):
+        t = parse_newick("(2,7);").tree
+        got = node_values(t, [True, 2, 7])
+        assert got == [1, 2, 7] and list(map(type, got)) == [int, int, int]
+        assert eval_total(t, SQUARE, [True, False, 7]) == 37
+        exact = [5, 2, 7]
+        assert node_values(t, exact) is exact
+        tuples = [(1, 4), (1, 4), (3, 8)]
+        assert node_values(t, tuples) is tuples
+
+    def test_tuple_cost_refuses_a_float_component(self):
+        t = parse_newick_tuples("(1|4,3|8);").tree
+        error = "^component 0 of node 0 must be an integer, got 1.5$"
+        for full in ([(1.5, 3), (1, 4), (3, 8)], {0: (1.5, 3), 1: (1, 4), 2: (3, 8)}):
+            with pytest.raises(ValueError, match=error):
+                tuple_cost(t, MANHATTAN, full)
+        assert tuple_cost(t, MANHATTAN, [(True, 4), (1, 4), (3, 8)]) == 6
+
+    def test_a_label_that_is_neither_int_nor_tuple_is_refused(self):
+        t = parse_newick("(2,7);").tree
+        with pytest.raises(ValueError, match="^label of node 1 must be an integer, got None$"):
+            node_values(t, [5, None, 7])
+        with pytest.raises(ValueError, match=r"^label of node 0 must be an integer, got \[1, 4\]"):
+            node_values(t, [[1, 4], (1, 4), (3, 8)])
+
+
 class TestSharedTable:
     """One object per distinct key, where at most half of the keys are distinct."""
 

@@ -606,14 +606,35 @@ class TestPrinterDifferential:
             scalar, tuples = _random_labels(rng, tree, span=10**15)
             assert len(set(scalar.values())) == tree.node_count
             self._check_all_serializers(tree, scalar, tuples)
-        # equal values of different types, on leaves whose labels repeat
+        # equal values of different types, on leaves whose labels repeat: a
+        # bool prints as its int, and a float is refused, naming the lowest
+        # node that holds one
+        refused = 0
         for _ in range(100):
             tree = _random_tree(rng, rng.randint(2, 40))
             scalar, tuples = _random_labels(rng, tree)
             for v in scalar:
                 scalar[v] = rng.choice((1, True) if tree.is_leaf(v) else (1, True, 1.0))
-            self._check_all_serializers(tree, scalar, tuples)
-        assert serialize_labeled(parse_newick("(2,7);"), {0: 1.0, 1: True, 2: 1}) == "(True,1)1.0;"
+            doc = LabeledTreeDocument(
+                tree, LeafLabeling.for_tree(tree, {v: scalar[v] for v in tree.leaves()})
+            )
+            as_list = [scalar[v] for v in range(tree.node_count)]
+            floats = [v for v, x in enumerate(as_list) if type(x) is float]
+            if floats:
+                refused += 1
+                error = f"^label of node {floats[0]} must be an integer, got 1.0$"
+                for full in (scalar, as_list):
+                    with pytest.raises(ValueError, match=error):
+                        serialize_labeled(doc, full)
+            else:
+                ones = dict.fromkeys(scalar, 1)
+                self._check_all_serializers(tree, ones, tuples)
+                assert serialize_labeled(doc, scalar) == serialize_labeled(doc, ones)
+                assert serialize_labeled(doc, as_list) == serialize_labeled(doc, ones)
+        assert 0 < refused < 100
+        assert serialize_labeled(parse_newick("(2,7);"), {0: 1, 1: True, 2: 1}) == "(1,1)1;"
+        with pytest.raises(ValueError, match="^label of node 0 must be an integer, got 1.0$"):
+            serialize_labeled(parse_newick("(2,7);"), {0: 1.0, 1: True, 2: 1})
 
     def test_single_node_and_unary_chains(self):
         rng = random.Random(6062)
@@ -642,6 +663,28 @@ class TestPrinterDifferential:
         tuple_doc = TupleTreeDocument(t, TupleLeafLabeling.for_tree(t, {0: (1,), 1: (3,)}))
         with pytest.raises(MissingNodeLabel, match="no label for node 0$"):
             serialize_tuple_labeled(tuple_doc, {1: (3,)})
+
+    def test_labels_are_held_to_the_integer_rule(self):
+        # a bool becomes its int; any other label that is no int is refused,
+        # naming the lowest such node, the same through a list and a mapping
+        doc = parse_newick("(2,7);")
+        for full in ([True, 2, 7], {0: True, 1: 2, 2: 7}):
+            assert serialize_labeled(doc, full) == "(2,7)1;"
+        for full in ([4.5, 2, 7], {0: 4.5, 1: 2, 2: 7}, [7, 2, 7.0], ["7", 2, 7]):
+            with pytest.raises(ValueError, match="^label of node [02] must be an integer"):
+                serialize_labeled(doc, full)
+
+    def test_tuple_components_are_held_to_the_integer_rule(self):
+        doc = parse_newick_tuples("(1|4,3|8);")
+        for full in ([(True, 4), (1, 4), (3, 8)], {0: (True, 4), 1: (1, 4), 2: (3, 8)}):
+            assert serialize_tuple_labeled(doc, full) == "(1|4,3|8)1|4;"
+        error = "^component 0 of node 0 must be an integer, got 1.5$"
+        for full in ([(1.5, 3), (1, 4), (3, 8)], {0: (1.5, 3), 1: (1, 4), 2: (3, 8)}):
+            with pytest.raises(ValueError, match=error):
+                serialize_tuple_labeled(doc, full)
+        # the printer meets node 1 first; the error names node 0
+        with pytest.raises(ValueError, match="^component 1 of node 0 must be an integer"):
+            serialize_tuple_labeled(doc, [(1, 4.0), (1, 4.5), (3, 8)])
 
     def test_short_sequence_names_its_length(self):
         # a list is read by index, as TreeLabeler.to_newick passes one

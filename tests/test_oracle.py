@@ -110,11 +110,16 @@ class TestBruteForceMin:
                     assert capped.label_sets == result.label_sets
         assert many >= 40
 
-    def test_budget_refused_up_front(self):
+    def test_budget_refused_up_front(self, monkeypatch):
         doc = parse_newick("((1,5),9);")  # m=9, 2 internal nodes: 81 assignments
+        monkeypatch.setenv("TREELABEL_BUDGET", "80")
         with pytest.raises(BudgetExceeded):
-            brute_force_min(doc.tree, doc.leaf_labels, MANHATTAN, budget=80)
-        assert brute_force_min(doc.tree, doc.leaf_labels, MANHATTAN, budget=81).cost == 8
+            brute_force_min(doc.tree, doc.leaf_labels, MANHATTAN)
+        monkeypatch.setenv("TREELABEL_BUDGET", "81")
+        assert brute_force_min(doc.tree, doc.leaf_labels, MANHATTAN).cost == 8
+        # the variable is the one way to set the budget; unset, the default holds
+        monkeypatch.delenv("TREELABEL_BUDGET")
+        assert resolve_budget() == DEFAULT_BUDGET
 
     def test_budget_from_environment(self, monkeypatch):
         doc = parse_newick("((1,5),9);")
@@ -124,13 +129,6 @@ class TestBruteForceMin:
         monkeypatch.setenv("TREELABEL_BUDGET", "junk")
         with pytest.raises(ValueError):
             brute_force_min(doc.tree, doc.leaf_labels, MANHATTAN)
-
-    def test_resolve_budget_precedence(self, monkeypatch):
-        assert resolve_budget(None) == DEFAULT_BUDGET
-        assert resolve_budget(123) == 123
-        monkeypatch.setenv("TREELABEL_BUDGET", "55")
-        assert resolve_budget(None) == 55
-        assert resolve_budget(123) == 123
 
     def test_agrees_with_independent_recursive_enumeration(self):
         rng = random.Random(41)

@@ -1,12 +1,15 @@
-"""Record the byte-identity corpus of the command line.
+"""Record or replay the byte-identity corpus of the command line.
 
-    PYTHONPATH=src python tools/golden_cli.py
+    PYTHONPATH=src python tools/golden_cli.py [--check]
 
 Writes tests/golden_cli.json: one sha256 per named case, a case being the
 text on stdin and an argv for ``treelabel``. The hash covers the exit
 code, stdout and stderr of ``cli.main`` run in-process and the file a
-``--dump`` wrote, if any. tests/test_golden_cli.py replays every case and
-names each one whose hash moved.
+``--dump`` wrote, if any. With --check it writes nothing: it replays
+every case, prints the name of each one whose hash moved (or that only
+one side has) and exits 1 if there is any. tests/test_golden_cli.py
+calls the same replay; --check needs no pytest, so it runs under any
+supported interpreter.
 
 The instances are small, so a replay takes about a second: ``gen``
 batches of at most 6 leaves (binary, arity 3 and 4, signed labels), a
@@ -26,6 +29,7 @@ CHANGES.md: a recording made on changed code would pin the change.
 
 from __future__ import annotations
 
+import argparse
 import hashlib
 import io
 import json
@@ -102,6 +106,8 @@ ERRORS = (
     ("gen-empty-range", "", ["gen", "--n", "3", "--seed", "1", "--lo", "2", "--hi", "1"]),
     ("gen-arity", "", ["gen", "--n", "3", "--seed", "1", "--arity", "1"]),
     ("check-empty", "\n\n", ["check"]),
+    # a solver error names its line, as a parse error does
+    ("check-solver-error-line", "(0,1);\n(0,9);\n", ["check", "--cost", "table:0,1,2"]),
     # names of one digit more than CPython's default int conversion limit
     ("digit-limit", f"({'1' * 4301},2);", ["solve", "-"]),
     ("digit-limit-tuple", f"(1|{'1' * 4301},2|3);", ["solve", "-", "--tuple"]),
@@ -194,9 +200,26 @@ def record(scratch: Path) -> dict[str, str]:
     return hashes
 
 
+def moved(scratch: Path) -> list[str]:
+    """The names of the cases whose replay differs from tests/golden_cli.json.
+
+    A case that only the corpus or only the replay has counts as moved.
+    """
+    recorded = json.loads(GOLDEN.read_text(encoding="utf-8"))
+    replayed = record(scratch)
+    return [name for name in {**recorded, **replayed} if recorded.get(name) != replayed.get(name)]
+
+
 if __name__ == "__main__":
+    parser = argparse.ArgumentParser(description="Record or replay the command-line corpus.")
+    parser.add_argument("--check", action="store_true", help="replay only, writing nothing")
+    args = parser.parse_args()
     os.environ["TREELABEL_BUDGET"] = BUDGET
     with tempfile.TemporaryDirectory() as scratch:
+        if args.check:
+            names = moved(Path(scratch))
+            print("\n".join(names + [f"{len(names)} cases moved"]))
+            sys.exit(1 if names else 0)
         table = record(Path(scratch))
     GOLDEN.write_text(json.dumps(table, indent=0) + "\n", encoding="utf-8")
     print(f"{len(table)} cases -> {GOLDEN}")
