@@ -154,7 +154,10 @@ _SAME_LABELS = ("median", "convex")
 
 
 def _on_line(number: int, exc: TreeLabelError) -> TreeLabelError:
-    """``exc``, its message naming ``number``, the 1-based line of check's input it is about."""
+    """``exc`` with "line <number>: " before its message, keeping its class and exit code.
+
+    ``number`` is the 1-based line of check's input the error is about.
+    """
     exc.args = (f"line {number}: {exc}",)
     return exc
 

@@ -328,7 +328,7 @@ def node_values(t: Tree, full: FullLabeling) -> list:
     entries that are all exact ints, which every scalar solver's Labeling
     holds, or all tuples, which solve_ktuple's holds, is returned as it
     is, not copied. Anything else is copied by exact_labels into a new
-    list, a bool or another int subclass becoming its int: a key that is
+    list, a bool or another integer becoming its int: a key that is
     not a node id, or an entry past N, is ignored; a node with no label
     raises MissingNodeLabel and a label that is no int ValueError, each
     naming the lowest such node (for a sequence too short for the tree,
@@ -337,8 +337,8 @@ def node_values(t: Tree, full: FullLabeling) -> list:
     serialize_tuple_labeled, so the printer makes no extra pass over them.
     """
     values = full.values if isinstance(full, Labeling) else full
-    # all exact ints, or all tuples
     if type(values) is list and len(values) == t.node_count:
+        # all exact ints, or all tuples
         if set(map(type, values)) in ({int}, {tuple}):
             return values
     try:
@@ -351,9 +351,10 @@ def node_values(t: Tree, full: FullLabeling) -> list:
 def exact_labels(values: Iterable) -> list:
     """``values`` as a new list, each label an exact int or a tuple of exact ints.
 
-    A bool or another integer becomes its int, as as_int makes of a leaf
-    label. Any other label, or tuple component, raises ValueError naming
-    the lowest such node and, in a tuple, the component.
+    A bool, or any other value operator.index takes, becomes its int, as
+    as_int makes of a leaf label. Any other label, or tuple component,
+    raises ValueError naming the lowest such node and, in a tuple, the
+    component.
     """
     return [
         tuple(as_int(x, f"component {i} of node {v}") for i, x in enumerate(label))
