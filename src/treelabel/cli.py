@@ -31,9 +31,16 @@ algorithm, so an inapplicable one fails it.
 
 A command imports what only it needs where it needs it (the generator
 in gen and bench, the k-tuple solver under --tuple, json under --format
-json), as solve_scalar does for dp.py and the oracle, so a cold start
-compiles only the modules its command reaches: a Manhattan --dump loads
-no dp.py.
+json), as solve_scalar does for dp.py, intervals.py and the oracle, so a
+cold start compiles only the modules its command reaches: a Manhattan
+--dump loads no dp.py, and a dp or convex solve no intervals.py. The
+parser is built once per process, on main's first call.
+
+entry, the process entry point, freezes the collector's view of the heap
+before it calls main (gc.freeze): all that is alive then, the modules,
+their classes and functions, lives until exit, and frozen, no later
+collection traverses it, the interpreter's own at exit included. main
+does not freeze, so an in-process caller keeps its heap as it was.
 
 Exit codes: 0 success; 1 parse or validation failure; 2 solver
 precondition failure (oracle budget, unsupported combinations such as a
@@ -48,11 +55,12 @@ bytes (timings in bench output excepted).
 from __future__ import annotations
 
 import argparse
+import functools
+import gc
 import sys
 
-from .costs import CostFunction, LeafLabeling, node_values
+from .costs import TIES, CostFunction, LeafLabeling, node_values
 from .errors import DEFAULT_BUDGET, BudgetExceeded, EmptyTree, TreeLabelError, UnsupportedAlgorithm
-from .intervals import TIES as INTERVAL_TIES
 from .newick import (
     document_to_newick,
     parse_newick,
@@ -130,9 +138,10 @@ def cmd_solve(args: argparse.Namespace) -> int:
             g_min, g_max = min(map(min, tuples)), max(map(max, tuples))
         else:
             g_min, g_max = doc.leaf_labels.g_min, doc.leaf_labels.g_max
+        values = node_values(doc.tree, labeling, tuple if args.tuple else int)
         payload = {
             "cost": labeling.total_cost,
-            "labels": {str(v): x for v, x in enumerate(node_values(doc.tree, labeling))},
+            "labels": {str(v): x for v, x in enumerate(values)},
             "algorithm": resolved,
             "g_min": g_min,
             "g_max": g_max,
@@ -334,7 +343,9 @@ def cmd_bench(args: argparse.Namespace) -> int:
 # parser / entry point                                                #
 # ------------------------------------------------------------------ #
 
+@functools.cache
 def build_parser() -> argparse.ArgumentParser:
+    """The parser of every subcommand, built on the first call and shared by the later ones."""
     parser = argparse.ArgumentParser(
         prog="treelabel",
         description="Minimum-cost integer labeling of leaf-labeled rooted trees.",
@@ -354,8 +365,8 @@ def build_parser() -> argparse.ArgumentParser:
     p_solve.add_argument("input", nargs="?", default="-", help="Newick file or '-' for stdin")
     p_solve.add_argument("--algorithm", default="auto", choices=ALGORITHMS)
     add_cost(p_solve)
-    # the interval solver's tie rules include every other solver's
-    p_solve.add_argument("--tie", default="lowest", choices=INTERVAL_TIES)
+    # every tie rule: solve_scalar refuses one that its solver does not take
+    p_solve.add_argument("--tie", default="lowest", choices=TIES)
     p_solve.add_argument("--format", default="newick", choices=["newick", "json"])
     p_solve.add_argument("--tuple", action="store_true", help="leaf names are a|b|c tuples")
     p_solve.add_argument(
@@ -420,6 +431,7 @@ def main(argv=None) -> int:
 
 
 def entry() -> None:
+    gc.freeze()  # see the module docstring
     sys.exit(main())
 
 

@@ -27,8 +27,9 @@ The parser, the generator and the solvers all build on them, and this
 module imports no solver. A finished labeling, scalar or k-tuple, is one
 record, ``Labeling``, whose values are a list by node id, and node_values
 is the one place it is read by node id: every cost sum, serializer and
-front end goes through it, taking a solver's list as it is, so a node
-with no label, or with a label that is no integer, fails the same way
+front end goes through it, naming the kind of label it reads and taking
+a solver's list as it is, so a node with no label, with a label that is
+no integer or with a label of the other kind fails the same way
 everywhere. shared_convert decides, in
 one place and from the labels alone, when equal labels share one object
 from the parse to the text, and node_csv is the one writer of the up
@@ -51,6 +52,9 @@ from .tree import Tree
 # the tie rules of dp's down phase, which convex and median reproduce: the
 # smallest or the largest minimizer
 DP_TIES = ("lowest", "highest")
+# every tie rule: dp's two, and the midpoint of the root's interval, which
+# only the interval solver takes
+TIES = (*DP_TIES, "midpoint")
 
 
 class CostFunction(NamedTuple):
@@ -319,48 +323,52 @@ class Labeling(NamedTuple):
 FullLabeling = Union[Labeling, Sequence[Any], Mapping[int, Any]]
 
 
-def node_values(t: Tree, full: FullLabeling) -> list:
+def node_values(t: Tree, full: FullLabeling, kind: type) -> list:
     """The label of every node of ``t``, as a list indexed by node id.
 
     The one reader of a full labeling, a mapping or a sequence indexed by
-    node id, and the one place its labels meet the integer rule: each is
-    an int, or a tuple of ints as solve_ktuple gives. A list of exactly N
-    entries that are all exact ints, which every scalar solver's Labeling
-    holds, or all tuples, which solve_ktuple's holds, is returned as it
-    is, not copied. Anything else is copied by exact_labels into a new
-    list, a bool or another integer becoming its int: a key that is
-    not a node id, or an entry past N, is ignored; a node with no label
-    raises MissingNodeLabel and a label that is no int ValueError, each
-    naming the lowest such node (for a sequence too short for the tree,
-    its length). The components of a list of tuples are held to the rule
-    by their two readers as they read them, tuple_cost and
-    serialize_tuple_labeled, so the printer makes no extra pass over them.
+    node id, and the one place its labels meet the integer rule. ``kind``
+    is the kind of label the caller reads: int for a scalar labeling, or
+    tuple for a k-tuple one, as solve_ktuple gives. A list of exactly N
+    entries all of that kind, which every solver's Labeling holds, is
+    returned as it is, not copied. Anything else is copied by exact_labels
+    into a new list, a bool or another integer becoming its int: a key
+    that is not a node id, or an entry past N, is ignored; a node with no
+    label raises MissingNodeLabel, and a label of the other kind, or one
+    that is no int, ValueError, each naming the lowest such node (for a
+    sequence too short for the tree, its length). The components of a list
+    of tuples are held to the rule by their two readers as they read them,
+    tuple_cost and serialize_tuple_labeled, so the printer makes no extra
+    pass over them.
     """
     values = full.values if isinstance(full, Labeling) else full
     if type(values) is list and len(values) == t.node_count:
-        # all exact ints, or all tuples
-        if set(map(type, values)) in ({int}, {tuple}):
+        if set(map(type, values)) == {kind}:
             return values
     try:
-        return exact_labels(map(values.__getitem__, range(t.node_count)))
+        return exact_labels(map(values.__getitem__, range(t.node_count)), kind)
     except (KeyError, IndexError) as exc:
         missing = len(values) if isinstance(exc, IndexError) else exc.args[0]
         raise MissingNodeLabel(f"no label for node {missing}") from None
 
 
-def exact_labels(values: Iterable) -> list:
-    """``values`` as a new list, each label an exact int or a tuple of exact ints.
+def exact_labels(values: Iterable, kind: type) -> list:
+    """``values`` as a new list, each label an exact int, or, for ``kind`` tuple, a tuple of them.
 
     A bool, or any other value operator.index takes, becomes its int, as
-    as_int makes of a leaf label. Any other label, or tuple component,
-    raises ValueError naming the lowest such node and, in a tuple, the
-    component.
+    as_int makes of a leaf label. Any other label, or tuple component, and
+    a label of the other kind raise ValueError naming the lowest such node
+    and, in a tuple, the component.
     """
-    return [
-        tuple(as_int(x, f"component {i} of node {v}") for i, x in enumerate(label))
-        if isinstance(label, tuple) else as_int(label, f"label of node {v}")
-        for v, label in enumerate(values)
-    ]
+    if kind is int:
+        return [as_int(label, f"label of node {v}") for v, label in enumerate(values)]
+    return [_exact_tuple(label, v) for v, label in enumerate(values)]
+
+
+def _exact_tuple(label: object, v: int) -> tuple:
+    if not isinstance(label, tuple):
+        raise ValueError(f"label of node {v} must be a tuple of integers, got {label!r}")
+    return tuple(as_int(x, f"component {i} of node {v}") for i, x in enumerate(label))
 
 
 def shared_convert(keys: Collection, convert: Callable) -> Callable:
@@ -392,7 +400,7 @@ def eval_total(t: Tree, c: CostFunction, full: FullLabeling) -> int:
 
     Every node needs a label, a single node's included.
     """
-    values = node_values(t, full)
+    values = node_values(t, full, int)
     cost = theta_function(c)
     return sum(cost(abs(values[parent] - values[child])) for parent, child in t.edges())
 
@@ -404,9 +412,9 @@ def tuple_cost(t: Tree, c: CostFunction, full: FullLabeling) -> int:
     node_values; a component that is no integer raises its ValueError.
     Each node's tuple must be nondecreasing, checked in node id order.
     """
-    values = node_values(t, full)
+    values = node_values(t, full, tuple)
     if {type(x) for label in values for x in label} != {int}:
-        values = exact_labels(values)
+        values = exact_labels(values, tuple)
     for v, tup in enumerate(values):
         _check_monotone(tup, "node", v)
     cost = theta_function(c)

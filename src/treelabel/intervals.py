@@ -69,7 +69,7 @@ from __future__ import annotations
 from itertools import islice
 from typing import NamedTuple
 
-from .costs import DP_TIES, Labeling, LeafLabeling, node_csv
+from .costs import DP_TIES, TIES, Labeling, LeafLabeling, node_csv
 from .tree import Tree
 
 
@@ -86,10 +86,6 @@ class IntervalAssignment(NamedTuple):
     def csv(self) -> str:
         """The --dump text: node id, interval low, interval high."""
         return node_csv(("lo", "hi"), zip(self.lo, self.hi))
-
-
-# the root-label rules top_down_labels accepts
-TIES = ("lowest", "highest", "midpoint")
 
 
 def bottom_up_intervals(t: Tree, l: LeafLabeling) -> IntervalAssignment:

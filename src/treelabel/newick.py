@@ -302,13 +302,14 @@ def _tuple_text(value: tuple[int, ...]) -> str:
 def serialize_labeled(doc: LabeledTreeDocument, full: FullLabeling) -> str:
     """Newick text with every node (internal ones included) named by its label.
 
-    ``full`` is read by node_values, so a node with no label raises
-    MissingNodeLabel naming the lowest such id. Example: the 5-node tree
+    ``full`` is read by node_values as a scalar labeling, so a node with
+    no label raises MissingNodeLabel naming the lowest such id, and a node
+    labeled with a tuple ValueError. Example: the 5-node tree
     with leaves 1,5,9 and both internal labels 5 renders as
     "((1,5)5,9)5;". Round-trips through parse_newick to the same topology
     and leaf labels.
     """
-    values = node_values(doc.tree, full)
+    values = node_values(doc.tree, full, int)
     # nodes with equal labels share one text
     return _render(doc.tree, values, shared_convert(values, str))
 
@@ -317,16 +318,17 @@ def serialize_tuple_labeled(doc: TupleTreeDocument, full: FullLabeling) -> str:
     """Newick text with every node named by its '|'-joined tuple.
 
     ``full`` is a Labeling of k-tuples, such as solve_ktuple returns, or a
-    plain mapping of them, read by node_values like serialize_labeled's. A
-    component that is no integer raises exact_labels' ValueError, naming
-    the lowest such node and the component.
+    plain mapping of them, read by node_values as a k-tuple labeling, so a
+    node labeled with an int raises ValueError. A component that is no
+    integer raises exact_labels' ValueError, naming the lowest such node
+    and the component.
     """
-    values = node_values(doc.tree, full)
+    values = node_values(doc.tree, full, tuple)
     try:
         return _render(doc.tree, values, _tuple_text)
     except TypeError:
         # some component is no int: exact_labels names it, or makes it one
-        return _render(doc.tree, exact_labels(values), _tuple_text)
+        return _render(doc.tree, exact_labels(values, tuple), _tuple_text)
 
 
 def document_to_newick(doc: Union[LabeledTreeDocument, TupleTreeDocument]) -> str:

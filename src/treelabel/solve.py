@@ -1,26 +1,22 @@
 """Algorithm selection shared by the estimator, the k-tuple solver and the CLI.
 
-The table solvers (dp.py) and the oracle are imported by the branches
-that run them, so a Manhattan solve never loads either.
+The table solvers (dp.py), the interval solvers (intervals.py) and the
+oracle are imported by the branches that run them, so a solve loads only
+its own solver: a Manhattan one no dp.py, a dp or convex one no
+intervals.py.
 """
 
 from __future__ import annotations
 
 from typing import TYPE_CHECKING, Optional, Union
 
-from .costs import DP_TIES, CostFunction, Labeling, LeafLabeling
+from .costs import DP_TIES, TIES, CostFunction, Labeling, LeafLabeling
 from .errors import UnsupportedAlgorithm
-from .intervals import TIES as INTERVAL_TIES
-from .intervals import (
-    IntervalAssignment,
-    bottom_up_intervals,
-    median_down,
-    top_down_labels,
-)
 from .tree import Tree, is_binary
 
 if TYPE_CHECKING:
     from .dp import CostTable
+    from .intervals import IntervalAssignment
 
 ALGORITHMS = ("auto", "dp", "convex", "interval", "median", "oracle")
 
@@ -32,7 +28,7 @@ INTERVAL_ALGORITHMS = ("interval", "median")
 _TIES_BY_ALGORITHM = {
     "dp": DP_TIES,
     "convex": DP_TIES,
-    "interval": INTERVAL_TIES,
+    "interval": TIES,
     "median": DP_TIES,
     "oracle": ("lowest",),
 }
@@ -107,6 +103,8 @@ def solve_scalar(
         table = up(t, l, c)
         return resolved, down(t, table, c, tie=tie), table
     if resolved in INTERVAL_ALGORITHMS:
+        from .intervals import bottom_up_intervals, median_down, top_down_labels
+
         intervals = bottom_up_intervals(t, l)
         down = median_down if resolved == "median" else top_down_labels
         return resolved, down(t, intervals, tie=tie), intervals

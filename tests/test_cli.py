@@ -1,8 +1,12 @@
 import contextlib
+import gc
 import io
 import json
+import os
 import random
+import subprocess
 import sys
+from pathlib import Path
 
 import pytest
 
@@ -842,6 +846,29 @@ def test_memory_error_is_one_line(capsys, monkeypatch, tmp_path, message):
     )
 
 
+def test_main_leaves_the_heap_unfrozen(capsys):
+    # main's in-process callers keep their heap as it was
+    frozen = gc.get_freeze_count()
+    gen_batch(capsys, "--n", "3", "--seed", "1")
+    assert gc.get_freeze_count() == frozen
+
+
+_ENTRY = """
+import gc
+import treelabel.cli as cli
+cli.main = lambda: print(gc.get_freeze_count() > 0) or 3
+cli.entry()
+"""
+
+
+def test_entry_freezes_the_heap_before_main_and_exits_with_its_code():
+    env = dict(os.environ, PYTHONPATH=str(Path(cli.__file__).resolve().parents[1]))
+    done = subprocess.run(
+        [sys.executable, "-c", _ENTRY], env=env, capture_output=True, text=True, check=False
+    )
+    assert (done.returncode, done.stdout, done.stderr) == (3, "True\n", "")
+
+
 @pytest.mark.parametrize("command", ["solve", "check", "bench"])
 def test_help_names_the_oracle_budget_variable(capsys, command):
     # the environment variable is the only way to set the oracle budget
@@ -972,7 +999,7 @@ def test_fuzzed_cli_never_leaks_a_traceback(capsys, tmp_path, monkeypatch):
             argv = [
                 "solve", source, *cost,
                 "--algorithm", rng.choice(cli.ALGORITHMS),
-                "--tie", rng.choices(cli.INTERVAL_TIES, weights=(6, 3, 1))[0],
+                "--tie", rng.choices(cli.TIES, weights=(6, 3, 1))[0],
                 "--format", rng.choice(["newick", "json"]),
             ]
             argv += ["--tuple"] * (rng.random() < (0.8 if "|" in text else 0.2))

@@ -15,6 +15,8 @@ from treelabel import (
     parse_newick,
     parse_newick_tuples,
     random_document,
+    serialize_labeled,
+    serialize_tuple_labeled,
     solve_ktuple,
     solve_scalar,
     theta,
@@ -339,19 +341,19 @@ class TestLabelsAreOneListByNodeId:
         doc = parse_newick("((1,5),9);")
         t = doc.tree
         full = [5, 5, 9, 1, 5]
-        assert node_values(t, full) is full
+        assert node_values(t, full, int) is full
         labeling = Labeling(values=full, total_cost=8)
-        assert node_values(t, labeling) is full
+        assert node_values(t, labeling, int) is full
         # a mapping, a tuple and a list of the wrong length are copied
         mapping = dict(enumerate(full))
         for other in (mapping, tuple(full), full + [7]):
-            got = node_values(t, other)
+            got = node_values(t, other, int)
             assert type(got) is list and got == full and got is not other
         with pytest.raises(MissingNodeLabel, match="no label for node 4$"):
-            node_values(t, full[:4])
+            node_values(t, full[:4], int)
         del mapping[2]
         with pytest.raises(MissingNodeLabel, match="no label for node 2$"):
-            node_values(t, mapping)
+            node_values(t, mapping, int)
 
 
 class TestIntegerRule:
@@ -369,13 +371,13 @@ class TestIntegerRule:
 
     def test_bools_become_ints_and_exact_lists_pass_as_they_are(self):
         t = parse_newick("(2,7);").tree
-        got = node_values(t, [True, 2, 7])
+        got = node_values(t, [True, 2, 7], int)
         assert got == [1, 2, 7] and list(map(type, got)) == [int, int, int]
         assert eval_total(t, SQUARE, [True, False, 7]) == 37
         exact = [5, 2, 7]
-        assert node_values(t, exact) is exact
+        assert node_values(t, exact, int) is exact
         tuples = [(1, 4), (1, 4), (3, 8)]
-        assert node_values(t, tuples) is tuples
+        assert node_values(t, tuples, tuple) is tuples
 
     def test_tuple_cost_refuses_a_float_component(self):
         t = parse_newick_tuples("(1|4,3|8);").tree
@@ -388,9 +390,31 @@ class TestIntegerRule:
     def test_a_label_that_is_neither_int_nor_tuple_is_refused(self):
         t = parse_newick("(2,7);").tree
         with pytest.raises(ValueError, match="^label of node 1 must be an integer, got None$"):
-            node_values(t, [5, None, 7])
+            node_values(t, [5, None, 7], int)
         with pytest.raises(ValueError, match=r"^label of node 0 must be an integer, got \[1, 4\]"):
-            node_values(t, [[1, 4], (1, 4), (3, 8)])
+            node_values(t, [[1, 4], (1, 4), (3, 8)], int)
+
+    # each reader names the lowest node whose label is of the kind it does
+    # not read; before, the scalar printer wrote Python tuple text,
+    # ((1, 4),(3, 8))(1, 4); and the others ended in a bare TypeError
+    _NOT_AN_INT = r"^label of node 0 must be an integer, got \(1, 4\)$"
+    _NOT_A_TUPLE = "^label of node 1 must be a tuple of integers, got 1$"
+
+    def test_serialize_labeled_refuses_tuples(self):
+        with pytest.raises(ValueError, match=self._NOT_AN_INT):
+            serialize_labeled(parse_newick("(2,7);"), [(1, 4), (1, 4), (3, 8)])
+
+    def test_eval_total_refuses_tuples(self):
+        with pytest.raises(ValueError, match=self._NOT_AN_INT):
+            eval_total(parse_newick("(2,7);").tree, MANHATTAN, [(1, 4), 1, 3])
+
+    def test_tuple_cost_refuses_ints(self):
+        with pytest.raises(ValueError, match=self._NOT_A_TUPLE):
+            tuple_cost(parse_newick_tuples("(1|4,3|8);").tree, MANHATTAN, [(1, 4), 1, (3, 8)])
+
+    def test_serialize_tuple_labeled_refuses_ints(self):
+        with pytest.raises(ValueError, match=self._NOT_A_TUPLE):
+            serialize_tuple_labeled(parse_newick_tuples("(1|4,3|8);"), {0: (1, 4), 1: 1, 2: 3})
 
 
 class TestSharedTable:

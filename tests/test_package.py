@@ -314,10 +314,13 @@ _NOT_FOR_ANY_SOLVE = {"estimator", "generate"}
         ("((1,2),3);", [], {"intervals"}, {"dp", "oracle", "tuples"}),
         ("(1,(2,3,4),5);", [], {"intervals"}, {"dp", "oracle", "tuples"}),
         ("(1|2,(3|4,5|6,7|8));", ["--tuple"], {"tuples"}, {"dp", "oracle"}),
-        ("(1,(2,3,4),5);", ["--cost", "power:2"], {"dp"}, {"oracle", "tuples"}),
+        # the table solvers run no interval phase
+        ("(1,(2,3,4),5);", ["--cost", "power:2"], {"dp"}, {"intervals", "oracle", "tuples"}),
         ("((1,2),3);", ["--algorithm", "oracle"], {"oracle"}, {"dp", "tuples"}),
         # the intervals write their own dump
         ("(1,(2,3,4),5);", ["--dump", "<dump>"], {"intervals"}, {"dp", "oracle", "tuples"}),
+        # a forced table solver on a Manhattan tree, too
+        ("((1,2),3);", ["--algorithm", "dp"], {"dp"}, {"intervals", "oracle", "tuples"}),
     ],
 )
 def test_solve_loads_only_the_modules_it_runs(tmp_path, text, argv, needed, unneeded):

@@ -8,8 +8,9 @@ code, stdout and stderr of ``cli.main`` run in-process and the file a
 ``--dump`` wrote, if any. With --check it writes nothing: it replays
 every case, prints the name of each one whose hash moved (or that only
 one side has) and exits 1 if there is any. tests/test_golden_cli.py
-calls the same replay; --check needs no pytest, so it runs under any
-supported interpreter.
+calls the same replay, and runs a few named cases through a fresh
+``python -m treelabel.cli`` under the same hash rule (``digest``);
+--check needs no pytest, so it runs under any supported interpreter.
 
 The instances are small, so a replay takes about a second: ``gen``
 batches of at most 6 leaves (binary, arity 3 and 4, signed labels), a
@@ -120,6 +121,14 @@ OUT_OF_MEMORY = (
 )
 
 
+def digest(code: int, out: str, err: str, dump: Path) -> str:
+    """The sha256 a case records: its exit code, stdout, stderr and ``dump``'s bytes, if any."""
+    hashed = hashlib.sha256(f"{code}\0{out}\0{err}\0".encode())
+    if dump.exists():
+        hashed.update(dump.read_bytes())
+    return hashed.hexdigest()
+
+
 def run(stdin: str, argv: list[str], scratch: Path) -> str:
     """The sha256 of one in-process ``cli.main`` call and its dump file."""
     dump = scratch / "dump.csv"
@@ -132,10 +141,7 @@ def run(stdin: str, argv: list[str], scratch: Path) -> str:
             code = cli.main(argv)
     finally:
         sys.stdin = saved
-    digest = hashlib.sha256(f"{code}\0{out.getvalue()}\0{err.getvalue()}\0".encode())
-    if dump.exists():
-        digest.update(dump.read_bytes())
-    return digest.hexdigest()
+    return digest(code, out.getvalue(), err.getvalue(), dump)
 
 
 def _output(argv: list[str]) -> str:
@@ -183,20 +189,14 @@ def cases() -> Iterator[tuple[str, str, list[str]]]:
 
 
 def record(scratch: Path) -> dict[str, str]:
-    """The sha256 of every case, by name.
-
-    ``main`` builds its parser once for all cases: the construction takes
-    three quarters of a call, and its result is the same every time.
-    """
+    """The sha256 of every case, by name."""
     hashes = {}
-    parser = cli.build_parser()
-    with mock.patch.object(cli, "build_parser", lambda: parser):
-        for name, stdin, argv in cases():
-            assert name not in hashes, name
+    for name, stdin, argv in cases():
+        assert name not in hashes, name
+        hashes[name] = run(stdin, argv, scratch)
+    for name, stdin, argv, target in OUT_OF_MEMORY:
+        with mock.patch(target, side_effect=MemoryError):
             hashes[name] = run(stdin, argv, scratch)
-        for name, stdin, argv, target in OUT_OF_MEMORY:
-            with mock.patch(target, side_effect=MemoryError):
-                hashes[name] = run(stdin, argv, scratch)
     return hashes
 
 
