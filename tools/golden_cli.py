@@ -82,6 +82,8 @@ TUPLE_TREES = (
     ("triples", "((1|2|3,2|5|9),(0|0|4,7|8|8),3|3|3);"),
     # the decomposition crosses under the non-convex table: exit 2
     ("crossing", "(2|2,(5|6,3|8,4|5));"),
+    # signed and zero-padded components
+    ("signed", "(-3|+2,(+4|05,-0|0));"),
 )
 MALFORMED = (
     ("blank", ""),
@@ -93,6 +95,8 @@ MALFORMED = (
     ("quoted", "('1',2);"),
     ("after-terminator", "(1,2); (3,4);"),
     ("bad-tuple", "(1|x,2|3);"),
+    # a decimal digit outside ASCII, in a scalar name and in a component
+    ("non-ascii-digit", "(١|2,3|4);"),
 )
 # other errors the command line reports, each a single case
 ERRORS = (
@@ -100,6 +104,11 @@ ERRORS = (
     ("bad-cost", "((0,9),4);", ["solve", "-", "--cost", "power:x"]),
     ("tuple-length", "(1|2,3);", ["solve", "-", "--tuple"]),
     ("tuple-decreasing", "(2|1,3|4);", ["solve", "-", "--tuple"]),
+    # signed components that decrease: (1, 0)
+    ("tuple-signed-decreasing", "(+1|-0,3|4);", ["solve", "-", "--tuple"]),
+    # mixed k and a decreasing tuple: the lower leaf id's error is reported
+    ("tuple-decreasing-before-length", "(1|2,(3|1,5));", ["solve", "-", "--tuple"]),
+    ("tuple-length-before-decreasing", "(1|2,(3,2|1));", ["solve", "-", "--tuple"]),
     ("tuple-dump", "(1|4,3|8);", ["solve", "-", "--tuple", "--dump", DUMP]),
     # stdout carries the tree, so the dump refuses "-"
     ("dump-dash", "(1,2,3);", ["solve", "-", "--algorithm", "interval", "--dump", "-"]),
