@@ -33,13 +33,19 @@ no integer or with a label of the other kind fails the same way
 everywhere. shared_convert decides, in
 one place and from the labels alone, when equal labels share one object
 from the parse to the text, and node_csv is the one writer of the up
-phases' --dump text.
+phases' --dump text. first_decrease is the one monotone rule of the
+k-tuple data, for the leaf tuples, tuple_cost and solve_ktuple's audit:
+it compares adjacent columns in builtins and scans tuple by tuple only
+to name where a check failed.
 """
 
 from __future__ import annotations
 
-from operator import index, le, pos
-from typing import Any, Callable, Collection, Iterable, Mapping, NamedTuple, Sequence, Union
+from itertools import compress, count, pairwise, repeat
+from operator import index, le, ne, pos
+from typing import (
+    Any, Callable, Collection, Iterable, Mapping, NamedTuple, Optional, Sequence, Union,
+)
 
 from .errors import (
     DifferenceOutOfRange,
@@ -243,28 +249,51 @@ class TupleLeafLabeling(NamedTuple):
     def _of_leaves(cls, labels: dict[int, tuple[int, ...]]) -> "TupleLeafLabeling":
         """The labeling of int tuples ``labels`` known to cover exactly the leaves.
 
-        Checks, in ascending leaf order, that every tuple has the same k >= 1
-        components and is nondecreasing. ``labels`` is kept as it is, not
-        copied.
+        Checks that every tuple has the same k >= 1 components as the
+        lowest leaf's and is nondecreasing (first_decrease). Where some leaf
+        fails, the lowest such leaf is named, as an ascending scan would
+        meet it. ``labels`` is kept as it is, not copied.
         """
-        k = None
-        for v in sorted(labels):
-            value = labels[v]
-            if k is None:
-                k = len(value)
-                if k == 0:
-                    raise ValueError("tuples must have at least one component")
-            elif len(value) != k:
-                raise TupleLengthMismatch(
-                    f"leaf {v} has a {len(value)}-tuple; expected k={k}"
-                )
-            _check_monotone(value, "leaf", v)
+        leaves = sorted(labels)
+        rows = list(map(labels.__getitem__, leaves))
+        k = len(rows[0])
+        if k == 0:
+            raise ValueError("tuples must have at least one component")
+        # the first leaf of another length; a decrease below it comes first
+        end = next(compress(count(), map(ne, map(len, rows), repeat(k))), len(rows))
+        crossing = first_decrease(rows[:end])
+        if crossing is not None:
+            v = leaves[crossing[0]]
+            raise TupleNotMonotone(f"tuple {labels[v]} at leaf {v} decreases")
+        if end < len(rows):
+            raise TupleLengthMismatch(
+                f"leaf {leaves[end]} has a {len(rows[end])}-tuple; expected k={k}"
+            )
         return cls(k=k, labels=labels)
 
 
-def _check_monotone(value: tuple[int, ...], kind: str, v: int) -> None:
-    if not all(map(le, value, value[1:])):
-        raise TupleNotMonotone(f"tuple {value} at {kind} {v} decreases")
+def first_decrease(
+    rows: Sequence[tuple], columns: Optional[Sequence[Sequence]] = None
+) -> Optional[tuple[int, int]]:
+    """Where the tuples ``rows`` first decrease: (v, i), or None where none does.
+
+    The one monotone rule of the k-tuple data, for the leaves, tuple_cost
+    and solve_ktuple's audit. v is the lowest index of a tuple that
+    decreases, and i the lowest coordinate where component i exceeds
+    component i + 1 there. Tuples of one length are checked by columns,
+    k - 1 passes of le over adjacent columns in builtins; ``columns``, the
+    same tuples by component, is taken where the caller has it. Only when
+    a pair of columns crosses, or the lengths differ, does the scan run
+    tuple by tuple to find (v, i).
+    """
+    if columns is None and len(set(map(len, rows))) == 1:
+        columns = zip(*rows)
+    if columns is not None and all(all(map(le, a, b)) for a, b in pairwise(columns)):
+        return None
+    return next(
+        ((v, i) for v, row in enumerate(rows) for i in range(len(row) - 1) if row[i] > row[i + 1]),
+        None,
+    )
 
 
 def as_int(value: object, entry: str) -> int:
@@ -371,7 +400,7 @@ def _exact_tuple(label: object, v: int) -> tuple:
     return tuple(as_int(x, f"component {i} of node {v}") for i, x in enumerate(label))
 
 
-def shared_convert(keys: Collection, convert: Callable) -> Callable:
+def shared_convert(keys: Collection, convert: Callable, count: Optional[int] = None) -> Callable:
     """The function to map ``keys`` through: ``convert``, or a lookup that shares its results.
 
     A large tree repeats a few labels many times. Where at most half of
@@ -380,10 +409,11 @@ def shared_convert(keys: Collection, convert: Callable) -> Callable:
     key gets one object. Where more than half are distinct, the table would
     cost more than the objects it saves, and ``convert`` itself is
     returned. Equal keys must be interchangeable, since they share one
-    object.
+    object. A caller that streams its keys passes each distinct key once
+    in ``keys`` and how many keys it will map as ``count``.
     """
     distinct = set(keys)
-    if 2 * len(distinct) > len(keys):
+    if 2 * len(distinct) > (len(keys) if count is None else count):
         return convert
     return dict(zip(distinct, map(convert, distinct))).__getitem__
 
@@ -410,13 +440,16 @@ def tuple_cost(t: Tree, c: CostFunction, full: FullLabeling) -> int:
 
     ``full`` is a Labeling, a list or a mapping of k-tuples, read by
     node_values; a component that is no integer raises its ValueError.
-    Each node's tuple must be nondecreasing, checked in node id order.
+    Each node's tuple must be nondecreasing (first_decrease names the
+    lowest node that is not), before the edges' tuple lengths are compared.
     """
     values = node_values(t, full, tuple)
     if {type(x) for label in values for x in label} != {int}:
         values = exact_labels(values, tuple)
-    for v, tup in enumerate(values):
-        _check_monotone(tup, "node", v)
+    crossing = first_decrease(values)
+    if crossing is not None:
+        v = crossing[0]
+        raise TupleNotMonotone(f"tuple {values[v]} at node {v} decreases")
     cost = theta_function(c)
     total = 0
     for parent, child in t.edges():

@@ -23,17 +23,16 @@ dp's tie rules (dp, convex and median, either tie): the "lowest" and
 L-natural-convex objective, which are monotone in the leaf data. It is
 not taken on faith: every solve, under any cost and solver, audits it
 and raises TupleDecompositionNotMonotone with a reproducer when it fails,
-rather than repairing the tuples silently. The audit compares adjacent
-columns in builtins; only when some pair crosses does a node by node scan
-find what is reported: the smallest node id that decreases, and there the
-smallest coordinate i above coordinate i + 1.
+rather than repairing the tuples silently. The audit is
+costs.first_decrease on the answer's columns: it compares adjacent
+columns in builtins, and only when some pair crosses does a node by node
+scan find what is reported: the smallest node id that decreases, and
+there the smallest coordinate i above coordinate i + 1.
 """
 
 from __future__ import annotations
 
-from operator import gt
-
-from .costs import CostFunction, Labeling, LeafLabeling, TupleLeafLabeling
+from .costs import CostFunction, Labeling, LeafLabeling, TupleLeafLabeling, first_decrease
 from .errors import TupleDecompositionNotMonotone
 from .solve import choose_algorithm, solve_scalar
 from .tree import Tree
@@ -61,15 +60,10 @@ def solve_ktuple(
         columns.append(labeling.values)
         total += labeling.total_cost
 
-    if any(any(map(gt, a, b)) for a, b in zip(columns, columns[1:])):
-        # report the first crossing in node order: the smallest node id,
-        # and there the smallest coordinate i above coordinate i + 1
-        v, i = next(
-            (v, i)
-            for v in range(t.node_count)
-            for i in range(len(columns) - 1)
-            if columns[i][v] > columns[i + 1][v]
-        )
+    values = list(zip(*columns))
+    crossing = first_decrease(values, columns)
+    if crossing is not None:
+        v, i = crossing
         reproducer = {
             "parents": list(t.parents),
             "leaf_tuples": dict(sorted(l.labels.items())),
@@ -83,4 +77,4 @@ def solve_ktuple(
             coordinate=i,
             reproducer=reproducer,
         )
-    return Labeling(values=list(zip(*columns)), total_cost=total)
+    return Labeling(values=values, total_cost=total)

@@ -452,6 +452,83 @@ class TestTupleParse:
         with pytest.raises(NonIntegerLeafName):
             parse_newick_tuples("(1|x,2|9);")
 
+    # the edges of the fast path: the pattern is skipped only where every
+    # component is ASCII decimal, and the components are cut k at a time
+    # only where the names have one k; every other text ends as before
+    @pytest.mark.parametrize(
+        "text, error, message",
+        [
+            # a decimal digit outside ASCII, which int() would convert
+            ("(١|2,3|4);", NonIntegerLeafName,
+             "tuple component of leaf '١|2' '١' is not a decimal integer"),
+            # signed components parse, and (1, 0) decreases
+            ("(+1|-0,3|4);", TupleNotMonotone, "tuple (1, 0) at leaf 1 decreases"),
+            ("(1||2,3|4|5);", NonIntegerLeafName,
+             "tuple component of leaf '1||2' '' is not a decimal integer"),
+            # mixed k and a decreasing tuple: the lower leaf's error wins
+            ("(1|2,(3|1,5));", TupleNotMonotone, "tuple (3, 1) at leaf 3 decreases"),
+            ("(1|2,(3,2|1));", TupleLengthMismatch, "leaf 3 has a 1-tuple; expected k=2"),
+            ("(2|1,(3,4|5));", TupleNotMonotone, "tuple (2, 1) at leaf 1 decreases"),
+            ("(1|1,(2|3|4,1|0));", TupleLengthMismatch, "leaf 3 has a 3-tuple; expected k=2"),
+            ("(|,1|2);", NonIntegerLeafName,
+             "tuple component of leaf '|' '' is not a decimal integer"),
+        ],
+    )
+    def test_fast_path_boundaries(self, text, error, message):
+        with pytest.raises(error) as info:
+            parse_newick_tuples(text)
+        assert type(info.value) is error
+        assert str(info.value) == message
+
+    @pytest.mark.skipif(
+        not hasattr(sys, "get_int_max_str_digits"), reason="no int<->str digit limit"
+    )
+    def test_component_over_the_digit_limit(self):
+        # the fast path converts all components at once; the error still
+        # names the first leaf over the limit, before any k or order check
+        limit = sys.get_int_max_str_digits()
+        long = "1" * (limit + 1)
+        message = (f"^leaf 3 has an integer of {limit + 1} digits in its name, "
+                   f"more than the limit of {limit}$")
+        for text in (f"(2|1,(3|{long},5|6));", f"(1|2,(3|{long},5));",
+                     f"(1|2,(3|{long}|4,5|6));"):
+            with pytest.raises(NonIntegerLeafName, match=message):
+                parse_newick_tuples(text)
+        # a bad name and a name over the limit: the first in breadth-first
+        # order is reported
+        with pytest.raises(NonIntegerLeafName, match=message):
+            parse_newick_tuples(f"(1|2,(3|{long},5|x));")
+        with pytest.raises(NonIntegerLeafName) as info:
+            parse_newick_tuples(f"(1|x,(3|{long},5|6));")
+        assert str(info.value) == "tuple component of leaf '1|x' 'x' is not a decimal integer"
+
+    def test_components_share_ints_and_skip_the_pattern(self, monkeypatch):
+        # an ASCII text of decimal components never runs the pattern, and
+        # equal components share one int
+        monkeypatch.setattr(newick, "_INT_TUPLE", None)
+        doc = parse_newick_tuples("((1000|7000,1000|7000),(3000|7000,1000|1000));")
+        labels = doc.leaf_labels.labels
+        assert labels == {3: (1000, 7000), 4: (1000, 7000), 5: (3000, 7000), 6: (1000, 1000)}
+        assert list(labels) == [3, 4, 5, 6]
+        assert len({id(x) for label in labels.values() for x in label}) == 3
+
+    def test_component_texts_are_never_all_alive_at_once(self):
+        # 40,000 components split name by name as they are read: holding
+        # all their texts at once would take the peak past 3 times what
+        # the parse keeps
+        rng = random.Random(5)
+        tree = random_topology(5000, rng, arity=4)
+        tuples = {v: tuple(sorted(rng.randint(0, 99) for _ in range(8))) for v in tree.leaves()}
+        text = document_to_newick(TupleTreeDocument(tree, TupleLeafLabeling.for_tree(tree, tuples)))
+        tracemalloc.start()
+        try:
+            doc = parse_newick_tuples(text)
+            held, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        assert sorted(doc.leaf_labels.labels.values()) == sorted(tuples.values())
+        assert peak < 2.5 * held, (peak, held)
+
 
 # single characters and short runs the differential cases are built from;
 # "\x1c" and "\xa0" are whitespace to str.isspace and to regex \s alike
@@ -605,6 +682,13 @@ class TestPrinterDifferential:
             tree = _random_tree(rng, rng.randint(1, 40))
             scalar, tuples = _random_labels(rng, tree, span=10**15)
             assert len(set(scalar.values())) == tree.node_count
+            components = [x for label in tuples.values() for x in label]
+            assert len(set(components)) == len(components)
+            self._check_all_serializers(tree, scalar, tuples)
+        # three values in all, so every label and component repeats
+        for _ in range(100):
+            tree = _random_tree(rng, rng.randint(8, 40))
+            scalar, tuples = _random_labels(rng, tree, span=1)
             self._check_all_serializers(tree, scalar, tuples)
         # equal values of different types, on leaves whose labels repeat: a
         # bool prints as its int, and a float is refused, naming the lowest
@@ -685,6 +769,23 @@ class TestPrinterDifferential:
         # the printer meets node 1 first; the error names node 0
         with pytest.raises(ValueError, match="^component 1 of node 0 must be an integer"):
             serialize_tuple_labeled(doc, [(1, 4.0), (1, 4.5), (3, 8)])
+        # a float equal to an int component elsewhere is refused all the same
+        with pytest.raises(ValueError, match=r"^component 1 of node 1 must be an integer, got 4\.0$"):
+            serialize_tuple_labeled(doc, [(1, 4), (1, 4.0), (3, 8)])
+
+    def test_bool_components_print_as_ints(self):
+        doc = parse_newick_tuples("((0|1,1|1),0|0);")
+        full = [(0, 1), (False, True), (0, 0), (0, 1), (True, 1)]
+        assert serialize_tuple_labeled(doc, full) == "((0|1,1|1)0|1,0|0)0|1;"
+        assert serialize_tuple_labeled(doc, dict(enumerate(full))) == "((0|1,1|1)0|1,0|0)0|1;"
+
+    def test_tuples_of_other_lengths_print_as_they_stand(self):
+        # only the leaf tuples are held to one k; a full labeling is
+        # printed as given
+        doc = parse_newick_tuples("(1|4,3|8);")
+        assert serialize_tuple_labeled(doc, [(1, 4), (1, 4, 5), (3, 8)]) == "(1|4|5,3|8)1|4;"
+        assert serialize_tuple_labeled(doc, [(), (1, 4), (3, 8)]) == "(1|4,3|8);"
+        assert serialize_tuple_labeled(doc, [(2,), (2,), (2,)]) == "(2,2)2;"
 
     def test_short_sequence_names_its_length(self):
         # a list is read by index, as TreeLabeler.to_newick passes one

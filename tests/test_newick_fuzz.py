@@ -12,7 +12,15 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from helpers import reference_parse
-from treelabel import TreeLabelError, build_tree, parse_newick, parse_newick_tuples
+from treelabel import (
+    NonIntegerLeafName,
+    TreeLabelError,
+    TupleLengthMismatch,
+    TupleNotMonotone,
+    build_tree,
+    parse_newick,
+    parse_newick_tuples,
+)
 
 # the Newick alphabet: digits, signs, blanks, ':', '|', '.', letters and the
 # four delimiters, then text outside ASCII: decimals (٣ ٠), a digit that is
@@ -48,15 +56,19 @@ def _edited_trees(draw):
 _NEWICK_LIKE = st.one_of(st.text(alphabet=_ALPHABET, max_size=24), _edited_trees())
 
 
+# the tuple parser's errors whose messages are compared too
+_SAME_MESSAGE = (NonIntegerLeafName, TupleLengthMismatch, TupleNotMonotone)
+
+
 def _package_outcome(parse, text):
-    """The parse result, or the class of the package error it raised.
+    """The parse result, or the package error it raised.
 
     Any other exception propagates and fails the test.
     """
     try:
         return parse(text)
     except TreeLabelError as exc:
-        return type(exc)
+        return exc
 
 
 class TestParserFuzz:
@@ -68,14 +80,16 @@ class TestParserFuzz:
         for tuples, parse in ((False, parse_newick), (True, parse_newick_tuples)):
             expected = _package_outcome(lambda s: reference_parse(s, tuples=tuples), text)
             got = _package_outcome(parse, text)
-            if isinstance(expected, type):
-                assert got is expected, (text, got)
+            if isinstance(expected, TreeLabelError):
+                assert type(got) is type(expected), (text, got)
+                if tuples and isinstance(expected, _SAME_MESSAGE):
+                    assert str(got) == str(expected), text
             else:
-                assert not isinstance(got, type), (text, got)
+                assert not isinstance(got, TreeLabelError), (text, got)
                 tree, labels = expected
                 assert got.tree == tree, text
                 assert got.leaf_labels == labels, text
-            if not isinstance(got, type):
+            if not isinstance(got, TreeLabelError):
                 # the parser builds its Tree without build_tree; it must be
                 # the one build_tree makes of the same parents, ids breadth-first
                 assert got.tree == build_tree(list(got.tree.parents)), text

@@ -23,7 +23,7 @@ from treelabel import (
     solve_scalar,
     tuple_cost,
 )
-from treelabel.costs import check_leaf_coverage
+from treelabel.costs import check_leaf_coverage, first_decrease
 
 MANHATTAN = CostFunction.manhattan()
 SQUARE = CostFunction.power(2)
@@ -118,6 +118,61 @@ class TestTupleCost:
         doc = tuple_doc("(1|4,3|8);")
         with pytest.raises(TupleNotMonotone):
             tuple_cost(doc.tree, MANHATTAN, {0: (4, 1), 1: (1, 4), 2: (3, 8)})
+
+
+def _scan_decrease(rows):
+    """The first (v, i) with rows[v][i] > rows[v][i + 1], tuple by tuple, or None."""
+    for v, row in enumerate(rows):
+        for i in range(len(row) - 1):
+            if row[i] > row[i + 1]:
+                return v, i
+    return None
+
+
+class TestFirstDecrease:
+    """The one monotone rule, by columns, against a plain scan."""
+
+    def test_matches_the_scan(self):
+        rng = random.Random(4242)
+        found = 0
+        for _ in range(2000):
+            n, k = rng.randint(0, 12), rng.randint(1, 4)
+            mixed = rng.random() < 0.3
+            rows = []
+            for _ in range(n):
+                row = sorted(rng.randint(-3, 3) for _ in range(rng.randint(0, 4) if mixed else k))
+                if rng.random() < 0.1 and len(row) > 1:
+                    rng.shuffle(row)
+                rows.append(tuple(row))
+            expected = _scan_decrease(rows)
+            found += expected is not None
+            assert first_decrease(rows) == expected, rows
+            if not mixed and rows:
+                assert first_decrease(rows, list(zip(*rows))) == expected, rows
+        assert 100 < found < 1900
+
+    def test_lowest_tuple_then_lowest_coordinate(self):
+        assert first_decrease([(1, 2, 3), (3, 2, 1), (5, 1, 0)]) == (1, 0)
+        assert first_decrease([(1, 2, 3), (1, 3, 2), (5, 1, 0)]) == (1, 1)
+        assert first_decrease([(1,), (0,)]) is None
+        assert first_decrease([(1, 2), (0, 1, 5, 4), (3,)]) == (1, 2)
+
+    def test_leaves_are_checked_in_ascending_order(self):
+        # the mapping's order is not the leaves' order
+        t = build_tree([None, 0, 0, 0])
+        with pytest.raises(TupleNotMonotone, match=r"^tuple \(2, 1\) at leaf 1 decreases$"):
+            TupleLeafLabeling.for_tree(t, {3: (1, 2, 3), 2: (0, 0), 1: (2, 1)})
+        with pytest.raises(TupleLengthMismatch, match="^leaf 2 has a 3-tuple; expected k=2$"):
+            TupleLeafLabeling.for_tree(t, {3: (2, 1), 2: (1, 2, 3), 1: (0, 0)})
+
+    def test_tuple_cost_checks_every_node_before_the_lengths(self):
+        doc = tuple_doc("(1|4,3|8);")
+        with pytest.raises(TupleNotMonotone, match=r"^tuple \(8, 3\) at node 2 decreases$"):
+            tuple_cost(doc.tree, MANHATTAN, [(1, 4), (1, 4, 5), (8, 3)])
+        with pytest.raises(TupleLengthMismatch, match=r"^edge \(0, 1\) joins a 2-tuple to a 3-tuple$"):
+            tuple_cost(doc.tree, MANHATTAN, [(1, 4), (1, 4, 5), (3, 8)])
+        with pytest.raises(TupleNotMonotone, match=r"^tuple \(5, 4\) at node 1 decreases$"):
+            tuple_cost(doc.tree, MANHATTAN, [(1, 4), (5, 4), (8, 3)])
 
 
 class TestSolveKtuple:

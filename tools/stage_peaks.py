@@ -1,19 +1,19 @@
-"""Tracemalloc peaks of the Manhattan solve of a large tree, stage by stage.
+"""Tracemalloc peaks of the Manhattan solves of perfbench's inputs, stage by stage.
 
     PYTHONPATH=src python tools/stage_peaks.py [--seed N]
 
-For each input below it runs TreeLabeler().fit(text).to_newick(), the
-library operation of perfbench's binary-manhattan-large workload, once
-to warm up and once traced. It then runs the operation's four stages one
-by one under one trace, each with the results of the earlier ones
-alive, as in the operation: parse (parse_newick), up
-(bottom_up_intervals), down (top_down_labels) and print
-(serialize_labeled). A peak counts from what was alive before the
-operation, and held is what is alive after the stage; both are in MiB of
-Python objects. The last column is the sha256 of the printed text.
+For each input below it runs its library operation once to warm up and
+once traced. It then runs the operation's stages one by one under one
+trace, each with the results of the earlier ones alive, as in the
+operation. A peak counts from what was alive before the operation, and
+held is what is alive after the stage; both are in MiB of Python
+objects. The last column is the sha256 of the printed text.
 
-The inputs are binary trees of 25,000 leaves, solved by the interval
-solver with Manhattan cost:
+The first three inputs are binary trees of 25,000 leaves. Their
+operation is TreeLabeler().fit(text).to_newick(), the library operation
+of perfbench's binary-manhattan-large workload, solved by the interval
+solver; its stages are parse (parse_newick), up (bottom_up_intervals),
+down (top_down_labels) and print (serialize_labeled):
 
   binary-manhattan-large  perfbench's input for the seed: 1,000 label values
   all-distinct            random_document(25000, 0, 10**12, random.Random(5)):
@@ -21,6 +21,11 @@ solver with Manhattan cost:
   wide-range              the tree of random_document(25000, 0, 9,
                           random.Random(5)) with each label x made x * 10**11:
                           ten labels spread over [0, 9 * 10**11]
+
+The last is perfbench's input of the ktuple-nary-manhattan workload for
+the seed, about 800 nodes with 8-tuple leaf labels. Its operation is
+perfbench's: parse (parse_newick_tuples), solve (solve_ktuple) and print
+(serialize_tuple_labeled).
 
 perfbench/workloads.py is imported from its directory with bytecode
 writing off, so nothing is written there.
@@ -41,12 +46,19 @@ import treelabel as tl
 _PERFBENCH = Path(__file__).resolve().parent.parent / "perfbench"
 
 
-def _benchmark_text(seed: int) -> str:
+def _workloads():
+    """perfbench/workloads.py, imported from its directory."""
     sys.dont_write_bytecode = True
-    sys.path.insert(0, str(_PERFBENCH))
+    if str(_PERFBENCH) not in sys.path:
+        sys.path.insert(0, str(_PERFBENCH))
     import workloads
 
-    return workloads.generate_newick(tl, workloads.BY_NAME["binary-manhattan-large"], seed)
+    return workloads
+
+
+def _benchmark_text(name: str, seed: int) -> str:
+    workloads = _workloads()
+    return workloads.generate_newick(tl, workloads.BY_NAME[name], seed)
 
 
 def _wide_range_text() -> str:
@@ -56,14 +68,42 @@ def _wide_range_text() -> str:
     return tl.document_to_newick(doc._replace(leaf_labels=leaf_labels))
 
 
-def inputs(seed: int) -> dict[str, str]:
-    """The Newick text of each input, by name."""
+def _scalar(text: str) -> tuple:
+    """The operation and stages of the Manhattan solve of scalar ``text``."""
+    return lambda: tl.TreeLabeler().fit(text).to_newick(), [
+        ("parse", lambda: tl.parse_newick(text)),
+        ("up", lambda doc: tl.bottom_up_intervals(doc.tree, doc.leaf_labels)),
+        ("down", lambda doc, iv: tl.top_down_labels(doc.tree, iv)),
+        ("print", lambda doc, iv, labeling: tl.serialize_labeled(doc, labeling)),
+    ]
+
+
+def _ktuple(text: str, cost: tl.CostFunction) -> tuple:
+    """The operation and stages of the k-tuple solve of ``text``."""
+
+    def operation():
+        doc = tl.parse_newick_tuples(text)
+        return tl.serialize_tuple_labeled(doc, tl.solve_ktuple(doc.tree, doc.leaf_labels, cost))
+
+    return operation, [
+        ("parse", lambda: tl.parse_newick_tuples(text)),
+        ("solve", lambda doc: tl.solve_ktuple(doc.tree, doc.leaf_labels, cost)),
+        ("print", lambda doc, labeling: tl.serialize_tuple_labeled(doc, labeling)),
+    ]
+
+
+def inputs(seed: int) -> dict[str, tuple]:
+    """The operation and the stages of each input, by name."""
+    ktuple = _workloads().BY_NAME["ktuple-nary-manhattan"]
     return {
-        "binary-manhattan-large": _benchmark_text(seed),
-        "all-distinct": tl.document_to_newick(
+        "binary-manhattan-large": _scalar(_benchmark_text("binary-manhattan-large", seed)),
+        "all-distinct": _scalar(tl.document_to_newick(
             tl.random_document(25000, 0, 10**12, random.Random(5))
+        )),
+        "wide-range": _scalar(_wide_range_text()),
+        ktuple.name: _ktuple(
+            _benchmark_text(ktuple.name, seed), tl.CostFunction.from_spec(ktuple.cost)
         ),
-        "wide-range": _wide_range_text(),
     }
 
 
@@ -83,16 +123,11 @@ def _traced(stages):
     return rows, results[-1]
 
 
-def measure(text: str) -> tuple[list, str]:
+def measure(operation, stages) -> tuple[list, str]:
     """The rows of the operation and of its stages, and the printed text."""
-    tl.TreeLabeler().fit(text).to_newick()  # warm-up
-    rows, printed = _traced([("operation", lambda: tl.TreeLabeler().fit(text).to_newick())])
-    stage_rows, staged = _traced([
-        ("parse", lambda: tl.parse_newick(text)),
-        ("up", lambda doc: tl.bottom_up_intervals(doc.tree, doc.leaf_labels)),
-        ("down", lambda doc, iv: tl.top_down_labels(doc.tree, iv)),
-        ("print", lambda doc, iv, labeling: tl.serialize_labeled(doc, labeling)),
-    ])
+    operation()  # warm-up
+    rows, printed = _traced([("operation", operation)])
+    stage_rows, staged = _traced(stages)
     if staged != printed:
         raise AssertionError("the stages printed another text than the operation")
     return rows + stage_rows, printed
@@ -103,8 +138,8 @@ def main(argv=None) -> int:
     parser.add_argument("--seed", type=int, default=0, help="perfbench seed (default 0)")
     args = parser.parse_args(argv)
     print("input,stage,peak_mib,held_mib,sha256")
-    for name, text in inputs(args.seed).items():
-        rows, printed = measure(text)
+    for name, (operation, stages) in inputs(args.seed).items():
+        rows, printed = measure(operation, stages)
         digest = hashlib.sha256(printed.encode()).hexdigest()
         for stage, peak, held in rows:
             print(f"{name},{stage},{peak / 2**20:.3f},{held / 2**20:.3f},{digest}")
