@@ -261,10 +261,9 @@ def parse_newick_tuples(text: str) -> TupleTreeDocument:
     every name has the same number of '|', the components of all names
     are converted in one stream, each distinct text once where that pays
     (shared_convert), and cut k at a time into the leaf tuples; names of
-    more than one k are converted one by one.
-    Either way a component over the digit limit names the first leaf that
-    has one, and the k and order checks come last
-    (TupleLeafLabeling._of_leaves).
+    more than one k are converted one by one. Either way a component over
+    the digit limit names the first leaf that has one, and the k and order
+    checks come last (TupleLeafLabeling._of_leaves).
     """
     tree, leaves, names = _parse_tree(text)
     bars = set(map(str.count, names, repeat("|")))
