@@ -35,8 +35,8 @@ one place and from the labels alone, when equal labels share one object
 from the parse to the text, and node_csv is the one writer of the up
 phases' --dump text. first_decrease is the one monotone rule of the
 k-tuple data, for the leaf tuples, tuple_cost and solve_ktuple's audit:
-it compares adjacent columns in builtins and scans tuple by tuple only
-to name where a check failed.
+it compares adjacent columns in builtins (columns_ordered) and scans
+tuple by tuple only to name where a check failed.
 """
 
 from __future__ import annotations
@@ -272,23 +272,26 @@ class TupleLeafLabeling(NamedTuple):
         return cls(k=k, labels=labels)
 
 
-def first_decrease(
-    rows: Sequence[tuple], columns: Optional[Sequence[Sequence]] = None
-) -> Optional[tuple[int, int]]:
+def columns_ordered(columns: Iterable[Sequence]) -> bool:
+    """Whether every one of ``columns`` is, entry by entry, at most the next one.
+
+    The fast half of the monotone rule: k - 1 passes of le over adjacent
+    columns, in builtins. solve_ktuple asks it of the columns it solved.
+    """
+    return all(all(map(le, a, b)) for a, b in pairwise(columns))
+
+
+def first_decrease(rows: Sequence[tuple]) -> Optional[tuple[int, int]]:
     """Where the tuples ``rows`` first decrease: (v, i), or None where none does.
 
     The one monotone rule of the k-tuple data, for the leaves, tuple_cost
     and solve_ktuple's audit. v is the lowest index of a tuple that
     decreases, and i the lowest coordinate where component i exceeds
-    component i + 1 there. Tuples of one length are checked by columns,
-    k - 1 passes of le over adjacent columns in builtins; ``columns``, the
-    same tuples by component, is taken where the caller has it. Only when
-    a pair of columns crosses, or the lengths differ, does the scan run
-    tuple by tuple to find (v, i).
+    component i + 1 there. Tuples of one length are checked by columns
+    (columns_ordered). Only when a pair of columns crosses, or the lengths
+    differ, does the scan run tuple by tuple to find (v, i).
     """
-    if columns is None and len(set(map(len, rows))) == 1:
-        columns = zip(*rows)
-    if columns is not None and all(all(map(le, a, b)) for a, b in pairwise(columns)):
+    if len(set(map(len, rows))) == 1 and columns_ordered(zip(*rows)):
         return None
     return next(
         ((v, i) for v, row in enumerate(rows) for i in range(len(row) - 1) if row[i] > row[i + 1]),
@@ -400,7 +403,7 @@ def _exact_tuple(label: object, v: int) -> tuple:
     return tuple(as_int(x, f"component {i} of node {v}") for i, x in enumerate(label))
 
 
-def shared_convert(keys: Collection, convert: Callable, count: Optional[int] = None) -> Callable:
+def shared_convert(keys: Collection, convert: Callable, total: Optional[int] = None) -> Callable:
     """The function to map ``keys`` through: ``convert``, or a lookup that shares its results.
 
     A large tree repeats a few labels many times. Where at most half of
@@ -410,10 +413,10 @@ def shared_convert(keys: Collection, convert: Callable, count: Optional[int] = N
     cost more than the objects it saves, and ``convert`` itself is
     returned. Equal keys must be interchangeable, since they share one
     object. A caller that streams its keys passes each distinct key once
-    in ``keys`` and how many keys it will map as ``count``.
+    in ``keys`` and how many keys it will map as ``total``.
     """
     distinct = set(keys)
-    if 2 * len(distinct) > (len(keys) if count is None else count):
+    if 2 * len(distinct) > (len(keys) if total is None else total):
         return convert
     return dict(zip(distinct, map(convert, distinct))).__getitem__
 

@@ -39,13 +39,10 @@ only integer labels, as costs.node_values reads them.
 For k-tuple inputs, a leaf name is a '|'-separated run of integers,
 e.g. "3|7|9". Whole tuples seldom repeat but their components do, so
 the tuple path works by components, in builtins: parse_newick_tuples
-converts the components of all names in one stream and cuts it into
-k-tuples, and serialize_tuple_labeled writes each distinct component
-once and joins a node's k texts. Equal components share one int and one
-text under the same rule as scalar labels. Only a text whose names have
-more than one k, which is refused, is converted name by name, and only
-a labeling the columns do not fit (tuples of other lengths, a component
-that is no int) is printed tuple by tuple, with the same result or error.
+skips the name pattern on ASCII decimal components and converts each
+distinct component text once, and serialize_tuple_labeled writes each
+distinct component once and joins a node's texts. Equal components share
+one int and one text under the same rule as scalar labels.
 """
 
 from __future__ import annotations
@@ -246,30 +243,22 @@ def parse_newick(text: str) -> LabeledTreeDocument:
     return LabeledTreeDocument(tree=tree, leaf_labels=leaf_labels)
 
 
-def _components(names: list[str]) -> Iterator[str]:
-    """The '|'-separated components of all ``names``, in order."""
-    return chain.from_iterable(map(str.split, names, repeat("|")))
-
-
 def parse_newick_tuples(text: str) -> TupleTreeDocument:
     """Parse one Newick tree whose leaf names are '|'-separated k-tuples.
 
     Where the text is ASCII and every component is decimal digits, the
     names are _INT_TUPLE matches, so the pattern is skipped, as
     parse_newick skips _INT_NAME; any other text is checked name by name,
-    in breadth-first order, and the first bad component is named. Where
-    every name has the same number of '|', the components of all names
-    are converted in one stream, each distinct text once where that pays
-    (shared_convert), and cut k at a time into the leaf tuples; names of
-    more than one k are converted one by one. Either way a component over
-    the digit limit names the first leaf that has one, and the k and order
-    checks come last (TupleLeafLabeling._of_leaves).
+    in breadth-first order, and the first bad component is named. Each
+    distinct component text is converted once where that pays
+    (shared_convert), and every name's components are looked up in turn.
+    A component over the digit limit names the first leaf that has one,
+    and the k and order checks come last (TupleLeafLabeling._of_leaves).
     """
     tree, leaves, names = _parse_tree(text)
-    bars = set(map(str.count, names, repeat("|")))
     # the texts of the components are split name by name, each time they
     # are read, so that they are never all alive at once
-    distinct = set(_components(names))
+    distinct = set(chain.from_iterable(map(str.split, names, repeat("|"))))
     # an ASCII decimal component is an _INT_NAME, so only a text with some
     # other component (signed, non-ASCII digits, or no integer at all)
     # needs the pattern
@@ -284,17 +273,12 @@ def parse_newick_tuples(text: str) -> TupleTreeDocument:
                     for p in parts:
                         _leaf_int(p, f"tuple component of leaf {name!r}")
                 tuple(map(int, parts))
-        if len(bars) == 1:
-            # one k: the components are converted in one stream, equal ones
-            # sharing an int, and cut k at a time into tuples
-            k = bars.pop() + 1
-            convert = shared_convert(distinct, int, k * len(names))
-            tuples = zip(*[map(convert, _components(names))] * k)
-        else:
-            # names of more than one k, which _of_leaves refuses
-            tuples = map(tuple, map(map, repeat(int), map(str.split, names, repeat("|"))))
+        # equal components share one int
+        total = len(names) + sum(map(str.count, names, repeat("|")))
+        convert = shared_convert(distinct, int, total)
+        split = map(str.split, names, repeat("|"))
         # the tuples are keyed by the tree's own leaves, so coverage holds
-        labels = dict(zip(leaves, tuples))
+        labels = dict(zip(leaves, map(tuple, map(map, repeat(convert), split))))
     except ValueError:
         _raise_over_digit_limit(tree, names)
         raise
@@ -360,31 +344,20 @@ def serialize_tuple_labeled(doc: TupleTreeDocument, full: FullLabeling) -> str:
 
     ``full`` is a Labeling of k-tuples, such as solve_ktuple returns, or a
     plain mapping of them, read by node_values as a k-tuple labeling, so a
-    node labeled with an int raises ValueError. Where all tuples have one
-    length k >= 1 and the type of every component is int, each distinct
-    component is written once by int.__repr__ (shared_convert) and a
-    node's text is its k texts joined. Other tuples are written one by one
-    as they stand, a bool as its int; there a component that is no
-    integer raises exact_labels' ValueError, naming the lowest such node
-    and the component.
+    node labeled with an int raises ValueError. Where some component's
+    type is not int, the tuples are first copied by exact_labels, a bool
+    becoming its int; a component that is no integer raises its
+    ValueError, naming the lowest such node and the component. Each
+    distinct component is written once by int.__repr__ (shared_convert)
+    and a node's text is its tuple's texts joined.
     """
     values = node_values(doc.tree, full, tuple)
-    lengths = set(map(len, values))
-    if len(lengths) == 1:
-        # every component is checked, so an equal float cannot hide behind
-        # an int; tuples of no component have none and are not taken
-        flat = list(chain.from_iterable(values))
-        if set(map(type, flat)) == {int}:
-            # one text per distinct component, joined k at a time in node order
-            k = lengths.pop()
-            texts = list(map("|".join, zip(*[map(shared_convert(flat, int.__repr__), flat)] * k)))
-            del flat
-            return _render(doc.tree, texts, str)  # the names are text already
-    try:
-        return _render(doc.tree, values, _tuple_text)
-    except TypeError:
-        # some component is no int: exact_labels names it, or makes it one
-        return _render(doc.tree, exact_labels(values, tuple), _tuple_text)
+    # every component is checked, so an equal float cannot hide behind an int
+    if set(map(type, chain.from_iterable(values))) != {int}:
+        values = exact_labels(values, tuple)
+    text = shared_convert(set(chain.from_iterable(values)), int.__repr__, sum(map(len, values)))
+    names = list(map("|".join, map(map, repeat(text), values)))
+    return _render(doc.tree, names, str)  # the names are text already
 
 
 def document_to_newick(doc: Union[LabeledTreeDocument, TupleTreeDocument]) -> str:

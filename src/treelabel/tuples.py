@@ -23,16 +23,18 @@ dp's tie rules (dp, convex and median, either tie): the "lowest" and
 L-natural-convex objective, which are monotone in the leaf data. It is
 not taken on faith: every solve, under any cost and solver, audits it
 and raises TupleDecompositionNotMonotone with a reproducer when it fails,
-rather than repairing the tuples silently. The audit is
-costs.first_decrease on the answer's columns: it compares adjacent
-columns in builtins, and only when some pair crosses does a node by node
-scan find what is reported: the smallest node id that decreases, and
-there the smallest coordinate i above coordinate i + 1.
+rather than repairing the tuples silently. The audit is the monotone
+rule of costs: columns_ordered compares the solved columns in builtins,
+and only when some pair crosses does first_decrease scan node by node to
+find what is reported: the smallest node id that decreases, and there
+the smallest coordinate i above coordinate i + 1.
 """
 
 from __future__ import annotations
 
-from .costs import CostFunction, Labeling, LeafLabeling, TupleLeafLabeling, first_decrease
+from .costs import (
+    CostFunction, Labeling, LeafLabeling, TupleLeafLabeling, columns_ordered, first_decrease,
+)
 from .errors import TupleDecompositionNotMonotone
 from .solve import choose_algorithm, solve_scalar
 from .tree import Tree
@@ -61,9 +63,8 @@ def solve_ktuple(
         total += labeling.total_cost
 
     values = list(zip(*columns))
-    crossing = first_decrease(values, columns)
-    if crossing is not None:
-        v, i = crossing
+    if not columns_ordered(columns):
+        v, i = first_decrease(values)
         reproducer = {
             "parents": list(t.parents),
             "leaf_tuples": dict(sorted(l.labels.items())),

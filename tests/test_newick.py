@@ -453,8 +453,7 @@ class TestTupleParse:
             parse_newick_tuples("(1|x,2|9);")
 
     # the edges of the fast path: the pattern is skipped only where every
-    # component is ASCII decimal, and the components are cut k at a time
-    # only where the names have one k; every other text ends as before
+    # component is ASCII decimal; every other text ends as before
     @pytest.mark.parametrize(
         "text, error, message",
         [
@@ -484,8 +483,8 @@ class TestTupleParse:
         not hasattr(sys, "get_int_max_str_digits"), reason="no int<->str digit limit"
     )
     def test_component_over_the_digit_limit(self):
-        # the fast path converts all components at once; the error still
-        # names the first leaf over the limit, before any k or order check
+        # the fast path skips the pattern; the error still names the first
+        # leaf over the limit, before any k or order check
         limit = sys.get_int_max_str_digits()
         long = "1" * (limit + 1)
         message = (f"^leaf 3 has an integer of {limit + 1} digits in its name, "
