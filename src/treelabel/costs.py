@@ -369,9 +369,8 @@ def node_values(t: Tree, full: FullLabeling, kind: type) -> list:
     label raises MissingNodeLabel, and a label of the other kind, or one
     that is no int, ValueError, each naming the lowest such node (for a
     sequence too short for the tree, its length). The components of a list
-    of tuples are held to the rule by their two readers as they read them,
-    tuple_cost and serialize_tuple_labeled, so the printer makes no extra
-    pass over them.
+    of tuples are held to the rule by their two readers, tuple_cost and
+    serialize_tuple_labeled, with one type pass each.
     """
     values = full.values if isinstance(full, Labeling) else full
     if type(values) is list and len(values) == t.node_count:
