@@ -59,7 +59,7 @@ import functools
 import gc
 import sys
 
-from .costs import TIES, CostFunction, LeafLabeling, node_values
+from .costs import TIES, CostFunction, LeafLabeling
 from .errors import DEFAULT_BUDGET, BudgetExceeded, EmptyTree, TreeLabelError, UnsupportedAlgorithm
 from .newick import (
     document_to_newick,
@@ -138,10 +138,9 @@ def cmd_solve(args: argparse.Namespace) -> int:
             g_min, g_max = min(map(min, tuples)), max(map(max, tuples))
         else:
             g_min, g_max = doc.leaf_labels.g_min, doc.leaf_labels.g_max
-        values = node_values(doc.tree, labeling, tuple if args.tuple else int)
         payload = {
             "cost": labeling.total_cost,
-            "labels": {str(v): x for v, x in enumerate(values)},
+            "labels": {str(v): x for v, x in enumerate(labeling.values)},
             "algorithm": resolved,
             "g_min": g_min,
             "g_max": g_max,

@@ -30,7 +30,9 @@ is the one place it is read by node id: every cost sum, serializer and
 front end goes through it, naming the kind of label it reads and taking
 a solver's list as it is, so a node with no label, with a label that is
 no integer or with a label of the other kind fails the same way
-everywhere. shared_convert decides, in
+everywhere. exact_labels, behind it and behind both leaf records'
+for_tree, is the one reader that holds labels given as Python values
+to the integer rule. shared_convert decides, in
 one place and from the labels alone, when equal labels share one object
 from the parse to the text, and node_csv is the one writer of the up
 phases' --dump text. first_decrease is the one monotone rule of the
@@ -41,7 +43,7 @@ tuple by tuple only to name where a check failed.
 
 from __future__ import annotations
 
-from itertools import compress, count, pairwise, repeat
+from itertools import chain, compress, count, pairwise, repeat
 from operator import index, le, ne, pos
 from typing import (
     Any, Callable, Collection, Iterable, Mapping, NamedTuple, Optional, Sequence, Union,
@@ -203,11 +205,11 @@ class LeafLabeling(NamedTuple):
         """The labeling of ``labels``, a mapping keyed by leaf id, validated against ``t``.
 
         The entry point for mappings from outside: the keys must be exactly
-        the leaves of ``t``, keys and labels are converted to int here, and
-        a label that is not an int is an error.
+        the leaves of ``t``, keys are converted to int here, and the labels
+        are read by exact_labels, so a label that is not an int is an error.
         """
         check_leaf_coverage(t, labels)
-        values = [as_int(v, f"label of leaf {k}") for k, v in labels.items()]
+        values = exact_labels(labels.items(), int, "leaf")
         return cls._of_leaves(t.node_count, map(int, labels), values)
 
     @classmethod
@@ -235,15 +237,13 @@ class TupleLeafLabeling(NamedTuple):
     def for_tree(cls, t: Tree, labels: Mapping[int, tuple[int, ...]]) -> "TupleLeafLabeling":
         """Validate that ``labels`` covers exactly the leaves of ``t``.
 
-        The entry point for mappings from outside: keys and tuple
-        components are converted to int here, and a component that is not
-        an int is an error.
+        The entry point for mappings from outside: keys are converted to
+        int here, and the labels are read by exact_labels, so a label that
+        is not a tuple, or a component that is not an int, is an error.
         """
         check_leaf_coverage(t, labels)
-        return cls._of_leaves({
-            int(v): tuple(as_int(x, f"component {i} of leaf {v}") for i, x in enumerate(tup))
-            for v, tup in labels.items()
-        })
+        values = exact_labels(labels.items(), tuple, "leaf")
+        return cls._of_leaves(dict(zip(map(int, labels), values)))
 
     @classmethod
     def _of_leaves(cls, labels: dict[int, tuple[int, ...]]) -> "TupleLeafLabeling":
@@ -363,43 +363,48 @@ def node_values(t: Tree, full: FullLabeling, kind: type) -> list:
     is the kind of label the caller reads: int for a scalar labeling, or
     tuple for a k-tuple one, as solve_ktuple gives. A list of exactly N
     entries all of that kind, which every solver's Labeling holds, is
-    returned as it is, not copied. Anything else is copied by exact_labels
-    into a new list, a bool or another integer becoming its int: a key
-    that is not a node id, or an entry past N, is ignored; a node with no
-    label raises MissingNodeLabel, and a label of the other kind, or one
-    that is no int, ValueError, each naming the lowest such node (for a
-    sequence too short for the tree, its length). The components of a list
-    of tuples are held to the rule by their two readers, tuple_cost and
-    serialize_tuple_labeled, with one type pass each.
+    returned as it is, not copied, once one type pass over its entries,
+    and for tuples one over their components, finds only that kind and
+    int. Anything else is copied by exact_labels into a new list, a bool
+    or another integer becoming its int: a key that is not a node id, or an
+    entry past N, is ignored; a node with no label raises MissingNodeLabel,
+    and a label of the other kind, or one that is no int, ValueError, each
+    naming the lowest such node (for a sequence too short for the tree,
+    its length).
     """
     values = full.values if isinstance(full, Labeling) else full
     if type(values) is list and len(values) == t.node_count:
         if set(map(type, values)) == {kind}:
-            return values
+            # every component is checked, so an equal float cannot hide behind an int
+            if kind is int or set(map(type, chain.from_iterable(values))) == {int}:
+                return values
     try:
-        return exact_labels(map(values.__getitem__, range(t.node_count)), kind)
+        return exact_labels(enumerate(map(values.__getitem__, range(t.node_count))), kind, "node")
     except (KeyError, IndexError) as exc:
         missing = len(values) if isinstance(exc, IndexError) else exc.args[0]
         raise MissingNodeLabel(f"no label for node {missing}") from None
 
 
-def exact_labels(values: Iterable, kind: type) -> list:
-    """``values`` as a new list, each label an exact int, or, for ``kind`` tuple, a tuple of them.
+def exact_labels(pairs: Iterable[tuple[Any, object]], kind: type, noun: str) -> list:
+    """The labels of ``pairs`` (id, label) as a new list of exact ints, or of tuples of them.
 
-    A bool, or any other value operator.index takes, becomes its int, as
-    as_int makes of a leaf label. Any other label, or tuple component, and
-    a label of the other kind raise ValueError naming the lowest such node
-    and, in a tuple, the component.
+    The one reader of labels given as Python values, ``kind`` int or
+    tuple: node_values reads a full labeling through it with ``noun``
+    "node", and both leaf records' for_tree a leaf mapping with "leaf".
+    A bool, or any other value operator.index takes, becomes its int. Any
+    other label, or tuple component, and a label of the other kind raise
+    ValueError naming the first such ``noun`` by its id and, in a tuple,
+    the component.
     """
     if kind is int:
-        return [as_int(label, f"label of node {v}") for v, label in enumerate(values)]
-    return [_exact_tuple(label, v) for v, label in enumerate(values)]
+        return [as_int(label, f"label of {noun} {v}") for v, label in pairs]
+    return [_exact_tuple(label, noun, v) for v, label in pairs]
 
 
-def _exact_tuple(label: object, v: int) -> tuple:
+def _exact_tuple(label: object, noun: str, v: object) -> tuple:
     if not isinstance(label, tuple):
-        raise ValueError(f"label of node {v} must be a tuple of integers, got {label!r}")
-    return tuple(as_int(x, f"component {i} of node {v}") for i, x in enumerate(label))
+        raise ValueError(f"label of {noun} {v} must be a tuple of integers, got {label!r}")
+    return tuple(as_int(x, f"component {i} of {noun} {v}") for i, x in enumerate(label))
 
 
 def shared_convert(keys: Collection, convert: Callable, total: Optional[int] = None) -> Callable:
@@ -446,8 +451,6 @@ def tuple_cost(t: Tree, c: CostFunction, full: FullLabeling) -> int:
     lowest node that is not), before the edges' tuple lengths are compared.
     """
     values = node_values(t, full, tuple)
-    if {type(x) for label in values for x in label} != {int}:
-        values = exact_labels(values, tuple)
     crossing = first_decrease(values)
     if crossing is not None:
         v = crossing[0]

@@ -51,17 +51,14 @@ import re
 import sys
 from itertools import chain, compress, repeat
 from operator import not_
-from typing import Iterator, NamedTuple, Union
+from typing import Collection, Iterator, NamedTuple, Union
 
-from .costs import (
-    FullLabeling, LeafLabeling, TupleLeafLabeling, exact_labels, node_values, shared_convert,
-)
+from .costs import FullLabeling, LeafLabeling, TupleLeafLabeling, node_values, shared_convert
 from .errors import EmptyTree, NewickSyntaxError, NonIntegerLeafName
 from .tree import Tree
 
+# a scalar leaf name, or one component of a k-tuple leaf name
 _INT_NAME = re.compile(r"[+-]?[0-9]+", re.ASCII)
-# a k-tuple leaf name: every '|'-separated component an _INT_NAME
-_INT_TUPLE = re.compile(r"[+-]?[0-9]+(?:\|[+-]?[0-9]+)*", re.ASCII)
 # The text between two delimiters. A leaf is an optional name and an
 # optional ":<length>", blanks allowed around both; after ')' the same
 # shape holds, but the internal node's name must follow the ')' directly.
@@ -99,6 +96,17 @@ def _leaf_int(name: str, what: str = "leaf name") -> int:
     if not _INT_NAME.fullmatch(name):
         raise NonIntegerLeafName(f"{what} {name!r} is not a decimal integer")
     return int(name)
+
+
+def _all_int_names(text: str, names: Collection[str]) -> bool:
+    """Whether every one of ``names``, the integer texts of ``text``, is an _INT_NAME.
+
+    An ASCII decimal name is one, so only a text with some other name
+    (signed, non-ASCII digits, or no integer at all) runs the pattern.
+    """
+    if text.isascii() and all(map(str.isdecimal, names)):
+        return True
+    return all(map(_INT_NAME.fullmatch, names))
 
 
 def _raise_over_digit_limit(tree: Tree, names: list[str]) -> None:
@@ -225,15 +233,13 @@ def _parse_tree(text: str) -> tuple[Tree, Iterator[int], list[str]]:
 def parse_newick(text: str) -> LabeledTreeDocument:
     """Parse one Newick tree whose leaf names are integer labels."""
     tree, leaves, names = _parse_tree(text)
-    # an ASCII decimal name is an _INT_NAME, so only a text with some other
-    # name (signed, non-ASCII digits, or no integer at all) needs the pattern
-    decimal = text.isascii() and all(map(str.isdecimal, names))
-    if not decimal and not all(map(_INT_NAME.fullmatch, names)):
-        # raises at the first bad name in breadth-first order
-        for name in names:
-            _leaf_int(name)
-    # leaves with equal names share one int
     try:
+        if not _all_int_names(text, names):
+            # raises at the first bad name, or name over the digit limit, in
+            # breadth-first order
+            for name in names:
+                _leaf_int(name)
+        # leaves with equal names share one int
         values = list(map(shared_convert(names, int), names))
     except ValueError:
         _raise_over_digit_limit(tree, names)
@@ -246,33 +252,26 @@ def parse_newick(text: str) -> LabeledTreeDocument:
 def parse_newick_tuples(text: str) -> TupleTreeDocument:
     """Parse one Newick tree whose leaf names are '|'-separated k-tuples.
 
-    Where the text is ASCII and every component is decimal digits, the
-    names are _INT_TUPLE matches, so the pattern is skipped, as
-    parse_newick skips _INT_NAME; any other text is checked name by name,
-    in breadth-first order, and the first bad component is named. Each
-    distinct component text is converted once where that pays
-    (shared_convert), and every name's components are looked up in turn.
-    A component over the digit limit names the first leaf that has one,
-    and the k and order checks come last (TupleLeafLabeling._of_leaves).
+    The distinct components are checked against _INT_NAME as
+    parse_newick checks its names (_all_int_names); where one fails, the
+    names are checked component by component in breadth-first order, and
+    the first bad component, or the first leaf with a component over the
+    digit limit, is named. Each distinct component text is converted once
+    where that pays (shared_convert), and every name's components are
+    looked up in turn. The k and order checks come last
+    (TupleLeafLabeling._of_leaves).
     """
     tree, leaves, names = _parse_tree(text)
     # the texts of the components are split name by name, each time they
     # are read, so that they are never all alive at once
     distinct = set(chain.from_iterable(map(str.split, names, repeat("|"))))
-    # an ASCII decimal component is an _INT_NAME, so only a text with some
-    # other component (signed, non-ASCII digits, or no integer at all)
-    # needs the pattern
-    decimal = text.isascii() and all(map(str.isdecimal, distinct))
     try:
-        if not decimal and not all(map(_INT_TUPLE.fullmatch, names)):
-            # raises at the first bad name, or name over the digit limit, in
-            # breadth-first order; the bad name's first bad component is named
+        if not _all_int_names(text, distinct):
+            # raises at the first bad component, or component over the digit
+            # limit, in breadth-first order
             for name in names:
-                parts = name.split("|")
-                if not _INT_TUPLE.fullmatch(name):
-                    for p in parts:
-                        _leaf_int(p, f"tuple component of leaf {name!r}")
-                tuple(map(int, parts))
+                for part in name.split("|"):
+                    _leaf_int(part, f"tuple component of leaf {name!r}")
         # equal components share one int
         total = len(names) + sum(map(str.count, names, repeat("|")))
         convert = shared_convert(distinct, int, total)
@@ -344,17 +343,13 @@ def serialize_tuple_labeled(doc: TupleTreeDocument, full: FullLabeling) -> str:
 
     ``full`` is a Labeling of k-tuples, such as solve_ktuple returns, or a
     plain mapping of them, read by node_values as a k-tuple labeling, so a
-    node labeled with an int raises ValueError. Where some component's
-    type is not int, the tuples are first copied by exact_labels, a bool
-    becoming its int; a component that is no integer raises its
-    ValueError, naming the lowest such node and the component. Each
-    distinct component is written once by int.__repr__ (shared_convert)
-    and a node's text is its tuple's texts joined.
+    node labeled with an int raises ValueError, a bool component becomes
+    its int, and a component that is no integer raises its ValueError,
+    naming the lowest such node and the component. Each distinct component
+    is written once by int.__repr__ (shared_convert) and a node's text is
+    its tuple's texts joined.
     """
     values = node_values(doc.tree, full, tuple)
-    # every component is checked, so an equal float cannot hide behind an int
-    if set(map(type, chain.from_iterable(values))) != {int}:
-        values = exact_labels(values, tuple)
     text = shared_convert(set(chain.from_iterable(values)), int.__repr__, sum(map(len, values)))
     names = list(map("|".join, map(map, repeat(text), values)))
     return _render(doc.tree, names, str)  # the names are text already

@@ -205,7 +205,9 @@ class TestParse:
         assert parse_newick_tuples(f"(2|{name},3|{name});").leaf_labels.labels[2] == (3, int(name))
         message = (f"^leaf 2 has an integer of {limit + 1} digits in its name, "
                    f"more than the limit of {limit}$")
+        # a name over the limit before a bad name is the one reported
         for parse, text in ((parse_newick, f"(2,-{name}9);"),
+                            (parse_newick, f"(2,-{name}9,x);"),
                             (parse_newick_tuples, f"(2|3,1|{name}9);")):
             with pytest.raises(NonIntegerLeafName, match=message):
                 parse(text)
@@ -504,7 +506,7 @@ class TestTupleParse:
     def test_components_share_ints_and_skip_the_pattern(self, monkeypatch):
         # an ASCII text of decimal components never runs the pattern, and
         # equal components share one int
-        monkeypatch.setattr(newick, "_INT_TUPLE", None)
+        monkeypatch.setattr(newick, "_INT_NAME", None)
         doc = parse_newick_tuples("((1000|7000,1000|7000),(3000|7000,1000|1000));")
         labels = doc.leaf_labels.labels
         assert labels == {3: (1000, 7000), 4: (1000, 7000), 5: (3000, 7000), 6: (1000, 1000)}

@@ -470,6 +470,43 @@ def test_missing_node_label_raised_in_one_place():
     assert sites == ["costs.py"]
 
 
+def _callers(path, called):
+    """The qualified name of the function around each call of ``called`` in a file."""
+    found = []
+
+    def visit(node, scope):
+        if isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef, ast.ClassDef)):
+            scope = f"{scope}.{node.name}"
+        elif isinstance(node, ast.Call) and isinstance(node.func, ast.Name):
+            if node.func.id == called:
+                found.append(scope)
+        for child in ast.iter_child_nodes(node):
+            visit(child, scope)
+
+    visit(ast.parse(path.read_text(encoding="utf-8")), path.stem)
+    return found
+
+
+def test_python_labels_read_in_one_place():
+    # a leaf mapping and a full labeling are both read by costs.exact_labels;
+    # as_int's only other caller reads a cost table
+    sites = {
+        caller for path in sorted(_PACKAGE.glob("*.py")) for caller in _callers(path, "as_int")
+    }
+    assert sites == {"costs.exact_labels", "costs._exact_tuple", "costs.CostFunction.from_table"}
+
+
+def test_leaf_name_texts_checked_by_one_pattern():
+    # both parsers hold a name, or a k-tuple's component, to _INT_NAME
+    source = (_PACKAGE / "newick.py").read_text(encoding="utf-8")
+    patterns = [
+        ast.get_source_segment(source, node)
+        for node in ast.walk(ast.parse(source))
+        if isinstance(node, ast.Call) and ast.unparse(node.func) == "re.compile"
+    ]
+    assert [p for p in patterns if "0-9" in p] == ['re.compile(r"[+-]?[0-9]+", re.ASCII)']
+
+
 def test_solver_groups_named_in_one_place():
     # which solvers build a cost table and which build intervals is said
     # only in solve.py; every other module tells the up phase by its type

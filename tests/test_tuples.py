@@ -1,4 +1,5 @@
 import random
+import re
 
 import pytest
 
@@ -60,6 +61,14 @@ class TestTupleLeafLabeling:
         doc = parse_newick("(2,7);")
         with pytest.raises(ValueError, match="of leaf 1 must be an integer"):
             TupleLeafLabeling.for_tree(doc.tree, {1: tup, 2: (1, 2)})
+
+    @pytest.mark.parametrize("label", [5, None, "12", [1, 2]])
+    def test_labels_that_are_not_tuples_rejected(self, label):
+        # read as node_values reads a full labeling: a list is no tuple
+        doc = parse_newick("(2,7);")
+        message = f"^label of leaf 1 must be a tuple of integers, got {re.escape(repr(label))}$"
+        with pytest.raises(ValueError, match=message):
+            TupleLeafLabeling.for_tree(doc.tree, {1: label, 2: (1, 2)})
 
     def test_leaf_coverage_checked_once_per_parse_and_solve(self, monkeypatch):
         calls = count_calls(monkeypatch, check_leaf_coverage)

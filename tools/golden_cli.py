@@ -121,6 +121,10 @@ ERRORS = (
     # names of one digit more than CPython's default int conversion limit
     ("digit-limit", f"({'1' * 4301},2);", ["solve", "-"]),
     ("digit-limit-tuple", f"(1|{'1' * 4301},2|3);", ["solve", "-", "--tuple"]),
+    # a name over the limit before a bad name: the first in breadth-first
+    # order is reported
+    ("digit-limit-before-bad-name", f"({'1' * 4301},x);", ["solve", "-"]),
+    ("digit-limit-before-bad-name-tuple", f"(1|{'1' * 4301},2|x);", ["solve", "-", "--tuple"]),
 )
 # cases whose named function raises MemoryError instead of running, so
 # that no replay allocates what would exhaust memory
