@@ -89,7 +89,7 @@ class CostFunction(NamedTuple):
         The entries must be ints, start at 0 and be strictly increasing;
         this is checked exhaustively here so theta never has to re-validate.
         """
-        table = tuple(as_int(v, f"cost table entry {d}") for d, v in enumerate(values))
+        table = tuple(as_int(v, "cost table entry {}", d) for d, v in enumerate(values))
         if not table:
             raise ValueError("cost table must not be empty")
         if table[0] != 0:
@@ -299,16 +299,17 @@ def first_decrease(rows: Sequence[tuple]) -> Optional[tuple[int, int]]:
     )
 
 
-def as_int(value: object, entry: str) -> int:
+def as_int(value: object, entry: str, *args: object) -> int:
     """``value`` as an exact int.
 
-    ValueError naming ``entry`` for a float (2.0 too), a string or any
-    other value that is not an integer, so nothing is silently truncated.
+    ValueError for a float (2.0 too), a string or any other value that is
+    not an integer, so nothing is silently truncated. Its message names
+    the entry as ``entry.format(*args)``, formatted only then.
     """
     try:
         return index(value)
     except TypeError:
-        raise ValueError(f"{entry} must be an integer, got {value!r}") from None
+        raise ValueError(f"{entry.format(*args)} must be an integer, got {value!r}") from None
 
 
 def check_leaf_coverage(t: Tree, labels: Mapping[int, object]) -> None:
@@ -397,14 +398,14 @@ def exact_labels(pairs: Iterable[tuple[Any, object]], kind: type, noun: str) -> 
     the component.
     """
     if kind is int:
-        return [as_int(label, f"label of {noun} {v}") for v, label in pairs]
+        return [as_int(label, "label of {} {}", noun, v) for v, label in pairs]
     return [_exact_tuple(label, noun, v) for v, label in pairs]
 
 
 def _exact_tuple(label: object, noun: str, v: object) -> tuple:
     if not isinstance(label, tuple):
         raise ValueError(f"label of {noun} {v} must be a tuple of integers, got {label!r}")
-    return tuple(as_int(x, f"component {i} of {noun} {v}") for i, x in enumerate(label))
+    return tuple(as_int(x, "component {} of {} {}", i, noun, v) for i, x in enumerate(label))
 
 
 def shared_convert(keys: Collection, convert: Callable, total: Optional[int] = None) -> Callable:

@@ -15,7 +15,9 @@ which starts from the first child's part.
 Two up phases fill the same table and differ only in what a child's
 part holds and how an internal child's part is found; the leaf rows, the
 leaf-child parts (one per distinct label) and the sum over children are
-one shared loop.
+one shared loop. That sum is lazy: the children's parts are added by a
+chain of map(add, ...) iterators and listed once, one list per internal
+node rather than one per child after the first.
 
 theta is laid out once per solve as the mirrored list tm = [theta(m-1),
 ..., theta(1), theta(0), theta(1), ..., theta(m-1)], so tm[m-1-i+j] ==
@@ -51,8 +53,10 @@ row. Two down phases share that loop and differ only in how they find j:
 - dp_down scans every j with the same window, O(N * m), whatever theta.
 - convex_down, convex theta: f is convex, so its steps f(j+1) - f(j)
   never decrease; the smallest minimizer is the first j whose step is
-  >= 0 and the largest the first whose step is > 0. A binary search finds
-  it in O(log m) per node, O(N log m) in all, the same labels as dp_down.
+  >= 0 and the largest the first whose step is >= 1 (> 0, the steps being
+  ints). One plain bisection loop over that step test finds it for both
+  ties in O(log m) per node, O(N log m) in all, the same labels as
+  dp_down.
 
 Memory is O(N_internal * m + L * m) for L distinct leaf labels (L <= m):
 every optimal label lives in [g_min, g_max], so nothing outside that
@@ -72,7 +76,6 @@ leaf row's impossible labels.
 from __future__ import annotations
 
 import math
-from bisect import bisect_left, bisect_right
 from itertools import accumulate, islice
 from operator import add, sub
 from typing import NamedTuple
@@ -82,6 +85,9 @@ from .errors import UnsupportedAlgorithm
 from .tree import Tree
 
 INFINITY = math.inf
+# the most children whose parts _up_phase sums by one chain of lazy maps:
+# each map nests one C call per entry, and 10,000 overflow a 256 KiB stack
+_CHAIN = 64
 
 
 class CostTable(NamedTuple):
@@ -125,7 +131,10 @@ def _up_phase(t: Tree, l: LeafLabeling, c: CostFunction, rule) -> CostTable:
     """Fill the cost table bottom-up, the loop both up phases share.
 
     A node's form is the elementwise sum of its children's parts, lists of
-    m ints whose meaning the rule sets. ``rule(tm, m)`` returns
+    m ints whose meaning the rule sets. The sum is a chain of lazy
+    map(add, ...) iterators, listed once per node; a node of more than
+    _CHAIN children lists it at every child instead, since each map in a
+    chain nests one more C call per entry. ``rule(tm, m)`` returns
     ``leaf_part(k)``, the part of a leaf child whose theta window starts
     at k; ``internal_part(form)``, the part of an internal child; and
     ``to_row(form)``, the node's row.
@@ -152,6 +161,7 @@ def _up_phase(t: Tree, l: LeafLabeling, c: CostFunction, rule) -> CostTable:
                 row = leaf_rows[label] = tuple(row)
             rows[v] = row
             continue
+        lazy = len(kids) <= _CHAIN
         acc = None
         for child in kids:
             if children[child]:
@@ -161,8 +171,11 @@ def _up_phase(t: Tree, l: LeafLabeling, c: CostFunction, rule) -> CostTable:
                 part = leaf_parts.get(label)
                 if part is None:
                     part = leaf_parts[label] = leaf_part(m - 1 - (label - g_min))
-            acc = part if acc is None else list(map(add, acc, part))
-        forms[v] = acc
+            if acc is None:
+                acc = part
+            else:
+                acc = map(add, acc, part) if lazy else list(map(add, acc, part))
+        forms[v] = acc = list(acc)
         rows[v] = to_row(acc)
     return CostTable(g_min=g_min, g_max=g_max, rows=tuple(rows))
 
@@ -273,13 +286,20 @@ def _scan_pick(tm: list[int], m: int, pick_last: bool):
 def _step_search(tm: list[int], m: int, pick_last: bool):
     # f(j) = tm[k + j] + row[j] is convex in j, so its steps never
     # decrease: the smallest minimizer is the first j whose step to j + 1
-    # is >= 0, the largest the first whose step is > 0 (m - 1 if none)
+    # is >= 0, the largest the first whose step is >= 1, that is > 0, as
+    # the steps are ints (m - 1 if none)
     theta_slopes = list(map(sub, tm[1:], tm))
-    search = bisect_right if pick_last else bisect_left
-    steps = range(m - 1)
+    least = 1 if pick_last else 0
 
     def pick(k: int, row: tuple) -> int:
-        return search(steps, 0, key=lambda j: theta_slopes[k + j] + row[j + 1] - row[j])
+        lo, hi = 0, m - 1
+        while lo < hi:
+            j = (lo + hi) // 2
+            if theta_slopes[k + j] + row[j + 1] - row[j] < least:
+                lo = j + 1
+            else:
+                hi = j
+        return lo
 
     return pick
 

@@ -19,13 +19,14 @@ str.replace turns every delimiter into ',' and one split cuts there. Both
 run at C speed on any text, ASCII or not. It makes one pass over the
 pieces, keeping the offset of the delimiter that ends each one; that
 offset reads the delimiter from the text and is the position an error
-reports. It takes a decimal piece as a leaf's name as it is, checks
-every other piece against a pattern, and appends every node to the lists
-of its depth: its child count, and a leaf's name. Within one depth the
-written order is the breadth-first order, so those lists joined depth by
-depth number the nodes breadth-first with no sort, and each node's
-children are the next ids in line. The parser builds its ``Tree`` from
-them directly, since the result is a valid tree by construction.
+reports. It takes a piece that is decimal, once the '|' of a k-tuple
+name are removed, as a leaf's name as it is, checks every other piece
+against a pattern, and appends every node to the lists of its depth: its
+child count, and a leaf's name. Within one depth the written order is
+the breadth-first order, so those lists joined depth by depth number the
+nodes breadth-first with no sort, and each node's children are the next
+ids in line. The parser builds its ``Tree`` from them directly, since
+the result is a valid tree by construction.
 
 A large tree repeats a few labels many times, so equal labels share one
 object from the parse to the text: each distinct leaf name is converted
@@ -173,8 +174,10 @@ def _parse_tree(text: str) -> tuple[Tree, Iterator[int], list[str]]:
             level, level_names = below, names[depth]
             continue
         elif d != ";" or (segment and not segment.isspace()):
-            # a leaf ends at this delimiter; a decimal piece is its own name
-            if segment.isdecimal():
+            # a leaf ends at this delimiter; a piece that is decimal once the
+            # '|' of a k-tuple name are removed has no blank and no ':', so
+            # it is its own name
+            if segment.isdecimal() or segment.replace("|", "").isdecimal():
                 level_names.append(segment)
             else:
                 leaf = _LEAF.fullmatch(segment)

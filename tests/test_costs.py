@@ -23,7 +23,7 @@ from treelabel import (
     tuple_cost,
 )
 from treelabel import estimator
-from treelabel.costs import node_values, shared_convert
+from treelabel.costs import as_int, node_values, shared_convert
 from helpers import leaf_map, random_instance
 
 MANHATTAN = CostFunction.manhattan()
@@ -378,6 +378,15 @@ class TestIntegerRule:
         assert node_values(t, exact, int) is exact
         tuples = [(1, 4), (1, 4), (3, 8)]
         assert node_values(t, tuples, tuple) is tuples
+
+    def test_the_message_is_formatted_only_for_a_refused_value(self):
+        class Unformattable:
+            def __format__(self, spec):
+                raise AssertionError("a message was formatted for an int")
+
+        assert as_int(True, "entry {}", Unformattable()) == 1
+        with pytest.raises(ValueError, match="^component 2 of leaf 7 must be an integer, got 1.5$"):
+            as_int(1.5, "component {} of {} {}", 2, "leaf", 7)
 
     def test_tuple_cost_refuses_a_float_component(self):
         t = parse_newick_tuples("(1|4,3|8);").tree

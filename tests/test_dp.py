@@ -1,5 +1,10 @@
 import math
+import os
 import random
+import subprocess
+import sys
+from itertools import accumulate
+from pathlib import Path
 
 import pytest
 
@@ -398,6 +403,30 @@ class TestConvexUp:
                     assert got.total_cost == expected.total_cost
         assert all(count > 0 for count in shapes.values()), shapes
 
+    def test_a_wide_node_fits_a_small_thread_stack(self):
+        # the up phase sums a node's parts through lazy maps, each nesting one
+        # C call per entry; a chain of 10,000 of them overflowed a 256 KiB
+        # thread stack, so it runs in a child process, which an overflow kills
+        code = (
+            "import threading\n"
+            "from treelabel import CostFunction, convex_up, parse_newick\n"
+            "def solve():\n"
+            "    doc = parse_newick('(' + ','.join(str(v % 64) for v in range(10000)) + ');')\n"
+            "    row = convex_up(doc.tree, doc.leaf_labels, CostFunction.power(2)).rows[0]\n"
+            "    assert row == tuple(sum((i - v % 64) ** 2 for v in range(10000)) for i in range(64))\n"
+            "    print('solved')\n"
+            "threading.stack_size(256 * 1024)\n"
+            "thread = threading.Thread(target=solve)\n"
+            "thread.start()\n"
+            "thread.join()\n"
+        )
+        package = Path(convex_up.__code__.co_filename).resolve().parents[1]
+        env = dict(os.environ, PYTHONPATH=str(package))
+        done = subprocess.run(
+            [sys.executable, "-c", code], env=env, capture_output=True, text=True, check=False
+        )
+        assert (done.returncode, done.stdout, done.stderr) == (0, "solved\n", "")
+
     def test_non_convex_cost_rejected(self):
         doc = parse_newick("((0,3),(1,2,2));")
         cost = CostFunction.from_spec("table:0,5,6,11")
@@ -433,6 +462,55 @@ class TestConvexDown:
                     assert got.values == expected.values
                     assert got.total_cost == expected.total_cost
         assert all(count > 0 for count in shapes.values()), shapes
+
+    # spans far past the random instances' 12, where each pick takes 8-13
+    # probes; the table cost has convex increments of its own length
+    @staticmethod
+    def _long_span_costs(rng, m):
+        steps = sorted(rng.randint(1, 40) for _ in range(m - 1))
+        table = CostFunction.from_table([0, *accumulate(steps)])
+        return (MANHATTAN, SQUARE, CostFunction.power(3), table)
+
+    @staticmethod
+    def _spanning(rng, n_nodes, lo, span, max_arity):
+        """A random instance whose first and last leaves take lo and lo + span."""
+        while True:
+            t, leaves = random_instance(rng, n_nodes, lo, lo + span, max_arity)
+            ids = t.leaves()
+            if len(ids) > 1:
+                labels = leaf_map(leaves)
+                labels[ids[0]], labels[ids[-1]] = lo, lo + span
+                return t, LeafLabeling.for_tree(t, labels)
+
+    def _assert_scan_labels(self, t, leaves, costs):
+        for cost in costs:
+            table = convex_up(t, leaves, cost)
+            for tie in ("lowest", "highest"):
+                assert convex_down(t, table, cost, tie) == scan_dp_down(t, table, cost, tie)
+
+    def test_spans_of_hundreds_identical_to_the_scan(self):
+        rng = random.Random(31)
+        arities = set()
+        for _ in range(8):
+            span = rng.randint(200, 1000)
+            t, leaves = self._spanning(rng, rng.randint(4, 14), rng.randint(-50, 50), span, 5)
+            assert leaves.m == span + 1
+            arities.update(len(t.children[v]) for v in range(t.node_count) if not t.is_leaf(v))
+            self._assert_scan_labels(t, leaves, self._long_span_costs(rng, leaves.m))
+        assert arities == {1, 2, 3, 4, 5}
+
+    def test_a_span_of_5000_identical_to_the_scan(self):
+        rng = random.Random(37)
+        for _ in range(2):
+            t, leaves = self._spanning(rng, 6, 0, 5000, 3)
+            self._assert_scan_labels(t, leaves, self._long_span_costs(rng, leaves.m))
+
+    def test_costs_beyond_float_range_identical_to_dp(self):
+        doc = parse_newick("((0,(0,64)),(64,(3,(7,40))));")
+        cost = CostFunction.power(200)
+        table = convex_up(doc.tree, doc.leaf_labels, cost)
+        for tie in ("lowest", "highest"):
+            assert convex_down(doc.tree, table, cost, tie) == dp_down(doc.tree, table, cost, tie)
 
     def test_flat_stretches_break_ties_both_ways(self):
         # the root takes 7; given that, |7 - j| + |j - 2| is 5 for every j

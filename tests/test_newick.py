@@ -513,6 +513,33 @@ class TestTupleParse:
         assert list(labels) == [3, 4, 5, 6]
         assert len({id(x) for label in labels.values() for x in label}) == 3
 
+    def test_decimal_tuple_names_skip_the_leaf_pattern(self, monkeypatch):
+        # a leaf piece of decimal components is its own name, as a decimal
+        # scalar name is; a piece with blanks, a length, an empty or a
+        # non-ASCII component still runs _LEAF and ends as before
+        seen = []
+
+        class Spy:
+            def fullmatch(self, piece, _real=newick._LEAF.fullmatch):
+                seen.append(piece)
+                return _real(piece)
+
+        monkeypatch.setattr(newick, "_LEAF", Spy())
+        doc = parse_newick_tuples("((1|22|333,4|5|6),7|8|9);")
+        assert doc.leaf_labels.labels == {2: (7, 8, 9), 3: (1, 22, 333), 4: (4, 5, 6)}
+        assert seen == []
+        for text in ("( 1|2 ,3|4);", "(1|2:0.5,3|4);"):
+            doc = parse_newick_tuples(text)
+            assert doc.leaf_labels == TupleLeafLabeling(k=2, labels={1: (1, 2), 2: (3, 4)})
+        assert seen == [" 1|2 ", "1|2:0.5"]
+        for text, message in [
+            ("(|,1|2);", "tuple component of leaf '|' '' is not a decimal integer"),
+            ("(١|2,3|4);", "tuple component of leaf '١|2' '١' is not a decimal integer"),
+        ]:
+            with pytest.raises(NonIntegerLeafName) as info:
+                parse_newick_tuples(text)
+            assert str(info.value) == message
+
     def test_component_texts_are_never_all_alive_at_once(self):
         # 40,000 components split name by name as they are read: holding
         # all their texts at once would take the peak past 3 times what

@@ -1,4 +1,4 @@
-"""Tracemalloc peaks of the Manhattan solves of perfbench's inputs, stage by stage.
+"""Tracemalloc peaks of the solves of perfbench's inputs, stage by stage.
 
     PYTHONPATH=src python tools/stage_peaks.py [--seed N]
 
@@ -21,6 +21,12 @@ down (top_down_labels) and print (serialize_labeled):
   wide-range              the tree of random_document(25000, 0, 9,
                           random.Random(5)) with each label x made x * 10**11:
                           ten labels spread over [0, 9 * 10**11]
+
+The next is perfbench's input of the nary-power2 workload for the seed,
+about 1,600 nodes of arity 2-4 and 64 label values. Its operation is the
+same library call with cost="power:2", solved by the convex solver; its
+stages are parse (parse_newick), up (convex_up), down (convex_down) and
+print (serialize_labeled).
 
 The last is perfbench's input of the ktuple-nary-manhattan workload for
 the seed, about 800 nodes with 8-tuple leaf labels. Its operation is
@@ -78,6 +84,17 @@ def _scalar(text: str) -> tuple:
     ]
 
 
+def _convex(text: str, spec: str) -> tuple:
+    """The operation and stages of the convex solve of scalar ``text`` under ``spec``."""
+    cost = tl.CostFunction.from_spec(spec)
+    return lambda: tl.TreeLabeler(cost=spec).fit(text).to_newick(), [
+        ("parse", lambda: tl.parse_newick(text)),
+        ("up", lambda doc: tl.convex_up(doc.tree, doc.leaf_labels, cost)),
+        ("down", lambda doc, table: tl.convex_down(doc.tree, table, cost)),
+        ("print", lambda doc, table, labeling: tl.serialize_labeled(doc, labeling)),
+    ]
+
+
 def _ktuple(text: str, cost: tl.CostFunction) -> tuple:
     """The operation and stages of the k-tuple solve of ``text``."""
 
@@ -94,6 +111,7 @@ def _ktuple(text: str, cost: tl.CostFunction) -> tuple:
 
 def inputs(seed: int) -> dict[str, tuple]:
     """The operation and the stages of each input, by name."""
+    power2 = _workloads().BY_NAME["nary-power2"]
     ktuple = _workloads().BY_NAME["ktuple-nary-manhattan"]
     return {
         "binary-manhattan-large": _scalar(_benchmark_text("binary-manhattan-large", seed)),
@@ -101,6 +119,7 @@ def inputs(seed: int) -> dict[str, tuple]:
             tl.random_document(25000, 0, 10**12, random.Random(5))
         )),
         "wide-range": _scalar(_wide_range_text()),
+        power2.name: _convex(_benchmark_text(power2.name, seed), power2.cost),
         ktuple.name: _ktuple(
             _benchmark_text(ktuple.name, seed), tl.CostFunction.from_spec(ktuple.cost)
         ),
